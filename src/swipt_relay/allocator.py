@@ -133,29 +133,36 @@ def waterfill(gammas, p_max: float) -> np.ndarray:
     """Spread ``p_max`` over parallel channels of gains ``gammas`` so that
     every powered channel sits at a common water level.
 
-    The level is bisected over [min 1/gamma, min 1/gamma + p_max] down to
-    1e-12 relative width, then the active set is solved exactly so the
-    returned powers satisfy the stationarity conditions to float precision
-    and sum to ``p_max``. Channels with gamma == 0 receive exactly zero.
+    The active set is found exactly, with no iteration or tolerance (Palomar
+    & Fonollosa, IEEE TSP 2005): with the usable 1/gamma sorted ascending as
+    s_1 <= s_2 <= ..., the k strongest channels fill to the level
+    (p_max + s_1 + ... + s_k) / k, and channel k is powered iff s_k lies
+    below that level, which holds for a prefix of k. One sort and one
+    cumulative sum give the level, so a call costs O(N log N). The returned
+    powers satisfy the stationarity conditions to float precision and sum to
+    ``p_max``. Channels with gamma == 0 receive exactly zero.
+
+    Raises ``ValueError`` unless every gain is finite and nonnegative and
+    ``p_max`` is positive and finite, and :class:`NoUsablePairError` when
+    every gain is zero.
     """
     gam = np.asarray(gammas, dtype=float)
     if gam.ndim != 1 or gam.size == 0:
         raise ValueError("gammas must be a nonempty vector")
+    if not ((gam >= 0.0) & (gam < math.inf)).all():
+        raise ValueError("gammas must be finite and nonnegative")
     if not (math.isfinite(p_max) and p_max > 0.0):
         raise ValueError("p_max must be positive and finite")
     usable = gam > 0.0
     if not usable.any():
         raise NoUsablePairError("no usable pair: every effective gain is zero")
     inv = 1.0 / gam[usable]
-    lo = float(inv.min())
-    hi = lo + p_max
-    while hi - lo > 1e-12 * hi:
-        mid = 0.5 * (lo + hi)
-        if float(np.maximum(0.0, mid - inv).sum()) >= p_max:
-            hi = mid
-        else:
-            lo = mid
-    active = inv < hi
+    steps = np.sort(inv)
+    levels = (p_max + np.cumsum(steps)) / np.arange(1, steps.size + 1)
+    n_active = int(np.count_nonzero(steps < levels))
+    active = inv <= steps[n_active - 1]
+    # the prefix levels carry cumsum rounding: recompute the level over the
+    # active set and drop any channel whose 1/gamma rounds onto or above it
     while True:
         level = (p_max + float(inv[active].sum())) / int(active.sum())
         overshoot = active & (inv >= level)

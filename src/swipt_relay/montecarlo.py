@@ -4,8 +4,9 @@ Comparisons use common random numbers: within one trial every policy sees the
 identical channel realization. Trial t (1-based) of a run seeded with s draws
 its channel from seed s + t; sweep point k offsets the run seed by
 k * 1_000_000, so adding sweep points or policies never perturbs existing
-results. Reduction is in trial order regardless of the thread count, so
-output bits do not depend on parallelism.
+results. A sweep is limited to fewer than 10^6 trials per point, so no two
+points share a channel seed. Reduction is in trial order regardless of
+the thread count, so output bits do not depend on parallelism.
 """
 
 from __future__ import annotations
@@ -70,6 +71,11 @@ class SweepSpec:
             raise ValueError("policies must be nonempty")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.trials >= POINT_SEED_STRIDE:
+            raise ValueError(
+                f"trials must be below {POINT_SEED_STRIDE}, the per-point seed stride, "
+                "so that no two sweep points share a channel seed"
+            )
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         object.__setattr__(self, "values", values)

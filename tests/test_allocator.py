@@ -228,6 +228,72 @@ def test_waterfill_rejects_bad_budget():
         waterfill([1.0], math.inf)
 
 
+@pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf])
+def test_waterfill_rejects_invalid_gain(bad):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        waterfill([bad, 1.0], 10.0)
+
+
+def waterfill_by_bisection(gammas, p_max):
+    """Reference water-filling: bisect the level over
+    [min 1/gamma, min 1/gamma + p_max] down to 1e-12 relative width, then
+    solve the active set exactly and pin the sum to the budget."""
+    gam = np.asarray(gammas, dtype=float)
+    usable = gam > 0.0
+    inv = 1.0 / gam[usable]
+    lo = float(inv.min())
+    hi = lo + p_max
+    while hi - lo > 1e-12 * hi:
+        mid = 0.5 * (lo + hi)
+        if float(np.maximum(0.0, mid - inv).sum()) >= p_max:
+            hi = mid
+        else:
+            lo = mid
+    active = inv < hi
+    while True:
+        level = (p_max + float(inv[active].sum())) / int(active.sum())
+        overshoot = active & (inv >= level)
+        if not overshoot.any():
+            break
+        active &= ~overshoot
+    alloc = np.where(active, level - inv, 0.0)
+    alloc[int(np.argmax(alloc))] += p_max - math.fsum(alloc)
+    powers = np.zeros_like(gam)
+    powers[usable] = alloc
+    return powers
+
+
+@pytest.mark.parametrize(
+    "gammas, p_max, expected",
+    [
+        ([0.3] * 7, 10.0, [10.0 / 7] * 7),  # all gains equal
+        ([1.0, 0.5], 1.0, [1.0, 0.0]),  # 1/gamma of the weak channel is the level
+        ([1.0, 1.0, 1.0 / 3.0], 4.0, [2.0, 2.0, 0.0]),  # same, behind a tie
+        ([0.7], 1e-6, [1e-6]),  # N = 1
+        ([0.7], 1e9, [1e9]),
+    ],
+)
+def test_waterfill_matches_bisection_on_edge_cases(gammas, p_max, expected):
+    powers = waterfill(gammas, p_max)
+    np.testing.assert_allclose(powers, waterfill_by_bisection(gammas, p_max), rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(powers, expected, rtol=1e-12, atol=0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    gammas=st.lists(
+        st.one_of(st.just(0.0), st.floats(1e-6, 1e3)), min_size=1, max_size=256
+    ),
+    p_max=st.floats(1e-6, 1e9),
+)
+def test_waterfill_matches_bisection(gammas, p_max):
+    if not any(g > 0.0 for g in gammas):
+        return
+    np.testing.assert_allclose(
+        waterfill(gammas, p_max), waterfill_by_bisection(gammas, p_max), rtol=1e-12, atol=0.0
+    )
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     gammas=st.lists(

@@ -211,6 +211,14 @@ def test_sweep_rejects_bad_range(cfg_path, capsys):
     assert "divide evenly" in capsys.readouterr().err
 
 
+def test_sweep_rejects_trials_beyond_seed_stride(cfg_path, capsys):
+    code = main(
+        ["sweep", cfg_path, "--variable", "p_max_dbm", "--values", "10,20", "--trials", "1000005"]
+    )
+    assert code == 1
+    assert "below 1000000" in capsys.readouterr().err
+
+
 def test_sweep_byte_identical_reruns(cfg_path, tmp_path):
     args = [
         "sweep",

@@ -99,6 +99,9 @@ def test_sweep_spec_validation():
         SweepSpec(**{**good, "values": (20.0, 10.0)})
     with pytest.raises(ValueError):
         SweepSpec(**{**good, "trials": 0})
+    SweepSpec(**{**good, "trials": POINT_SEED_STRIDE - 1})
+    with pytest.raises(ValueError, match=f"below {POINT_SEED_STRIDE}"):
+        SweepSpec(**{**good, "trials": POINT_SEED_STRIDE})
     with pytest.raises(ValueError):
         SweepSpec(**{**good, "variable": "bandwidth"})
     with pytest.raises(ValueError):
