@@ -36,6 +36,7 @@ CONFIGS = {
     "pmax_1e9mw": replace(_BASE, p_max=1e9),
     "relay_0.1d0": replace(_BASE, dr=0.1 * _BASE.d0),
     "relay_0.9d0": replace(_BASE, dr=0.9 * _BASE.d0),
+    "n256_taps16": replace(_BASE, n_subcarriers=256, taps=16),  # the wide-OFDM size
 }
 
 
