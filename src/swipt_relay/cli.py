@@ -239,7 +239,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"comma list of policies (default: {_ALL_POLICY_NAMES})",
     )
     p_sweep.add_argument(
-        "--threads", type=int, default=1, help="cap on parallel trial evaluation (default: 1)"
+        "--threads",
+        type=int,
+        default=1,
+        help="accepted and ignored, kept for compatibility for one release: "
+        "trials run serially (a thread pool measured slower)",
     )
     p_sweep.add_argument(
         "--no-banner",

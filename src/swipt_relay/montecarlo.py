@@ -5,15 +5,14 @@ identical channel realization. Trial t (1-based) of a run seeded with s draws
 its channel from seed s + t; sweep point k offsets the run seed by
 k * 1_000_000, so adding sweep points or policies never perturbs existing
 results. A sweep is limited to fewer than 10^6 trials per point, so no two
-points share a channel seed. Reduction is in trial order regardless of
-the thread count, so output bits do not depend on parallelism.
+points share a channel seed. Trials run serially and are reduced in trial
+order.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -94,8 +93,9 @@ class TrialResult:
 def run_trials(cfg: SystemConfig, policies, trials: int, seed: int, threads: int = 1) -> TrialResult:
     """Evaluate every policy on ``trials`` common channel draws.
 
-    Deterministic given (cfg, policies, trials, seed); ``threads`` > 1 only
-    parallelizes the per-trial work, results are assembled in trial order.
+    Deterministic given (cfg, policies, trials, seed). ``threads`` is
+    accepted and ignored, and will be removed in a later release: trials run
+    serially, since a thread pool measured slower than the serial loop.
     """
     validate_config(cfg)
     policies = tuple(policies)
@@ -114,11 +114,7 @@ def run_trials(cfg: SystemConfig, policies, trials: int, seed: int, threads: int
                 row.append(None)
         return row
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, range(1, trials + 1), chunksize=64))
-    else:
-        rows = [one(t) for t in range(1, trials + 1)]
+    rows = [one(t) for t in range(1, trials + 1)]
 
     rates = {policy: np.empty(trials) for policy in policies}
     dead = {policy: 0 for policy in policies}
@@ -185,7 +181,8 @@ def _substitute(cfg: SystemConfig, variable: str, value: float) -> SystemConfig:
 def sweep(cfg: SystemConfig, spec: SweepSpec, threads: int = 1) -> SweepResult:
     """Run ``spec`` against ``cfg``: each sweep value is substituted into a
     copy of the config (relay_position is a fraction of d0), trials run under
-    a value-indexed seed offset, and per-policy mean/std are tabulated."""
+    a value-indexed seed offset, and per-policy mean/std are tabulated.
+    ``threads`` is accepted and ignored, as in :func:`run_trials`."""
     rows: list[SweepRow] = []
     for index, value in enumerate(spec.values):
         cfg_point = validate_config(_substitute(cfg, spec.variable, value))
@@ -194,7 +191,6 @@ def sweep(cfg: SystemConfig, spec: SweepSpec, threads: int = 1) -> SweepResult:
             spec.policies,
             spec.trials,
             spec.seed + index * POINT_SEED_STRIDE,
-            threads=threads,
         )
         for policy in spec.policies:
             rates = batch.rates[policy]

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -140,6 +141,12 @@ def test_optimal_rho_rejects_dead_pair(single_pair_cfg):
         optimal_rho(0.9, make_cfg(eta=0.0))
 
 
+def test_optimal_rho_names_forward_quality_underflow():
+    # b = eta*g_sq/sigma_d_sq rounds to zero although g_sq and eta are positive
+    with pytest.raises(ValueError, match="underflows to zero"):
+        optimal_rho(5e-324, make_cfg(eta=0.1))
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     g=st.floats(1e-6, 100.0),
@@ -190,6 +197,45 @@ def test_effective_gain_power_independent(single_pair_cfg):
     assert lo == hi
 
 
+# ----------------------------------------------------------- split_and_gain
+
+def test_split_and_gain_pins_dead_pairs(single_pair_cfg):
+    assert split_and_gain(0.9, 0.0, single_pair_cfg) == (1.0, 0.0)
+    assert split_and_gain(0.9, 0.9, make_cfg(eta=0.0)) == (1.0, 0.0)
+
+
+def test_split_and_gain_pins_underflowing_forward_quality():
+    # eta*g_sq/sigma_d_sq underflows to zero: the pair is dead, not an error
+    assert split_and_gain(1.0, 5e-324, make_cfg(eta=0.1)) == (1.0, 0.0)
+
+
+def _bits(x) -> str:
+    return float(x).hex()
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    h=st.floats(0.0, 1e6),
+    g=st.floats(1e-300, 1e6),
+    eta=st.floats(0.0, 1.0, exclude_min=True),
+)
+def test_split_and_gain_bits(h, g, eta):
+    """Python-float and np.float64 inputs give the same bits, and those are
+    exactly optimal_rho's rho_I and effective_gain's gamma."""
+    cfg = make_cfg(eta=eta)
+    rho, gamma = split_and_gain(h, g, cfg)
+    rho_64, gamma_64 = split_and_gain(np.float64(h), np.float64(g), cfg)
+    assert (_bits(rho), _bits(gamma)) == (_bits(rho_64), _bits(gamma_64))
+    if not eta * g / cfg.noise.sigma_d_sq > 0.0:
+        assert (rho, gamma) == (1.0, 0.0)
+        with pytest.raises(ValueError, match="underflows to zero"):
+            optimal_rho(g, cfg)
+        return
+    rho_ref = optimal_rho(g, cfg)[0]
+    assert _bits(rho) == _bits(rho_ref)
+    assert _bits(gamma) == _bits(effective_gain(h, rho_ref, cfg))
+
+
 # ---------------------------------------------------------------- waterfill
 
 def test_waterfill_equal_gains_split_evenly():
@@ -232,6 +278,24 @@ def test_waterfill_rejects_bad_budget():
 def test_waterfill_rejects_invalid_gain(bad):
     with pytest.raises(ValueError, match="finite and nonnegative"):
         waterfill([bad, 1.0], 10.0)
+
+
+@pytest.mark.parametrize(
+    "gammas, p_max, expected",
+    [
+        ([1e-10], 1e-20, [1e-20]),
+        ([2.0, 1e-10], 1e-30, [1e-30, 0.0]),
+        ([1e-310], 10.0, [10.0]),  # 1/gamma overflows to inf
+        ([1e-310, 2e-310], 1.0, [0.0, 1.0]),  # both overflow; the larger gain wins
+    ],
+)
+def test_waterfill_budget_below_float_spacing_goes_to_strongest(gammas, p_max, expected):
+    """No water level rises above the strongest 1/gamma, so the whole budget
+    lands on that channel, without a warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        powers = waterfill(gammas, p_max)
+    np.testing.assert_array_equal(powers, expected)
 
 
 def waterfill_by_bisection(gammas, p_max):
@@ -406,6 +470,18 @@ def test_solve_partially_dead_channel(default_cfg):
         assert result.powers[i] == 0.0
         assert result.pair_rates[i] == 0.0
     assert math.fsum(result.powers) == pytest.approx(default_cfg.p_max, abs=1e-9)
+
+
+def test_solve_underflowing_outgoing_gain_is_a_dead_pair():
+    cfg = make_cfg(eta=0.1)
+    chan = ChannelRealization([1.0, 1.0, 1.0, 1.0], [5e-324, 1.0, 1.0, 1.0])
+    result = solve(chan, cfg)
+    dead = int(np.flatnonzero(result.pairing.perm == 0)[0])
+    assert result.rho_i[dead] == 1.0
+    assert result.powers[dead] == 0.0
+    assert result.pair_rates[dead] == 0.0
+    live = np.arange(4) != dead
+    np.testing.assert_allclose(result.powers[live], cfg.p_max / 3, rtol=1e-12)
 
 
 def test_solve_rejects_size_mismatch(default_cfg):

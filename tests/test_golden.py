@@ -1,7 +1,8 @@
 """Per-trial rates of every policy against the pinned golden fixture.
 
 The fixture was written by ``tests/make_golden.py`` before the exact
-water-filling kernel replaced bisection; the outputs are expected to stay
+water-filling kernel replaced bisection, and its ``n256_taps16`` config before
+the per-pair split moved to Python floats; the outputs are expected to stay
 bit-identical. A deliberate change of these numbers is recorded in CHANGES.md
 together with the regenerated fixture.
 """
