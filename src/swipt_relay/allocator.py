@@ -38,6 +38,8 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+# 1/gamma overflows to inf at and below this gain (a subnormal float)
+_GAMMA_MIN_INVERTIBLE = 2.0**-1024
 
 
 class NoUsablePairError(ValueError):
@@ -150,6 +152,14 @@ def split_and_gain(h_sq: float, g_sq: float, cfg: SystemConfig) -> tuple[float, 
     return rho_info, h_sq * rho_info / (rho_info * s_ra + s_rb)
 
 
+def _all_to_strongest(gam: np.ndarray, p_max: float) -> np.ndarray:
+    """The whole budget on the channel of largest gamma: the water-filling
+    answer when no level rises above its 1/gamma in floating point."""
+    powers = np.zeros_like(gam)
+    powers[int(np.argmax(gam))] = p_max
+    return powers
+
+
 def waterfill(gammas, p_max: float) -> np.ndarray:
     """Spread ``p_max`` over parallel channels of gains ``gammas`` so that
     every powered channel sits at a common water level.
@@ -176,12 +186,13 @@ def waterfill(gammas, p_max: float) -> np.ndarray:
         raise ValueError("gammas must be finite and nonnegative")
     if not (math.isfinite(p_max) and p_max > 0.0):
         raise ValueError("p_max must be positive and finite")
-    usable = gam > 0.0
+    # a channel whose 1/gamma overflows is never powered beside a stronger one
+    usable = gam > _GAMMA_MIN_INVERTIBLE
     if not usable.any():
-        raise NoUsablePairError("no usable pair: every effective gain is zero")
-    gam_usable = gam[usable]
-    with np.errstate(over="ignore"):  # 1/gamma of a subnormal gamma is inf
-        inv = 1.0 / gam_usable
+        if not (gam > 0.0).any():
+            raise NoUsablePairError("no usable pair: every effective gain is zero")
+        return _all_to_strongest(gam, p_max)
+    inv = 1.0 / gam[usable]
     steps = np.sort(inv)
     levels = (p_max + np.cumsum(steps)) / np.arange(1, steps.size + 1)
     # the strongest channel is always active, even when p_max lies below the
@@ -194,14 +205,11 @@ def waterfill(gammas, p_max: float) -> np.ndarray:
         level = (p_max + float(inv[active].sum())) / int(active.sum())
         overshoot = active & (inv >= level)
         if not overshoot.any():
-            alloc = np.where(active, level - inv, 0.0)
             break
         active &= ~overshoot
         if not active.any():
-            # no level rises above the strongest 1/gamma: it takes the budget
-            alloc = np.zeros_like(inv)
-            alloc[int(np.argmax(gam_usable))] = p_max
-            break
+            return _all_to_strongest(gam, p_max)
+    alloc = np.where(active, level - inv, 0.0)
     # pin the float sum exactly to the budget; the correction is O(ulp) and
     # lands on the largest allocation
     alloc[int(np.argmax(alloc))] += p_max - math.fsum(alloc)

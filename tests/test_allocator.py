@@ -199,14 +199,16 @@ def test_effective_gain_power_independent(single_pair_cfg):
 
 # ----------------------------------------------------------- split_and_gain
 
-def test_split_and_gain_pins_dead_pairs(single_pair_cfg):
-    assert split_and_gain(0.9, 0.0, single_pair_cfg) == (1.0, 0.0)
-    assert split_and_gain(0.9, 0.9, make_cfg(eta=0.0)) == (1.0, 0.0)
-
-
-def test_split_and_gain_pins_underflowing_forward_quality():
-    # eta*g_sq/sigma_d_sq underflows to zero: the pair is dead, not an error
-    assert split_and_gain(1.0, 5e-324, make_cfg(eta=0.1)) == (1.0, 0.0)
+@pytest.mark.parametrize(
+    "g_sq, eta",
+    [
+        (0.0, 1.0),
+        (0.9, 0.0),
+        (5e-324, 0.1),  # eta*g_sq/sigma_d_sq underflows to zero
+    ],
+)
+def test_split_and_gain_pins_dead_pairs(g_sq, eta):
+    assert split_and_gain(1.0, g_sq, make_cfg(eta=eta)) == (1.0, 0.0)
 
 
 def _bits(x) -> str:
