@@ -139,9 +139,6 @@ def test_optimal_rho_rejects_dead_pair(single_pair_cfg):
         optimal_rho(0.0, single_pair_cfg)
     with pytest.raises(ValueError):
         optimal_rho(0.9, make_cfg(eta=0.0))
-
-
-def test_optimal_rho_names_forward_quality_underflow():
     # b = eta*g_sq/sigma_d_sq rounds to zero although g_sq and eta are positive
     with pytest.raises(ValueError, match="underflows to zero"):
         optimal_rho(5e-324, make_cfg(eta=0.1))
