@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .model import AllocationResult, ChannelRealization, SubcarrierPairing, SystemConfig
+from .model import AllocationResult, ChannelRealization, SubcarrierPairing, SystemConfig, _frozen
 
 __all__ = [
     "NoUsablePairError",
@@ -40,6 +40,9 @@ __all__ = [
 _LN2 = math.log(2.0)
 # 1/gamma overflows to inf at and below this gain (a subnormal float)
 _GAMMA_MIN_INVERTIBLE = 2.0**-1024
+# water-filling's prefix sums stay finite while p_max + N * max(1/gamma) is
+# below this bound
+_PREFIX_SUM_LIMIT = 2.0**1023
 
 
 class NoUsablePairError(ValueError):
@@ -173,7 +176,9 @@ def waterfill(gammas, p_max: float) -> np.ndarray:
     powers satisfy the stationarity conditions to float precision and sum to
     ``p_max``. Channels with gamma == 0 receive exactly zero. When ``p_max``
     lies below the float spacing of the strongest 1/gamma (or that 1/gamma
-    overflows), the whole budget goes to the strongest channel.
+    overflows), the whole budget goes to the strongest channel. When
+    ``p_max + N * max(1/gamma)`` nears the float range, the problem is solved
+    scaled down by a power of two, so the prefix sums cannot overflow.
 
     Raises ``ValueError`` unless every gain is finite and nonnegative and
     ``p_max`` is positive and finite, and :class:`NoUsablePairError` when
@@ -194,7 +199,14 @@ def waterfill(gammas, p_max: float) -> np.ndarray:
         return _all_to_strongest(gam, p_max)
     inv = 1.0 / gam[usable]
     steps = np.sort(inv)
-    levels = (p_max + np.cumsum(steps)) / np.arange(1, steps.size + 1)
+    budget = p_max
+    scale = 1.0
+    if p_max + steps.size * float(steps[-1]) >= _PREFIX_SUM_LIMIT:
+        # the prefix sums could overflow: solve the problem scaled down by a
+        # power of two, which leaves the rounding of every normal float as is
+        scale = 2.0 ** (steps.size.bit_length() + 1)
+        inv, steps, budget = inv / scale, steps / scale, p_max / scale
+    levels = (budget + np.cumsum(steps)) / np.arange(1, steps.size + 1)
     # the strongest channel is always active, even when p_max lies below the
     # float spacing of its 1/gamma and its level cannot rise above it
     n_active = max(int(np.count_nonzero(steps < levels)), 1)
@@ -202,7 +214,7 @@ def waterfill(gammas, p_max: float) -> np.ndarray:
     # the prefix levels carry cumsum rounding: recompute the level over the
     # active set and drop any channel whose 1/gamma rounds onto or above it
     while True:
-        level = (p_max + float(inv[active].sum())) / int(active.sum())
+        level = (budget + float(inv[active].sum())) / int(active.sum())
         overshoot = active & (inv >= level)
         if not overshoot.any():
             break
@@ -212,7 +224,9 @@ def waterfill(gammas, p_max: float) -> np.ndarray:
     alloc = np.where(active, level - inv, 0.0)
     # pin the float sum exactly to the budget; the correction is O(ulp) and
     # lands on the largest allocation
-    alloc[int(np.argmax(alloc))] += p_max - math.fsum(alloc)
+    alloc[int(np.argmax(alloc))] += budget - math.fsum(alloc)
+    if scale != 1.0:
+        alloc *= scale
     powers = np.zeros_like(gam)
     powers[usable] = alloc
     return powers
@@ -236,7 +250,8 @@ def solve(channel: ChannelRealization, cfg: SystemConfig) -> AllocationResult:
     rho, gam = np.array([split_and_gain(h, g, cfg) for h, g in zip(h_list, g_list)]).T
     powers = waterfill(gam, cfg.p_max)
     pair_rates = 0.5 * np.log1p(gam * powers) / _LN2
-    return AllocationResult(
+    return _frozen(
+        AllocationResult,
         pairing=pairing,
         rho_i=rho,
         powers=powers,

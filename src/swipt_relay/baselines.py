@@ -4,11 +4,12 @@ and a conventional relay with its own power supply."""
 from __future__ import annotations
 
 import enum
+import functools
 
 import numpy as np
 
 from .allocator import _LN2, solve, sorted_pairing, split_and_gain, waterfill
-from .model import AllocationResult, ChannelRealization, SubcarrierPairing, SystemConfig
+from .model import AllocationResult, ChannelRealization, SubcarrierPairing, SystemConfig, _frozen
 
 __all__ = [
     "PolicyId",
@@ -38,7 +39,9 @@ class PolicyId(enum.Enum):
         raise ValueError(f"unknown policy '{name}'; valid policies: {valid}")
 
 
+@functools.lru_cache(maxsize=16)
 def _identity_pairing(n: int) -> SubcarrierPairing:
+    # immutable, so one checked instance per N is shared by every result
     return SubcarrierPairing(np.arange(n, dtype=np.int64))
 
 
@@ -58,7 +61,14 @@ def solve_opa_no_pairing(channel: ChannelRealization, cfg: SystemConfig) -> Allo
     rho, gam = _splits(channel, pairing.perm, cfg)
     powers = waterfill(gam, cfg.p_max)
     pair_rates = 0.5 * np.log1p(gam * powers) / _LN2
-    return AllocationResult(pairing, rho, powers, pair_rates, float(pair_rates.sum()))
+    return _frozen(
+        AllocationResult,
+        pairing=pairing,
+        rho_i=rho,
+        powers=powers,
+        pair_rates=pair_rates,
+        total_rate=float(pair_rates.sum()),
+    )
 
 
 def solve_uniform(channel: ChannelRealization, cfg: SystemConfig, use_pairing: bool) -> AllocationResult:
@@ -73,7 +83,14 @@ def solve_uniform(channel: ChannelRealization, cfg: SystemConfig, use_pairing: b
     rho, gam = _splits(channel, pairing.perm, cfg)
     powers = np.full(n, cfg.p_max / n)
     pair_rates = 0.5 * np.log1p(gam * powers) / _LN2
-    return AllocationResult(pairing, rho, powers, pair_rates, float(pair_rates.sum()))
+    return _frozen(
+        AllocationResult,
+        pairing=pairing,
+        rho_i=rho,
+        powers=powers,
+        pair_rates=pair_rates,
+        total_rate=float(pair_rates.sum()),
+    )
 
 
 def _conventional_slopes(channel: ChannelRealization, cfg: SystemConfig):
@@ -105,7 +122,14 @@ def solve_conventional(channel: ChannelRealization, cfg: SystemConfig) -> Alloca
     gam[live] = a[live] * b[live] / (a[live] + b[live])
     powers = waterfill(gam, cfg.p_max)
     pair_rates = 0.5 * np.log1p(gam * powers) / _LN2
-    return AllocationResult(pairing, np.ones(n), powers, pair_rates, float(pair_rates.sum()))
+    return _frozen(
+        AllocationResult,
+        pairing=pairing,
+        rho_i=np.ones(n),
+        powers=powers,
+        pair_rates=pair_rates,
+        total_rate=float(pair_rates.sum()),
+    )
 
 
 def conventional_hop_powers(channel: ChannelRealization, cfg: SystemConfig, result: AllocationResult):

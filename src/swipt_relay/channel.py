@@ -9,8 +9,10 @@ is (1+d)^(-alpha).
 Reproducibility contract: a realization is a pure function of (config, seed).
 The master seed feeds a PCG64 SeedSequence whose first spawned child drives
 the source-relay taps and whose second drives the relay-destination taps, so
-the two hops never share a stream. Each tap consumes exactly two standard
-normal variates (real part first, then imaginary).
+the two hops never share a stream. Child k is built directly as
+``SeedSequence(seed, spawn_key=(k,))``, which is the same stream as the k-th
+child of ``SeedSequence(seed).spawn(2)``. Each tap consumes exactly two
+standard normal variates (real part first, then imaginary).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import ChannelRealization, SystemConfig
+from .model import ChannelRealization, SystemConfig, _frozen
 
 __all__ = [
     "TapSet",
@@ -52,20 +54,36 @@ class TapSet:
         object.__setattr__(self, "taps", t)
 
 
-def draw_taps(rng: np.random.Generator, n_taps: int, distance: float, alpha: float) -> TapSet:
-    """Draw one hop's impulse response from ``rng``.
-
-    Consumes exactly ``2 * n_taps`` normal variates regardless of the
-    parameter values, so streams stay aligned across configurations.
-    """
+def _tap_parts(rng: np.random.Generator, n_taps: int, distance: float, alpha: float) -> np.ndarray:
+    """``2 * n_taps`` scaled normals from ``rng``, as (real, imaginary) pairs
+    tap by tap: viewed as complex they are the hop's taps."""
     if n_taps < 1:
         raise ValueError("n_taps must be >= 1")
     if distance < 0:
         raise ValueError("distance must be >= 0")
     # real/imaginary parts each carry half of the per-tap variance
     std = math.sqrt(0.5 / (n_taps * (1.0 + distance) ** alpha))
-    parts = rng.standard_normal((n_taps, 2)) * std
-    return TapSet(parts[:, 0] + 1j * parts[:, 1])
+    return rng.standard_normal(2 * n_taps) * std
+
+
+def _subcarrier_gains(taps: np.ndarray, n_subcarriers: int) -> np.ndarray:
+    """Squared DFT magnitudes of each row of ``taps`` on N subcarriers."""
+    n_taps = taps.shape[-1]
+    # np.fft.fft would silently truncate the response to N taps
+    if n_subcarriers < n_taps:
+        raise ValueError(
+            f"n_subcarriers ({n_subcarriers}) must be >= number of taps ({n_taps})"
+        )
+    return np.abs(np.fft.fft(taps, n=n_subcarriers, axis=-1)) ** 2
+
+
+def draw_taps(rng: np.random.Generator, n_taps: int, distance: float, alpha: float) -> TapSet:
+    """Draw one hop's impulse response from ``rng``.
+
+    Consumes exactly ``2 * n_taps`` normal variates regardless of the
+    parameter values, so streams stay aligned across configurations.
+    """
+    return TapSet(_tap_parts(rng, n_taps, distance, alpha).view(complex))
 
 
 def taps_to_subcarrier_gains(taps: TapSet, n_subcarriers: int) -> np.ndarray:
@@ -73,30 +91,35 @@ def taps_to_subcarrier_gains(taps: TapSet, n_subcarriers: int) -> np.ndarray:
 
     ``gains[n] = |sum_l taps[l] * exp(-2j*pi*n*l/N)|**2`` for n = 0..N-1.
     """
-    n_taps = taps.taps.size
-    if n_subcarriers < n_taps:
-        raise ValueError(
-            f"n_subcarriers ({n_subcarriers}) must be >= number of taps ({n_taps})"
-        )
-    spectrum = np.fft.fft(taps.taps, n=n_subcarriers)
-    return np.abs(spectrum) ** 2
+    return _subcarrier_gains(taps.taps, n_subcarriers)
 
 
 def generate_channel(cfg: SystemConfig, seed: int) -> ChannelRealization:
     """Deterministically realize both hops for one trial.
 
     Hop 1 taps are drawn at distance ``cfg.dr``, hop 2 at ``cfg.d0 - cfg.dr``,
-    from disjoint child streams of ``seed``.
+    from disjoint child streams of ``seed``. The result is bit-identical to
+    drawing each hop with :func:`draw_taps` from the spawned children and
+    transforming it with :func:`taps_to_subcarrier_gains`, but both hops share
+    one FFT and the gains are checked once, not wrapped per hop.
     """
     if seed < 0:
         raise ValueError("seed must be a nonnegative integer")
-    child_h, child_g = np.random.SeedSequence(int(seed)).spawn(2)
-    taps_h = draw_taps(np.random.default_rng(child_h), cfg.taps, cfg.dr, cfg.alpha)
-    taps_g = draw_taps(np.random.default_rng(child_g), cfg.taps, cfg.d0 - cfg.dr, cfg.alpha)
-    return ChannelRealization(
-        h_sq=taps_to_subcarrier_gains(taps_h, cfg.n_subcarriers),
-        g_sq=taps_to_subcarrier_gains(taps_g, cfg.n_subcarriers),
-    )
+    seed = int(seed)
+    parts = np.array([
+        _tap_parts(
+            np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,))),
+            cfg.taps,
+            distance,
+            cfg.alpha,
+        )
+        for k, distance in enumerate((cfg.dr, cfg.d0 - cfg.dr))
+    ])
+    gains = _subcarrier_gains(parts.view(complex), cfg.n_subcarriers)
+    # a squared magnitude is never negative, so finiteness is the whole check
+    if not np.isfinite(gains).all():
+        raise ValueError("h_sq and g_sq entries must be finite and nonnegative")
+    return _frozen(ChannelRealization, h_sq=gains[0], g_sq=gains[1])
 
 
 def load_channel_file(path: str | Path) -> ChannelRealization:

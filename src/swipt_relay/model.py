@@ -113,6 +113,11 @@ def config_errors(cfg: SystemConfig) -> list[str]:
         errors.append("n_subcarriers must be an integer >= 1")
     if not isinstance(cfg.taps, (int, np.integer)) or cfg.taps < 1:
         errors.append("taps must be an integer >= 1")
+    elif isinstance(cfg.n_subcarriers, (int, np.integer)) and 1 <= cfg.n_subcarriers < cfg.taps:
+        errors.append(
+            f"n_subcarriers ({cfg.n_subcarriers}) must be >= taps ({cfg.taps}): "
+            "the N-point DFT needs at least one point per tap"
+        )
     _positive_finite("p_max", cfg.p_max, errors)
     _positive_finite("alpha", cfg.alpha, errors)
     _positive_finite("d0", cfg.d0, errors)
@@ -158,6 +163,24 @@ def default_config() -> SystemConfig:
             sigma_db_sq=sigma / 2.0,
         ),
     )
+
+
+def _frozen(cls, **fields):
+    """Build the frozen dataclass ``cls`` around values the engine has just
+    computed, skipping the copy and checks of its constructor.
+
+    Each array field, and the array it is a view of, is made read-only in
+    place, so the result is as immutable as a constructed one. Only for
+    arrays no caller holds: input from outside goes through ``cls(...)``.
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+            if value.base is not None:
+                value.base.setflags(write=False)
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 @dataclass(frozen=True)

@@ -297,6 +297,36 @@ def test_waterfill_budget_below_float_spacing_goes_to_strongest(gammas, p_max, e
     np.testing.assert_array_equal(powers, expected)
 
 
+@pytest.mark.parametrize(
+    "gammas, p_max",
+    [
+        ([1.0, 6e-309, 6e-309], 10.0),  # 1/gamma finite, their sum overflows
+        ([1.0, 1e-308], 1.7e308),  # budget near the float range, both powered
+        ([1.0, 1.0, 1.0], 1.5e308),
+    ],
+)
+def test_waterfill_prefix_sums_near_overflow(gammas, p_max):
+    """Finite powers on one water level, the budget met exactly, and no
+    warning, when p_max + sum(1/gamma) exceeds the float range."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        powers = waterfill(gammas, p_max)
+    assert np.all(np.isfinite(powers)) and np.all(powers >= 0.0)
+    assert math.fsum(powers) == p_max
+    gam = np.asarray(gammas)
+    active = powers > 0.0
+    levels = powers[active] + 1.0 / gam[active]
+    np.testing.assert_allclose(levels, levels[0], rtol=1e-15, atol=0.0)
+    assert np.all(1.0 / gam[~active] >= levels[0])
+
+
+def test_waterfill_overflowing_prefix_sum_example():
+    np.testing.assert_array_equal(waterfill([1.0, 6e-309, 6e-309], 10.0), [10.0, 0.0, 0.0])
+    # p_max + sum(1/gamma) is past 2**1023 but the levels stay finite: the
+    # scaled solve gives the unscaled answer
+    np.testing.assert_array_equal(waterfill([0.3] * 3, 1.5e308), [5e307] * 3)
+
+
 def waterfill_by_bisection(gammas, p_max):
     """Reference water-filling: bisect the level over
     [min 1/gamma, min 1/gamma + p_max] down to 1e-12 relative width, then

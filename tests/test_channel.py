@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from swipt_relay.baselines import PolicyId, solve_policy
 from swipt_relay.channel import (
     TapSet,
     draw_taps,
@@ -102,6 +105,57 @@ def test_generate_channel_hops_are_distinct(default_cfg):
 def test_generate_channel_rejects_negative_seed(default_cfg):
     with pytest.raises(ValueError):
         generate_channel(default_cfg, -1)
+
+
+def test_generate_channel_rejects_fewer_subcarriers_than_taps():
+    # np.fft.fft would otherwise truncate the 4-tap response to 3 taps
+    with pytest.raises(ValueError, match="must be >= number of taps"):
+        generate_channel(make_cfg(n_subcarriers=3, taps=4), 1)
+
+
+@st.composite
+def channel_cases(draw):
+    n_sub = draw(st.integers(1, 256))
+    cfg = make_cfg(
+        n_subcarriers=n_sub,
+        taps=draw(st.integers(1, n_sub)),
+        dr=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        alpha=draw(st.floats(0.5, 6.0)),
+    )
+    return cfg, draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=300, deadline=None)
+@given(channel_cases())
+def test_generate_channel_matches_reference_composition(case):
+    """Bit for bit the spawned children drawn with ``draw_taps`` and
+    transformed with ``taps_to_subcarrier_gains``, one hop at a time."""
+    cfg, seed = case
+    child_h, child_g = np.random.SeedSequence(seed).spawn(2)
+    taps_h = draw_taps(np.random.default_rng(child_h), cfg.taps, cfg.dr, cfg.alpha)
+    taps_g = draw_taps(np.random.default_rng(child_g), cfg.taps, cfg.d0 - cfg.dr, cfg.alpha)
+    chan = generate_channel(cfg, seed)
+    assert chan.h_sq.tobytes() == taps_to_subcarrier_gains(taps_h, cfg.n_subcarriers).tobytes()
+    assert chan.g_sq.tobytes() == taps_to_subcarrier_gains(taps_g, cfg.n_subcarriers).tobytes()
+
+
+def _assert_read_only(arr):
+    assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        arr[0] = arr[0]
+    # a view of a writable array would leave a back door through .base
+    if arr.base is not None:
+        assert not arr.base.flags.writeable
+
+
+def test_generated_channel_and_results_are_read_only(default_cfg):
+    chan = generate_channel(default_cfg, 3)
+    _assert_read_only(chan.h_sq)
+    _assert_read_only(chan.g_sq)
+    for policy in PolicyId:
+        result = solve_policy(policy, chan, default_cfg)
+        for arr in (result.pairing.perm, result.rho_i, result.powers, result.pair_rates):
+            _assert_read_only(arr)
 
 
 def test_relay_near_destination_second_hop_mean_gain_is_one():

@@ -77,6 +77,21 @@ def test_solve_invalid_config_lists_violations(tmp_path, capsys):
     assert "relay must lie strictly between" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["solve"], ["sweep", "--variable", "p_max_dbm", "--values", "10,20", "--trials", "2"], ["verify"]],
+)
+def test_fewer_subcarriers_than_taps_rejected_at_load(argv, tmp_path, capsys):
+    data = config_to_dict(default_config())
+    data.update(n_subcarriers=2, taps=4)
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(data))
+    assert main([argv[0], str(path), *argv[1:]]) == 1
+    err = capsys.readouterr().err
+    assert "invalid config" in err
+    assert "n_subcarriers (2) must be >= taps (4)" in err
+
+
 def test_solve_channel_size_mismatch(cfg_path, tmp_path, capsys):
     chan = tmp_path / "chan.json"
     chan.write_text(json.dumps({"h_sq": [0.9], "g_sq": [0.9]}))

@@ -61,6 +61,16 @@ def test_relay_position_bounds(dr):
     assert any("relay must lie strictly between" in err for err in errors)
 
 
+def test_fewer_subcarriers_than_taps_reported():
+    errors = config_errors(make_cfg(n_subcarriers=2, taps=4))
+    assert errors == [
+        "n_subcarriers (2) must be >= taps (4): the N-point DFT needs at least one point per tap"
+    ]
+    assert config_errors(make_cfg(n_subcarriers=4, taps=4)) == []
+    with pytest.raises(ConfigError):
+        validate_config(make_cfg(n_subcarriers=1, taps=2))
+
+
 def test_all_violations_reported_together():
     cfg = make_cfg(
         eta=2.0,
