@@ -201,7 +201,7 @@ def waterfill(gammas, p_max: float) -> np.ndarray:
     steps = np.sort(inv)
     budget = p_max
     scale = 1.0
-    if p_max + steps.size * float(steps[-1]) >= _PREFIX_SUM_LIMIT:
+    if p_max + steps.size * steps.item(-1) >= _PREFIX_SUM_LIMIT:
         # the prefix sums could overflow: solve the problem scaled down by a
         # power of two, which leaves the rounding of every normal float as is
         scale = 2.0 ** (steps.size.bit_length() + 1)
