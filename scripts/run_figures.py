@@ -16,7 +16,6 @@ def main() -> None:
     parser.add_argument("--out-dir", default="results", help="directory for the CSV files")
     parser.add_argument("--trials", type=int, default=2000, help="Monte-Carlo trials per point")
     parser.add_argument("--seed", type=int, default=1, help="master seed")
-    parser.add_argument("--threads", type=int, default=1, help="parallel trial evaluation cap")
     args = parser.parse_args()
 
     out_dir = Path(args.out_dir)
@@ -46,7 +45,7 @@ def main() -> None:
             f"[sweep] {spec.variable}: {len(spec.values)} points x {spec.trials} trials "
             f"x {len(spec.policies)} policies -> {path}"
         )
-        path.write_text(sweep(cfg, spec, threads=args.threads).to_csv())
+        path.write_text(sweep(cfg, spec).to_csv())
     print("done")
 
 

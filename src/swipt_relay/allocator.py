@@ -232,6 +232,31 @@ def waterfill(gammas, p_max: float) -> np.ndarray:
     return powers
 
 
+def _split_gains(channel: ChannelRealization, perm: np.ndarray, cfg: SystemConfig):
+    """(rho_I, gamma) vectors of the pairs that forward subcarrier i over
+    ``perm[i]``."""
+    # the split loop runs on Python floats: NumPy-scalar arithmetic is about
+    # 3x slower and gives the same bits
+    h_list = channel.h_sq.tolist()
+    g_list = channel.g_sq[perm].tolist()
+    rho, gam = np.array([split_and_gain(h, g, cfg) for h, g in zip(h_list, g_list)]).T
+    return rho, gam
+
+
+def _result(pairing: SubcarrierPairing, rho: np.ndarray, gam: np.ndarray, powers: np.ndarray) -> AllocationResult:
+    """The frozen result of a policy that put ``powers`` on pairs of
+    effective gains ``gam``."""
+    pair_rates = 0.5 * np.log1p(gam * powers) / _LN2
+    return _frozen(
+        AllocationResult,
+        pairing=pairing,
+        rho_i=rho,
+        powers=powers,
+        pair_rates=pair_rates,
+        total_rate=float(pair_rates.sum()),
+    )
+
+
 def solve(channel: ChannelRealization, cfg: SystemConfig) -> AllocationResult:
     """Run the full three-step policy on one realization.
 
@@ -243,18 +268,5 @@ def solve(channel: ChannelRealization, cfg: SystemConfig) -> AllocationResult:
             f"channel has {channel.n_subcarriers} subcarriers, config expects {n}"
         )
     pairing = sorted_pairing(channel.h_sq, channel.g_sq)
-    # the split loop runs on Python floats: NumPy-scalar arithmetic is about
-    # 3x slower and gives the same bits
-    h_list = channel.h_sq.tolist()
-    g_list = channel.g_sq[pairing.perm].tolist()
-    rho, gam = np.array([split_and_gain(h, g, cfg) for h, g in zip(h_list, g_list)]).T
-    powers = waterfill(gam, cfg.p_max)
-    pair_rates = 0.5 * np.log1p(gam * powers) / _LN2
-    return _frozen(
-        AllocationResult,
-        pairing=pairing,
-        rho_i=rho,
-        powers=powers,
-        pair_rates=pair_rates,
-        total_rate=float(pair_rates.sum()),
-    )
+    rho, gam = _split_gains(channel, pairing.perm, cfg)
+    return _result(pairing, rho, gam, waterfill(gam, cfg.p_max))

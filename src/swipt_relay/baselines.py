@@ -8,8 +8,10 @@ import functools
 
 import numpy as np
 
-from .allocator import _LN2, solve, sorted_pairing, split_and_gain, waterfill
-from .model import AllocationResult, ChannelRealization, SubcarrierPairing, SystemConfig, _frozen
+from .allocator import _result, _split_gains, solve, sorted_pairing, waterfill
+# not called here, but perfbench/spans.py BINDINGS looks it up by this name
+from .allocator import split_and_gain  # noqa: F401
+from .model import AllocationResult, ChannelRealization, SubcarrierPairing, SystemConfig
 
 __all__ = [
     "PolicyId",
@@ -45,30 +47,12 @@ def _identity_pairing(n: int) -> SubcarrierPairing:
     return SubcarrierPairing(np.arange(n, dtype=np.int64))
 
 
-def _splits(channel: ChannelRealization, perm: np.ndarray, cfg: SystemConfig):
-    # the split loop runs on Python floats: NumPy-scalar arithmetic is about
-    # 3x slower and gives the same bits
-    h_list = channel.h_sq.tolist()
-    g_list = channel.g_sq[perm].tolist()
-    rho, gam = np.array([split_and_gain(h, g, cfg) for h, g in zip(h_list, g_list)]).T
-    return rho, gam
-
-
 def solve_opa_no_pairing(channel: ChannelRealization, cfg: SystemConfig) -> AllocationResult:
     """Water-filled power over identity pairing (subcarrier i forwards on i),
     with the equal-rate split still applied per pair."""
     pairing = _identity_pairing(channel.n_subcarriers)
-    rho, gam = _splits(channel, pairing.perm, cfg)
-    powers = waterfill(gam, cfg.p_max)
-    pair_rates = 0.5 * np.log1p(gam * powers) / _LN2
-    return _frozen(
-        AllocationResult,
-        pairing=pairing,
-        rho_i=rho,
-        powers=powers,
-        pair_rates=pair_rates,
-        total_rate=float(pair_rates.sum()),
-    )
+    rho, gam = _split_gains(channel, pairing.perm, cfg)
+    return _result(pairing, rho, gam, waterfill(gam, cfg.p_max))
 
 
 def solve_uniform(channel: ChannelRealization, cfg: SystemConfig, use_pairing: bool) -> AllocationResult:
@@ -80,17 +64,8 @@ def solve_uniform(channel: ChannelRealization, cfg: SystemConfig, use_pairing: b
         pairing = sorted_pairing(channel.h_sq, channel.g_sq)
     else:
         pairing = _identity_pairing(n)
-    rho, gam = _splits(channel, pairing.perm, cfg)
-    powers = np.full(n, cfg.p_max / n)
-    pair_rates = 0.5 * np.log1p(gam * powers) / _LN2
-    return _frozen(
-        AllocationResult,
-        pairing=pairing,
-        rho_i=rho,
-        powers=powers,
-        pair_rates=pair_rates,
-        total_rate=float(pair_rates.sum()),
-    )
+    rho, gam = _split_gains(channel, pairing.perm, cfg)
+    return _result(pairing, rho, gam, np.full(n, cfg.p_max / n))
 
 
 def _conventional_slopes(channel: ChannelRealization, cfg: SystemConfig):
@@ -120,16 +95,7 @@ def solve_conventional(channel: ChannelRealization, cfg: SystemConfig) -> Alloca
     gam = np.zeros(n)
     live = (a > 0.0) & (b > 0.0)
     gam[live] = a[live] * b[live] / (a[live] + b[live])
-    powers = waterfill(gam, cfg.p_max)
-    pair_rates = 0.5 * np.log1p(gam * powers) / _LN2
-    return _frozen(
-        AllocationResult,
-        pairing=pairing,
-        rho_i=np.ones(n),
-        powers=powers,
-        pair_rates=pair_rates,
-        total_rate=float(pair_rates.sum()),
-    )
+    return _result(pairing, np.ones(n), gam, waterfill(gam, cfg.p_max))
 
 
 def conventional_hop_powers(channel: ChannelRealization, cfg: SystemConfig, result: AllocationResult):
@@ -144,16 +110,18 @@ def conventional_hop_powers(channel: ChannelRealization, cfg: SystemConfig, resu
     return p_source, p_relay
 
 
+# looked up at call time, so a rebinding of any solver is seen here too
+_SOLVERS = {
+    PolicyId.PROPOSED: lambda channel, cfg: solve(channel, cfg),
+    PolicyId.OPA_NO_PAIRING: lambda channel, cfg: solve_opa_no_pairing(channel, cfg),
+    PolicyId.UNIFORM_WITH_PAIRING: lambda channel, cfg: solve_uniform(channel, cfg, use_pairing=True),
+    PolicyId.UNIFORM_NO_PAIRING: lambda channel, cfg: solve_uniform(channel, cfg, use_pairing=False),
+    PolicyId.CONVENTIONAL_NON_EH: lambda channel, cfg: solve_conventional(channel, cfg),
+}
+
+
 def solve_policy(policy: PolicyId, channel: ChannelRealization, cfg: SystemConfig) -> AllocationResult:
     """Dispatch one realization to the named policy."""
-    if policy is PolicyId.PROPOSED:
-        return solve(channel, cfg)
-    if policy is PolicyId.OPA_NO_PAIRING:
-        return solve_opa_no_pairing(channel, cfg)
-    if policy is PolicyId.UNIFORM_WITH_PAIRING:
-        return solve_uniform(channel, cfg, use_pairing=True)
-    if policy is PolicyId.UNIFORM_NO_PAIRING:
-        return solve_uniform(channel, cfg, use_pairing=False)
-    if policy is PolicyId.CONVENTIONAL_NON_EH:
-        return solve_conventional(channel, cfg)
-    raise ValueError(f"unhandled policy: {policy}")
+    if not isinstance(policy, PolicyId):
+        raise ValueError(f"unhandled policy: {policy!r}")
+    return _SOLVERS[policy](channel, cfg)

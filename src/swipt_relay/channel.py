@@ -17,7 +17,6 @@ standard normal variates (real part first, then imaginary).
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -32,9 +31,7 @@ __all__ = [
     "draw_taps",
     "generate_channel",
     "load_channel_file",
-    "read_channel_csv",
     "taps_to_subcarrier_gains",
-    "write_channel_csv",
 ]
 
 
@@ -94,6 +91,14 @@ def taps_to_subcarrier_gains(taps: TapSet, n_subcarriers: int) -> np.ndarray:
     return _subcarrier_gains(taps.taps, n_subcarriers)
 
 
+def _check_seed(seed) -> int:
+    """``seed`` as a Python int. A float or a bool is rejected rather than
+    truncated, so no two distinct seeds name the same channel."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+    return int(seed)
+
+
 def generate_channel(cfg: SystemConfig, seed: int) -> ChannelRealization:
     """Deterministically realize both hops for one trial.
 
@@ -103,9 +108,7 @@ def generate_channel(cfg: SystemConfig, seed: int) -> ChannelRealization:
     transforming it with :func:`taps_to_subcarrier_gains`, but both hops share
     one FFT and the gains are checked once, not wrapped per hop.
     """
-    if seed < 0:
-        raise ValueError("seed must be a nonnegative integer")
-    seed = int(seed)
+    seed = _check_seed(seed)
     parts = np.array([
         _tap_parts(
             np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,))),
@@ -130,34 +133,3 @@ def load_channel_file(path: str | Path) -> ChannelRealization:
     if not isinstance(data, dict) or set(data) != {"h_sq", "g_sq"}:
         raise ValueError("channel file must be a JSON object with exactly h_sq and g_sq")
     return ChannelRealization(h_sq=data["h_sq"], g_sq=data["g_sq"])
-
-
-def write_channel_csv(path: str | Path, channels) -> None:
-    """Dump realizations as rows of (trial, subcarrier, h_sq, g_sq); trials
-    are numbered from 1 in the order given."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["trial", "subcarrier", "h_sq", "g_sq"])
-        for trial, chan in enumerate(channels, start=1):
-            for n in range(chan.n_subcarriers):
-                writer.writerow([trial, n, repr(float(chan.h_sq[n])), repr(float(chan.g_sq[n]))])
-
-
-def read_channel_csv(path: str | Path) -> list[ChannelRealization]:
-    """Inverse of :func:`write_channel_csv`."""
-    per_trial: dict[int, list[tuple[int, float, float]]] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            per_trial.setdefault(int(row["trial"]), []).append(
-                (int(row["subcarrier"]), float(row["h_sq"]), float(row["g_sq"]))
-            )
-    channels = []
-    for trial in sorted(per_trial):
-        rows = sorted(per_trial[trial])
-        channels.append(
-            ChannelRealization(
-                h_sq=[r[1] for r in rows],
-                g_sq=[r[2] for r in rows],
-            )
-        )
-    return channels

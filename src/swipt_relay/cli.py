@@ -144,7 +144,7 @@ def _cmd_sweep(args) -> int:
             seed=args.seed,
             policies=tuple(policies),
         )
-        result = sweep(cfg, spec, threads=args.threads)
+        result = sweep(cfg, spec)
     except ConfigError as exc:
         lines = "\n".join(f"  - {error}" for error in exc.errors)
         raise _CommandError(1, f"sweep produced an invalid config:\n{lines}") from exc
@@ -237,13 +237,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--policies",
         default=_ALL_POLICY_NAMES,
         help=f"comma list of policies (default: {_ALL_POLICY_NAMES})",
-    )
-    p_sweep.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="accepted and ignored, kept for compatibility for one release: "
-        "trials run serially (a thread pool measured slower)",
     )
     p_sweep.add_argument(
         "--no-banner",

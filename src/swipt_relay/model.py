@@ -3,8 +3,11 @@
 Every power in this package is a linear milliwatt quantity; dBm appears only
 at I/O boundaries and is converted once on the way in. Rates are bits/s/Hz
 per subcarrier pair and include the 1/2 pre-log factor of two-slot
-half-duplex relaying. All types are immutable after construction and safe to
-share across threads.
+half-duplex relaying. All types are frozen dataclasses whose arrays are
+read-only: a write through an array raises, so values are safe to share
+across threads. The flag is not a lock, though: code that deliberately calls
+``setflags(write=True)`` on an array (or on the array it views) is not
+stopped.
 """
 
 from __future__ import annotations
@@ -170,7 +173,7 @@ def _frozen(cls, **fields):
     computed, skipping the copy and checks of its constructor.
 
     Each array field, and the array it is a view of, is made read-only in
-    place, so the result is as immutable as a constructed one. Only for
+    place, so the result is as read-only as a constructed one. Only for
     arrays no caller holds: input from outside goes through ``cls(...)``.
     """
     obj = object.__new__(cls)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .allocator import NoUsablePairError
 from .baselines import PolicyId, solve_policy
-from .channel import generate_channel
+from .channel import _check_seed, generate_channel
 from .model import SystemConfig, dbm_to_mw, validate_config
 
 __all__ = [
@@ -75,8 +75,7 @@ class SweepSpec:
                 f"trials must be below {POINT_SEED_STRIDE}, the per-point seed stride, "
                 "so that no two sweep points share a channel seed"
             )
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+        object.__setattr__(self, "seed", _check_seed(self.seed))
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "policies", policies)
 
@@ -90,19 +89,16 @@ class TrialResult:
     dead_trials: dict[PolicyId, int]
 
 
-def run_trials(cfg: SystemConfig, policies, trials: int, seed: int, threads: int = 1) -> TrialResult:
+def run_trials(cfg: SystemConfig, policies, trials: int, seed: int) -> TrialResult:
     """Evaluate every policy on ``trials`` common channel draws.
 
-    Deterministic given (cfg, policies, trials, seed). ``threads`` is
-    accepted and ignored, and will be removed in a later release: trials run
-    serially, since a thread pool measured slower than the serial loop.
+    Deterministic given (cfg, policies, trials, seed).
     """
     validate_config(cfg)
     policies = tuple(policies)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
+    seed = _check_seed(seed)
 
     def one(trial: int) -> list[float | None]:
         chan = generate_channel(cfg, seed + trial)
@@ -178,11 +174,10 @@ def _substitute(cfg: SystemConfig, variable: str, value: float) -> SystemConfig:
     raise ValueError(f"variable must be one of {SWEEP_VARIABLES}")
 
 
-def sweep(cfg: SystemConfig, spec: SweepSpec, threads: int = 1) -> SweepResult:
+def sweep(cfg: SystemConfig, spec: SweepSpec) -> SweepResult:
     """Run ``spec`` against ``cfg``: each sweep value is substituted into a
     copy of the config (relay_position is a fraction of d0), trials run under
-    a value-indexed seed offset, and per-policy mean/std are tabulated.
-    ``threads`` is accepted and ignored, as in :func:`run_trials`."""
+    a value-indexed seed offset, and per-policy mean/std are tabulated."""
     rows: list[SweepRow] = []
     for index, value in enumerate(spec.values):
         cfg_point = validate_config(_substitute(cfg, spec.variable, value))

@@ -39,6 +39,13 @@ def test_dispatch_covers_every_policy(default_cfg):
         assert math.fsum(result.powers) == pytest.approx(default_cfg.p_max, abs=1e-9)
 
 
+def test_dispatch_rejects_a_policy_name(default_cfg):
+    # the CLI converts names with PolicyId.from_name; the table takes only members
+    chan = generate_channel(default_cfg, 3)
+    with pytest.raises(ValueError, match="unhandled policy"):
+        solve_policy("proposed", chan, default_cfg)
+
+
 # --------------------------------------------------------- opa, no pairing
 
 def test_opa_uses_identity_pairing(default_cfg):

@@ -6,8 +6,10 @@ mode checks the same closed forms; an engine change that alters them fails
 here first.
 """
 
+import importlib.util
 import math
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -55,6 +57,30 @@ def test_sweep_call_counts(calls):
     }
 
 
+# per trial and policy: waterfill calls, and split_and_gain calls per subcarrier
+PER_TRIAL = {
+    PolicyId.PROPOSED: (1, 1),
+    PolicyId.OPA_NO_PAIRING: (1, 1),
+    PolicyId.UNIFORM_WITH_PAIRING: (0, 1),
+    PolicyId.UNIFORM_NO_PAIRING: (0, 1),
+    PolicyId.CONVENTIONAL_NON_EH: (1, 0),
+}
+
+
+@pytest.mark.parametrize("policy", list(PolicyId), ids=lambda policy: policy.value)
+def test_sweep_call_counts_per_policy(calls, policy):
+    cfg = make_cfg(n_subcarriers=4, taps=2)
+    values, trials = (10.0, 30.0), 3
+    sweep(cfg, SweepSpec("p_max_dbm", values, trials, seed=7, policies=(policy,)))
+    n_trials = len(values) * trials
+    waterfills, splits = PER_TRIAL[policy]
+    assert {name: calls[name] for name in BINDINGS} == {
+        "generate_channel": n_trials,
+        "waterfill": waterfills * n_trials,
+        "split_and_gain": splits * cfg.n_subcarriers * n_trials,
+    }
+
+
 def test_verify_call_counts(calls):
     cfg = make_cfg(n_subcarriers=4, taps=4)
     report = oracle.verify(channel.generate_channel(cfg, 11), cfg)
@@ -66,3 +92,17 @@ def test_verify_call_counts(calls):
         # proposed, opa-nopair and both uniform rivals split N pairs each
         "split_and_gain": 4 * cfg.n_subcarriers,
     }
+
+
+def test_benchmark_bindings_exist():
+    """Every binding the benchmark's tracer replaces is a module or class
+    attribute; a renamed or removed one fails its traced mode with a
+    KeyError."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [
+        f"{owner.__name__}.{attr}" for owner, attr, _ in spans.BINDINGS if attr not in owner.__dict__
+    ]
+    assert not missing

@@ -10,11 +10,8 @@ from swipt_relay.channel import (
     TapSet,
     draw_taps,
     generate_channel,
-    read_channel_csv,
     taps_to_subcarrier_gains,
-    write_channel_csv,
 )
-from swipt_relay.model import ChannelRealization
 
 from conftest import make_cfg
 
@@ -105,6 +102,13 @@ def test_generate_channel_hops_are_distinct(default_cfg):
 def test_generate_channel_rejects_negative_seed(default_cfg):
     with pytest.raises(ValueError):
         generate_channel(default_cfg, -1)
+    # 2.7 would otherwise give seed 2's channel, and True seed 1's
+    for seed in (2.7, 2.0, True, np.float64(1.0), np.bool_(True)):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            generate_channel(default_cfg, seed)
+    expected = generate_channel(default_cfg, 5).h_sq
+    for seed in (np.int64(5), np.uint32(5)):
+        np.testing.assert_array_equal(generate_channel(default_cfg, seed).h_sq, expected)
 
 
 def test_generate_channel_rejects_fewer_subcarriers_than_taps():
@@ -177,16 +181,3 @@ def test_fuzzed_gains_stay_finite_and_nonnegative():
         gains = taps_to_subcarrier_gains(taps, n_sub)
         assert np.all(np.isfinite(gains)) and np.all(gains >= 0.0)
         checked += n_sub
-
-
-def test_channel_csv_round_trip(tmp_path, default_cfg):
-    channels = [generate_channel(default_cfg, seed) for seed in range(1, 4)]
-    path = tmp_path / "channels.csv"
-    write_channel_csv(path, channels)
-    header = path.read_text().splitlines()[0]
-    assert header == "trial,subcarrier,h_sq,g_sq"
-    again = read_channel_csv(path)
-    assert len(again) == 3
-    for orig, back in zip(channels, again):
-        np.testing.assert_array_equal(orig.h_sq, back.h_sq)
-        np.testing.assert_array_equal(orig.g_sq, back.g_sq)

@@ -254,24 +254,6 @@ def test_sweep_byte_identical_reruns(cfg_path, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_sweep_threads_flag_does_not_change_output(cfg_path, tmp_path):
-    base = [
-        "sweep",
-        cfg_path,
-        "--variable",
-        "relay_position",
-        "--values",
-        "0.3,0.7",
-        "--trials",
-        "8",
-        "--no-banner",
-    ]
-    out1, out2 = tmp_path / "t1.csv", tmp_path / "t4.csv"
-    assert main(base + ["--threads", "1", "--output", str(out1)]) == 0
-    assert main(base + ["--threads", "4", "--output", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
-
-
 # ------------------------------------------------------------------- verify
 
 def test_verify_passes_on_default_config(cfg_path, tmp_path, capsys):

@@ -46,14 +46,6 @@ def test_common_random_numbers_across_policy_sets(default_cfg):
     )
 
 
-def test_threaded_run_is_bit_identical(default_cfg):
-    serial = run_trials(default_cfg, ALL_POLICIES, trials=50, seed=2)
-    threaded = run_trials(default_cfg, ALL_POLICIES, trials=50, seed=2, threads=4)
-    for policy in ALL_POLICIES:
-        np.testing.assert_array_equal(serial.rates[policy], threaded.rates[policy])
-    assert serial.dead_trials == threaded.dead_trials
-
-
 def test_mean_dominance_of_proposed(default_cfg):
     batch = run_trials(default_cfg, ALL_POLICIES, trials=300, seed=1)
     top = batch.rates[PolicyId.PROPOSED]
@@ -82,6 +74,14 @@ def test_run_trials_validates_inputs(default_cfg):
         run_trials(default_cfg, ALL_POLICIES, trials=0, seed=1)
     with pytest.raises(ValueError):
         run_trials(default_cfg, ALL_POLICIES, trials=1, seed=-1)
+    # a fractional or boolean seed would otherwise reuse another seed's channels
+    for seed in (0.5, 2.0, True):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            run_trials(default_cfg, ALL_POLICIES, trials=1, seed=seed)
+    np.testing.assert_array_equal(
+        run_trials(default_cfg, ALL_POLICIES, trials=2, seed=np.int64(4)).rates[PolicyId.PROPOSED],
+        run_trials(default_cfg, ALL_POLICIES, trials=2, seed=4).rates[PolicyId.PROPOSED],
+    )
     with pytest.raises(Exception):
         run_trials(make_cfg(eta=5.0), ALL_POLICIES, trials=1, seed=1)
 
@@ -106,6 +106,12 @@ def test_sweep_spec_validation():
         SweepSpec(**{**good, "variable": "bandwidth"})
     with pytest.raises(ValueError):
         SweepSpec(**{**good, "policies": ()})
+    for seed in (-1, 0.5, 3.0, True, np.float64(2.0)):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            SweepSpec(**{**good, "seed": seed})
+    # a NumPy integer is accepted and stored as a Python int for the CSV
+    spec = SweepSpec(**{**good, "seed": np.int64(3)})
+    assert spec.seed == 3 and type(spec.seed) is int
 
 
 def test_single_point_sweep_matches_run_trials(default_cfg):
