@@ -21,7 +21,7 @@ from .baselines import (
     solve_policy,
     solve_uniform,
 )
-from .channel import TapSet, draw_taps, generate_channel, taps_to_subcarrier_gains
+from .channel import generate_channel
 from .model import (
     AllocationResult,
     ChannelRealization,
@@ -54,13 +54,11 @@ __all__ = [
     "SweepResult",
     "SweepSpec",
     "SystemConfig",
-    "TapSet",
     "TrialResult",
     "VerificationReport",
     "best_pairing_exhaustive",
     "dbm_to_mw",
     "default_config",
-    "draw_taps",
     "effective_gain",
     "generate_channel",
     "load_config",
@@ -77,7 +75,6 @@ __all__ = [
     "solve_uniform",
     "sorted_pairing",
     "sweep",
-    "taps_to_subcarrier_gains",
     "validate_config",
     "verify",
     "waterfill",

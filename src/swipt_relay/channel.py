@@ -19,76 +19,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .model import ChannelRealization, SystemConfig, _frozen
 
-__all__ = [
-    "TapSet",
-    "draw_taps",
-    "generate_channel",
-    "load_channel_file",
-    "taps_to_subcarrier_gains",
-]
-
-
-@dataclass(frozen=True)
-class TapSet:
-    """Time-domain impulse response of one hop."""
-
-    taps: np.ndarray
-
-    def __post_init__(self):
-        t = np.array(self.taps, dtype=complex)
-        if t.ndim != 1 or t.size == 0:
-            raise ValueError("taps must be a nonempty vector")
-        if not np.all(np.isfinite(t)):
-            raise ValueError("taps must be finite")
-        t.setflags(write=False)
-        object.__setattr__(self, "taps", t)
-
-
-def _tap_parts(rng: np.random.Generator, n_taps: int, distance: float, alpha: float) -> np.ndarray:
-    """``2 * n_taps`` scaled normals from ``rng``, as (real, imaginary) pairs
-    tap by tap: viewed as complex they are the hop's taps."""
-    if n_taps < 1:
-        raise ValueError("n_taps must be >= 1")
-    if distance < 0:
-        raise ValueError("distance must be >= 0")
-    # real/imaginary parts each carry half of the per-tap variance
-    std = math.sqrt(0.5 / (n_taps * (1.0 + distance) ** alpha))
-    return rng.standard_normal(2 * n_taps) * std
-
-
-def _subcarrier_gains(taps: np.ndarray, n_subcarriers: int) -> np.ndarray:
-    """Squared DFT magnitudes of each row of ``taps`` on N subcarriers."""
-    n_taps = taps.shape[-1]
-    # np.fft.fft would silently truncate the response to N taps
-    if n_subcarriers < n_taps:
-        raise ValueError(
-            f"n_subcarriers ({n_subcarriers}) must be >= number of taps ({n_taps})"
-        )
-    return np.abs(np.fft.fft(taps, n=n_subcarriers, axis=-1)) ** 2
-
-
-def draw_taps(rng: np.random.Generator, n_taps: int, distance: float, alpha: float) -> TapSet:
-    """Draw one hop's impulse response from ``rng``.
-
-    Consumes exactly ``2 * n_taps`` normal variates regardless of the
-    parameter values, so streams stay aligned across configurations.
-    """
-    return TapSet(_tap_parts(rng, n_taps, distance, alpha).view(complex))
-
-
-def taps_to_subcarrier_gains(taps: TapSet, n_subcarriers: int) -> np.ndarray:
-    """Squared-magnitude frequency response on each of N subcarriers.
-
-    ``gains[n] = |sum_l taps[l] * exp(-2j*pi*n*l/N)|**2`` for n = 0..N-1.
-    """
-    return _subcarrier_gains(taps.taps, n_subcarriers)
+__all__ = ["generate_channel", "load_channel_file"]
 
 
 def _check_seed(seed) -> int:
@@ -103,22 +40,26 @@ def generate_channel(cfg: SystemConfig, seed: int) -> ChannelRealization:
     """Deterministically realize both hops for one trial.
 
     Hop 1 taps are drawn at distance ``cfg.dr``, hop 2 at ``cfg.d0 - cfg.dr``,
-    from disjoint child streams of ``seed``. The result is bit-identical to
-    drawing each hop with :func:`draw_taps` from the spawned children and
-    transforming it with :func:`taps_to_subcarrier_gains`, but both hops share
-    one FFT and the gains are checked once, not wrapped per hop.
+    from child streams 0 and 1 of ``seed``. Both hops go through one FFT, and
+    the gains ``|sum_l taps[l] * exp(-2j*pi*n*l/N)|**2`` are checked once.
     """
     seed = _check_seed(seed)
-    parts = np.array([
-        _tap_parts(
-            np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,))),
-            cfg.taps,
-            distance,
-            cfg.alpha,
-        )
-        for k, distance in enumerate((cfg.dr, cfg.d0 - cfg.dr))
-    ])
-    gains = _subcarrier_gains(parts.view(complex), cfg.n_subcarriers)
+    n_taps = cfg.taps
+    n_sub = cfg.n_subcarriers
+    if n_taps < 1:
+        raise ValueError("taps must be >= 1")
+    # np.fft.fft would silently truncate the response to N taps
+    if n_sub < n_taps:
+        raise ValueError(f"n_subcarriers ({n_sub}) must be >= number of taps ({n_taps})")
+    parts = np.empty((2, 2 * n_taps))
+    for k, distance in enumerate((cfg.dr, cfg.d0 - cfg.dr)):
+        if distance < 0:
+            raise ValueError("hop distance must be >= 0")
+        # real/imaginary parts each carry half of the per-tap variance
+        std = math.sqrt(0.5 / (n_taps * (1.0 + distance) ** cfg.alpha))
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
+        parts[k] = rng.standard_normal(2 * n_taps) * std
+    gains = np.abs(np.fft.fft(parts.view(complex), n=n_sub, axis=-1)) ** 2
     # a squared magnitude is never negative, so finiteness is the whole check
     if not np.isfinite(gains).all():
         raise ValueError("h_sq and g_sq entries must be finite and nonnegative")

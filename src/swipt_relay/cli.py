@@ -17,8 +17,8 @@ from .allocator import NoUsablePairError, solve
 from .baselines import PolicyId
 from .channel import generate_channel, load_channel_file
 from .model import ConfigError, allocation_to_dict, config_from_dict, validate_config
-from .montecarlo import SweepSpec, sweep
-from .oracle import VerificationReport, verify
+from .montecarlo import SWEEP_VARIABLES, SweepSpec, sweep
+from .oracle import _EXHAUSTIVE_CAP, VerificationReport, verify
 
 __all__ = ["entrypoint", "main"]
 
@@ -89,8 +89,6 @@ def _parse_values(text: str) -> list[float]:
             values = [float(part) for part in text.split(",")]
         except ValueError as exc:
             raise _CommandError(1, f"cannot parse values '{text}': {exc}") from exc
-    if any(b <= a for a, b in zip(values, values[1:])):
-        raise _CommandError(1, "values must be strictly increasing")
     return values
 
 
@@ -161,10 +159,10 @@ def _cmd_verify(args) -> int:
         raise _CommandError(1, "tolerance must be positive")
     if args.seeds < 1:
         raise _CommandError(1, "seeds must be >= 1")
-    if cfg.n_subcarriers > 8:
+    if cfg.n_subcarriers > _EXHAUSTIVE_CAP:
         raise _CommandError(
             1,
-            "n_subcarriers must be at most 8 for verification "
+            f"n_subcarriers must be at most {_EXHAUSTIVE_CAP} for verification "
             "(the pairing check enumerates all N! permutations)",
         )
     reports = []
@@ -221,7 +219,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--variable",
         required=True,
-        choices=["p_max_dbm", "relay_position"],
+        choices=SWEEP_VARIABLES,
         help="which knob to sweep (relay_position is a fraction of d0)",
     )
     p_sweep.add_argument(

@@ -100,12 +100,17 @@ class SystemConfig:
     noise: NoiseProfile
 
 
-def _positive_finite(name: str, value, errors: list[str]) -> None:
+def _finite(value) -> bool:
+    """Whether ``value`` is a finite real number; a value of another type is
+    not, so a mistyped field is reported rather than raised as TypeError."""
     try:
-        ok = math.isfinite(value) and value > 0
+        return math.isfinite(value)
     except TypeError:
-        ok = False
-    if not ok:
+        return False
+
+
+def _positive_finite(name: str, value, errors: list[str]) -> None:
+    if not (_finite(value) and value > 0):
         errors.append(f"{name} must be a positive, finite number")
 
 
@@ -124,13 +129,23 @@ def config_errors(cfg: SystemConfig) -> list[str]:
     _positive_finite("p_max", cfg.p_max, errors)
     _positive_finite("alpha", cfg.alpha, errors)
     _positive_finite("d0", cfg.d0, errors)
-    if not (math.isfinite(cfg.eta) and 0.0 <= cfg.eta <= 1.0):
+    if not (_finite(cfg.eta) and 0.0 <= cfg.eta <= 1.0):
         errors.append("eta out of [0,1]")
-    if not (math.isfinite(cfg.dr) and math.isfinite(cfg.d0) and 0.0 < cfg.dr < cfg.d0):
+    if not (_finite(cfg.dr) and _finite(cfg.d0) and 0.0 < cfg.dr < cfg.d0):
         errors.append(
             "dr: relay must lie strictly between the source and the destination "
             "(0 < dr < d0)"
         )
+    elif _finite(cfg.alpha) and cfg.alpha > 0:
+        # the channel draw scales each hop's taps by (1 + d)**alpha
+        for hop, distance in (("source-relay", cfg.dr), ("relay-destination", cfg.d0 - cfg.dr)):
+            try:
+                math.pow(1.0 + distance, cfg.alpha)
+            except OverflowError:
+                errors.append(
+                    f"alpha ({cfg.alpha}): the {hop} path loss (1 + {distance})**alpha "
+                    "overflows a float"
+                )
     for field_name in ("sigma_ra_sq", "sigma_rb_sq", "sigma_da_sq", "sigma_db_sq"):
         _positive_finite(f"noise.{field_name}", getattr(cfg.noise, field_name), errors)
     return errors
@@ -274,13 +289,13 @@ _TOP_KEYS = {"n_subcarriers", "p_max_mw", "p_max_dbm", "eta", "d0", "dr", "alpha
 
 
 def _as_int(name: str, value, errors: list[str]) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    # is_integer() is False for inf and NaN, which int() would raise on
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
         errors.append(f"{name} must be an integer")
         return 0
-    if float(value) != int(value):
-        errors.append(f"{name} must be an integer")
-        return 0
-    return int(value)
+    return value
 
 
 def _as_float(name: str, value, errors: list[str]) -> float:
@@ -288,6 +303,16 @@ def _as_float(name: str, value, errors: list[str]) -> float:
         errors.append(f"{name} must be a number")
         return math.nan
     return float(value)
+
+
+_FIELD_TYPES = {
+    "n_subcarriers": _as_int,
+    "eta": _as_float,
+    "d0": _as_float,
+    "dr": _as_float,
+    "alpha": _as_float,
+    "taps": _as_int,
+}
 
 
 def config_from_dict(data: dict) -> SystemConfig:
@@ -304,7 +329,7 @@ def config_from_dict(data: dict) -> SystemConfig:
     unknown = sorted(set(data) - _TOP_KEYS)
     if unknown:
         errors.append(f"unknown config keys: {', '.join(unknown)}")
-    missing = sorted({"n_subcarriers", "eta", "d0", "dr", "alpha", "taps", "noise"} - set(data))
+    missing = sorted({*_FIELD_TYPES, "noise"} - set(data))
     if missing:
         errors.append(f"missing config keys: {', '.join(missing)}")
     if "p_max_mw" in data:
@@ -331,18 +356,14 @@ def config_from_dict(data: dict) -> SystemConfig:
         if "noise" in data:
             errors.append("noise must be an object")
         noise_vals = {key: math.nan for key in _NOISE_KEYS}
+    fields = {
+        key: convert(key, data[key], errors)
+        for key, convert in _FIELD_TYPES.items()
+        if key in data
+    }
     if errors:
         raise ConfigError(errors)
-    return SystemConfig(
-        n_subcarriers=_as_int("n_subcarriers", data["n_subcarriers"], errors),
-        p_max=p_max,
-        eta=_as_float("eta", data["eta"], errors),
-        d0=_as_float("d0", data["d0"], errors),
-        dr=_as_float("dr", data["dr"], errors),
-        alpha=_as_float("alpha", data["alpha"], errors),
-        taps=_as_int("taps", data["taps"], errors),
-        noise=NoiseProfile(**noise_vals),
-    )
+    return SystemConfig(p_max=p_max, noise=NoiseProfile(**noise_vals), **fields)
 
 
 def config_to_dict(cfg: SystemConfig) -> dict:

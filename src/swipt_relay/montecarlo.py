@@ -99,28 +99,16 @@ def run_trials(cfg: SystemConfig, policies, trials: int, seed: int) -> TrialResu
     if trials < 1:
         raise ValueError("trials must be >= 1")
     seed = _check_seed(seed)
-
-    def one(trial: int) -> list[float | None]:
-        chan = generate_channel(cfg, seed + trial)
-        row: list[float | None] = []
-        for policy in policies:
-            try:
-                row.append(solve_policy(policy, chan, cfg).total_rate)
-            except NoUsablePairError:
-                row.append(None)
-        return row
-
-    rows = [one(t) for t in range(1, trials + 1)]
-
     rates = {policy: np.empty(trials) for policy in policies}
     dead = {policy: 0 for policy in policies}
-    for index, row in enumerate(rows):
-        for policy, value in zip(policies, row):
-            if value is None:
+    for index in range(trials):
+        chan = generate_channel(cfg, seed + index + 1)
+        for policy in policies:
+            try:
+                rates[policy][index] = solve_policy(policy, chan, cfg).total_rate
+            except NoUsablePairError:
                 rates[policy][index] = 0.0
                 dead[policy] += 1
-            else:
-                rates[policy][index] = value
     for arr in rates.values():
         arr.setflags(write=False)
     return TrialResult(rates, dead)

@@ -39,6 +39,13 @@ __all__ = [
 _EXHAUSTIVE_CAP = 8  # 8! = 40320 pairings
 
 
+def _live(g_sq: np.ndarray, cfg: SystemConfig) -> np.ndarray:
+    """Which outgoing gains can carry rate, by the allocator's rule: the
+    forward quality b = eta*g_sq/sigma_d_sq must be positive, so a gain whose
+    b underflows to zero makes a dead pair, as does g_sq == 0 or eta == 0."""
+    return cfg.eta * g_sq / cfg.noise.sigma_d_sq > 0.0
+
+
 def rho_by_bisection(g_sq: float, cfg: SystemConfig, tol: float = 1e-12, p_mw: float = 1.0) -> float:
     """Locate the equal-rate split by bisection on rho over [0, 1].
 
@@ -80,10 +87,9 @@ def best_pairing_exhaustive(channel: ChannelRealization, cfg: SystemConfig) -> t
         )
     # per outgoing subcarrier, the split-dependent factor of gamma
     factor = np.zeros(n)
-    for j in range(n):
-        if channel.g_sq[j] > 0.0 and cfg.eta > 0.0:
-            rho_info, _ = optimal_rho(channel.g_sq[j], cfg)
-            factor[j] = effective_gain(1.0, rho_info, cfg)
+    for j in np.flatnonzero(_live(channel.g_sq, cfg)):
+        rho_info, _ = optimal_rho(channel.g_sq[j], cfg)
+        factor[j] = effective_gain(1.0, rho_info, cfg)
     best_perm: tuple[int, ...] | None = None
     best_rate = -math.inf
     for perm in itertools.permutations(range(n)):
@@ -167,9 +173,8 @@ def _pair_gammas(channel: ChannelRealization, result: AllocationResult, cfg: Sys
     """Effective gains implied by the allocation's own splits (zero on pairs
     that cannot carry rate)."""
     gam = np.zeros(channel.n_subcarriers)
-    for i in range(channel.n_subcarriers):
-        if channel.g_sq[result.pairing.perm[i]] > 0.0 and cfg.eta > 0.0:
-            gam[i] = effective_gain(channel.h_sq[i], result.rho_i[i], cfg)
+    for i in np.flatnonzero(_live(channel.g_sq[result.pairing.perm], cfg)):
+        gam[i] = effective_gain(channel.h_sq[i], result.rho_i[i], cfg)
     return gam
 
 
@@ -209,11 +214,10 @@ def verify(
     # split ratios strictly inside (0, 1) on usable pairs
     residual = 0.0
     strict = True
-    for i in range(n):
-        if channel.g_sq[perm[i]] > 0.0 and cfg.eta > 0.0:
-            rho = result.rho_i[i]
-            residual = max(residual, -rho, rho - 1.0, 0.0)
-            strict = strict and 0.0 < rho < 1.0
+    for i in np.flatnonzero(_live(channel.g_sq[perm], cfg)):
+        rho = result.rho_i[i]
+        residual = max(residual, -rho, rho - 1.0, 0.0)
+        strict = strict and 0.0 < rho < 1.0
     checks.append(CheckResult("root_bounds", strict and residual <= tol, residual, tol))
 
     # split ratio monotone in the forward-quality scalar b

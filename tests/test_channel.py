@@ -6,77 +6,79 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swipt_relay.baselines import PolicyId, solve_policy
-from swipt_relay.channel import (
-    TapSet,
-    draw_taps,
-    generate_channel,
-    taps_to_subcarrier_gains,
-)
+from swipt_relay.channel import generate_channel
 
 from conftest import make_cfg
 
 
-def test_draw_taps_deterministic_given_stream():
-    one = draw_taps(np.random.default_rng(7), 4, 0.5, 3.0)
-    two = draw_taps(np.random.default_rng(7), 4, 0.5, 3.0)
-    np.testing.assert_array_equal(one.taps, two.taps)
-    assert one.taps.size == 4
-    assert np.all(np.isfinite(one.taps))
+def reference_taps(cfg, seed):
+    """Both hops' taps, one spawned child and one scaled normal draw per hop."""
+    hops = []
+    for child, distance in zip(np.random.SeedSequence(seed).spawn(2), (cfg.dr, cfg.d0 - cfg.dr)):
+        std = math.sqrt(0.5 / (cfg.taps * (1.0 + distance) ** cfg.alpha))
+        hops.append((np.random.default_rng(child).standard_normal(2 * cfg.taps) * std).view(complex))
+    return hops
 
 
-def test_draw_taps_rejects_bad_args():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        draw_taps(rng, 0, 0.5, 3.0)
-    with pytest.raises(ValueError):
-        draw_taps(rng, 4, -1.0, 3.0)
+def reference_gains(cfg, seed):
+    return [np.abs(np.fft.fft(taps, n=cfg.n_subcarriers)) ** 2 for taps in reference_taps(cfg, seed)]
+
+
+def _mean_tap_power(cfg, draws):
+    """Mean of sum_l |t_l|^2 over ``draws`` hops of ``draws // 2`` channels;
+    with N >= L, Parseval gives it as the mean subcarrier gain."""
+    total = 0.0
+    for seed in range(draws // 2):
+        chan = generate_channel(cfg, seed)
+        total += float(np.mean(chan.h_sq)) + float(np.mean(chan.g_sq))
+    return total / draws
 
 
 def test_tap_set_total_power_matches_path_loss():
     # E[sum |t_l|^2] = (1+d)^(-alpha); relative std of one draw is 1/sqrt(L),
-    # so 1e5 draws pin the mean to ~0.16%
-    rng = np.random.default_rng(123)
-    total = 0.0
-    draws = 100_000
-    for _ in range(draws):
-        taps = draw_taps(rng, 4, 0.5, 3.0).taps
-        total += float(np.sum(np.abs(taps) ** 2))
-    assert total / draws == pytest.approx(1.5**-3, rel=0.02)
+    # so 1e5 hops (both hops at d = 0.5) pin the mean to ~0.16%
+    assert _mean_tap_power(make_cfg(), 100_000) == pytest.approx(1.5**-3, rel=0.02)
 
 
 def test_single_tap_at_zero_distance_has_unit_power():
-    rng = np.random.default_rng(99)
-    total = sum(
-        float(np.abs(draw_taps(rng, 1, 0.0, 3.0).taps[0]) ** 2) for _ in range(100_000)
-    )
-    assert total / 100_000 == pytest.approx(1.0, rel=0.02)
+    cfg = make_cfg(n_subcarriers=1, taps=1, d0=0.0, dr=0.0)
+    assert _mean_tap_power(cfg, 100_000) == pytest.approx(1.0, rel=0.02)
 
 
 def test_single_tap_gives_flat_gains():
-    taps = TapSet([0.3 - 0.4j])
-    gains = taps_to_subcarrier_gains(taps, 4)
-    np.testing.assert_allclose(gains, 0.25, rtol=1e-12)
+    chan = generate_channel(make_cfg(taps=1), 11)
+    for gains in (chan.h_sq, chan.g_sq):
+        np.testing.assert_allclose(gains, gains[0], rtol=1e-12)
 
 
-def test_two_unit_taps_dft_gains():
-    gains = taps_to_subcarrier_gains(TapSet([1.0, 1.0]), 4)
-    np.testing.assert_allclose(gains, [4.0, 2.0, 0.0, 2.0], atol=1e-12)
+@pytest.mark.parametrize("n_sub, n_taps", [(1, 1), (4, 2), (5, 5), (16, 3)])
+def test_gains_are_squared_dft_of_the_taps(n_sub, n_taps):
+    cfg = make_cfg(n_subcarriers=n_sub, taps=n_taps)
+    chan = generate_channel(cfg, 7)
+    phase = np.exp(-2j * np.pi * np.outer(np.arange(n_sub), np.arange(n_taps)) / n_sub)
+    for gains, taps in zip((chan.h_sq, chan.g_sq), reference_taps(cfg, 7)):
+        np.testing.assert_allclose(gains, np.abs(phase @ taps) ** 2, rtol=1e-12, atol=1e-15)
 
 
-def test_gains_require_enough_subcarriers():
-    with pytest.raises(ValueError):
-        taps_to_subcarrier_gains(TapSet([1.0, 1.0, 1.0, 1.0]), 3)
+def test_generate_channel_rejects_bad_taps_and_distance():
+    with pytest.raises(ValueError, match="taps must be >= 1"):
+        generate_channel(make_cfg(taps=0), 1)
+    # the relay beyond the destination puts hop 2 at a negative distance
+    with pytest.raises(ValueError, match="hop distance must be >= 0"):
+        generate_channel(make_cfg(dr=1.5), 1)
 
 
 @pytest.mark.parametrize("distance", [0.1, 0.3, 0.5, 0.7, 0.9])
 def test_mean_subcarrier_gain_follows_path_loss(distance):
-    rng = np.random.default_rng(int(distance * 1000))
-    acc = 0.0
+    cfg = make_cfg(dr=distance)
+    acc_h = acc_g = 0.0
     draws = 10_000
-    for _ in range(draws):
-        taps = draw_taps(rng, 4, distance, 3.0)
-        acc += float(np.mean(taps_to_subcarrier_gains(taps, 4)))
-    assert acc / draws == pytest.approx((1.0 + distance) ** -3, rel=0.03)
+    for seed in range(draws):
+        chan = generate_channel(cfg, seed)
+        acc_h += float(np.mean(chan.h_sq))
+        acc_g += float(np.mean(chan.g_sq))
+    assert acc_h / draws == pytest.approx((1.0 + distance) ** -3, rel=0.03)
+    assert acc_g / draws == pytest.approx((2.0 - distance) ** -3, rel=0.03)
 
 
 def test_generate_channel_deterministic(default_cfg):
@@ -126,21 +128,20 @@ def channel_cases(draw):
         dr=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
         alpha=draw(st.floats(0.5, 6.0)),
     )
-    return cfg, draw(st.integers(0, 2**32))
+    # past 2**32 and 2**64 the seed takes more than one entropy word
+    return cfg, draw(st.integers(0, 2**70))
 
 
 @settings(max_examples=300, deadline=None)
 @given(channel_cases())
 def test_generate_channel_matches_reference_composition(case):
-    """Bit for bit the spawned children drawn with ``draw_taps`` and
-    transformed with ``taps_to_subcarrier_gains``, one hop at a time."""
+    """Bit for bit the in-test reference: spawned children, scaled normals,
+    one FFT per hop."""
     cfg, seed = case
-    child_h, child_g = np.random.SeedSequence(seed).spawn(2)
-    taps_h = draw_taps(np.random.default_rng(child_h), cfg.taps, cfg.dr, cfg.alpha)
-    taps_g = draw_taps(np.random.default_rng(child_g), cfg.taps, cfg.d0 - cfg.dr, cfg.alpha)
     chan = generate_channel(cfg, seed)
-    assert chan.h_sq.tobytes() == taps_to_subcarrier_gains(taps_h, cfg.n_subcarriers).tobytes()
-    assert chan.g_sq.tobytes() == taps_to_subcarrier_gains(taps_g, cfg.n_subcarriers).tobytes()
+    ref_h, ref_g = reference_gains(cfg, seed)
+    assert chan.h_sq.tobytes() == ref_h.tobytes()
+    assert chan.g_sq.tobytes() == ref_g.tobytes()
 
 
 def _assert_read_only(arr):
@@ -174,10 +175,19 @@ def test_relay_near_destination_second_hop_mean_gain_is_one():
 def test_fuzzed_gains_stay_finite_and_nonnegative():
     rng = np.random.default_rng(2026)
     checked = 0
+    seed = 0
     while checked < 1_000_000:
         n_taps = int(rng.integers(1, 9))
-        n_sub = int(rng.integers(n_taps, 257))
-        taps = draw_taps(rng, n_taps, float(rng.uniform(0.0, 5.0)), float(rng.uniform(0.3, 6.0)))
-        gains = taps_to_subcarrier_gains(taps, n_sub)
-        assert np.all(np.isfinite(gains)) and np.all(gains >= 0.0)
-        checked += n_sub
+        dr = float(rng.uniform(0.0, 5.0))
+        cfg = make_cfg(
+            n_subcarriers=int(rng.integers(n_taps, 257)),
+            taps=n_taps,
+            dr=dr,
+            d0=dr + float(rng.uniform(0.0, 5.0)),
+            alpha=float(rng.uniform(0.3, 6.0)),
+        )
+        chan = generate_channel(cfg, seed)
+        for gains in (chan.h_sq, chan.g_sq):
+            assert np.all(np.isfinite(gains)) and np.all(gains >= 0.0)
+        checked += 2 * cfg.n_subcarriers
+        seed += 1

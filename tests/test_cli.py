@@ -92,6 +92,22 @@ def test_fewer_subcarriers_than_taps_rejected_at_load(argv, tmp_path, capsys):
     assert "n_subcarriers (2) must be >= taps (4)" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["solve"], ["sweep", "--variable", "p_max_dbm", "--values", "10,20", "--trials", "2"], ["verify"]],
+)
+def test_path_loss_overflow_rejected_at_load(argv, tmp_path, capsys):
+    # (1 + d)**2000 overflows a float in the channel draw of every command
+    data = config_to_dict(default_config())
+    data["alpha"] = 2000.0
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps(data))
+    assert main([argv[0], str(path), *argv[1:]]) == 1
+    err = capsys.readouterr().err
+    assert "invalid config" in err
+    assert "the source-relay path loss (1 + 0.5)**alpha overflows a float" in err
+
+
 def test_solve_channel_size_mismatch(cfg_path, tmp_path, capsys):
     chan = tmp_path / "chan.json"
     chan.write_text(json.dumps({"h_sq": [0.9], "g_sq": [0.9]}))

@@ -84,6 +84,28 @@ def test_all_violations_reported_together():
         assert any(needle in err for err in errors), needle
 
 
+@pytest.mark.parametrize("field, value", [("eta", "x"), ("dr", None), ("d0", "1"), ("alpha", [3.0])])
+def test_mistyped_field_is_reported_not_raised(field, value):
+    errors = config_errors(make_cfg(**{field: value}))
+    assert errors and all(isinstance(err, str) for err in errors)
+    assert any(field in err for err in errors), errors
+
+
+def test_path_loss_overflow_reported():
+    # (1 + 0.5)**2000 overflows a float, so the channel draw could not scale the taps
+    errors = config_errors(make_cfg(alpha=2000.0))
+    assert errors == [
+        "alpha (2000.0): the source-relay path loss (1 + 0.5)**alpha overflows a float",
+        "alpha (2000.0): the relay-destination path loss (1 + 0.5)**alpha overflows a float",
+    ]
+    # only the far hop overflows when the relay sits near the source
+    errors = config_errors(make_cfg(alpha=1800.0, dr=0.01))
+    assert errors == [
+        "alpha (1800.0): the relay-destination path loss (1 + 0.99)**alpha overflows a float"
+    ]
+    assert config_errors(make_cfg(alpha=1000.0)) == []
+
+
 @given(
     st.floats(1e-6, 1e3),
     st.floats(1e-6, 1e3),
@@ -132,6 +154,43 @@ def test_unknown_and_missing_keys_rejected():
     del data["noise"]["sigma_db_sq"]
     with pytest.raises(ConfigError, match="missing noise key"):
         config_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("d0", "1", "d0 must be a number"),
+        ("eta", None, "eta must be a number"),
+        ("taps", 2.5, "taps must be an integer"),
+        ("n_subcarriers", "4", "n_subcarriers must be an integer"),
+        ("taps", math.inf, "taps must be an integer"),
+        ("taps", math.nan, "taps must be an integer"),
+    ],
+)
+def test_field_type_errors_are_reported(field, value, message):
+    data = config_to_dict(default_config())
+    data[field] = value
+    with pytest.raises(ConfigError) as excinfo:
+        config_from_dict(data)
+    assert excinfo.value.errors == [message]
+
+
+def test_field_type_errors_are_reported_with_the_rest():
+    data = config_to_dict(default_config())
+    data.update(d0="1", taps=2.5, p_max_mw="high")
+    del data["noise"]["sigma_ra_sq"]
+    with pytest.raises(ConfigError) as excinfo:
+        config_from_dict(data)
+    assert excinfo.value.errors == [
+        "p_max_mw must be a number",
+        "missing noise key: sigma_ra_sq",
+        "d0 must be a number",
+        "taps must be an integer",
+    ]
+    # integral floats are still accepted as integers
+    data = config_to_dict(default_config())
+    data["taps"] = 4.0
+    assert config_from_dict(data).taps == 4
 
 
 def test_pairing_must_be_permutation():

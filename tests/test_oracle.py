@@ -197,6 +197,20 @@ def test_verify_reference_instance(single_pair_cfg):
     ]
 
 
+def test_verify_underflowing_outgoing_gain_is_a_dead_pair():
+    # b = eta*g_sq/sigma_d_sq underflows to zero on the first outgoing
+    # subcarrier: the allocator scores that pair as dead, and so must every
+    # oracle check instead of asking optimal_rho for its split
+    cfg = make_cfg(eta=0.1)
+    chan = ChannelRealization([1.0, 0.5, 0.2, 0.1], [5e-324, 1.0, 1.0, 1.0])
+    result = solve(chan, cfg)
+    report = verify(chan, cfg)
+    assert report.all_pass, report.to_json()
+    assert len(report.checks) == 6
+    _, best_rate = best_pairing_exhaustive(chan, cfg)
+    assert best_rate == pytest.approx(result.total_rate, rel=1e-12)
+
+
 def test_verify_one_hundred_seeded_channels(default_cfg):
     passed = sum(
         verify(generate_channel(default_cfg, seed), default_cfg).all_pass
