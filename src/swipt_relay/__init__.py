@@ -7,8 +7,6 @@ __version__ = "0.1.0"
 from .allocator import (
     NoUsablePairError,
     effective_gain,
-    optimal_rho,
-    pair_rate,
     rate_terms,
     solve,
     sorted_pairing,
@@ -62,8 +60,6 @@ __all__ = [
     "effective_gain",
     "generate_channel",
     "load_config",
-    "optimal_rho",
-    "pair_rate",
     "power_by_grid",
     "rate_terms",
     "rho_by_bisection",

@@ -28,8 +28,6 @@ from .model import AllocationResult, ChannelRealization, SubcarrierPairing, Syst
 __all__ = [
     "NoUsablePairError",
     "effective_gain",
-    "optimal_rho",
-    "pair_rate",
     "rate_terms",
     "solve",
     "sorted_pairing",
@@ -62,13 +60,6 @@ def rate_terms(h_sq: float, g_sq: float, rho_i: float, p_mw: float, cfg: SystemC
     return math.log1p(snr_decode) / _LN2, math.log1p(snr_forward) / _LN2
 
 
-def pair_rate(h_sq: float, g_sq: float, rho_i: float, p_mw: float, cfg: SystemConfig) -> float:
-    """End-to-end decode-and-forward rate of one pair: half the smaller of
-    the two hop mutual informations."""
-    term_decode, term_forward = rate_terms(h_sq, g_sq, rho_i, p_mw, cfg)
-    return 0.5 * min(term_decode, term_forward)
-
-
 def sorted_pairing(h_sq, g_sq) -> SubcarrierPairing:
     """Match the k-th largest incoming gain with the k-th largest outgoing
     gain for every k. Ties break toward the lower original index (stable
@@ -84,51 +75,6 @@ def sorted_pairing(h_sq, g_sq) -> SubcarrierPairing:
     return SubcarrierPairing(perm)
 
 
-def _rho_info(b: float, s_ra: float, s_rb: float) -> float:
-    """Positive root rho_I of b*s_ra*rho^2 + (1 - b*s_ra + b*s_rb)*rho - b*s_rb
-    for b > 0, through the rationalized form that avoids cancellation."""
-    quad = b * s_ra
-    lin = 1.0 - quad + b * s_rb
-    root = math.sqrt(lin * lin + 4.0 * b * b * s_ra * s_rb)
-    if lin >= 0.0:
-        return 2.0 * b * s_rb / (lin + root)
-    return (root - lin) / (2.0 * quad)
-
-
-def optimal_rho(g_sq: float, cfg: SystemConfig) -> tuple[float, float]:
-    """Closed-form equal-rate power split for a pair forwarding over outgoing
-    gain ``g_sq``.
-
-    With b = eta * g_sq / sigma_d_sq, rho_I is the positive root of
-
-        b*s_ra*rho^2 + (1 - b*s_ra + b*s_rb)*rho - b*s_rb = 0,
-
-    which always lies strictly inside (0, 1). Both returned ratios are
-    evaluated through rationalized root forms chosen to avoid cancellation,
-    and rho_E carries its own full precision rather than float 1 - rho_I.
-
-    Raises ``ValueError`` when the pair cannot carry rate (g_sq == 0,
-    harvesting disabled, or b underflowing to zero), in which case callers
-    pin rho_I = 1, gamma = 0.
-    """
-    noise = cfg.noise
-    if not g_sq > 0.0:
-        raise ValueError("pair cannot carry rate: outgoing gain is zero")
-    if not cfg.eta > 0.0:
-        raise ValueError("pair cannot carry rate: harvesting is disabled (eta == 0)")
-    b = cfg.eta * g_sq / noise.sigma_d_sq
-    if not b > 0.0:
-        raise ValueError(
-            "pair cannot carry rate: forward quality eta*g_sq/sigma_d_sq underflows to zero"
-        )
-    rho_info = _rho_info(b, noise.sigma_ra_sq, noise.sigma_rb_sq)
-    # complementary ratio from its own quadratic: quad*x^2 - c*x + 1 = 0
-    quad = b * noise.sigma_ra_sq
-    c = quad + b * noise.sigma_rb_sq + 1.0
-    rho_harvest = 2.0 / (c + math.sqrt(c * c - 4.0 * quad))
-    return rho_info, rho_harvest
-
-
 def effective_gain(h_sq: float, rho_i: float, cfg: SystemConfig) -> float:
     """Rate slope of a pair after the split: gamma such that the pair rate is
     0.5*log2(1 + gamma*P). Independent of any power value."""
@@ -137,12 +83,16 @@ def effective_gain(h_sq: float, rho_i: float, cfg: SystemConfig) -> float:
 
 
 def split_and_gain(h_sq: float, g_sq: float, cfg: SystemConfig) -> tuple[float, float]:
-    """(rho_I, gamma) for one matched pair, with dead pairs pinned to
-    (1.0, 0.0).
+    """Closed-form equal-rate split of one matched pair: (rho_I, gamma), with
+    dead pairs pinned to (1.0, 0.0).
 
-    rho_I is exactly ``optimal_rho(g_sq, cfg)[0]`` and gamma exactly
-    ``effective_gain(h_sq, rho_I, cfg)``; the rho_E root is not computed. A
-    pair is dead when its forward quality b = eta*g_sq/sigma_d_sq is not
+    With b = eta * g_sq / sigma_d_sq, rho_I is the positive root of
+
+        b*s_ra*rho^2 + (1 - b*s_ra + b*s_rb)*rho - b*s_rb = 0,
+
+    which always lies strictly inside (0, 1). It is evaluated through the
+    rationalized root form that avoids cancellation. gamma is exactly
+    ``effective_gain(h_sq, rho_I, cfg)``. A pair is dead when b is not
     positive: zero gain, harvesting disabled, or b underflowing to zero.
     """
     noise = cfg.noise
@@ -151,7 +101,13 @@ def split_and_gain(h_sq: float, g_sq: float, cfg: SystemConfig) -> tuple[float, 
         return 1.0, 0.0
     s_ra = noise.sigma_ra_sq
     s_rb = noise.sigma_rb_sq
-    rho_info = _rho_info(b, s_ra, s_rb)
+    quad = b * s_ra
+    lin = 1.0 - quad + b * s_rb
+    root = math.sqrt(lin * lin + 4.0 * b * b * s_ra * s_rb)
+    if lin >= 0.0:
+        rho_info = 2.0 * b * s_rb / (lin + root)
+    else:
+        rho_info = (root - lin) / (2.0 * quad)
     return rho_info, h_sq * rho_info / (rho_info * s_ra + s_rb)
 
 

@@ -155,8 +155,6 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_verify(args) -> int:
     cfg = _load_config(args.config)
-    if not args.tol > 0:
-        raise _CommandError(1, "tolerance must be positive")
     if args.seeds < 1:
         raise _CommandError(1, "seeds must be >= 1")
     if cfg.n_subcarriers > _EXHAUSTIVE_CAP:

@@ -42,7 +42,10 @@ def dbm_to_mw(x_dbm: float) -> float:
     x = float(x_dbm)
     if not math.isfinite(x):
         raise ValueError("dBm value must be finite")
-    return 10.0 ** (x / 10.0)
+    try:
+        return 10.0 ** (x / 10.0)
+    except OverflowError:
+        raise ValueError(f"{x} dBm overflows a float in mW") from None
 
 
 class ConfigError(ValueError):
@@ -100,9 +103,17 @@ class SystemConfig:
     noise: NoiseProfile
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is an integer; a bool is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _finite(value) -> bool:
-    """Whether ``value`` is a finite real number; a value of another type is
-    not, so a mistyped field is reported rather than raised as TypeError."""
+    """Whether ``value`` is a finite real number; a bool or a value of another
+    type is not, so a mistyped field is reported rather than raised as
+    TypeError."""
+    if isinstance(value, (bool, np.bool_)):
+        return False
     try:
         return math.isfinite(value)
     except TypeError:
@@ -117,11 +128,12 @@ def _positive_finite(name: str, value, errors: list[str]) -> None:
 def config_errors(cfg: SystemConfig) -> list[str]:
     """Collect every invariant violation of ``cfg`` (empty list if valid)."""
     errors: list[str] = []
-    if not isinstance(cfg.n_subcarriers, (int, np.integer)) or cfg.n_subcarriers < 1:
+    if not _is_int(cfg.n_subcarriers) or cfg.n_subcarriers < 1:
         errors.append("n_subcarriers must be an integer >= 1")
-    if not isinstance(cfg.taps, (int, np.integer)) or cfg.taps < 1:
+    taps_valid = _is_int(cfg.taps) and cfg.taps >= 1
+    if not taps_valid:
         errors.append("taps must be an integer >= 1")
-    elif isinstance(cfg.n_subcarriers, (int, np.integer)) and 1 <= cfg.n_subcarriers < cfg.taps:
+    elif _is_int(cfg.n_subcarriers) and 1 <= cfg.n_subcarriers < cfg.taps:
         errors.append(
             f"n_subcarriers ({cfg.n_subcarriers}) must be >= taps ({cfg.taps}): "
             "the N-point DFT needs at least one point per tap"
@@ -137,14 +149,24 @@ def config_errors(cfg: SystemConfig) -> list[str]:
             "(0 < dr < d0)"
         )
     elif _finite(cfg.alpha) and cfg.alpha > 0:
-        # the channel draw scales each hop's taps by (1 + d)**alpha
+        # the channel draw divides each hop's tap variance by the product
+        # taps * (1 + d)**alpha; where that is inf, every gain comes out 0
         for hop, distance in (("source-relay", cfg.dr), ("relay-destination", cfg.d0 - cfg.dr)):
+            loss = product = math.inf
             try:
-                math.pow(1.0 + distance, cfg.alpha)
+                loss = math.pow(1.0 + distance, cfg.alpha)
+                product = int(cfg.taps) * loss if taps_valid else loss
             except OverflowError:
+                pass
+            if not math.isfinite(loss):
                 errors.append(
                     f"alpha ({cfg.alpha}): the {hop} path loss (1 + {distance})**alpha "
                     "overflows a float"
+                )
+            elif not math.isfinite(product):
+                errors.append(
+                    f"alpha ({cfg.alpha}): the {hop} tap-variance divisor "
+                    f"{cfg.taps} * (1 + {distance})**alpha overflows a float"
                 )
     for field_name in ("sigma_ra_sq", "sigma_rb_sq", "sigma_da_sq", "sigma_db_sq"):
         _positive_finite(f"noise.{field_name}", getattr(cfg.noise, field_name), errors)
@@ -336,7 +358,12 @@ def config_from_dict(data: dict) -> SystemConfig:
         p_max = _as_float("p_max_mw", data["p_max_mw"], errors)
     elif "p_max_dbm" in data:
         dbm = _as_float("p_max_dbm", data["p_max_dbm"], errors)
-        p_max = dbm_to_mw(dbm) if math.isfinite(dbm) else math.nan
+        p_max = math.nan
+        if math.isfinite(dbm):
+            try:
+                p_max = dbm_to_mw(dbm)
+            except ValueError as exc:
+                errors.append(f"p_max_dbm: {exc}")
     else:
         errors.append("missing config keys: p_max_mw or p_max_dbm")
         p_max = math.nan

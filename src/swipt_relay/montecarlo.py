@@ -168,9 +168,8 @@ def sweep(cfg: SystemConfig, spec: SweepSpec) -> SweepResult:
     a value-indexed seed offset, and per-policy mean/std are tabulated."""
     rows: list[SweepRow] = []
     for index, value in enumerate(spec.values):
-        cfg_point = validate_config(_substitute(cfg, spec.variable, value))
         batch = run_trials(
-            cfg_point,
+            _substitute(cfg, spec.variable, value),
             spec.policies,
             spec.trials,
             spec.seed + index * POINT_SEED_STRIDE,

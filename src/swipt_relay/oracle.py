@@ -20,9 +20,9 @@ from .allocator import (
     _LN2,
     NoUsablePairError,
     effective_gain,
-    optimal_rho,
     rate_terms,
     solve,
+    split_and_gain,
     waterfill,
 )
 from .model import AllocationResult, ChannelRealization, SubcarrierPairing, SystemConfig
@@ -85,11 +85,8 @@ def best_pairing_exhaustive(channel: ChannelRealization, cfg: SystemConfig) -> t
             f"exhaustive pairing search is capped at N = {_EXHAUSTIVE_CAP} "
             f"(N! permutations); got N = {n}"
         )
-    # per outgoing subcarrier, the split-dependent factor of gamma
-    factor = np.zeros(n)
-    for j in np.flatnonzero(_live(channel.g_sq, cfg)):
-        rho_info, _ = optimal_rho(channel.g_sq[j], cfg)
-        factor[j] = effective_gain(1.0, rho_info, cfg)
+    # per outgoing subcarrier, the split-dependent factor of gamma (0 if dead)
+    factor = np.array([split_and_gain(1.0, g, cfg)[1] for g in channel.g_sq.tolist()])
     best_perm: tuple[int, ...] | None = None
     best_rate = -math.inf
     for perm in itertools.permutations(range(n)):
@@ -225,7 +222,7 @@ def verify(
     monotone = True
     if cfg.eta > 0.0:
         g_grid = np.geomspace(1e-4, 1e4, 64) * cfg.noise.sigma_d_sq / cfg.eta
-        rhos = [optimal_rho(g, cfg)[0] for g in g_grid]
+        rhos = [split_and_gain(1.0, g, cfg)[0] for g in g_grid]
         for lo_rho, hi_rho in zip(rhos, rhos[1:]):
             residual = max(residual, lo_rho - hi_rho)
             monotone = monotone and hi_rho > lo_rho

@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from swipt_relay.allocator import optimal_rho, rate_terms, solve, waterfill
+from swipt_relay.allocator import rate_terms, solve, split_and_gain, waterfill
 from swipt_relay.baselines import PolicyId
 from swipt_relay.channel import generate_channel
 from swipt_relay.model import NoiseProfile, dbm_to_mw, default_config
@@ -92,7 +92,7 @@ def test_criterion_01_closed_form_split_matches_bisection():
         eta = float(1.0 - rng.uniform(0.0, 1.0))        # (0, 1]
         noise = NoiseProfile(*(rng.uniform(0.1, 10.0, size=4)))
         cfg = make_cfg(eta=eta, noise=noise)
-        closed = optimal_rho(g, cfg)[0]
+        closed = split_and_gain(1.0, g, cfg)[0]
         bisected = rho_by_bisection(g, cfg, tol=1e-12)
         worst = max(worst, abs(closed - bisected))
     elapsed = time.perf_counter() - start
@@ -104,7 +104,7 @@ def test_criterion_01_closed_form_split_matches_bisection():
 
 
 def test_criterion_02_pinned_single_pair_instance(single_pair_cfg):
-    rho_closed = optimal_rho(REF_GAIN, single_pair_cfg)[0]
+    rho_closed = split_and_gain(1.0, REF_GAIN, single_pair_cfg)[0]
     rho_bisected = rho_by_bisection(REF_GAIN, single_pair_cfg, tol=1e-12)
     p_mw = dbm_to_mw(10.0)
     t_decode, t_forward = rate_terms(REF_GAIN, REF_GAIN, rho_closed, p_mw, single_pair_cfg)
@@ -270,7 +270,7 @@ def test_criterion_08_conventional_lead_grows_with_power(power_sweep_arrays):
 def test_criterion_09_split_monotone_in_forward_quality(single_pair_cfg):
     b_grid = np.geomspace(1e-6, 1e6, 1000)
     g_grid = b_grid * single_pair_cfg.noise.sigma_d_sq / single_pair_cfg.eta
-    rhos = np.array([optimal_rho(g, single_pair_cfg)[0] for g in g_grid])
+    rhos = np.array([split_and_gain(1.0, g, single_pair_cfg)[0] for g in g_grid])
     strictly_increasing = bool(np.all(np.diff(rhos) > 0.0))
     _report(
         "criterion 9: split ratio strictly increasing over 10^3 sorted b values",

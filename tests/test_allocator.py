@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 from swipt_relay.allocator import (
     NoUsablePairError,
     effective_gain,
-    optimal_rho,
-    pair_rate,
     rate_terms,
     solve,
     sorted_pairing,
@@ -25,35 +23,36 @@ from swipt_relay.oracle import best_pairing_exhaustive, power_by_grid, rho_by_bi
 from conftest import NOISE_1DBM, REF_GAIN, REF_GAMMA, REF_RATE_10MW, REF_RHO, make_cfg
 
 
-# ---------------------------------------------------------------- pair_rate
+# --------------------------------------------------------------- rate_terms
 
 def test_pair_rate_zero_power(single_pair_cfg):
-    assert pair_rate(0.9, 0.9, 0.5, 0.0, single_pair_cfg) == 0.0
+    assert rate_terms(0.9, 0.9, 0.5, 0.0, single_pair_cfg) == (0.0, 0.0)
 
 
 def test_pair_rate_zero_decode_fraction(single_pair_cfg):
-    assert pair_rate(0.9, 0.9, 0.0, 10.0, single_pair_cfg) == 0.0
+    assert rate_terms(0.9, 0.9, 0.0, 10.0, single_pair_cfg)[0] == 0.0
 
 
 def test_pair_rate_dead_hops(single_pair_cfg):
-    assert pair_rate(0.0, 0.9, 0.5, 10.0, single_pair_cfg) == 0.0
-    assert pair_rate(0.9, 0.0, 1.0, 10.0, single_pair_cfg) == 0.0
+    assert rate_terms(0.0, 0.9, 0.5, 10.0, single_pair_cfg) == (0.0, 0.0)
+    assert rate_terms(0.9, 0.0, 1.0, 10.0, single_pair_cfg)[1] == 0.0
 
 
 def test_pair_rate_rejects_bad_inputs(single_pair_cfg):
     with pytest.raises(ValueError):
-        pair_rate(0.9, 0.9, 1.5, 10.0, single_pair_cfg)
+        rate_terms(0.9, 0.9, 1.5, 10.0, single_pair_cfg)
     with pytest.raises(ValueError):
-        pair_rate(0.9, 0.9, 0.5, -1.0, single_pair_cfg)
+        rate_terms(0.9, 0.9, 0.5, -1.0, single_pair_cfg)
 
 
 def test_pair_rate_reference_instance(single_pair_cfg):
-    """At the equal-rate split the two terms coincide and the rate is half
-    either term; the split itself comes from the independent bisection."""
+    """At the equal-rate split the two terms coincide and the pair rate, half
+    the smaller term, is half either term; the split itself comes from the
+    independent bisection."""
     rho = rho_by_bisection(REF_GAIN, single_pair_cfg, tol=1e-13)
     t_decode, t_forward = rate_terms(REF_GAIN, REF_GAIN, rho, 10.0, single_pair_cfg)
     assert abs(t_decode - t_forward) < 1e-6  # limited only by bisection width
-    rate = pair_rate(REF_GAIN, REF_GAIN, rho, 10.0, single_pair_cfg)
+    rate = 0.5 * min(t_decode, t_forward)
     assert rate == pytest.approx(REF_RATE_10MW, rel=1e-9)
     assert rate == pytest.approx(0.5 * t_decode, rel=1e-6)
 
@@ -96,13 +95,12 @@ def test_sorted_pairing_rejects_length_mismatch():
         sorted_pairing([1.0, 2.0], [1.0])
 
 
-# -------------------------------------------------------------- optimal_rho
+# ------------------------------------------------ closed-form split (rho_I)
 
 def test_optimal_rho_reference_instance(single_pair_cfg):
-    rho_info, rho_harvest = optimal_rho(REF_GAIN, single_pair_cfg)
+    rho_info = split_and_gain(1.0, REF_GAIN, single_pair_cfg)[0]
     assert rho_info == pytest.approx(REF_RHO, abs=1e-12)
     assert rho_info == pytest.approx(0.588403, abs=1e-6)
-    assert rho_info + rho_harvest == pytest.approx(1.0, rel=1e-15)
     assert abs(rho_info - rho_by_bisection(REF_GAIN, single_pair_cfg)) < 1e-10
 
 
@@ -110,7 +108,7 @@ def test_optimal_rho_vanishing_processing_noise():
     """As the processing noise vanishes with b*sigma_ra_sq = 2 the split
     degenerates to 1 - 1/(b*sigma_ra_sq) = 0.5."""
     cfg = make_cfg(noise=NoiseProfile(1.0, 1e-12, 0.5, 0.5))
-    rho_info, _ = optimal_rho(2.0, cfg)  # b = eta*g/sigma_d = 2
+    rho_info = split_and_gain(1.0, 2.0, cfg)[0]  # b = eta*g/sigma_d = 2
     assert rho_info == pytest.approx(0.5, abs=1e-6)
     assert abs(rho_info - rho_by_bisection(2.0, cfg)) < 1e-10
 
@@ -120,28 +118,18 @@ def test_optimal_rho_huge_forward_quality(single_pair_cfg):
     1 - rho_I ~ 1/(1 + b*(sigma_ra_sq + sigma_rb_sq)), still strictly inside
     (0, 1). Cross-checked against the bisection oracle."""
     g = 1e9 * single_pair_cfg.noise.sigma_d_sq  # b = 1e9
-    rho_info, rho_harvest = optimal_rho(g, single_pair_cfg)
+    rho_info = split_and_gain(1.0, g, single_pair_cfg)[0]
     assert 0.0 < rho_info < 1.0
     assert rho_info > 0.999999
     expected_harvest = 1.0 / (1.0 + 1e9 * (NOISE_1DBM + NOISE_1DBM))
-    assert rho_harvest == pytest.approx(expected_harvest, rel=1e-6)
+    assert 1.0 - rho_info == pytest.approx(expected_harvest, rel=1e-6)
     assert abs(rho_info - rho_by_bisection(g, single_pair_cfg)) < 1e-10
 
 
 def test_optimal_rho_tiny_forward_quality(single_pair_cfg):
     g = 1e-6 * single_pair_cfg.noise.sigma_d_sq  # b = 1e-6
-    rho_info, _ = optimal_rho(g, single_pair_cfg)
+    rho_info = split_and_gain(1.0, g, single_pair_cfg)[0]
     assert rho_info == pytest.approx(1e-6 * NOISE_1DBM, rel=1e-5)
-
-
-def test_optimal_rho_rejects_dead_pair(single_pair_cfg):
-    with pytest.raises(ValueError):
-        optimal_rho(0.0, single_pair_cfg)
-    with pytest.raises(ValueError):
-        optimal_rho(0.9, make_cfg(eta=0.0))
-    # b = eta*g_sq/sigma_d_sq rounds to zero although g_sq and eta are positive
-    with pytest.raises(ValueError, match="underflows to zero"):
-        optimal_rho(5e-324, make_cfg(eta=0.1))
 
 
 @settings(max_examples=200, deadline=None)
@@ -154,10 +142,8 @@ def test_optimal_rho_rejects_dead_pair(single_pair_cfg):
 )
 def test_optimal_rho_interior_and_equalizing(g, s_ra, s_rb, s_d, eta):
     cfg = make_cfg(eta=eta, noise=NoiseProfile(s_ra, s_rb, s_d / 2, s_d / 2))
-    rho_info, rho_harvest = optimal_rho(g, cfg)
+    rho_info = split_and_gain(1.0, g, cfg)[0]
     assert 0.0 < rho_info < 1.0
-    assert 0.0 < rho_harvest < 1.0
-    assert rho_info + rho_harvest == pytest.approx(1.0, rel=1e-12)
     t_decode, t_forward = rate_terms(1.0, g, rho_info, 1.0, cfg)
     assert abs(t_decode - t_forward) <= 1e-9 * max(t_decode, 1e-12)
 
@@ -169,13 +155,13 @@ def test_effective_gain_zero_split(single_pair_cfg):
 
 
 def test_effective_gain_reference_instance(single_pair_cfg):
-    rho_info, _ = optimal_rho(REF_GAIN, single_pair_cfg)
+    rho_info = split_and_gain(1.0, REF_GAIN, single_pair_cfg)[0]
     gamma = effective_gain(REF_GAIN, rho_info, single_pair_cfg)
     assert gamma == pytest.approx(REF_GAMMA, rel=1e-12)
     # consistency: 0.5*log2(1 + gamma*P) is exactly the pair rate at the split
     rate = 0.5 * math.log2(1.0 + gamma * 10.0)
     assert rate == pytest.approx(
-        pair_rate(REF_GAIN, REF_GAIN, rho_info, 10.0, single_pair_cfg), rel=1e-12
+        0.5 * min(rate_terms(REF_GAIN, REF_GAIN, rho_info, 10.0, single_pair_cfg)), rel=1e-12
     )
 
 
@@ -219,20 +205,17 @@ def _bits(x) -> str:
     eta=st.floats(0.0, 1.0, exclude_min=True),
 )
 def test_split_and_gain_bits(h, g, eta):
-    """Python-float and np.float64 inputs give the same bits, and those are
-    exactly optimal_rho's rho_I and effective_gain's gamma."""
+    """Python-float and np.float64 inputs give the same bits; rho_I is the
+    bisection oracle's root, and gamma is exactly effective_gain's."""
     cfg = make_cfg(eta=eta)
     rho, gamma = split_and_gain(h, g, cfg)
     rho_64, gamma_64 = split_and_gain(np.float64(h), np.float64(g), cfg)
     assert (_bits(rho), _bits(gamma)) == (_bits(rho_64), _bits(gamma_64))
     if not eta * g / cfg.noise.sigma_d_sq > 0.0:
         assert (rho, gamma) == (1.0, 0.0)
-        with pytest.raises(ValueError, match="underflows to zero"):
-            optimal_rho(g, cfg)
         return
-    rho_ref = optimal_rho(g, cfg)[0]
-    assert _bits(rho) == _bits(rho_ref)
-    assert _bits(gamma) == _bits(effective_gain(h, rho_ref, cfg))
+    assert abs(rho - rho_by_bisection(g, cfg)) <= 1e-10
+    assert _bits(gamma) == _bits(effective_gain(h, rho, cfg))
 
 
 # ---------------------------------------------------------------- waterfill

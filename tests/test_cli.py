@@ -108,6 +108,37 @@ def test_path_loss_overflow_rejected_at_load(argv, tmp_path, capsys):
     assert "the source-relay path loss (1 + 0.5)**alpha overflows a float" in err
 
 
+def test_path_loss_times_taps_overflow_rejected_at_load(tmp_path, capsys):
+    # the path loss fits a float but 4 taps times it does not, which would
+    # draw an all-zero channel
+    data = config_to_dict(default_config())
+    data["alpha"] = 1750.09
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps(data))
+    assert main(["solve", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "invalid config" in err
+    assert "the source-relay tap-variance divisor 4 * (1 + 0.5)**alpha overflows a float" in err
+
+
+def test_overflowing_dbm_budget_exits_1(tmp_path, capsys):
+    data = config_to_dict(default_config())
+    del data["p_max_mw"]
+    data["p_max_dbm"] = 4000
+    path = tmp_path / "loud.json"
+    path.write_text(json.dumps(data))
+    assert main(["solve", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "invalid config" in err
+    assert "p_max_dbm: 4000.0 dBm overflows a float in mW" in err
+
+
+def test_sweep_overflowing_dbm_value_exits_1(cfg_path, capsys):
+    argv = ["sweep", cfg_path, "--variable", "p_max_dbm", "--values", "4000", "--trials", "2"]
+    assert main(argv) == 1
+    assert "4000.0 dBm overflows a float in mW" in capsys.readouterr().err
+
+
 def test_solve_channel_size_mismatch(cfg_path, tmp_path, capsys):
     chan = tmp_path / "chan.json"
     chan.write_text(json.dumps({"h_sq": [0.9], "g_sq": [0.9]}))

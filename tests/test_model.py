@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from swipt_relay.channel import generate_channel
 from swipt_relay.model import (
     ChannelRealization,
     ConfigError,
@@ -34,6 +35,17 @@ def test_dbm_to_mw_reference_points():
 def test_dbm_to_mw_rejects_nonfinite(bad):
     with pytest.raises(ValueError):
         dbm_to_mw(bad)
+
+
+def test_dbm_budget_overflow_is_a_config_error():
+    with pytest.raises(ValueError, match="overflows"):
+        dbm_to_mw(4000.0)
+    data = config_to_dict(default_config())
+    del data["p_max_mw"]
+    data["p_max_dbm"] = 4000
+    with pytest.raises(ConfigError) as excinfo:
+        config_from_dict(data)
+    assert excinfo.value.errors == ["p_max_dbm: 4000.0 dBm overflows a float in mW"]
 
 
 @given(st.floats(-50, 50), st.floats(-50, 50))
@@ -84,7 +96,21 @@ def test_all_violations_reported_together():
         assert any(needle in err for err in errors), needle
 
 
-@pytest.mark.parametrize("field, value", [("eta", "x"), ("dr", None), ("d0", "1"), ("alpha", [3.0])])
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("eta", "x"),
+        ("dr", None),
+        ("d0", "1"),
+        ("alpha", [3.0]),
+        # a bool is not a number here, as JSON true is not at load
+        ("taps", True),
+        ("n_subcarriers", True),
+        ("eta", True),
+        ("p_max", True),
+        ("alpha", np.True_),
+    ],
+)
 def test_mistyped_field_is_reported_not_raised(field, value):
     errors = config_errors(make_cfg(**{field: value}))
     assert errors and all(isinstance(err, str) for err in errors)
@@ -104,6 +130,23 @@ def test_path_loss_overflow_reported():
         "alpha (1800.0): the relay-destination path loss (1 + 0.99)**alpha overflows a float"
     ]
     assert config_errors(make_cfg(alpha=1000.0)) == []
+
+
+def test_path_loss_times_taps_overflow_reported():
+    # (1 + 0.5)**1750.09 fits a float but 4 times it does not: the channel
+    # draw would divide the tap variance by inf and return an all-zero channel
+    errors = config_errors(make_cfg(alpha=1750.09))
+    assert errors == [
+        "alpha (1750.09): the source-relay tap-variance divisor 4 * (1 + 0.5)**alpha "
+        "overflows a float",
+        "alpha (1750.09): the relay-destination tap-variance divisor 4 * (1 + 0.5)**alpha "
+        "overflows a float",
+    ]
+    # with one tap the same exponent draws a usable channel
+    cfg = make_cfg(alpha=1750.09, taps=1)
+    assert config_errors(cfg) == []
+    chan = generate_channel(cfg, 1)
+    assert (chan.h_sq > 0.0).all() and (chan.g_sq > 0.0).all()
 
 
 @given(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from swipt_relay import montecarlo
 from swipt_relay.baselines import PolicyId
 from swipt_relay.channel import generate_channel
 from swipt_relay.allocator import solve
@@ -199,3 +200,23 @@ def test_sweep_rejects_invalid_substituted_config(default_cfg):
     )
     with pytest.raises(Exception, match="relay"):
         sweep(default_cfg, spec)
+
+
+def test_sweep_validates_each_point_once(default_cfg, monkeypatch):
+    seen = []
+    original = montecarlo.validate_config
+
+    def counted(cfg):
+        seen.append(cfg)
+        return original(cfg)
+
+    monkeypatch.setattr(montecarlo, "validate_config", counted)
+    spec = SweepSpec(
+        variable="p_max_dbm",
+        values=(10.0, 20.0, 30.0),
+        trials=2,
+        seed=1,
+        policies=(PolicyId.PROPOSED,),
+    )
+    sweep(default_cfg, spec)
+    assert [cfg.p_max for cfg in seen] == pytest.approx([10.0, 100.0, 1000.0], rel=1e-15)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from swipt_relay.allocator import effective_gain, optimal_rho, solve, waterfill
+from swipt_relay.allocator import effective_gain, solve, split_and_gain, waterfill
 from swipt_relay.channel import generate_channel
 from swipt_relay.model import ChannelRealization, NoiseProfile
 from swipt_relay.oracle import (
@@ -33,7 +33,7 @@ def test_bisection_agrees_with_closed_form_on_random_draws():
         noise = NoiseProfile(*np.exp(rng.uniform(np.log(0.1), np.log(10.0), size=4)))
         cfg = make_cfg(eta=float(rng.uniform(1e-3, 1.0)), noise=noise)
         g = float(np.exp(rng.uniform(np.log(1e-3), np.log(10.0))))
-        assert abs(optimal_rho(g, cfg)[0] - rho_by_bisection(g, cfg)) <= 1e-10
+        assert abs(split_and_gain(1.0, g, cfg)[0] - rho_by_bisection(g, cfg)) <= 1e-10
 
 
 def test_bisection_root_is_power_invariant(single_pair_cfg):
@@ -77,7 +77,7 @@ def test_exhaustive_starved_budget_boundary_case():
     chan = ChannelRealization([2.0, 1.0], [2.0, 1.0])
     gammas = np.array(
         [
-            chan.h_sq[i] * effective_gain(1.0, optimal_rho(chan.g_sq[i], cfg)[0], cfg)
+            chan.h_sq[i] * effective_gain(1.0, split_and_gain(1.0, chan.g_sq[i], cfg)[0], cfg)
             for i in range(2)
         ]
     )
@@ -147,7 +147,7 @@ def test_grid_validates_inputs():
 def _sorted_vs_swapped_margin(h, g, p_max, cfg):
     """The product-form margin that makes sorted pairing at least as good as
     the swapped one, evaluated with the solver's own optimal powers."""
-    split = [effective_gain(1.0, optimal_rho(gj, cfg)[0], cfg) for gj in g]
+    split = [effective_gain(1.0, split_and_gain(1.0, gj, cfg)[0], cfg) for gj in g]
     gam_sorted = np.array([h[0] * split[0], h[1] * split[1]])
     gam_swapped = np.array([h[0] * split[1], h[1] * split[0]])
     p_sorted = waterfill(gam_sorted, p_max)
@@ -200,7 +200,7 @@ def test_verify_reference_instance(single_pair_cfg):
 def test_verify_underflowing_outgoing_gain_is_a_dead_pair():
     # b = eta*g_sq/sigma_d_sq underflows to zero on the first outgoing
     # subcarrier: the allocator scores that pair as dead, and so must every
-    # oracle check instead of asking optimal_rho for its split
+    # oracle check
     cfg = make_cfg(eta=0.1)
     chan = ChannelRealization([1.0, 0.5, 0.2, 0.1], [5e-324, 1.0, 1.0, 1.0])
     result = solve(chan, cfg)
