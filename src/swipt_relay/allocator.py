@@ -41,6 +41,14 @@ _GAMMA_MIN_INVERTIBLE = 2.0**-1024
 # water-filling's prefix sums stay finite while p_max + N * max(1/gamma) is
 # below this bound
 _PREFIX_SUM_LIMIT = 2.0**1023
+# split_and_gain's direct root form squares b: it stays finite up to this b
+# for noise powers up to ~1e76 mW; past it the root is taken from the
+# quadratic divided by b
+_B_DIRECT_MAX = 2.0**256
+# below this many elements ``ndarray.sum`` adds float64 strictly left to
+# right; from it up it sums pairwise over eight accumulators. Water-filling
+# runs on Python floats below it and on NumPy arrays from it up.
+_FLOAT_BODY_LIMIT = 8
 
 
 class NoUsablePairError(ValueError):
@@ -91,24 +99,43 @@ def split_and_gain(h_sq: float, g_sq: float, cfg: SystemConfig) -> tuple[float, 
         b*s_ra*rho^2 + (1 - b*s_ra + b*s_rb)*rho - b*s_rb = 0,
 
     which always lies strictly inside (0, 1). It is evaluated through the
-    rationalized root form that avoids cancellation. gamma is exactly
+    rationalized root form that avoids cancellation. Past b = 2**256, where
+    b*b heads for overflow, the same root is taken from the quadratic divided
+    by b, whose coefficients stay finite for any b; there rho_I rounds to 1
+    and gamma to h_sq / (s_ra + s_rb). gamma is exactly
     ``effective_gain(h_sq, rho_I, cfg)``. A pair is dead when b is not
     positive: zero gain, harvesting disabled, or b underflowing to zero.
     """
     noise = cfg.noise
     b = cfg.eta * g_sq / noise.sigma_d_sq
-    if not b > 0.0:
-        return 1.0, 0.0
     s_ra = noise.sigma_ra_sq
     s_rb = noise.sigma_rb_sq
-    quad = b * s_ra
-    lin = 1.0 - quad + b * s_rb
-    root = math.sqrt(lin * lin + 4.0 * b * b * s_ra * s_rb)
-    if lin >= 0.0:
-        rho_info = 2.0 * b * s_rb / (lin + root)
+    if not 0.0 < b <= _B_DIRECT_MAX:
+        if not b > 0.0:
+            return 1.0, 0.0
+        rho_info = _rho_past_direct_max(b, s_ra, s_rb)
     else:
-        rho_info = (root - lin) / (2.0 * quad)
+        quad = b * s_ra
+        lin = 1.0 - quad + b * s_rb
+        root = math.sqrt(lin * lin + 4.0 * b * b * s_ra * s_rb)
+        if lin >= 0.0:
+            rho_info = 2.0 * b * s_rb / (lin + root)
+        else:
+            rho_info = (root - lin) / (2.0 * quad)
     return rho_info, h_sq * rho_info / (rho_info * s_ra + s_rb)
+
+
+def _rho_past_direct_max(b: float, s_ra: float, s_rb: float) -> float:
+    """rho_I for b above ``_B_DIRECT_MAX`` (b may be inf), from
+    s_ra*rho^2 + (1/b - s_ra + s_rb)*rho - s_rb = 0. The root lies below 1
+    but rounds within an ulp of it, so it is capped at 1."""
+    lin = 1.0 / b - s_ra + s_rb
+    root = math.sqrt(lin * lin + 4.0 * s_ra * s_rb)
+    if lin >= 0.0:
+        rho_info = 2.0 * s_rb / (lin + root)
+    else:
+        rho_info = (root - lin) / (2.0 * s_ra)
+    return min(rho_info, 1.0)
 
 
 def _all_to_strongest(gam: np.ndarray, p_max: float) -> np.ndarray:
@@ -128,13 +155,21 @@ def waterfill(gammas, p_max: float) -> np.ndarray:
     s_1 <= s_2 <= ..., the k strongest channels fill to the level
     (p_max + s_1 + ... + s_k) / k, and channel k is powered iff s_k lies
     below that level, which holds for a prefix of k. One sort and one
-    cumulative sum give the level, so a call costs O(N log N). The returned
+    running sum give the level, so a call costs O(N log N). The returned
     powers satisfy the stationarity conditions to float precision and sum to
     ``p_max``. Channels with gamma == 0 receive exactly zero. When ``p_max``
     lies below the float spacing of the strongest 1/gamma (or that 1/gamma
     overflows), the whole budget goes to the strongest channel. When
     ``p_max + N * max(1/gamma)`` nears the float range, the problem is solved
     scaled down by a power of two, so the prefix sums cannot overflow.
+
+    The algorithm has two bodies that perform the same float operations in
+    the same order and so return the same bits. Below 8 channels it runs on
+    Python floats, where a dozen small NumPy calls would cost more than the
+    arithmetic; from 8 channels up it runs on NumPy arrays. The cut sits at
+    8 because ``ndarray.sum`` adds fewer than 8 elements strictly left to
+    right, which a plain ``+=`` loop reproduces, and switches to pairwise
+    summation from 8 up.
 
     Raises ``ValueError`` unless every gain is finite and nonnegative and
     ``p_max`` is positive and finite, and :class:`NoUsablePairError` when
@@ -143,10 +178,81 @@ def waterfill(gammas, p_max: float) -> np.ndarray:
     gam = np.asarray(gammas, dtype=float)
     if gam.ndim != 1 or gam.size == 0:
         raise ValueError("gammas must be a nonempty vector")
-    if not ((gam >= 0.0) & (gam < math.inf)).all():
-        raise ValueError("gammas must be finite and nonnegative")
+    if gam.size < _FLOAT_BODY_LIMIT:
+        return _waterfill_floats(gam, p_max)
+    return _waterfill_array(gam, p_max)
+
+
+def _check_budget(p_max: float) -> None:
     if not (math.isfinite(p_max) and p_max > 0.0):
         raise ValueError("p_max must be positive and finite")
+
+
+def _waterfill_floats(gam: np.ndarray, p_max: float) -> np.ndarray:
+    """``waterfill`` on Python floats, step for step as
+    :func:`_waterfill_array`, for a vector of fewer than
+    ``_FLOAT_BODY_LIMIT`` gains."""
+    values = gam.tolist()
+    for g in values:
+        if not 0.0 <= g < math.inf:
+            raise ValueError("gammas must be finite and nonnegative")
+    _check_budget(p_max)
+    usable = [i for i, g in enumerate(values) if g > _GAMMA_MIN_INVERTIBLE]
+    if not usable:
+        if not max(values) > 0.0:
+            raise NoUsablePairError("no usable pair: every effective gain is zero")
+        return _all_to_strongest(gam, p_max)
+    inv = [1.0 / values[i] for i in usable]
+    steps = sorted(inv)
+    budget = p_max
+    scale = 1.0
+    if p_max + len(steps) * steps[-1] >= _PREFIX_SUM_LIMIT:
+        scale = 2.0 ** (len(steps).bit_length() + 1)
+        inv = [x / scale for x in inv]
+        steps = [x / scale for x in steps]
+        budget = p_max / scale
+    # the prefix levels, with the running sum kept apart from the budget as
+    # np.cumsum keeps it; every k is counted, as count_nonzero counts
+    n_active = 0
+    prefix = 0.0
+    for k, step in enumerate(steps, 1):
+        prefix += step
+        if step < (budget + prefix) / k:
+            n_active += 1
+    top = steps[max(n_active, 1) - 1]
+    active = [j for j, x in enumerate(inv) if x <= top]
+    while True:
+        # left to right, as ndarray.sum adds so few elements; the builtin
+        # sum() compensates its rounding from Python 3.12 on
+        total = 0.0
+        for j in active:
+            total += inv[j]
+        level = (budget + total) / len(active)
+        kept = [j for j in active if inv[j] < level]
+        if len(kept) == len(active):
+            break
+        if not kept:
+            return _all_to_strongest(gam, p_max)
+        active = kept
+    alloc = [0.0] * len(inv)
+    for j in active:
+        alloc[j] = level - inv[j]
+    # np.argmax's pick: the first largest allocation
+    largest = alloc.index(max(alloc))
+    alloc[largest] += budget - math.fsum(alloc)
+    if scale != 1.0:
+        alloc = [a * scale for a in alloc]
+    powers = [0.0] * len(values)
+    for i, a in zip(usable, alloc):
+        powers[i] = a
+    return np.array(powers)
+
+
+def _waterfill_array(gam: np.ndarray, p_max: float) -> np.ndarray:
+    """``waterfill`` on NumPy arrays, for a vector of any length."""
+    if not ((gam >= 0.0) & (gam < math.inf)).all():
+        raise ValueError("gammas must be finite and nonnegative")
+    _check_budget(p_max)
     # a channel whose 1/gamma overflows is never powered beside a stronger one
     usable = gam > _GAMMA_MIN_INVERTIBLE
     if not usable.any():

@@ -20,7 +20,7 @@ import numpy as np
 from .allocator import NoUsablePairError
 from .baselines import PolicyId, solve_policy
 from .channel import _check_seed, generate_channel
-from .model import SystemConfig, dbm_to_mw, validate_config
+from .model import ConfigError, SystemConfig, config_errors, dbm_to_mw, validate_config
 
 __all__ = [
     "POINT_SEED_STRIDE",
@@ -165,15 +165,22 @@ def _substitute(cfg: SystemConfig, variable: str, value: float) -> SystemConfig:
 def sweep(cfg: SystemConfig, spec: SweepSpec) -> SweepResult:
     """Run ``spec`` against ``cfg``: each sweep value is substituted into a
     copy of the config (relay_position is a fraction of d0), trials run under
-    a value-indexed seed offset, and per-policy mean/std are tabulated."""
+    a value-indexed seed offset, and per-policy mean/std are tabulated.
+
+    Every point's config is built and checked before the first trial runs, so
+    an invalid later point fails at once, with the error ``run_trials``
+    would raise on it, instead of after the earlier points' trials.
+    ``run_trials`` still validates each point it is given, as it validates
+    any caller's config.
+    """
+    points = [_substitute(cfg, spec.variable, value) for value in spec.values]
+    for point in points:
+        errors = config_errors(point)
+        if errors:
+            raise ConfigError(errors)
     rows: list[SweepRow] = []
-    for index, value in enumerate(spec.values):
-        batch = run_trials(
-            _substitute(cfg, spec.variable, value),
-            spec.policies,
-            spec.trials,
-            spec.seed + index * POINT_SEED_STRIDE,
-        )
+    for index, (value, point) in enumerate(zip(spec.values, points)):
+        batch = run_trials(point, spec.policies, spec.trials, spec.seed + index * POINT_SEED_STRIDE)
         for policy in spec.policies:
             rates = batch.rates[policy]
             std = float(rates.std(ddof=1)) if spec.trials > 1 else 0.0

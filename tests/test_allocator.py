@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 
 from swipt_relay.allocator import (
     NoUsablePairError,
+    _waterfill_array,
+    _waterfill_floats,
     effective_gain,
     rate_terms,
     solve,
@@ -218,6 +221,34 @@ def test_split_and_gain_bits(h, g, eta):
     assert _bits(gamma) == _bits(effective_gain(h, rho, cfg))
 
 
+@pytest.mark.parametrize("g_sq", [1e155, 1e160, sys.float_info.max])
+def test_split_and_gain_huge_forward_quality(g_sq, single_pair_cfg):
+    """Where b*b overflows the split still holds: rho_I rounds to 1 and gamma
+    to h/(s_ra + s_rb), exactly effective_gain's at that rho_I."""
+    noise = single_pair_cfg.noise
+    rho, gamma = split_and_gain(0.9, g_sq, single_pair_cfg)
+    assert 0.0 < rho <= 1.0
+    assert rho == pytest.approx(1.0, abs=1e-15)
+    assert _bits(gamma) == _bits(effective_gain(0.9, rho, single_pair_cfg))
+    assert gamma == pytest.approx(0.9 / (noise.sigma_ra_sq + noise.sigma_rb_sq), rel=1e-15)
+
+
+def test_split_and_gain_infinite_forward_quality():
+    # eta * g_sq / sigma_d_sq overflows to b = inf
+    cfg = make_cfg(noise=NoiseProfile(1.0, 3.0, 0.25, 0.25))
+    assert split_and_gain(2.0, sys.float_info.max, cfg) == (1.0, 0.5)
+
+
+@pytest.mark.parametrize("s_ra, s_rb", [(NOISE_1DBM, NOISE_1DBM), (1.0, 3.0), (3.0, 1.0), (1e-6, 1e3)])
+def test_split_and_gain_continuous_across_root_forms(s_ra, s_rb):
+    """Either side of b = 2**256, where the root switches to the quadratic
+    divided by b, rho_I is 1 to within an ulp and never above it."""
+    cfg = make_cfg(noise=NoiseProfile(s_ra, s_rb, 0.5, 0.5))  # sigma_d_sq = 1: b = g_sq
+    for b in (2.0**256 / (1.0 + 2.0**-52), 2.0**256, 2.0**256 * (1.0 + 2.0**-52), 1e100, 1e300):
+        rho = split_and_gain(1.0, b, cfg)[0]
+        assert 1.0 - 2.0**-52 <= rho <= 1.0
+
+
 # ---------------------------------------------------------------- waterfill
 
 def test_waterfill_equal_gains_split_evenly():
@@ -398,6 +429,98 @@ def test_waterfill_stationarity(gammas, p_max):
         assert np.all(1.0 / gam[idle] >= level - 1e-9)
 
 
+# ----------------------------------------- waterfill's float and array bodies
+
+_SUBNORMAL_GAINS = st.floats(0.0, 2.0**-1024, exclude_min=True)  # 1/gamma overflows
+
+
+@st.composite
+def _waterfill_problem(draw):
+    """Gains for N = 1..7 with zero, overflowing-inverse, subnormal and
+    normal entries, and a budget that is ordinary, below the float spacing of
+    the strongest 1/gamma, or within a decade of the float range."""
+    gain = st.one_of(
+        st.just(0.0),
+        _SUBNORMAL_GAINS,
+        st.floats(2.0**-1024, 2.0**-1022),
+        st.floats(1e-300, 1e300),
+        st.floats(1e-3, 1e3),
+    )
+    gammas = draw(st.lists(gain, min_size=1, max_size=7))
+    kind = draw(st.sampled_from(("ordinary", "below_spacing", "near_overflow")))
+    if kind == "ordinary":
+        p_max = draw(st.floats(1e-30, 1e9))
+    elif kind == "near_overflow":
+        p_max = draw(st.floats(1e307, 1.7e308))
+    else:
+        strongest = max(gammas)
+        spacing = math.ulp(1.0 / strongest) if strongest > 2.0**-1024 else 1.0
+        p_max = spacing * draw(st.floats(2.0**-20, 1.0, exclude_max=True))
+    return np.array(gammas), p_max
+
+
+def _outcome(body, gammas, p_max):
+    """The powers' bytes, or the type and message of what the body raised."""
+    try:
+        return body(gammas, p_max).tobytes()
+    except ValueError as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(problem=_waterfill_problem())
+def test_waterfill_bodies_bit_identical(problem):
+    gammas, p_max = problem
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _outcome(_waterfill_floats, gammas, p_max) == _outcome(_waterfill_array, gammas, p_max)
+
+
+@pytest.mark.parametrize(
+    "gammas, p_max, error",
+    [
+        ([math.nan, 1.0], 10.0, ValueError),
+        ([1.0, -1.0], 10.0, ValueError),
+        ([math.inf], 10.0, ValueError),
+        ([1.0, 2.0], 0.0, ValueError),
+        ([1.0], math.nan, ValueError),
+        ([1.0, 0.5, 0.25], math.inf, ValueError),
+        ([math.nan], math.nan, ValueError),  # the gains are checked first
+        ([0.0, 0.0, 0.0], 10.0, NoUsablePairError),
+    ],
+)
+def test_waterfill_bodies_raise_alike(gammas, p_max, error):
+    gammas = np.array(gammas)
+    outcome = _outcome(_waterfill_floats, gammas, p_max)
+    assert outcome[0] is error
+    assert outcome == _outcome(_waterfill_array, gammas, p_max)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    values=st.lists(
+        st.floats(5e-324, 1e300) | st.floats(1e-3, 1e3), min_size=1, max_size=7
+    ),
+    mask_seed=st.integers(0, 2**32 - 1),
+)
+def test_numpy_sum_adds_few_elements_left_to_right(values, mask_seed):
+    """The float body reproduces ``inv[active].sum()`` with a ``+=`` loop,
+    which holds only while NumPy adds fewer than 8 float64 elements in order.
+    A NumPy whose reduction order changes fails here, and the cut at 8
+    channels must be revisited."""
+    def left_to_right(xs):
+        total = 0.0
+        for x in xs:
+            total += x
+        return total
+
+    arr = np.array(values)
+    assert _bits(arr.sum()) == _bits(left_to_right(values))
+    mask = np.random.default_rng(mask_seed).random(arr.size) < 0.6
+    picked = arr[mask]
+    assert _bits(picked.sum()) == _bits(left_to_right(picked.tolist()))
+
+
 # --------------------------------------------------------------------- solve
 
 def test_solve_reference_single_pair(single_pair_cfg):
@@ -499,3 +622,12 @@ def test_solve_underflowing_outgoing_gain_is_a_dead_pair():
 def test_solve_rejects_size_mismatch(default_cfg):
     with pytest.raises(ValueError):
         solve(ChannelRealization([1.0], [1.0]), default_cfg)
+
+
+
+def test_solve_huge_outgoing_gain_is_a_live_pair(single_pair_cfg):
+    # b = eta * g_sq / sigma_d_sq is past the point where b*b overflows
+    result = solve(ChannelRealization([1.0], [1e160]), single_pair_cfg)
+    assert result.rho_i[0] == 1.0
+    assert result.powers[0] == single_pair_cfg.p_max
+    assert result.total_rate > 0.0

@@ -53,6 +53,14 @@ def test_solve_pinned_channel_override(single_pair_paths, capsys):
     assert payload["total_rate"] == pytest.approx(REF_RATE_10MW, rel=1e-9)
 
 
+def test_solve_huge_outgoing_gain(single_pair_paths, tmp_path, capsys):
+    cfg, _ = single_pair_paths
+    chan = tmp_path / "strong.json"
+    chan.write_text(json.dumps({"h_sq": [1.0], "g_sq": [1e160]}))
+    assert main(["solve", cfg, "--channel-file", str(chan)]) == 0
+    assert json.loads(capsys.readouterr().out)["total_rate"] > 0.0
+
+
 def test_solve_missing_config_is_io_failure(tmp_path, capsys):
     assert main(["solve", str(tmp_path / "nope.json")]) == 2
     assert "cannot read" in capsys.readouterr().err

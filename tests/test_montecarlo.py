@@ -220,3 +220,26 @@ def test_sweep_validates_each_point_once(default_cfg, monkeypatch):
     )
     sweep(default_cfg, spec)
     assert [cfg.p_max for cfg in seen] == pytest.approx([10.0, 100.0, 1000.0], rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "variable, values",
+    [
+        ("p_max_dbm", (10.0, 4000.0)),  # 4000 dBm overflows a float in mW
+        ("relay_position", (0.5, 1.5)),  # the relay lies beyond the destination
+    ],
+)
+def test_sweep_checks_every_point_before_any_trial(default_cfg, monkeypatch, variable, values):
+    def run_alone(values):
+        spec = SweepSpec(variable=variable, values=values, trials=3, seed=1, policies=ALL_POLICIES)
+        with pytest.raises(ValueError) as err:
+            sweep(default_cfg, spec)
+        return err
+
+    alone = run_alone(values[-1:])
+    drawn = []
+    monkeypatch.setattr(montecarlo, "generate_channel", lambda *args: drawn.append(args))
+    together = run_alone(values)
+    assert drawn == []
+    assert (together.type, str(together.value)) == (alone.type, str(alone.value))
+
