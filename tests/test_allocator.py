@@ -431,9 +431,6 @@ def test_waterfill_stationarity(gammas, p_max):
 
 # ----------------------------------------- waterfill's float and array bodies
 
-_SUBNORMAL_GAINS = st.floats(0.0, 2.0**-1024, exclude_min=True)  # 1/gamma overflows
-
-
 @st.composite
 def _waterfill_problem(draw):
     """Gains for N = 1..7 with zero, overflowing-inverse, subnormal and
@@ -441,7 +438,7 @@ def _waterfill_problem(draw):
     the strongest 1/gamma, or within a decade of the float range."""
     gain = st.one_of(
         st.just(0.0),
-        _SUBNORMAL_GAINS,
+        st.floats(0.0, 2.0**-1024, exclude_min=True),  # 1/gamma overflows
         st.floats(2.0**-1024, 2.0**-1022),
         st.floats(1e-300, 1e300),
         st.floats(1e-3, 1e3),
@@ -622,7 +619,6 @@ def test_solve_underflowing_outgoing_gain_is_a_dead_pair():
 def test_solve_rejects_size_mismatch(default_cfg):
     with pytest.raises(ValueError):
         solve(ChannelRealization([1.0], [1.0]), default_cfg)
-
 
 
 def test_solve_huge_outgoing_gain_is_a_live_pair(single_pair_cfg):

@@ -230,16 +230,15 @@ def test_sweep_validates_each_point_once(default_cfg, monkeypatch):
     ],
 )
 def test_sweep_checks_every_point_before_any_trial(default_cfg, monkeypatch, variable, values):
-    def run_alone(values):
+    def sweep_error(values):
         spec = SweepSpec(variable=variable, values=values, trials=3, seed=1, policies=ALL_POLICIES)
         with pytest.raises(ValueError) as err:
             sweep(default_cfg, spec)
         return err
 
-    alone = run_alone(values[-1:])
+    alone = sweep_error(values[-1:])
     drawn = []
     monkeypatch.setattr(montecarlo, "generate_channel", lambda *args: drawn.append(args))
-    together = run_alone(values)
+    together = sweep_error(values)
     assert drawn == []
     assert (together.type, str(together.value)) == (alone.type, str(alone.value))
-
