@@ -80,7 +80,8 @@ def sorted_pairing(h_sq, g_sq) -> SubcarrierPairing:
     order_g = np.argsort(-g, kind="stable")
     perm = np.empty(h.size, dtype=np.int64)
     perm[order_h] = order_g
-    return SubcarrierPairing(perm)
+    # a permutation by construction: skip the constructor's copy and check
+    return _frozen(SubcarrierPairing, perm=perm)
 
 
 def effective_gain(h_sq: float, rho_i: float, cfg: SystemConfig) -> float:
@@ -102,7 +103,8 @@ def split_and_gain(h_sq: float, g_sq: float, cfg: SystemConfig) -> tuple[float, 
     rationalized root form that avoids cancellation. Past b = 2**256, where
     b*b heads for overflow, the same root is taken from the quadratic divided
     by b, whose coefficients stay finite for any b; there rho_I rounds to 1
-    and gamma to h_sq / (s_ra + s_rb). gamma is exactly
+    and gamma to h_sq / (s_ra + s_rb). A root that rounds above 1, as it can
+    from b ~ 1e12 on, is capped at 1. gamma is exactly
     ``effective_gain(h_sq, rho_I, cfg)``. A pair is dead when b is not
     positive: zero gain, harvesting disabled, or b underflowing to zero.
     """
@@ -122,20 +124,21 @@ def split_and_gain(h_sq: float, g_sq: float, cfg: SystemConfig) -> tuple[float, 
             rho_info = 2.0 * b * s_rb / (lin + root)
         else:
             rho_info = (root - lin) / (2.0 * quad)
+    # the root lies below 1 but can round an ulp above it once b is large
+    if rho_info > 1.0:
+        rho_info = 1.0
     return rho_info, h_sq * rho_info / (rho_info * s_ra + s_rb)
 
 
 def _rho_past_direct_max(b: float, s_ra: float, s_rb: float) -> float:
     """rho_I for b above ``_B_DIRECT_MAX`` (b may be inf), from
     s_ra*rho^2 + (1/b - s_ra + s_rb)*rho - s_rb = 0. The root lies below 1
-    but rounds within an ulp of it, so it is capped at 1."""
+    but rounds within an ulp of it; the caller caps it at 1."""
     lin = 1.0 / b - s_ra + s_rb
     root = math.sqrt(lin * lin + 4.0 * s_ra * s_rb)
     if lin >= 0.0:
-        rho_info = 2.0 * s_rb / (lin + root)
-    else:
-        rho_info = (root - lin) / (2.0 * s_ra)
-    return min(rho_info, 1.0)
+        return 2.0 * s_rb / (lin + root)
+    return (root - lin) / (2.0 * s_ra)
 
 
 def _all_to_strongest(gam: np.ndarray, p_max: float) -> np.ndarray:
@@ -309,13 +312,20 @@ def _result(pairing: SubcarrierPairing, rho: np.ndarray, gam: np.ndarray, powers
     """The frozen result of a policy that put ``powers`` on pairs of
     effective gains ``gam``."""
     pair_rates = 0.5 * np.log1p(gam * powers) / _LN2
+    total_rate = float(pair_rates.sum())
+    if math.isinf(total_rate):
+        # gamma*P overflowed on some pair; there log1p(gamma*P) equals
+        # log(gamma) + log(P) to float precision
+        big = np.isinf(pair_rates)
+        pair_rates[big] = 0.5 * (np.log(gam[big]) + np.log(powers[big])) / _LN2
+        total_rate = float(pair_rates.sum())
     return _frozen(
         AllocationResult,
         pairing=pairing,
         rho_i=rho,
         powers=powers,
         pair_rates=pair_rates,
-        total_rate=float(pair_rates.sum()),
+        total_rate=total_rate,
     )
 
 

@@ -93,6 +93,24 @@ def test_sorted_pairing_ties_cannot_change_rate(default_cfg):
         assert rate == pytest.approx(got, abs=1e-12)
 
 
+_TIED_GAINS = st.sampled_from([0.0, 5e-324, 1.0, 2.5])
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.sampled_from([1, 2, 3, 4, 7, 8, 256]))
+def test_sorted_pairing_returns_read_only_permutation(data, n):
+    """The result is built without the constructor's copy and check: it must
+    still be a read-only int64 permutation, with ties and zero gains."""
+    gains = st.lists(_TIED_GAINS | st.floats(0.0, 1e6), min_size=n, max_size=n)
+    h, g = data.draw(gains), data.draw(gains)
+    perm = sorted_pairing(h, g).perm
+    assert perm.dtype == np.int64
+    np.testing.assert_array_equal(np.sort(perm), np.arange(n))
+    assert not perm.flags.writeable
+    with pytest.raises(ValueError):
+        perm[0] = perm[-1]
+
+
 def test_sorted_pairing_rejects_length_mismatch():
     with pytest.raises(ValueError):
         sorted_pairing([1.0, 2.0], [1.0])
@@ -247,6 +265,29 @@ def test_split_and_gain_continuous_across_root_forms(s_ra, s_rb):
     for b in (2.0**256 / (1.0 + 2.0**-52), 2.0**256, 2.0**256 * (1.0 + 2.0**-52), 1e100, 1e300):
         rho = split_and_gain(1.0, b, cfg)[0]
         assert 1.0 - 2.0**-52 <= rho <= 1.0
+
+
+def test_split_and_gain_caps_rho_at_one_below_direct_max():
+    """Below b = 2**256 the direct root form can round an ulp above 1, from
+    b ~ 1e12 on and on either sign of its linear coefficient. rho_I is
+    capped at 1 there, so the harvest fraction never goes negative and
+    rate_terms accepts every split."""
+    # an example on the default noise, where the root rounded to 1 + 2**-52
+    assert split_and_gain(1.0, 4770896554256483.0, make_cfg()) == split_and_gain(1.0, 2.0**300, make_cfg())
+    rng = np.random.default_rng(20261018)
+    g_grid = np.geomspace(1e-3, 2.0**256, 400).tolist()
+    capped = {True: 0, False: 0}  # by the sign of the linear coefficient
+    for _ in range(150):
+        s_ra, s_rb, s_da, s_db = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), size=4)).tolist()
+        cfg = make_cfg(noise=NoiseProfile(s_ra, s_rb, s_da, s_db))
+        for g in g_grid + [float(rng.uniform(1e3, 1e20))]:
+            rho, _ = split_and_gain(1.0, g, cfg)
+            assert 0.0 < rho <= 1.0
+            rate_terms(1.0, g, rho, 1.0, cfg)
+            b = cfg.eta * g / cfg.noise.sigma_d_sq
+            if rho == 1.0 and b <= 2.0**256:
+                capped[1.0 - b * s_ra + b * s_rb >= 0.0] += 1
+    assert capped[True] > 0 and capped[False] > 0
 
 
 # ---------------------------------------------------------------- waterfill

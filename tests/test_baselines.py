@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from swipt_relay.allocator import NoUsablePairError, solve
+from swipt_relay.allocator import NoUsablePairError, _split_gains, solve
 from swipt_relay.baselines import (
     PolicyId,
     conventional_hop_powers,
@@ -226,3 +226,27 @@ def test_conventional_matches_grid_oracle_two_subcarriers(seed):
 def test_conventional_dead_channel_raises(default_cfg):
     with pytest.raises(NoUsablePairError):
         solve_conventional(ChannelRealization([0.0] * 4, [1.0] * 4), default_cfg)
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [policy for policy in PolicyId if policy is not PolicyId.CONVENTIONAL_NON_EH],
+    ids=lambda policy: policy.value,
+)
+def test_overflowing_pair_rate_is_finite(policy):
+    """gamma*P overflows on a 1e301 incoming gain at 1e9 mW, where the pair
+    rate is 0.5*log2(gamma*P), about 512 bits/s/Hz: every harvesting policy
+    reports that rate, not inf. A pair that does not overflow keeps its bits."""
+    cfg = make_cfg(n_subcarriers=2, taps=2, p_max=1e9)
+    chan = ChannelRealization([1e301, 1.0], [1.0, 0.5])
+    with np.errstate(over="ignore"):  # the product gamma*P itself still overflows
+        result = solve_policy(policy, chan, cfg)
+        rho, gam = _split_gains(chan, result.pairing.perm, cfg)
+        product = gam * result.powers
+    big = int(np.argmax(gam))
+    assert math.isinf(product[big]) and math.isfinite(product[1 - big])
+    expected = 0.5 * (math.log(gam[big]) + math.log(result.powers[big])) / math.log(2.0)
+    assert result.pair_rates[big] == expected
+    assert 510.0 < expected < 514.0
+    assert result.pair_rates[1 - big] == 0.5 * np.log1p(product[1 - big]) / math.log(2.0)
+    assert result.total_rate == float(result.pair_rates.sum())

@@ -10,6 +10,7 @@ from swipt_relay.channel import generate_channel
 from swipt_relay.model import ChannelRealization, NoiseProfile
 from swipt_relay.oracle import (
     VerificationReport,
+    _permutations,
     best_pairing_exhaustive,
     power_by_grid,
     rho_by_bisection,
@@ -262,3 +263,126 @@ def test_verify_merge_keeps_worst_residual(default_cfg):
 def test_verify_rejects_bad_tolerance(default_cfg):
     with pytest.raises(ValueError):
         verify(generate_channel(default_cfg, 1), default_cfg, tol=0.0)
+
+
+# ------------------------------------------- the search's table, bit for bit
+
+def _exhaustive_reference(channel, cfg):
+    """The search as one loop over ``itertools.permutations``, one pairing
+    at a time, as it was written before it scored a table: the reference the
+    table search must match bit for bit."""
+    n = channel.n_subcarriers
+    factor = np.array([split_and_gain(1.0, g, cfg)[1] for g in channel.g_sq.tolist()])
+    best_perm, best_rate = None, -math.inf
+    for perm in itertools.permutations(range(n)):
+        gam = channel.h_sq * factor[list(perm)]
+        if np.any(gam > 0.0):
+            powers = waterfill(gam, cfg.p_max)
+            rate = float(np.sum(0.5 * np.log1p(gam * powers) / math.log(2.0)))
+        else:
+            rate = 0.0
+        if rate > best_rate:
+            best_perm, best_rate = perm, rate
+    return np.array(best_perm, dtype=np.int64), best_rate
+
+
+_BUDGETS = (1e-6, 1e-2, 1.0, 1e3, 1e9)
+# zero, underflowing (b = 0 at eta = 0.05), subnormal and ordinary gains
+_GAINS = (0.0, 5e-324, 1e-310, 1e-3, 0.2, 1.0, 3.0, 1e150)
+
+
+def _table_cases(n, eta):
+    """Channels and budgets for one (N, eta): seeded draws alternate with
+    gains drawn from ``_GAINS``; fewer cases where N! is large."""
+    rng = np.random.default_rng(1000 * n + int(100 * eta))
+    count = {6: 4, 7: 2, 8: 1}.get(n, 10)
+    for k in range(count):
+        cfg = make_cfg(
+            n_subcarriers=n, taps=min(n, 4), eta=eta, p_max=_BUDGETS[(n + k) % len(_BUDGETS)]
+        )
+        if k % 2:
+            h, g = rng.choice(_GAINS, size=(2, n))
+            yield ChannelRealization(h, g), cfg
+        else:
+            yield generate_channel(cfg, n + k), cfg
+
+
+@pytest.mark.parametrize(
+    "n, eta",
+    # one live N = 8 search: each takes seconds against the reference loop
+    [(n, eta) for n in range(1, 9) for eta in (1.0, 0.05, 0.0) if (n, eta) != (8, 0.05)],
+)
+def test_exhaustive_table_matches_per_pairing_loop(n, eta):
+    for chan, cfg in _table_cases(n, eta):
+        pairing, rate = best_pairing_exhaustive(chan, cfg)
+        ref_perm, ref_rate = _exhaustive_reference(chan, cfg)
+        assert pairing.perm.tobytes() == ref_perm.tobytes()
+        assert np.float64(rate).tobytes() == np.float64(ref_rate).tobytes()
+        assert isinstance(rate, float)
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_exhaustive_equal_gains_return_identity(n):
+    # every pairing scores the same rate, so the first one wins
+    cfg = make_cfg(n_subcarriers=n, taps=1)
+    pairing, rate = best_pairing_exhaustive(ChannelRealization([0.7] * n, [0.4] * n), cfg)
+    np.testing.assert_array_equal(pairing.perm, np.arange(n))
+    assert rate > 0.0
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_permutation_table_is_lexicographic_and_read_only(n):
+    perms = _permutations(n)
+    assert perms.dtype == np.intp and perms.shape == (math.factorial(n), n)
+    np.testing.assert_array_equal(perms, list(itertools.permutations(range(n))))
+    assert not perms.flags.writeable
+    assert _permutations(n) is perms
+
+
+def test_exhaustive_result_does_not_share_the_table():
+    cfg = make_cfg(n_subcarriers=3, taps=3)
+    pairing, _ = best_pairing_exhaustive(generate_channel(cfg, 1), cfg)
+    assert not np.shares_memory(pairing.perm, _permutations(3))
+
+
+# ------------------------------------------------ overflowing pair rates
+
+def test_exhaustive_rate_is_finite_where_gain_times_power_overflows():
+    """gamma*P overflows on a 1e300 incoming gain at 1e9 mW; the search
+    scores that pair 0.5*log2(gamma) + 0.5*log2(P), as the allocator does."""
+    cfg = make_cfg(n_subcarriers=1, taps=1, p_max=1e9)
+    chan = ChannelRealization([1e300], [1.0])
+    _, rate = best_pairing_exhaustive(chan, cfg)
+    with np.errstate(over="ignore"):
+        assert rate == solve(chan, cfg).total_rate
+    gamma = split_and_gain(1e300, 1.0, cfg)[1]
+    assert rate == 0.5 * (math.log(gamma) + math.log(1e9)) / math.log(2.0)
+    assert 510.0 < rate < 514.0
+
+
+def test_verify_does_not_certify_overflowing_rates():
+    """On that channel the equal-rate terms overflow too, so their gap is
+    inf - inf: the NaN residual fails its check instead of reading as 0."""
+    cfg = make_cfg(n_subcarriers=1, taps=1, p_max=1e9)
+    chan = ChannelRealization([1e300], [1.0])
+    with np.errstate(over="ignore"):
+        report = verify(chan, cfg)
+    by_name = {check.check_name: check for check in report.checks}
+    assert math.isnan(by_name["equal_rate"].residual)
+    assert not by_name["equal_rate"].passed
+    assert by_name["pairing_optimality"].passed
+    assert not report.all_pass
+    merged = VerificationReport.merge([verify(ChannelRealization([1.0], [1.0]), cfg), report])
+    assert math.isnan({c.check_name: c for c in merged.checks}["equal_rate"].residual)
+    assert not merged.all_pass
+
+
+def test_verify_rejects_an_infinite_claimed_rate(default_cfg):
+    chan = generate_channel(default_cfg, 2)
+    result = solve(chan, default_cfg)
+    from dataclasses import replace
+
+    report = verify(chan, default_cfg, result=replace(result, total_rate=math.inf))
+    by_name = {check.check_name: check for check in report.checks}
+    assert math.isnan(by_name["pairing_optimality"].residual)
+    assert not by_name["pairing_optimality"].passed
