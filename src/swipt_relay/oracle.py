@@ -92,9 +92,9 @@ def _table_rates(gams: np.ndarray, powers: np.ndarray) -> np.ndarray:
     """
     with np.errstate(over="ignore"):
         snr = gams * powers
-    rates = np.sum(0.5 * np.log1p(snr) / _LN2, axis=1)
+    terms = np.log1p(snr)
+    rates = np.sum(0.5 * terms / _LN2, axis=1)
     if np.isinf(rates).any():
-        terms = np.log1p(snr)
         big = np.isinf(snr)
         terms[big] = np.log(gams[big]) + np.log(powers[big])
         rates = np.sum(0.5 * terms / _LN2, axis=1)
@@ -109,11 +109,11 @@ def best_pairing_exhaustive(channel: ChannelRealization, cfg: SystemConfig) -> t
 
     The candidates are the rows of one ``(N!, N)`` table of effective gains,
     built from the N per-subcarrier split factors. Each row with a live pair
-    is water-filled by its own ``waterfill`` call, N! calls in all; a row of
-    dead pairs makes no call and scores 0. The rates of all rows are then
-    summed at once. At N = 8 each ``(N!, N)`` float table (gains, powers,
-    rate terms) is 40320 x 8, about 2.6 MB, and a call peaks near 10 MB; at
-    N = 6 a table is 35 KB.
+    is water-filled by its own ``waterfill`` call (N! calls when every row
+    is live); a row of dead pairs makes no call and scores 0. The rates of
+    all rows are then summed at once. At N = 8 each ``(N!, N)`` float table
+    (gains, powers, rate terms) is 40320 x 8, about 2.6 MB, and a call peaks
+    near 10 MB; at N = 6 a table is 35 KB.
     """
     n = channel.n_subcarriers
     if n > _EXHAUSTIVE_CAP:

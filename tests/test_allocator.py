@@ -93,15 +93,13 @@ def test_sorted_pairing_ties_cannot_change_rate(default_cfg):
         assert rate == pytest.approx(got, abs=1e-12)
 
 
-_TIED_GAINS = st.sampled_from([0.0, 5e-324, 1.0, 2.5])
-
-
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(), n=st.sampled_from([1, 2, 3, 4, 7, 8, 256]))
 def test_sorted_pairing_returns_read_only_permutation(data, n):
     """The result is built without the constructor's copy and check: it must
     still be a read-only int64 permutation, with ties and zero gains."""
-    gains = st.lists(_TIED_GAINS | st.floats(0.0, 1e6), min_size=n, max_size=n)
+    tied = st.sampled_from([0.0, 5e-324, 1.0, 2.5])
+    gains = st.lists(tied | st.floats(0.0, 1e6), min_size=n, max_size=n)
     h, g = data.draw(gains), data.draw(gains)
     perm = sorted_pairing(h, g).perm
     assert perm.dtype == np.int64
