@@ -45,9 +45,13 @@ _PREFIX_SUM_LIMIT = 2.0**1023
 # for noise powers up to ~1e76 mW; past it the root is taken from the
 # quadratic divided by b
 _B_DIRECT_MAX = 2.0**256
+# no product gamma*P overflows while max(gamma) * p_max stays below this
+# bound: a power exceeds p_max by at most the ulp the budget pin adds
+_PRODUCT_LIMIT = 2.0**1023
 # below this many elements ``ndarray.sum`` adds float64 strictly left to
 # right; from it up it sums pairwise over eight accumulators. Water-filling
-# runs on Python floats below it and on NumPy arrays from it up.
+# and the largest gain of a rate sum are taken on Python floats below it and
+# on NumPy arrays from it up.
 _FLOAT_BODY_LIMIT = 8
 
 
@@ -76,12 +80,18 @@ def sorted_pairing(h_sq, g_sq) -> SubcarrierPairing:
     g = np.asarray(g_sq, dtype=float)
     if h.ndim != 1 or g.ndim != 1 or h.shape != g.shape:
         raise ValueError("h_sq and g_sq must be equal-length vectors")
+    # a permutation by construction: skip the constructor's copy and check
+    return _frozen(SubcarrierPairing, perm=_sorted_perm(h, g))
+
+
+def _sorted_perm(h: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The permutation of :func:`sorted_pairing` for two equal-length float
+    vectors: incoming subcarrier i forwards over outgoing ``perm[i]``."""
     order_h = np.argsort(-h, kind="stable")
     order_g = np.argsort(-g, kind="stable")
     perm = np.empty(h.size, dtype=np.int64)
     perm[order_h] = order_g
-    # a permutation by construction: skip the constructor's copy and check
-    return _frozen(SubcarrierPairing, perm=perm)
+    return perm
 
 
 def effective_gain(h_sq: float, rho_i: float, cfg: SystemConfig) -> float:
@@ -308,24 +318,42 @@ def _split_gains(channel: ChannelRealization, perm: np.ndarray, cfg: SystemConfi
     return rho, gam
 
 
-def _result(pairing: SubcarrierPairing, rho: np.ndarray, gam: np.ndarray, powers: np.ndarray) -> AllocationResult:
-    """The frozen result of a policy that put ``powers`` on pairs of
-    effective gains ``gam``."""
-    pair_rates = 0.5 * np.log1p(gam * powers) / _LN2
-    total_rate = float(pair_rates.sum())
-    if math.isinf(total_rate):
-        # gamma*P overflowed on some pair; there log1p(gamma*P) equals
-        # log(gamma) + log(P) to float precision
-        big = np.isinf(pair_rates)
-        pair_rates[big] = 0.5 * (np.log(gam[big]) + np.log(powers[big])) / _LN2
-        total_rate = float(pair_rates.sum())
+def _pair_rates(gam: np.ndarray, powers: np.ndarray, p_max: float) -> np.ndarray:
+    """0.5*log2(1 + gamma*P) elementwise, for gains and powers of any equal
+    shape whose powers are at most ``p_max`` each.
+
+    Where gamma*P overflows, log1p(gamma*P) equals log(gamma) + log(P) to
+    float precision, so those terms are taken in that form instead of inf.
+    No product can overflow while max(gamma) * p_max lies below
+    ``_PRODUCT_LIMIT``, which one reduction decides.
+    """
+    if gam.size < _FLOAT_BODY_LIMIT:
+        top = max(gam.ravel().tolist())  # a third of ndarray.max()'s call cost
+    else:
+        top = float(gam.max())
+    if top * p_max < _PRODUCT_LIMIT:
+        return 0.5 * np.log1p(gam * powers) / _LN2
+    with np.errstate(over="ignore"):
+        snr = gam * powers
+    rates = 0.5 * np.log1p(snr) / _LN2
+    big = np.isinf(snr)
+    rates[big] = 0.5 * (np.log(gam[big]) + np.log(powers[big])) / _LN2
+    return rates
+
+
+def _result(
+    pairing: SubcarrierPairing, rho: np.ndarray, gam: np.ndarray, powers: np.ndarray, p_max: float
+) -> AllocationResult:
+    """The frozen result of a policy that put ``powers`` (each at most
+    ``p_max``) on pairs of effective gains ``gam``."""
+    pair_rates = _pair_rates(gam, powers, p_max)
     return _frozen(
         AllocationResult,
         pairing=pairing,
         rho_i=rho,
         powers=powers,
         pair_rates=pair_rates,
-        total_rate=total_rate,
+        total_rate=float(pair_rates.sum()),
     )
 
 
@@ -341,4 +369,4 @@ def solve(channel: ChannelRealization, cfg: SystemConfig) -> AllocationResult:
         )
     pairing = sorted_pairing(channel.h_sq, channel.g_sq)
     rho, gam = _split_gains(channel, pairing.perm, cfg)
-    return _result(pairing, rho, gam, waterfill(gam, cfg.p_max))
+    return _result(pairing, rho, gam, waterfill(gam, cfg.p_max), cfg.p_max)

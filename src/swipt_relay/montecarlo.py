@@ -6,7 +6,8 @@ its channel from seed s + t; sweep point k offsets the run seed by
 k * 1_000_000, so adding sweep points or policies never perturbs existing
 results. A sweep is limited to fewer than 10^6 trials per point, so no two
 points share a channel seed. Trials run serially and are reduced in trial
-order.
+order. Each trial scores all its policies in one pass over the policy rows of
+``baselines`` and keeps only their total rates.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .allocator import NoUsablePairError
-from .baselines import PolicyId, solve_policy
+from .baselines import PolicyId, _trial_rates
+# not called here, but perfbench/spans.py BINDINGS looks it up by this name
+from .baselines import solve_policy  # noqa: F401
 from .channel import _check_seed, generate_channel
 from .model import ConfigError, SystemConfig, config_errors, dbm_to_mw, validate_config
 
@@ -47,6 +49,14 @@ CSV_COLUMNS = (
 )
 
 
+def _check_policies(policies) -> tuple[PolicyId, ...]:
+    policies = tuple(policies)
+    for policy in policies:
+        if not isinstance(policy, PolicyId):
+            raise ValueError(f"unhandled policy: {policy!r}")
+    return policies
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """One sweep request: which knob to vary, where, and how hard to average."""
@@ -65,9 +75,11 @@ class SweepSpec:
             raise ValueError("values must be nonempty")
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ValueError("values must be strictly increasing")
-        policies = tuple(self.policies)
+        policies = _check_policies(self.policies)
         if not policies:
             raise ValueError("policies must be nonempty")
+        if len(set(policies)) != len(policies):
+            raise ValueError("policies must not repeat")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.trials >= POINT_SEED_STRIDE:
@@ -92,26 +104,30 @@ class TrialResult:
 def run_trials(cfg: SystemConfig, policies, trials: int, seed: int) -> TrialResult:
     """Evaluate every policy on ``trials`` common channel draws.
 
+    Each trial draws one channel and scores all distinct policies on it in
+    one pass (``baselines._trial_rates``): the sorted pairing is computed
+    once and only the total rates are kept, with the bits each policy's
+    ``solve_policy(...).total_rate`` has. A policy named twice is evaluated
+    once. Every policy is checked before the first trial.
+
     Deterministic given (cfg, policies, trials, seed).
     """
     validate_config(cfg)
-    policies = tuple(policies)
+    distinct = tuple(dict.fromkeys(_check_policies(policies)))
     if trials < 1:
         raise ValueError("trials must be >= 1")
     seed = _check_seed(seed)
-    rates = {policy: np.empty(trials) for policy in policies}
-    dead = {policy: 0 for policy in policies}
+    table = np.empty((len(distinct), trials))
+    dead = np.zeros(len(distinct), dtype=np.int64)
     for index in range(trials):
         chan = generate_channel(cfg, seed + index + 1)
-        for policy in policies:
-            try:
-                rates[policy][index] = solve_policy(policy, chan, cfg).total_rate
-            except NoUsablePairError:
-                rates[policy][index] = 0.0
-                dead[policy] += 1
-    for arr in rates.values():
-        arr.setflags(write=False)
-    return TrialResult(rates, dead)
+        table[:, index], dead_now = _trial_rates(distinct, chan, cfg)
+        dead += dead_now
+    table.setflags(write=False)
+    return TrialResult(
+        {policy: table[k] for k, policy in enumerate(distinct)},
+        {policy: int(dead[k]) for k, policy in enumerate(distinct)},
+    )
 
 
 @dataclass(frozen=True)

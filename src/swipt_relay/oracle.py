@@ -18,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocator import (
-    _LN2,
+    _GAMMA_MIN_INVERTIBLE,
     NoUsablePairError,
+    _pair_rates,
     effective_gain,
     rate_terms,
     solve,
@@ -84,23 +85,6 @@ def _permutations(n: int) -> np.ndarray:
     return perms
 
 
-def _table_rates(gams: np.ndarray, powers: np.ndarray) -> np.ndarray:
-    """Summed rate of each row of a gain table under its row of powers.
-
-    Where gamma*P overflows, log1p(gamma*P) equals log(gamma) + log(P) to
-    float precision, so those terms are taken in that form instead of inf.
-    """
-    with np.errstate(over="ignore"):
-        snr = gams * powers
-    terms = np.log1p(snr)
-    rates = np.sum(0.5 * terms / _LN2, axis=1)
-    if np.isinf(rates).any():
-        big = np.isinf(snr)
-        terms[big] = np.log(gams[big]) + np.log(powers[big])
-        rates = np.sum(0.5 * terms / _LN2, axis=1)
-    return rates
-
-
 def best_pairing_exhaustive(channel: ChannelRealization, cfg: SystemConfig) -> tuple[SubcarrierPairing, float]:
     """Try all N! pairings, re-running splitting and water-filling for each;
     return the best pairing and its rate (ties go to the lexicographically
@@ -129,7 +113,7 @@ def best_pairing_exhaustive(channel: ChannelRealization, cfg: SystemConfig) -> t
     powers = np.zeros_like(gams)
     for r in np.flatnonzero((gams > 0.0).any(axis=1)).tolist():
         powers[r] = waterfill(gams[r], cfg.p_max)
-    rates = _table_rates(gams, powers)
+    rates = _pair_rates(gams, powers, cfg.p_max).sum(axis=1)
     # the first largest rate: ties go to the earliest row
     best = int(np.argmax(rates))
     return SubcarrierPairing(perms[best]), float(rates[best])
@@ -281,11 +265,19 @@ def verify(
     # stationarity of the power allocation
     gam = _pair_gammas(channel, result, cfg)
     active = result.powers > 0.0
+    # a pair whose 1/gamma overflows is idle beside a usable one
+    usable = gam > _GAMMA_MIN_INVERTIBLE
+    budget = abs(math.fsum(result.powers) - cfg.p_max)
     if np.any(active & (gam <= 0.0)):
         residual = math.inf
+    elif not usable.any():
+        # every live 1/gamma overflows, so no level is finite: the whole
+        # budget must sit on one pair, and that pair must be the strongest
+        strongest = np.count_nonzero(active) == 1 and gam[active].item() == gam.max()
+        residual = budget if strongest else math.inf
     else:
-        budget = abs(math.fsum(result.powers) - cfg.p_max)
-        inv = np.where(gam > 0.0, 1.0 / np.where(gam > 0.0, gam, 1.0), math.inf)
+        inv = np.full(n, math.inf)
+        inv[usable] = 1.0 / gam[usable]
         levels = result.powers[active] + inv[active]
         level = float(np.mean(levels)) if levels.size else 0.0
         spread = float(np.max(np.abs(levels - level)) / level) if levels.size else 0.0

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swipt_relay.allocator import NoUsablePairError, _split_gains, solve
 from swipt_relay.baselines import (
     PolicyId,
+    _conventional_gains,
+    _trial_rates,
     conventional_hop_powers,
     solve_conventional,
     solve_opa_no_pairing,
@@ -228,20 +232,25 @@ def test_conventional_dead_channel_raises(default_cfg):
         solve_conventional(ChannelRealization([0.0] * 4, [1.0] * 4), default_cfg)
 
 
-@pytest.mark.parametrize(
-    "policy",
-    [policy for policy in PolicyId if policy is not PolicyId.CONVENTIONAL_NON_EH],
-    ids=lambda policy: policy.value,
-)
+@pytest.mark.parametrize("policy", list(PolicyId), ids=lambda policy: policy.value)
 def test_overflowing_pair_rate_is_finite(policy):
     """gamma*P overflows on a 1e301 incoming gain at 1e9 mW, where the pair
     rate is 0.5*log2(gamma*P), about 512 bits/s/Hz: every harvesting policy
-    reports that rate, not inf. A pair that does not overflow keeps its bits."""
+    reports that rate, not inf, and warns of no overflow. A pair that does
+    not overflow keeps its bits. The supplied relay's gamma a*b/(a+b) stays
+    below its outgoing slope b, so on the same channel none of its products
+    overflows."""
     cfg = make_cfg(n_subcarriers=2, taps=2, p_max=1e9)
     chan = ChannelRealization([1e301, 1.0], [1.0, 0.5])
+    result = solve_policy(policy, chan, cfg)
+    assert result.total_rate == float(result.pair_rates.sum())
+    if policy is PolicyId.CONVENTIONAL_NON_EH:
+        gam = _conventional_gains(chan, result.pairing.perm, cfg)[1]
+        np.testing.assert_array_equal(result.pair_rates, 0.5 * np.log1p(gam * result.powers) / math.log(2.0))
+        assert math.isfinite(result.total_rate)
+        return
+    rho, gam = _split_gains(chan, result.pairing.perm, cfg)
     with np.errstate(over="ignore"):  # the product gamma*P itself still overflows
-        result = solve_policy(policy, chan, cfg)
-        rho, gam = _split_gains(chan, result.pairing.perm, cfg)
         product = gam * result.powers
     big = int(np.argmax(gam))
     assert math.isinf(product[big]) and math.isfinite(product[1 - big])
@@ -249,4 +258,80 @@ def test_overflowing_pair_rate_is_finite(policy):
     assert result.pair_rates[big] == expected
     assert 510.0 < expected < 514.0
     assert result.pair_rates[1 - big] == 0.5 * np.log1p(product[1 - big]) / math.log(2.0)
-    assert result.total_rate == float(result.pair_rates.sum())
+
+
+# ------------------------------------------------------- one-pass trial
+
+
+def _one_at_a_time(chan, cfg):
+    """Per policy: solve_policy's total rate, or 0.0 and a dead flag."""
+    rates, dead = [], []
+    for policy in PolicyId:
+        try:
+            rates.append(solve_policy(policy, chan, cfg).total_rate)
+            dead.append(False)
+        except NoUsablePairError:
+            rates.append(0.0)
+            dead.append(True)
+    return rates, dead
+
+
+TRIAL_CHANNELS = {
+    "zero-gains": ([0.0, 1.0, 0.0, 2.0], [1.0, 0.0, 0.0, 3.0]),
+    "dead": ([0.0, 0.0, 0.0, 0.0], [1.0, 2.0, 3.0, 4.0]),
+    "subnormal": ([1e-310, 5e-311, 1.0, 2.0], [1.0, 1.0, 5e-324, 1e-315]),
+    "all-subnormal": ([1e-310, 5e-311], [1.0, 1.0]),
+    "huge-incoming": ([1e300, 1.0, 0.5, 2.0], [1.0, 0.5, 0.25, 2.0]),
+    "huge-outgoing": ([1.0, 0.5, 0.25, 2.0], [1e300, 1.0, 0.5, 2.0]),
+    "ties": ([1.0, 1.0, 1.0, 1.0], [2.0, 2.0, 1.0, 1.0]),
+    "n1": ([0.3], [0.7]),
+    "n1-dead": ([0.0], [0.7]),
+    "n9": (list(np.geomspace(1e-3, 1e3, 9)), list(np.geomspace(5.0, 5e-3, 9))),
+}
+
+
+@pytest.mark.parametrize("p_max", [1e-6, 1000.0, 1e9])
+@pytest.mark.parametrize("name", sorted(TRIAL_CHANNELS))
+def test_trial_rates_match_solve_policy(name, p_max):
+    h_sq, g_sq = TRIAL_CHANNELS[name]
+    cfg = make_cfg(n_subcarriers=len(h_sq), taps=1, p_max=p_max)
+    chan = ChannelRealization(h_sq, g_sq)
+    rates, dead = _trial_rates(tuple(PolicyId), chan, cfg)
+    want_rates, want_dead = _one_at_a_time(chan, cfg)
+    assert rates.tobytes() == np.array(want_rates).tobytes()
+    assert dead.tolist() == want_dead
+
+
+def test_trial_rates_score_harvesting_disabled_as_dead():
+    cfg = make_cfg(eta=0.0)
+    chan = generate_channel(cfg, 4)
+    rates, dead = _trial_rates(tuple(PolicyId), chan, cfg)
+    assert dead.tolist() == [True, True, False, False, False]
+    assert rates.tolist()[:4] == [0.0] * 4 and rates[4] > 0.0
+
+
+_gain = st.one_of(
+    st.just(0.0),
+    st.just(1e-310),
+    st.floats(1e-12, 1e6),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(1, 20),
+    p_max=st.sampled_from([1e-6, 1.0, 1000.0, 1e9]),
+    eta=st.sampled_from([0.0, 0.05, 1.0]),
+)
+def test_trial_rates_match_solve_policy_on_random_channels(data, n, p_max, eta):
+    """Bit for bit, on either side of the 8 terms where a row sum turns
+    pairwise; incoming gains reach 1e300, where gamma*P overflows."""
+    h_sq = data.draw(st.lists(st.one_of(_gain, st.just(1e300)), min_size=n, max_size=n))
+    g_sq = data.draw(st.lists(_gain, min_size=n, max_size=n))
+    cfg = make_cfg(n_subcarriers=n, taps=1, p_max=p_max, eta=eta)
+    chan = ChannelRealization(h_sq, g_sq)
+    rates, dead = _trial_rates(tuple(PolicyId), chan, cfg)
+    want_rates, want_dead = _one_at_a_time(chan, cfg)
+    assert rates.tobytes() == np.array(want_rates).tobytes()
+    assert dead.tolist() == want_dead

@@ -271,6 +271,27 @@ def test_sweep_rejects_unknown_policy(cfg_path, capsys):
         assert name in err
 
 
+def test_sweep_rejects_repeated_policy(cfg_path, capsys):
+    code = main(
+        [
+            "sweep",
+            cfg_path,
+            "--variable",
+            "p_max_dbm",
+            "--values",
+            "10",
+            "--trials",
+            "1",
+            "--policies",
+            "proposed,proposed",
+        ]
+    )
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "must not repeat" in captured.err
+    assert captured.out == ""
+
+
 def test_sweep_rejects_bad_range(cfg_path, capsys):
     assert (
         main(

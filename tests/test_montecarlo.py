@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from swipt_relay import montecarlo
+from swipt_relay import baselines, montecarlo
 from swipt_relay.baselines import PolicyId
 from swipt_relay.channel import generate_channel
 from swipt_relay.allocator import solve
@@ -87,6 +87,39 @@ def test_run_trials_validates_inputs(default_cfg):
         run_trials(make_cfg(eta=5.0), ALL_POLICIES, trials=1, seed=1)
 
 
+def test_run_trials_checks_policies_before_any_trial(default_cfg, monkeypatch):
+    drawn = []
+    monkeypatch.setattr(montecarlo, "generate_channel", lambda *args: drawn.append(args))
+    with pytest.raises(ValueError, match="unhandled policy"):
+        run_trials(default_cfg, (PolicyId.PROPOSED, "proposed"), trials=3, seed=1)
+    assert drawn == []
+
+
+def test_run_trials_evaluates_a_repeated_policy_once(default_cfg, monkeypatch):
+    once = run_trials(default_cfg, (PolicyId.PROPOSED,), trials=4, seed=2)
+    calls = []
+    original = baselines.waterfill
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(baselines, "waterfill", counted)
+    twice = run_trials(default_cfg, (PolicyId.PROPOSED, PolicyId.PROPOSED), trials=4, seed=2)
+    assert len(calls) == 4
+    assert list(twice.rates) == [PolicyId.PROPOSED]
+    np.testing.assert_array_equal(twice.rates[PolicyId.PROPOSED], once.rates[PolicyId.PROPOSED])
+    assert twice.dead_trials == once.dead_trials
+
+
+def test_run_trials_rates_are_read_only(default_cfg):
+    batch = run_trials(default_cfg, ALL_POLICIES, trials=3, seed=1)
+    for rates in batch.rates.values():
+        assert not rates.flags.writeable
+        with pytest.raises(ValueError):
+            rates.setflags(write=True)
+
+
 def test_sweep_spec_validation():
     good = dict(
         variable="p_max_dbm", values=(10.0, 20.0), trials=2, seed=0, policies=(PolicyId.PROPOSED,)
@@ -107,6 +140,12 @@ def test_sweep_spec_validation():
         SweepSpec(**{**good, "variable": "bandwidth"})
     with pytest.raises(ValueError):
         SweepSpec(**{**good, "policies": ()})
+    # a repeated policy would write the same CSV row twice
+    with pytest.raises(ValueError, match="must not repeat"):
+        SweepSpec(**{**good, "policies": (PolicyId.PROPOSED, PolicyId.PROPOSED)})
+    # a policy name is not a policy; it would only fail at the first trial
+    with pytest.raises(ValueError, match="unhandled policy"):
+        SweepSpec(**{**good, "policies": ("proposed",)})
     for seed in (-1, 0.5, 3.0, True, np.float64(2.0)):
         with pytest.raises(ValueError, match="nonnegative integer"):
             SweepSpec(**{**good, "seed": seed})

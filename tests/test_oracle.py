@@ -212,6 +212,31 @@ def test_verify_underflowing_outgoing_gain_is_a_dead_pair():
     assert best_rate == pytest.approx(result.total_rate, rel=1e-12)
 
 
+def test_verify_certifies_all_to_strongest():
+    """Every live gamma lies below 2**-1024, so each 1/gamma overflows and no
+    water level is finite: the allocation puts the whole budget on the
+    strongest pair, and waterfill_kkt checks exactly that, with no warning
+    from an inf - inf."""
+    cfg = make_cfg(n_subcarriers=2, taps=2)
+    chan = ChannelRealization([1e-310, 5e-311], [1.0, 1.0])
+    result = solve(chan, cfg)
+    assert result.powers.tolist() == [cfg.p_max, 0.0]
+    report = verify(chan, cfg)
+    assert report.all_pass, report.to_json()
+    by_name = {check.check_name: check for check in report.checks}
+    assert by_name["waterfill_kkt"].residual == 0.0
+    from dataclasses import replace
+
+    # negative controls: the budget on the weaker pair, split over both, short
+    for powers in ([0.0, cfg.p_max], [cfg.p_max / 2, cfg.p_max / 2]):
+        wrong = replace(result, powers=np.array(powers))
+        assert not verify(chan, cfg, result=wrong).checks[3].passed
+    short = verify(chan, cfg, result=replace(result, powers=np.array([cfg.p_max / 2, 0.0])))
+    assert short.checks[3].check_name == "waterfill_kkt"
+    assert not short.checks[3].passed
+    assert short.checks[3].residual == cfg.p_max / 2
+
+
 def test_verify_one_hundred_seeded_channels(default_cfg):
     passed = sum(
         verify(generate_channel(default_cfg, seed), default_cfg).all_pass
