@@ -19,6 +19,7 @@ All functions are pure; concurrent use needs no coordination.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -61,15 +62,33 @@ class NoUsablePairError(ValueError):
 
 def rate_terms(h_sq: float, g_sq: float, rho_i: float, p_mw: float, cfg: SystemConfig) -> tuple[float, float]:
     """The two mutual-information terms of one pair, in bits/s/Hz (without
-    the 1/2 pre-log): decode at the relay, and forward on harvested power."""
+    the 1/2 pre-log): decode at the relay, and forward on harvested power.
+
+    Where a term's SNR overflows, log1p(SNR) equals the sum of the logs of
+    its factors to float precision, so that term is taken in that form
+    instead of inf.
+    """
+    h_sq, g_sq, rho_i, p_mw = float(h_sq), float(g_sq), float(rho_i), float(p_mw)
     if not 0.0 <= rho_i <= 1.0:
         raise ValueError("rho_i must lie in [0, 1]")
     if p_mw < 0.0:
         raise ValueError("power must be nonnegative")
     noise = cfg.noise
-    snr_decode = rho_i * h_sq * p_mw / (rho_i * noise.sigma_ra_sq + noise.sigma_rb_sq)
+    decode_noise = rho_i * noise.sigma_ra_sq + noise.sigma_rb_sq
+    snr_decode = rho_i * h_sq * p_mw / decode_noise
     snr_forward = cfg.eta * (1.0 - rho_i) * h_sq * g_sq * p_mw / noise.sigma_d_sq
-    return math.log1p(snr_decode) / _LN2, math.log1p(snr_forward) / _LN2
+    if snr_decode == math.inf:
+        log_decode = math.log(rho_i) + math.log(h_sq) + math.log(p_mw) - math.log(decode_noise)
+    else:
+        log_decode = math.log1p(snr_decode)
+    if snr_forward == math.inf:
+        log_forward = (
+            math.log(cfg.eta) + math.log1p(-rho_i) + math.log(h_sq) + math.log(g_sq)
+            + math.log(p_mw) - math.log(noise.sigma_d_sq)
+        )
+    else:
+        log_forward = math.log1p(snr_forward)
+    return log_decode / _LN2, log_forward / _LN2
 
 
 def sorted_pairing(h_sq, g_sq) -> SubcarrierPairing:
@@ -299,7 +318,7 @@ def _waterfill_array(gam: np.ndarray, p_max: float) -> np.ndarray:
     alloc = np.where(active, level - inv, 0.0)
     # pin the float sum exactly to the budget; the correction is O(ulp) and
     # lands on the largest allocation
-    alloc[int(np.argmax(alloc))] += budget - math.fsum(alloc)
+    alloc[int(np.argmax(alloc))] += budget - math.fsum(alloc.tolist())
     if scale != 1.0:
         alloc *= scale
     powers = np.zeros_like(gam)
@@ -307,15 +326,27 @@ def _waterfill_array(gam: np.ndarray, p_max: float) -> np.ndarray:
     return powers
 
 
-def _split_gains(channel: ChannelRealization, perm: np.ndarray, cfg: SystemConfig):
+def _split_gains(channel: ChannelRealization, perm: np.ndarray, cfg: SystemConfig, floats=None):
     """(rho_I, gamma) vectors of the pairs that forward subcarrier i over
-    ``perm[i]``."""
+    ``perm[i]``, one ``split_and_gain`` call per pair.
+
+    ``floats``, if given, is ``(channel.h_sq.tolist(),
+    channel.g_sq[perm].tolist())``, read once for several calls.
+    """
     # the split loop runs on Python floats: NumPy-scalar arithmetic is about
     # 3x slower and gives the same bits
-    h_list = channel.h_sq.tolist()
-    g_list = channel.g_sq[perm].tolist()
-    rho, gam = np.array([split_and_gain(h, g, cfg) for h, g in zip(h_list, g_list)]).T
-    return rho, gam
+    if floats is None:
+        floats = channel.h_sq.tolist(), channel.g_sq[perm].tolist()
+    pairs = [split_and_gain(h, g, cfg) for h, g in zip(*floats)]
+    # one flat buffer: about 2.5x faster than np.array on the list of tuples
+    return np.fromiter(itertools.chain.from_iterable(pairs), float, 2 * len(pairs)).reshape(-1, 2).T
+
+
+def _largest(values: np.ndarray) -> float:
+    """The largest element of a nonempty array, as a Python float."""
+    if values.size < _FLOAT_BODY_LIMIT:
+        return max(values.ravel().tolist())  # a third of ndarray.max()'s call cost
+    return float(values.max())
 
 
 def _pair_rates(gam: np.ndarray, powers: np.ndarray, p_max: float) -> np.ndarray:
@@ -327,11 +358,7 @@ def _pair_rates(gam: np.ndarray, powers: np.ndarray, p_max: float) -> np.ndarray
     No product can overflow while max(gamma) * p_max lies below
     ``_PRODUCT_LIMIT``, which one reduction decides.
     """
-    if gam.size < _FLOAT_BODY_LIMIT:
-        top = max(gam.ravel().tolist())  # a third of ndarray.max()'s call cost
-    else:
-        top = float(gam.max())
-    if top * p_max < _PRODUCT_LIMIT:
+    if _largest(gam) * p_max < _PRODUCT_LIMIT:
         return 0.5 * np.log1p(gam * powers) / _LN2
     with np.errstate(over="ignore"):
         snr = gam * powers

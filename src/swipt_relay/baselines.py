@@ -9,7 +9,9 @@ import functools
 import numpy as np
 
 from .allocator import (
+    _PRODUCT_LIMIT,
     NoUsablePairError,
+    _largest,
     _pair_rates,
     _result,
     _sorted_perm,
@@ -105,15 +107,33 @@ def conventional_hop_powers(channel: ChannelRealization, cfg: SystemConfig, resu
     return p_source, p_relay
 
 
-def _conventional_gains(channel: ChannelRealization, perm: np.ndarray, cfg: SystemConfig):
+def _conventional_gains(channel: ChannelRealization, perm: np.ndarray, cfg: SystemConfig, floats=None):
     """(rho_I, gamma) of the supplied-relay pairs that forward subcarrier i
-    over ``perm[i]``: no split (rho_I = 1) and gamma = a*b/(a+b)."""
+    over ``perm[i]``: no split (rho_I = 1) and gamma = a*b/(a+b). ``floats``
+    is the split rows' per-trial read, which this row does not use.
+
+    Where a*b overflows, gamma (below min(a, b)) is taken as
+    lo / (1 + lo/hi) with lo, hi the smaller and larger slope. No product
+    overflows while max(a) * max(b) lies below ``_PRODUCT_LIMIT``, which one
+    check decides.
+    """
     n = channel.n_subcarriers
     a, b = _conventional_slopes(channel, cfg)
+    overflow_free = _largest(a) * _largest(b) < _PRODUCT_LIMIT
     b = b[perm]
     gam = np.zeros(n)
     live = (a > 0.0) & (b > 0.0)
-    gam[live] = a[live] * b[live] / (a[live] + b[live])
+    a, b = a[live], b[live]
+    if overflow_free:
+        gam[live] = a * b / (a + b)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            product = a * b
+            live_gam = product / (a + b)
+        big = np.isinf(product)
+        lo, hi = np.minimum(a[big], b[big]), np.maximum(a[big], b[big])
+        live_gam[big] = lo / (1.0 + lo / hi)
+        gam[live] = live_gam
     return np.ones(n), gam
 
 
@@ -137,12 +157,12 @@ _RULES = {
 }
 
 
-def _allocate(policy: PolicyId, channel: ChannelRealization, perm: np.ndarray, cfg: SystemConfig):
-    """(rho_I, gamma, powers) of ``policy``'s row over the pairing ``perm``.
-    Raises :class:`NoUsablePairError` where the row water-fills a dead
-    channel."""
+def _allocate(policy: PolicyId, channel: ChannelRealization, perm: np.ndarray, cfg: SystemConfig, floats=None):
+    """(rho_I, gamma, powers) of ``policy``'s row over the pairing ``perm``,
+    with ``floats`` as :func:`allocator._split_gains` takes it. Raises
+    :class:`NoUsablePairError` where the row water-fills a dead channel."""
     _, gains, powers = _RULES[policy]
-    rho, gam = gains(channel, perm, cfg)
+    rho, gam = gains(channel, perm, cfg, floats)
     return rho, gam, powers(gam, cfg)
 
 
@@ -169,19 +189,28 @@ def _trial_rates(policies, channel: ChannelRealization, cfg: SystemConfig):
     boolean per policy that is set where it raised :class:`NoUsablePairError`;
     such a policy scores 0.0.
 
-    The sorted order is computed once and no per-policy result is built: the
-    rows' gains and powers fill one ``(P, N)`` table each and all P rates are
-    summed at once. A row sum adds its N terms in the order of a 1-D
-    ``ndarray.sum``, left to right below 8 terms and pairwise from 8 up.
+    The sorted order, and the pair gains in each order as Python floats, are
+    read once and no per-policy result is built: the rows' gains and powers
+    fill one ``(P, N)`` table each and all P rates are summed at once. A row
+    sum adds its N terms in the order of a 1-D ``ndarray.sum``, left to right
+    below 8 terms and pairwise from 8 up.
     """
     n = channel.n_subcarriers
-    perms = {True: _sorted_perm(channel.h_sq, channel.g_sq), False: _identity_pairing(n).perm}
+    h_list = channel.h_sq.tolist()
+    sorted_perm = _sorted_perm(channel.h_sq, channel.g_sq)
+    # per pairing rule: the permutation, and the arguments of the split
+    # rows' calls over it
+    pairings = {
+        True: (sorted_perm, (h_list, channel.g_sq[sorted_perm].tolist())),
+        False: (_identity_pairing(n).perm, (h_list, channel.g_sq.tolist())),
+    }
     gams = np.zeros((len(policies), n))
     powers = np.zeros((len(policies), n))
     dead = np.zeros(len(policies), dtype=bool)
     for row, policy in enumerate(policies):
+        perm, floats = pairings[_RULES[policy][0]]
         try:
-            _, gams[row], powers[row] = _allocate(policy, channel, perms[_RULES[policy][0]], cfg)
+            _, gams[row], powers[row] = _allocate(policy, channel, perm, cfg, floats)
         except NoUsablePairError:
             # the row keeps zero gains and powers, so it sums to exactly 0.0
             dead[row] = True

@@ -66,7 +66,9 @@ class NoiseProfile:
     ``sigma_ra_sq``/``sigma_rb_sq`` are the antenna and signal-processing
     noise at the relay; ``sigma_da_sq``/``sigma_db_sq`` the same at the
     destination. Only their sum matters at the destination, exposed as
-    ``sigma_d_sq``.
+    ``sigma_d_sq``: a plain attribute set once at construction, since every
+    per-pair split reads it, and not a field, so it takes no part in
+    ``repr``, ``==``, ``hash`` or :func:`config_to_dict`.
     """
 
     sigma_ra_sq: float
@@ -74,9 +76,13 @@ class NoiseProfile:
     sigma_da_sq: float
     sigma_db_sq: float
 
-    @property
-    def sigma_d_sq(self) -> float:
-        return self.sigma_da_sq + self.sigma_db_sq
+    def __post_init__(self):
+        try:
+            sigma_d_sq = self.sigma_da_sq + self.sigma_db_sq
+        except TypeError:
+            # a mistyped field; config_errors reports it by name
+            sigma_d_sq = math.nan
+        object.__setattr__(self, "sigma_d_sq", sigma_d_sq)
 
 
 @dataclass(frozen=True)

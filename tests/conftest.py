@@ -1,5 +1,6 @@
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from swipt_relay.model import dbm_to_mw, default_config
@@ -19,6 +20,21 @@ REF_RATE_10MW = 0.9335997298156259
 
 def make_cfg(**overrides):
     return replace(default_config(), **overrides)
+
+
+# gains at the edges of the float range: zero, the smallest subnormal, a
+# subnormal whose 1/gamma overflows, and one where gamma*P overflows
+EDGE_GAINS = (0.0, 5e-324, 1e-310, 1e300)
+
+
+def mixed_gains(seed: int, n: int) -> list[float]:
+    """``n`` gains from ``seed``: about a quarter drawn from ``EDGE_GAINS``,
+    the rest log-uniform over 1e-12..1e6. Drawing from one seed keeps wide
+    vectors cheap for Hypothesis."""
+    rng = np.random.default_rng(seed)
+    edge = rng.choice(EDGE_GAINS, size=n)
+    regular = 10.0 ** rng.uniform(-12.0, 6.0, size=n)
+    return np.where(rng.random(n) < 0.25, edge, regular).tolist()
 
 
 @pytest.fixture

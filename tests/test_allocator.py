@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from swipt_relay.allocator import (
     NoUsablePairError,
+    _sorted_perm,
+    _split_gains,
     _waterfill_array,
     _waterfill_floats,
     effective_gain,
@@ -23,7 +25,7 @@ from swipt_relay.channel import generate_channel
 from swipt_relay.model import ChannelRealization, NoiseProfile
 from swipt_relay.oracle import best_pairing_exhaustive, power_by_grid, rho_by_bisection
 
-from conftest import NOISE_1DBM, REF_GAIN, REF_GAMMA, REF_RATE_10MW, REF_RHO, make_cfg
+from conftest import NOISE_1DBM, REF_GAIN, REF_GAMMA, REF_RATE_10MW, REF_RHO, make_cfg, mixed_gains
 
 
 # --------------------------------------------------------------- rate_terms
@@ -286,6 +288,29 @@ def test_split_and_gain_caps_rho_at_one_below_direct_max():
             if rho == 1.0 and b <= 2.0**256:
                 capped[1.0 - b * s_ra + b * s_rb >= 0.0] += 1
     assert capped[True] > 0 and capped[False] > 0
+
+
+# ------------------------------------------------------------- split tables
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 256),
+    eta=st.sampled_from([0.0, 5e-324, 1.0]),
+)
+def test_split_table_matches_per_pair_calls(seed, n, eta):
+    """_split_gains, reading the gains itself or given them as Python floats
+    once per trial, equals one split_and_gain call per pair stacked by
+    np.array, byte for byte, over sorted and identity pairings."""
+    h, g = mixed_gains(seed, n), mixed_gains(seed + 1, n)
+    cfg = make_cfg(n_subcarriers=n, taps=1, eta=eta)
+    chan = ChannelRealization(h, g)
+    for perm in (_sorted_perm(chan.h_sq, chan.g_sq), np.arange(n)):
+        floats = chan.h_sq.tolist(), chan.g_sq[perm].tolist()
+        want = np.array([split_and_gain(hi, gi, cfg) for hi, gi in zip(*floats)]).T
+        for got in (_split_gains(chan, perm, cfg), _split_gains(chan, perm, cfg, floats)):
+            assert got.dtype == want.dtype and got.shape == want.shape == (2, n)
+            assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------- waterfill

@@ -19,7 +19,7 @@ from swipt_relay.baselines import (
 from swipt_relay.channel import generate_channel
 from swipt_relay.model import ChannelRealization, NoiseProfile
 
-from conftest import NOISE_1DBM, make_cfg
+from conftest import NOISE_1DBM, make_cfg, mixed_gains
 
 
 def test_policy_names_are_exact():
@@ -260,6 +260,33 @@ def test_overflowing_pair_rate_is_finite(policy):
     assert result.pair_rates[1 - big] == 0.5 * np.log1p(product[1 - big]) / math.log(2.0)
 
 
+@pytest.mark.parametrize(
+    "h_sq, g_sq",
+    [([1e301, 1.0], [1e10, 0.5]), ([1e10, 0.5], [1e301, 1.0])],
+    ids=["huge-incoming", "huge-outgoing"],
+)
+def test_conventional_rate_is_finite_where_slope_product_overflows(h_sq, g_sq):
+    """a*b passes the float range on the strongest pair although its gamma,
+    below min(a, b), does not: that gamma is taken as lo / (1 + lo/hi), and
+    the other pair keeps the bits of a*b/(a+b). RuntimeWarnings are errors
+    under the test suite's filter."""
+    cfg = make_cfg(n_subcarriers=2, taps=1)
+    chan = ChannelRealization(h_sq, g_sq)
+    result = solve_conventional(chan, cfg)
+    assert math.isfinite(result.total_rate) and result.total_rate >= 0.0
+    assert np.isfinite(result.pair_rates).all() and (result.pair_rates >= 0.0).all()
+    a = chan.h_sq / cfg.noise.sigma_ra_sq
+    b = chan.g_sq[result.pairing.perm] / cfg.noise.sigma_d_sq
+    gam = _conventional_gains(chan, result.pairing.perm, cfg)[1]
+    lo, hi = min(a[0], b[0]), max(a[0], b[0])
+    assert gam[0] == lo / (1.0 + lo / hi)
+    assert gam[0] == pytest.approx(lo, rel=1e-12)
+    assert gam[1] == a[1] * b[1] / (a[1] + b[1])
+    rates, dead = _trial_rates(tuple(PolicyId), chan, cfg)
+    assert np.isfinite(rates).all() and (rates >= 0.0).all() and not dead.any()
+    assert rates[-1] == result.total_rate
+
+
 # ------------------------------------------------------- one-pass trial
 
 
@@ -283,6 +310,9 @@ TRIAL_CHANNELS = {
     "all-subnormal": ([1e-310, 5e-311], [1.0, 1.0]),
     "huge-incoming": ([1e300, 1.0, 0.5, 2.0], [1.0, 0.5, 0.25, 2.0]),
     "huge-outgoing": ([1.0, 0.5, 0.25, 2.0], [1e300, 1.0, 0.5, 2.0]),
+    # the supplied relay's a*b overflows on the strongest pair
+    "conventional-overflow": ([1e301, 1.0], [1e10, 0.5]),
+    "conventional-overflow-outgoing": ([1e10, 0.5], [1e301, 1.0]),
     "ties": ([1.0, 1.0, 1.0, 1.0], [2.0, 2.0, 1.0, 1.0]),
     "n1": ([0.3], [0.7]),
     "n1-dead": ([0.0], [0.7]),
@@ -308,6 +338,25 @@ def test_trial_rates_score_harvesting_disabled_as_dead():
     rates, dead = _trial_rates(tuple(PolicyId), chan, cfg)
     assert dead.tolist() == [True, True, False, False, False]
     assert rates.tolist()[:4] == [0.0] * 4 and rates[4] > 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 256),
+    eta=st.sampled_from([0.0, 5e-324, 1.0]),
+)
+def test_trial_rates_match_solve_policy_at_any_width(seed, n, eta):
+    """The one-pass trial, which reads the pair gains as Python floats once
+    for its four split rows, scores every policy with the bits of
+    solve_policy, which reads them per call, up to N=256."""
+    h_sq, g_sq = mixed_gains(seed, n), mixed_gains(seed + 1, n)
+    cfg = make_cfg(n_subcarriers=n, taps=1, p_max=1000.0, eta=eta)
+    chan = ChannelRealization(h_sq, g_sq)
+    rates, dead = _trial_rates(tuple(PolicyId), chan, cfg)
+    want_rates, want_dead = _one_at_a_time(chan, cfg)
+    assert rates.tobytes() == np.array(want_rates).tobytes()
+    assert dead.tolist() == want_dead
 
 
 _gain = st.one_of(

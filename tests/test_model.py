@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import json
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -156,6 +159,40 @@ def test_path_loss_times_taps_overflow_reported():
 def test_noise_profile_destination_total_is_exact_sum(da, db):
     noise = NoiseProfile(1.0, 1.0, da, db)
     assert noise.sigma_d_sq == da + db
+
+
+@given(st.floats(1e-300, 1e300), st.floats(1e-300, 1e300))
+def test_noise_profile_destination_total_is_set_once_and_kept(da, db):
+    """``sigma_d_sq`` is the field sum, bit for bit, through replace, copy
+    and pickle; it is read-only and not a field."""
+    noise = NoiseProfile(1.0, 2.0, da, db)
+    want = da + db
+    assert noise.sigma_d_sq.hex() == want.hex()
+    for again in (copy.copy(noise), copy.deepcopy(noise), pickle.loads(pickle.dumps(noise))):
+        assert again == noise and again.sigma_d_sq.hex() == want.hex()
+    changed = replace(noise, sigma_db_sq=2.0 * db)
+    assert changed.sigma_d_sq == da + 2.0 * db
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        noise.sigma_d_sq = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del noise.sigma_d_sq
+    assert noise.sigma_d_sq.hex() == want.hex()
+
+
+def test_noise_profile_destination_total_is_not_a_field():
+    noise = default_config().noise
+    assert [f.name for f in dataclasses.fields(noise)] == [
+        "sigma_ra_sq", "sigma_rb_sq", "sigma_da_sq", "sigma_db_sq",
+    ]
+    assert "sigma_d_sq" not in repr(noise)
+    assert "sigma_d_sq" not in json.dumps(config_to_dict(default_config()))
+    assert hash(noise) == hash(NoiseProfile(*dataclasses.astuple(noise)))
+
+
+def test_noise_profile_with_a_mistyped_field_is_reported_not_raised():
+    cfg = make_cfg(noise=NoiseProfile(1.0, 1.0, None, 1.0))
+    assert math.isnan(cfg.noise.sigma_d_sq)
+    assert config_errors(cfg) == ["noise.sigma_da_sq must be a positive, finite number"]
 
 
 def test_config_json_round_trip():

@@ -9,6 +9,7 @@ from swipt_relay.allocator import effective_gain, solve, split_and_gain, waterfi
 from swipt_relay.channel import generate_channel
 from swipt_relay.model import ChannelRealization, NoiseProfile
 from swipt_relay.oracle import (
+    CheckResult,
     VerificationReport,
     _permutations,
     best_pairing_exhaustive,
@@ -385,21 +386,28 @@ def test_exhaustive_rate_is_finite_where_gain_times_power_overflows():
     assert 510.0 < rate < 514.0
 
 
-def test_verify_does_not_certify_overflowing_rates():
-    """On that channel the equal-rate terms overflow too, so their gap is
-    inf - inf: the NaN residual fails its check instead of reading as 0."""
+def test_verify_certifies_overflowing_rates():
+    """On that channel both equal-rate terms overflow too; each is taken in
+    log form, so their gap is finite and the channel is certified."""
     cfg = make_cfg(n_subcarriers=1, taps=1, p_max=1e9)
     chan = ChannelRealization([1e300], [1.0])
-    with np.errstate(over="ignore"):
-        report = verify(chan, cfg)
+    report = verify(chan, cfg)
     by_name = {check.check_name: check for check in report.checks}
-    assert math.isnan(by_name["equal_rate"].residual)
-    assert not by_name["equal_rate"].passed
-    assert by_name["pairing_optimality"].passed
-    assert not report.all_pass
-    merged = VerificationReport.merge([verify(ChannelRealization([1.0], [1.0]), cfg), report])
-    assert math.isnan({c.check_name: c for c in merged.checks}["equal_rate"].residual)
-    assert not merged.all_pass
+    assert by_name["equal_rate"].passed
+    assert 0.0 <= by_name["equal_rate"].residual <= 1e-15
+    assert report.all_pass
+
+
+def test_merged_report_keeps_a_nan_residual():
+    """A NaN residual (say from inf - inf) survives a merge and fails it,
+    wherever it comes in the list."""
+    cfg = make_cfg(n_subcarriers=1, taps=1, p_max=1e9)
+    undefined = VerificationReport((CheckResult("equal_rate", False, math.nan, 1e-9),))
+    certified = verify(ChannelRealization([1.0], [1.0]), cfg)
+    for reports in ([certified, undefined], [undefined, certified]):
+        merged = VerificationReport.merge(reports)
+        assert math.isnan({c.check_name: c for c in merged.checks}["equal_rate"].residual)
+        assert not merged.all_pass
 
 
 def test_verify_rejects_an_infinite_claimed_rate(default_cfg):
