@@ -2,14 +2,15 @@
 """Compare two revisions on the benchmark in alternating pairs of runs.
 
     python3 scripts/bench_pairs.py [--base REV] [--head REV] [--pairs N]
-                                   [--seconds S] [--seed S0] [--workload W ...]
 
 Both revisions are extracted with ``git archive REV | tar -x`` into a
 temporary directory, so each run sees only committed files. For every
-workload, pair i runs ``perfbench/run.py --workload W --seed S0+i --seconds S
---trace 0`` once from each tree; the base tree goes first in even pairs and
-the head tree in odd ones, so a drift in machine speed favours neither side.
-The last JSON line of each run is parsed.
+workload of BENCHMARK.json, pair i runs ``perfbench/run.py --workload W
+--seed 71+i --seconds S --trace 0`` once from each tree, S being the
+benchmark's ``run_seconds``; the base tree goes first in even pairs and the
+head tree in odd ones, so a drift in machine speed favours neither side.
+The last JSON line of each run is parsed; a run that prints none or
+outlives its timeout counts as a crash.
 
 The summary goes to ``BENCH_<short head sha>.json`` at the repository root:
 per workload and end-to-end metric, each side's median and quartiles, the
@@ -31,6 +32,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 RUN_TIMEOUT_S = 600
+SEED_BASE = 71
 
 
 def git(*args: str) -> str:
@@ -41,23 +43,30 @@ def extract(rev: str, dest: Path) -> None:
     """Write the files of ``rev`` under ``dest``: ``git archive REV | tar -x``."""
     dest.mkdir(parents=True)
     archive = subprocess.Popen(["git", "archive", rev], cwd=ROOT, stdout=subprocess.PIPE)
-    subprocess.run(["tar", "-x", "-C", str(dest)], stdin=archive.stdout, check=True)
-    archive.stdout.close()
-    if archive.wait() != 0:
+    try:
+        subprocess.run(["tar", "-x", "-C", str(dest)], stdin=archive.stdout, check=True)
+    finally:
+        archive.stdout.close()
+        status = archive.wait()
+    if status != 0:
         raise SystemExit(f"git archive {rev} failed")
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One untraced benchmark run: its last JSON line, or a record of the
-    crash when it printed none."""
+    crash when it printed none or outlived ``RUN_TIMEOUT_S``."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
                "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(command, cwd=tree, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
-    for line in reversed(proc.stdout.splitlines()):
-        if line.startswith("{"):
-            return json.loads(line)
-    return {"correct": False, "attempted": 0, "failed": None, "metrics": {},
-            "error": f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}"}
+    try:
+        proc = subprocess.run(command, cwd=tree, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        error = f"timed out after {RUN_TIMEOUT_S} s"
+    else:
+        for line in reversed(proc.stdout.splitlines()):
+            if line.startswith("{"):
+                return json.loads(line)
+        error = f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}"
+    return {"correct": False, "attempted": 0, "failed": None, "metrics": {}, "error": error}
 
 
 def quartiles(values: list[float]) -> dict:
@@ -105,14 +114,11 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> dict:
 
 def main() -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    names = [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--base", default="HEAD~1", help="base revision (default: HEAD~1)")
     parser.add_argument("--head", default="HEAD", help="head revision (default: HEAD)")
     parser.add_argument("--pairs", type=int, default=10, help="pairs of runs per workload (default: 10)")
-    parser.add_argument("--seconds", type=float, default=spec.get("run_seconds", 10), help="measured time per run")
-    parser.add_argument("--seed", type=int, default=71, help="seed of the first pair (default: 71)")
-    parser.add_argument("--workload", action="append", choices=names, help="workload to run (default: all)")
     args = parser.parse_args()
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -122,8 +128,8 @@ def main() -> int:
     report = {
         "revisions": sides,
         "pairs": args.pairs,
-        "seconds": args.seconds,
-        "seeds": [args.seed + i for i in range(args.pairs)],
+        "seconds": seconds,
+        "seeds": [SEED_BASE + i for i in range(args.pairs)],
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(), "python": platform.python_version()},
         "workloads": {},
     }
@@ -131,11 +137,11 @@ def main() -> int:
         trees = {side: Path(tmp) / side for side in sides}
         for side, sha in sides.items():
             extract(sha, trees[side])
-        for workload in args.workload or names:
+        for workload in (w["name"] for w in spec["workloads"]):
             pairs = []
             for i, seed in enumerate(report["seeds"]):
                 order = ("base", "head") if i % 2 == 0 else ("head", "base")
-                runs = {side: run_once(trees[side], workload, seed, args.seconds) for side in order}
+                runs = {side: run_once(trees[side], workload, seed, seconds) for side in order}
                 pairs.append((runs["base"], runs["head"]))
                 tps = [runs[side]["metrics"].get("trials_per_s", {}).get("value") for side in ("base", "head")]
                 print(f"{workload} seed {seed}: trials_per_s base {tps[0]} head {tps[1]}", flush=True)

@@ -326,18 +326,14 @@ def _waterfill_array(gam: np.ndarray, p_max: float) -> np.ndarray:
     return powers
 
 
-def _split_gains(channel: ChannelRealization, perm: np.ndarray, cfg: SystemConfig, floats=None):
+def _split_gains(channel: ChannelRealization, perm: np.ndarray, cfg: SystemConfig):
     """(rho_I, gamma) vectors of the pairs that forward subcarrier i over
-    ``perm[i]``, one ``split_and_gain`` call per pair.
-
-    ``floats``, if given, is ``(channel.h_sq.tolist(),
-    channel.g_sq[perm].tolist())``, read once for several calls.
-    """
+    ``perm[i]``, one ``split_and_gain`` call per pair."""
     # the split loop runs on Python floats: NumPy-scalar arithmetic is about
     # 3x slower and gives the same bits
-    if floats is None:
-        floats = channel.h_sq.tolist(), channel.g_sq[perm].tolist()
-    pairs = [split_and_gain(h, g, cfg) for h, g in zip(*floats)]
+    h_list = channel.h_sq.tolist()
+    g_list = channel.g_sq[perm].tolist()
+    pairs = [split_and_gain(h, g, cfg) for h, g in zip(h_list, g_list)]
     # one flat buffer: about 2.5x faster than np.array on the list of tuples
     return np.fromiter(itertools.chain.from_iterable(pairs), float, 2 * len(pairs)).reshape(-1, 2).T
 

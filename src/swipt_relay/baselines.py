@@ -97,20 +97,30 @@ def solve_conventional(channel: ChannelRealization, cfg: SystemConfig) -> Alloca
 
 def conventional_hop_powers(channel: ChannelRealization, cfg: SystemConfig, result: AllocationResult):
     """Split the pooled pair powers of a conventional allocation back into
-    (source, relay) components, per incoming subcarrier."""
+    (source, relay) components, per incoming subcarrier.
+
+    The source takes P*b/(a+b) of a pair's power P; where P*b or a+b
+    overflows it takes P / (1 + a/b) instead.
+    """
     a, b = _conventional_slopes(channel, cfg)
     b = b[result.pairing.perm]
-    total = a + b
     live = (a > 0.0) & (b > 0.0)
-    p_source = np.where(live, result.powers * np.where(live, b, 1.0) / np.where(live, total, 1.0), 0.0)
-    p_relay = np.where(live, result.powers - p_source, 0.0)
+    a, b, powers = a[live], b[live], result.powers[live]
+    with np.errstate(over="ignore", invalid="ignore"):
+        product, total = powers * b, a + b
+        share = product / total
+    big = ~np.isfinite(product) | np.isinf(total)
+    share[big] = powers[big] / (1.0 + a[big] / b[big])
+    p_source = np.zeros(channel.n_subcarriers)
+    p_relay = np.zeros(channel.n_subcarriers)
+    p_source[live] = share
+    p_relay[live] = powers - share
     return p_source, p_relay
 
 
-def _conventional_gains(channel: ChannelRealization, perm: np.ndarray, cfg: SystemConfig, floats=None):
+def _conventional_gains(channel: ChannelRealization, perm: np.ndarray, cfg: SystemConfig):
     """(rho_I, gamma) of the supplied-relay pairs that forward subcarrier i
-    over ``perm[i]``: no split (rho_I = 1) and gamma = a*b/(a+b). ``floats``
-    is the split rows' per-trial read, which this row does not use.
+    over ``perm[i]``: no split (rho_I = 1) and gamma = a*b/(a+b).
 
     Where a*b overflows, gamma (below min(a, b)) is taken as
     lo / (1 + lo/hi) with lo, hi the smaller and larger slope. No product
@@ -157,12 +167,12 @@ _RULES = {
 }
 
 
-def _allocate(policy: PolicyId, channel: ChannelRealization, perm: np.ndarray, cfg: SystemConfig, floats=None):
-    """(rho_I, gamma, powers) of ``policy``'s row over the pairing ``perm``,
-    with ``floats`` as :func:`allocator._split_gains` takes it. Raises
-    :class:`NoUsablePairError` where the row water-fills a dead channel."""
+def _allocate(policy: PolicyId, channel: ChannelRealization, perm: np.ndarray, cfg: SystemConfig):
+    """(rho_I, gamma, powers) of ``policy``'s row over the pairing ``perm``.
+    Raises :class:`NoUsablePairError` where the row water-fills a dead
+    channel."""
     _, gains, powers = _RULES[policy]
-    rho, gam = gains(channel, perm, cfg, floats)
+    rho, gam = gains(channel, perm, cfg)
     return rho, gam, powers(gam, cfg)
 
 
@@ -189,28 +199,19 @@ def _trial_rates(policies, channel: ChannelRealization, cfg: SystemConfig):
     boolean per policy that is set where it raised :class:`NoUsablePairError`;
     such a policy scores 0.0.
 
-    The sorted order, and the pair gains in each order as Python floats, are
-    read once and no per-policy result is built: the rows' gains and powers
-    fill one ``(P, N)`` table each and all P rates are summed at once. A row
-    sum adds its N terms in the order of a 1-D ``ndarray.sum``, left to right
-    below 8 terms and pairwise from 8 up.
+    The sorted order is computed once and no per-policy result is built: the
+    rows' gains and powers fill one ``(P, N)`` table each and all P rates are
+    summed at once. A row sum adds its N terms in the order of a 1-D
+    ``ndarray.sum``, left to right below 8 terms and pairwise from 8 up.
     """
     n = channel.n_subcarriers
-    h_list = channel.h_sq.tolist()
-    sorted_perm = _sorted_perm(channel.h_sq, channel.g_sq)
-    # per pairing rule: the permutation, and the arguments of the split
-    # rows' calls over it
-    pairings = {
-        True: (sorted_perm, (h_list, channel.g_sq[sorted_perm].tolist())),
-        False: (_identity_pairing(n).perm, (h_list, channel.g_sq.tolist())),
-    }
+    perms = {True: _sorted_perm(channel.h_sq, channel.g_sq), False: _identity_pairing(n).perm}
     gams = np.zeros((len(policies), n))
     powers = np.zeros((len(policies), n))
     dead = np.zeros(len(policies), dtype=bool)
     for row, policy in enumerate(policies):
-        perm, floats = pairings[_RULES[policy][0]]
         try:
-            _, gams[row], powers[row] = _allocate(policy, channel, perm, cfg, floats)
+            _, gams[row], powers[row] = _allocate(policy, channel, perms[_RULES[policy][0]], cfg)
         except NoUsablePairError:
             # the row keeps zero gains and powers, so it sums to exactly 0.0
             dead[row] = True

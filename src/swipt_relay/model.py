@@ -80,8 +80,9 @@ class NoiseProfile:
         try:
             sigma_d_sq = self.sigma_da_sq + self.sigma_db_sq
         except TypeError:
-            # a mistyped field; config_errors reports it by name
-            sigma_d_sq = math.nan
+            # a mistyped field: config_errors reports it by name, and any
+            # arithmetic on None raises TypeError, as the sum did
+            sigma_d_sq = None
         object.__setattr__(self, "sigma_d_sq", sigma_d_sq)
 
 

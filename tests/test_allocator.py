@@ -299,18 +299,17 @@ def test_split_and_gain_caps_rho_at_one_below_direct_max():
     eta=st.sampled_from([0.0, 5e-324, 1.0]),
 )
 def test_split_table_matches_per_pair_calls(seed, n, eta):
-    """_split_gains, reading the gains itself or given them as Python floats
-    once per trial, equals one split_and_gain call per pair stacked by
+    """_split_gains equals one split_and_gain call per pair stacked by
     np.array, byte for byte, over sorted and identity pairings."""
     h, g = mixed_gains(seed, n), mixed_gains(seed + 1, n)
     cfg = make_cfg(n_subcarriers=n, taps=1, eta=eta)
     chan = ChannelRealization(h, g)
     for perm in (_sorted_perm(chan.h_sq, chan.g_sq), np.arange(n)):
-        floats = chan.h_sq.tolist(), chan.g_sq[perm].tolist()
-        want = np.array([split_and_gain(hi, gi, cfg) for hi, gi in zip(*floats)]).T
-        for got in (_split_gains(chan, perm, cfg), _split_gains(chan, perm, cfg, floats)):
-            assert got.dtype == want.dtype and got.shape == want.shape == (2, n)
-            assert got.tobytes() == want.tobytes()
+        pairs = zip(chan.h_sq.tolist(), chan.g_sq[perm].tolist())
+        want = np.array([split_and_gain(hi, gi, cfg) for hi, gi in pairs]).T
+        got = _split_gains(chan, perm, cfg)
+        assert got.dtype == want.dtype and got.shape == want.shape == (2, n)
+        assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------- waterfill

@@ -287,6 +287,28 @@ def test_conventional_rate_is_finite_where_slope_product_overflows(h_sq, g_sq):
     assert rates[-1] == result.total_rate
 
 
+@pytest.mark.parametrize(
+    "h_sq, g_sq",
+    [([1e301, 1.0], [1e10, 0.5]), ([1e10, 0.5], [1e301, 1.0])],
+    ids=["huge-incoming", "huge-outgoing"],
+)
+def test_conventional_hop_powers_are_finite_where_power_product_overflows(h_sq, g_sq):
+    """On a huge outgoing slope b, P*b passes the float range although the
+    source's share P*b/(a+b) is at most P: that share is taken as
+    P / (1 + a/b), and the other pair keeps the bits of P*b/(a+b)."""
+    cfg = make_cfg(n_subcarriers=2, taps=1, p_max=1e9)
+    chan = ChannelRealization(h_sq, g_sq)
+    result = solve_conventional(chan, cfg)
+    p_source, p_relay = conventional_hop_powers(chan, cfg, result)
+    assert np.isfinite(p_source).all() and np.isfinite(p_relay).all()
+    assert (p_source >= 0.0).all() and (p_relay >= 0.0).all()
+    np.testing.assert_array_equal(p_relay, result.powers - p_source)
+    a = chan.h_sq / cfg.noise.sigma_ra_sq
+    b = chan.g_sq[result.pairing.perm] / cfg.noise.sigma_d_sq
+    assert p_source[0] == result.powers[0] / (1.0 + a[0] / b[0])
+    assert p_source[1] == result.powers[1] * b[1] / (a[1] + b[1])
+
+
 # ------------------------------------------------------- one-pass trial
 
 
@@ -347,9 +369,8 @@ def test_trial_rates_score_harvesting_disabled_as_dead():
     eta=st.sampled_from([0.0, 5e-324, 1.0]),
 )
 def test_trial_rates_match_solve_policy_at_any_width(seed, n, eta):
-    """The one-pass trial, which reads the pair gains as Python floats once
-    for its four split rows, scores every policy with the bits of
-    solve_policy, which reads them per call, up to N=256."""
+    """The one-pass trial scores every policy with the bits of solve_policy
+    on wide gain vectors, up to N=256."""
     h_sq, g_sq = mixed_gains(seed, n), mixed_gains(seed + 1, n)
     cfg = make_cfg(n_subcarriers=n, taps=1, p_max=1000.0, eta=eta)
     chan = ChannelRealization(h_sq, g_sq)

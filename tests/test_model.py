@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from swipt_relay.baselines import PolicyId, solve_policy
 from swipt_relay.channel import generate_channel
 from swipt_relay.model import (
     ChannelRealization,
@@ -189,10 +190,16 @@ def test_noise_profile_destination_total_is_not_a_field():
     assert hash(noise) == hash(NoiseProfile(*dataclasses.astuple(noise)))
 
 
-def test_noise_profile_with_a_mistyped_field_is_reported_not_raised():
+def test_noise_profile_with_a_mistyped_field_is_reported_then_fails_on_use():
+    """config_errors names the field; a solve that skips validation raises
+    TypeError, as the destination sum itself would, rather than computing
+    with a made-up noise power."""
     cfg = make_cfg(noise=NoiseProfile(1.0, 1.0, None, 1.0))
-    assert math.isnan(cfg.noise.sigma_d_sq)
     assert config_errors(cfg) == ["noise.sigma_da_sq must be a positive, finite number"]
+    chan = ChannelRealization([1.0, 0.5, 0.25, 2.0], [0.3, 0.7, 1.5, 0.1])
+    for policy in PolicyId:
+        with pytest.raises(TypeError):
+            solve_policy(policy, chan, cfg)
 
 
 def test_config_json_round_trip():
