@@ -19,6 +19,7 @@ All functions are pure; concurrent use needs no coordination.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -71,7 +72,7 @@ def rate_terms(h_sq: float, g_sq: float, rho_i: float, p_mw: float, cfg: SystemC
     h_sq, g_sq, rho_i, p_mw = float(h_sq), float(g_sq), float(rho_i), float(p_mw)
     if not 0.0 <= rho_i <= 1.0:
         raise ValueError("rho_i must lie in [0, 1]")
-    if p_mw < 0.0:
+    if not p_mw >= 0.0:
         raise ValueError("power must be nonnegative")
     noise = cfg.noise
     decode_noise = rho_i * noise.sigma_ra_sq + noise.sigma_rb_sq
@@ -111,6 +112,12 @@ def _sorted_perm(h: np.ndarray, g: np.ndarray) -> np.ndarray:
     perm = np.empty(h.size, dtype=np.int64)
     perm[order_h] = order_g
     return perm
+
+
+@functools.lru_cache(maxsize=16)
+def _identity_pairing(n: int) -> SubcarrierPairing:
+    # immutable, so one checked instance per N is shared by every result
+    return SubcarrierPairing(np.arange(n, dtype=np.int64))
 
 
 def effective_gain(h_sq: float, rho_i: float, cfg: SystemConfig) -> float:
@@ -326,6 +333,11 @@ def _waterfill_array(gam: np.ndarray, p_max: float) -> np.ndarray:
     return powers
 
 
+def _water_filled(gam: np.ndarray, cfg: SystemConfig) -> np.ndarray:
+    # this module's ``waterfill`` binding, looked up at call time
+    return waterfill(gam, cfg.p_max)
+
+
 def _split_gains(channel: ChannelRealization, perm: np.ndarray, cfg: SystemConfig):
     """(rho_I, gamma) vectors of the pairs that forward subcarrier i over
     ``perm[i]``, one ``split_and_gain`` call per pair."""
@@ -380,16 +392,39 @@ def _result(
     )
 
 
+def _check_width(n: int, cfg: SystemConfig, what: str = "channel") -> None:
+    """Raise ``ValueError`` unless ``what`` spans ``cfg.n_subcarriers``
+    subcarriers."""
+    if n != cfg.n_subcarriers:
+        raise ValueError(f"{what} has {n} subcarriers, config expects {cfg.n_subcarriers}")
+
+
+def _run_row(row, channel: ChannelRealization, cfg: SystemConfig) -> AllocationResult:
+    """The result of one policy row on one realization. A row is three rules:
+    sorted (else identity) pairing, the (rho_I, gamma) of the pairs for a
+    given permutation, and the powers on them.
+
+    Raises ``ValueError`` when the channel's width is not the config's, and
+    :class:`NoUsablePairError` where the row water-fills a dead channel.
+    """
+    use_sorted, gains, power_rule = row
+    _check_width(channel.n_subcarriers, cfg)
+    if use_sorted:
+        pairing = sorted_pairing(channel.h_sq, channel.g_sq)
+    else:
+        pairing = _identity_pairing(channel.n_subcarriers)
+    rho, gam = gains(channel, pairing.perm, cfg)
+    return _result(pairing, rho, gam, power_rule(gam, cfg), cfg.p_max)
+
+
+# the three-step policy of this module as a row
+_PROPOSED_ROW = (True, _split_gains, _water_filled)
+
+
 def solve(channel: ChannelRealization, cfg: SystemConfig) -> AllocationResult:
     """Run the full three-step policy on one realization.
 
-    Raises :class:`NoUsablePairError` when the whole channel is dead.
+    Raises :class:`NoUsablePairError` when the whole channel is dead, and
+    ``ValueError`` when its width is not ``cfg.n_subcarriers``.
     """
-    n = cfg.n_subcarriers
-    if channel.n_subcarriers != n:
-        raise ValueError(
-            f"channel has {channel.n_subcarriers} subcarriers, config expects {n}"
-        )
-    pairing = sorted_pairing(channel.h_sq, channel.g_sq)
-    rho, gam = _split_gains(channel, pairing.perm, cfg)
-    return _result(pairing, rho, gam, waterfill(gam, cfg.p_max), cfg.p_max)
+    return _run_row(_PROPOSED_ROW, channel, cfg)

@@ -4,25 +4,24 @@ and a conventional relay with its own power supply."""
 from __future__ import annotations
 
 import enum
-import functools
 
 import numpy as np
 
 from .allocator import (
     _PRODUCT_LIMIT,
+    _PROPOSED_ROW,
     NoUsablePairError,
+    _identity_pairing,
     _largest,
     _pair_rates,
-    _result,
+    _run_row,
     _sorted_perm,
     _split_gains,
-    solve,
-    sorted_pairing,
-    waterfill,
+    _water_filled,
 )
-# not called here, but perfbench/spans.py BINDINGS looks it up by this name
-from .allocator import split_and_gain  # noqa: F401
-from .model import AllocationResult, ChannelRealization, SubcarrierPairing, SystemConfig
+# not called here, but perfbench/spans.py BINDINGS looks them up by these names
+from .allocator import solve, sorted_pairing, split_and_gain, waterfill  # noqa: F401
+from .model import AllocationResult, ChannelRealization, SystemConfig
 
 __all__ = [
     "PolicyId",
@@ -52,16 +51,10 @@ class PolicyId(enum.Enum):
         raise ValueError(f"unknown policy '{name}'; valid policies: {valid}")
 
 
-@functools.lru_cache(maxsize=16)
-def _identity_pairing(n: int) -> SubcarrierPairing:
-    # immutable, so one checked instance per N is shared by every result
-    return SubcarrierPairing(np.arange(n, dtype=np.int64))
-
-
 def solve_opa_no_pairing(channel: ChannelRealization, cfg: SystemConfig) -> AllocationResult:
     """Water-filled power over identity pairing (subcarrier i forwards on i),
     with the equal-rate split still applied per pair."""
-    return _solve_row(PolicyId.OPA_NO_PAIRING, channel, cfg)
+    return solve_policy(PolicyId.OPA_NO_PAIRING, channel, cfg)
 
 
 def solve_uniform(channel: ChannelRealization, cfg: SystemConfig, use_pairing: bool) -> AllocationResult:
@@ -69,7 +62,7 @@ def solve_uniform(channel: ChannelRealization, cfg: SystemConfig, use_pairing: b
     flag; the equal-rate split is still applied per pair. Never raises: a
     dead channel simply carries zero rate."""
     policy = PolicyId.UNIFORM_WITH_PAIRING if use_pairing else PolicyId.UNIFORM_NO_PAIRING
-    return _solve_row(policy, channel, cfg)
+    return solve_policy(policy, channel, cfg)
 
 
 def _conventional_slopes(channel: ChannelRealization, cfg: SystemConfig):
@@ -92,7 +85,7 @@ def solve_conventional(channel: ChannelRealization, cfg: SystemConfig) -> Alloca
     reports the combined source+relay power per pair and ``rho_i`` is fixed
     at 1.
     """
-    return _solve_row(PolicyId.CONVENTIONAL_NON_EH, channel, cfg)
+    return solve_policy(PolicyId.CONVENTIONAL_NON_EH, channel, cfg)
 
 
 def conventional_hop_powers(channel: ChannelRealization, cfg: SystemConfig, result: AllocationResult):
@@ -147,19 +140,13 @@ def _conventional_gains(channel: ChannelRealization, perm: np.ndarray, cfg: Syst
     return np.ones(n), gam
 
 
-def _water_filled(gam: np.ndarray, cfg: SystemConfig) -> np.ndarray:
-    # this module's ``waterfill`` binding, looked up at call time
-    return waterfill(gam, cfg.p_max)
-
-
 def _uniform_powers(gam: np.ndarray, cfg: SystemConfig) -> np.ndarray:
     return np.full(gam.size, cfg.p_max / gam.size)
 
 
-# every policy as a row of three rules: sorted (else identity) pairing, the
-# (rho_I, gamma) of the pairs for a given permutation, and the powers on them
+# every policy as a row of the three rules ``allocator._run_row`` executes
 _RULES = {
-    PolicyId.PROPOSED: (True, _split_gains, _water_filled),
+    PolicyId.PROPOSED: _PROPOSED_ROW,
     PolicyId.OPA_NO_PAIRING: (False, _split_gains, _water_filled),
     PolicyId.UNIFORM_WITH_PAIRING: (True, _split_gains, _uniform_powers),
     PolicyId.UNIFORM_NO_PAIRING: (False, _split_gains, _uniform_powers),
@@ -167,30 +154,11 @@ _RULES = {
 }
 
 
-def _allocate(policy: PolicyId, channel: ChannelRealization, perm: np.ndarray, cfg: SystemConfig):
-    """(rho_I, gamma, powers) of ``policy``'s row over the pairing ``perm``.
-    Raises :class:`NoUsablePairError` where the row water-fills a dead
-    channel."""
-    _, gains, powers = _RULES[policy]
-    rho, gam = gains(channel, perm, cfg)
-    return rho, gam, powers(gam, cfg)
-
-
-def _solve_row(policy: PolicyId, channel: ChannelRealization, cfg: SystemConfig) -> AllocationResult:
-    if _RULES[policy][0]:
-        pairing = sorted_pairing(channel.h_sq, channel.g_sq)
-    else:
-        pairing = _identity_pairing(channel.n_subcarriers)
-    return _result(pairing, *_allocate(policy, channel, pairing.perm, cfg), cfg.p_max)
-
-
 def solve_policy(policy: PolicyId, channel: ChannelRealization, cfg: SystemConfig) -> AllocationResult:
-    """Dispatch one realization to the named policy."""
+    """Run the named policy's row on one realization."""
     if not isinstance(policy, PolicyId):
         raise ValueError(f"unhandled policy: {policy!r}")
-    if policy is PolicyId.PROPOSED:
-        return solve(channel, cfg)
-    return _solve_row(policy, channel, cfg)
+    return _run_row(_RULES[policy], channel, cfg)
 
 
 def _trial_rates(policies, channel: ChannelRealization, cfg: SystemConfig):
@@ -210,8 +178,10 @@ def _trial_rates(policies, channel: ChannelRealization, cfg: SystemConfig):
     powers = np.zeros((len(policies), n))
     dead = np.zeros(len(policies), dtype=bool)
     for row, policy in enumerate(policies):
+        use_sorted, gains, power_rule = _RULES[policy]
         try:
-            _, gams[row], powers[row] = _allocate(policy, channel, perms[_RULES[policy][0]], cfg)
+            gam = gains(channel, perms[use_sorted], cfg)[1]
+            gams[row], powers[row] = gam, power_rule(gam, cfg)
         except NoUsablePairError:
             # the row keeps zero gains and powers, so it sums to exactly 0.0
             dead[row] = True

@@ -16,7 +16,7 @@ from . import __version__
 from .allocator import NoUsablePairError, solve
 from .baselines import PolicyId
 from .channel import generate_channel, load_channel_file
-from .model import ConfigError, allocation_to_dict, config_from_dict, validate_config
+from .model import ConfigError, allocation_to_dict, load_config, validate_config
 from .montecarlo import SWEEP_VARIABLES, SweepSpec, sweep
 from .oracle import _EXHAUSTIVE_CAP, VerificationReport, verify
 
@@ -33,25 +33,17 @@ class _CommandError(Exception):
         self.message = message
 
 
-def _read_json(path: str, what: str) -> dict:
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise _CommandError(2, f"cannot read {what} '{path}': {exc}") from exc
-    with fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise _CommandError(1, f"invalid {what} '{path}': {exc}") from exc
-
-
 def _load_config(path: str):
-    data = _read_json(path, "config")
     try:
-        return validate_config(config_from_dict(data))
+        return validate_config(load_config(path))
+    except OSError as exc:
+        raise _CommandError(2, f"cannot read config '{path}': {exc}") from exc
     except ConfigError as exc:
         lines = "\n".join(f"  - {error}" for error in exc.errors)
         raise _CommandError(1, f"invalid config '{path}':\n{lines}") from exc
+    except ValueError as exc:
+        # malformed JSON or bytes that are not UTF-8
+        raise _CommandError(1, f"invalid config '{path}': {exc}") from exc
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -111,12 +103,6 @@ def _cmd_solve(args) -> int:
             raise _CommandError(2, f"cannot read channel file '{args.channel_file}': {exc}") from exc
         except (ValueError, json.JSONDecodeError) as exc:
             raise _CommandError(1, f"invalid channel file '{args.channel_file}': {exc}") from exc
-        if channel.n_subcarriers != cfg.n_subcarriers:
-            raise _CommandError(
-                1,
-                f"channel file has {channel.n_subcarriers} subcarriers, "
-                f"config expects {cfg.n_subcarriers}",
-            )
     else:
         try:
             channel = generate_channel(cfg, args.seed)
@@ -124,7 +110,8 @@ def _cmd_solve(args) -> int:
             raise _CommandError(1, str(exc)) from exc
     try:
         result = solve(channel, cfg)
-    except NoUsablePairError as exc:
+    except ValueError as exc:
+        # a channel file of another width, or a dead channel
         raise _CommandError(1, str(exc)) from exc
     _write_text(args.output, json.dumps(allocation_to_dict(result), indent=2) + "\n")
     return 0

@@ -415,7 +415,8 @@ def config_to_dict(cfg: SystemConfig) -> dict:
 
 def load_config(path: str | Path) -> SystemConfig:
     """Read a config JSON file. I/O errors propagate as ``OSError``; malformed
-    content raises :class:`ConfigError` or ``json.JSONDecodeError``."""
+    content raises :class:`ConfigError`, or another ``ValueError`` for bytes
+    that are not UTF-8-encoded JSON."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     return config_from_dict(data)

@@ -54,6 +54,8 @@ def _check_policies(policies) -> tuple[PolicyId, ...]:
     for policy in policies:
         if not isinstance(policy, PolicyId):
             raise ValueError(f"unhandled policy: {policy!r}")
+    if not policies:
+        raise ValueError("policies must be nonempty")
     return policies
 
 
@@ -76,8 +78,6 @@ class SweepSpec:
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ValueError("values must be strictly increasing")
         policies = _check_policies(self.policies)
-        if not policies:
-            raise ValueError("policies must be nonempty")
         if len(set(policies)) != len(policies):
             raise ValueError("policies must not repeat")
         if self.trials < 1:
@@ -108,7 +108,8 @@ def run_trials(cfg: SystemConfig, policies, trials: int, seed: int) -> TrialResu
     one pass (``baselines._trial_rates``): the sorted pairing is computed
     once and only the total rates are kept, with the bits each policy's
     ``solve_policy(...).total_rate`` has. A policy named twice is evaluated
-    once. Every policy is checked before the first trial.
+    once. The policies are checked, and must be nonempty, before the first
+    trial.
 
     Deterministic given (cfg, policies, trials, seed).
     """

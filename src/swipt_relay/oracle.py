@@ -19,7 +19,7 @@ import numpy as np
 
 from .allocator import (
     _GAMMA_MIN_INVERTIBLE,
-    NoUsablePairError,
+    _check_width,
     _pair_rates,
     effective_gain,
     rate_terms,
@@ -27,6 +27,7 @@ from .allocator import (
     split_and_gain,
     waterfill,
 )
+from .baselines import PolicyId, _trial_rates
 from .model import AllocationResult, ChannelRealization, SubcarrierPairing, SystemConfig
 
 __all__ = [
@@ -39,6 +40,9 @@ __all__ = [
 ]
 
 _EXHAUSTIVE_CAP = 8  # 8! = 40320 pairings
+
+# the reduced policies the proposed one must dominate on every realization
+_RIVALS = (PolicyId.OPA_NO_PAIRING, PolicyId.UNIFORM_WITH_PAIRING, PolicyId.UNIFORM_NO_PAIRING)
 
 
 def _live(g_sq: np.ndarray, cfg: SystemConfig) -> np.ndarray:
@@ -99,7 +103,8 @@ def best_pairing_exhaustive(channel: ChannelRealization, cfg: SystemConfig) -> t
     (gains, powers, rate terms) is 40320 x 8, about 2.6 MB, and a call peaks
     near 10 MB; at N = 6 a table is 35 KB.
     """
-    n = channel.n_subcarriers
+    _check_width(channel.n_subcarriers, cfg)
+    n = cfg.n_subcarriers
     if n > _EXHAUSTIVE_CAP:
         raise ValueError(
             f"exhaustive pairing search is capped at N = {_EXHAUSTIVE_CAP} "
@@ -217,14 +222,16 @@ def verify(
 
     When ``result`` is omitted the allocator is run first; passing a result
     lets callers audit an externally produced (or deliberately corrupted)
-    allocation. Requires N <= 8 for the exhaustive pairing check.
+    allocation. Requires N <= 8 for the exhaustive pairing check. Raises
+    ``ValueError`` when the channel or the result is not as wide as ``cfg``.
     """
     if not tol > 0.0:
         raise ValueError("tolerance must be positive")
-    from .baselines import solve_opa_no_pairing, solve_uniform  # cycle-free at call time
-
+    _check_width(channel.n_subcarriers, cfg)
     if result is None:
         result = solve(channel, cfg)
+    for vec in (result.pairing.perm, result.rho_i, result.powers):
+        _check_width(vec.size, cfg, "result")
     perm = result.pairing.perm
     n = channel.n_subcarriers
     checks: list[CheckResult] = []
@@ -293,19 +300,10 @@ def verify(
     residual = _worst((gap,))
     checks.append(CheckResult("pairing_optimality", residual <= tol, residual, tol))
 
-    # every reduced policy is dominated on this very realization
-    gaps = []
-    for rival in (
-        lambda: solve_opa_no_pairing(channel, cfg),
-        lambda: solve_uniform(channel, cfg, use_pairing=True),
-        lambda: solve_uniform(channel, cfg, use_pairing=False),
-    ):
-        try:
-            rival_rate = rival().total_rate
-        except NoUsablePairError:
-            rival_rate = 0.0
-        gaps.append(rival_rate - result.total_rate)
-    residual = _worst(gaps)
+    # every reduced policy is dominated on this very realization; a rival
+    # with no usable pair scores 0
+    rival_rates, _ = _trial_rates(_RIVALS, channel, cfg)
+    residual = _worst([rate - result.total_rate for rate in rival_rates.tolist()])
     checks.append(CheckResult("per_trial_dominance", residual <= tol, residual, tol))
 
     return VerificationReport(tuple(checks))

@@ -48,6 +48,8 @@ def test_pair_rate_rejects_bad_inputs(single_pair_cfg):
         rate_terms(0.9, 0.9, 1.5, 10.0, single_pair_cfg)
     with pytest.raises(ValueError):
         rate_terms(0.9, 0.9, 0.5, -1.0, single_pair_cfg)
+    with pytest.raises(ValueError):
+        rate_terms(0.9, 0.9, 0.5, math.nan, single_pair_cfg)
 
 
 def test_pair_rate_reference_instance(single_pair_cfg):

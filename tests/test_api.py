@@ -1,7 +1,10 @@
 """The public API: every exported name resolves, and the package exports
 exactly the names below, so a removal or a stale export fails here."""
 
+import ast
 import importlib
+import importlib.util
+from pathlib import Path
 
 import pytest
 
@@ -58,3 +61,29 @@ def test_module_exports_resolve(module_name):
     assert len(set(module.__all__)) == len(module.__all__)
     for name in module.__all__:
         assert hasattr(module, name), f"{module_name}.{name}"
+
+
+def _benchmark_bindings() -> set[tuple[str, str]]:
+    """(module name, attribute) of every binding perfbench's tracer looks up."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return {(owner.__name__, attr) for owner, attr, _ in spans.BINDINGS}
+
+
+@pytest.mark.parametrize("path", sorted(Path(swipt_relay.__file__).parent.glob("*.py")), ids=lambda p: p.stem)
+def test_every_import_is_used_exported_or_bound(path):
+    """A name a module imports is used there, exported in its ``__all__``, or
+    looked up on it by the benchmark's tracer; any other import is a
+    leftover."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+            imported |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    name = "swipt_relay" if path.stem == "__init__" else f"swipt_relay.{path.stem}"
+    exported = set(getattr(importlib.import_module(name), "__all__", ()))
+    bound = {attr for owner, attr in _benchmark_bindings() if owner == name}
+    assert imported - used - exported - bound == set()

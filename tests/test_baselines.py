@@ -18,6 +18,7 @@ from swipt_relay.baselines import (
 )
 from swipt_relay.channel import generate_channel
 from swipt_relay.model import ChannelRealization, NoiseProfile
+from swipt_relay.oracle import best_pairing_exhaustive, verify
 
 from conftest import NOISE_1DBM, make_cfg, mixed_gains
 
@@ -41,6 +42,37 @@ def test_dispatch_covers_every_policy(default_cfg):
         result = solve_policy(policy, chan, default_cfg)
         assert result.total_rate >= 0.0
         assert math.fsum(result.powers) == pytest.approx(default_cfg.p_max, abs=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_solve_is_the_proposed_row(seed):
+    cfg = make_cfg(n_subcarriers=6, taps=1, p_max=1000.0)
+    chan = ChannelRealization(mixed_gains(seed, 6), mixed_gains(seed + 100, 6))
+    try:
+        direct = solve(chan, cfg)
+    except NoUsablePairError:
+        with pytest.raises(NoUsablePairError):
+            solve_policy(PolicyId.PROPOSED, chan, cfg)
+        return
+    row = solve_policy(PolicyId.PROPOSED, chan, cfg)
+    for field in ("rho_i", "powers", "pair_rates"):
+        assert getattr(row, field).tobytes() == getattr(direct, field).tobytes(), field
+    assert row.pairing.perm.tobytes() == direct.pairing.perm.tobytes()
+    assert repr(row.total_rate) == repr(direct.total_rate)
+
+
+WIDTH_CHECKED = {
+    **{policy.value: (lambda chan, cfg, policy=policy: solve_policy(policy, chan, cfg)) for policy in PolicyId},
+    "verify": verify,
+    "best_pairing_exhaustive": best_pairing_exhaustive,
+}
+
+
+@pytest.mark.parametrize("name", list(WIDTH_CHECKED))
+def test_every_policy_and_oracle_rejects_a_channel_of_another_width(name, default_cfg):
+    chan = ChannelRealization([1.0, 0.5, 0.25], [0.8, 0.4, 0.2])
+    with pytest.raises(ValueError, match="channel has 3 subcarriers, config expects 4"):
+        WIDTH_CHECKED[name](chan, default_cfg)
 
 
 def test_dispatch_rejects_a_policy_name(default_cfg):

@@ -73,6 +73,17 @@ def test_solve_unparseable_config(tmp_path, capsys):
     assert "invalid config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["solve"], ["sweep", "--variable", "p_max_dbm", "--values", "10,20", "--trials", "2"], ["verify"]],
+)
+def test_non_utf8_config_exits_1(argv, tmp_path, capsys):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert main([argv[0], str(path), *argv[1:]]) == 1
+    assert "invalid config" in capsys.readouterr().err
+
+
 def test_solve_invalid_config_lists_violations(tmp_path, capsys):
     data = config_to_dict(default_config())
     data["eta"] = 1.5

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from swipt_relay import baselines, montecarlo
+from swipt_relay import allocator, montecarlo
 from swipt_relay.baselines import PolicyId
 from swipt_relay.channel import generate_channel
 from swipt_relay.allocator import solve
@@ -95,16 +95,24 @@ def test_run_trials_checks_policies_before_any_trial(default_cfg, monkeypatch):
     assert drawn == []
 
 
+def test_run_trials_rejects_no_policies_before_any_trial(default_cfg, monkeypatch):
+    drawn = []
+    monkeypatch.setattr(montecarlo, "generate_channel", lambda *args: drawn.append(args))
+    with pytest.raises(ValueError, match="policies must be nonempty"):
+        run_trials(default_cfg, (), trials=3, seed=1)
+    assert drawn == []
+
+
 def test_run_trials_evaluates_a_repeated_policy_once(default_cfg, monkeypatch):
     once = run_trials(default_cfg, (PolicyId.PROPOSED,), trials=4, seed=2)
     calls = []
-    original = baselines.waterfill
+    original = allocator.waterfill
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(baselines, "waterfill", counted)
+    monkeypatch.setattr(allocator, "waterfill", counted)
     twice = run_trials(default_cfg, (PolicyId.PROPOSED, PolicyId.PROPOSED), trials=4, seed=2)
     assert len(calls) == 4
     assert list(twice.rates) == [PolicyId.PROPOSED]

@@ -286,6 +286,13 @@ def test_verify_merge_keeps_worst_residual(default_cfg):
         assert check.residual == max(singles)
 
 
+def test_verify_rejects_a_result_of_another_width(default_cfg):
+    narrow_cfg = make_cfg(n_subcarriers=3, taps=1)
+    narrow = solve(generate_channel(narrow_cfg, 5), narrow_cfg)
+    with pytest.raises(ValueError, match="result has 3 subcarriers, config expects 4"):
+        verify(generate_channel(default_cfg, 5), default_cfg, result=narrow)
+
+
 def test_verify_rejects_bad_tolerance(default_cfg):
     with pytest.raises(ValueError):
         verify(generate_channel(default_cfg, 1), default_cfg, tol=0.0)
