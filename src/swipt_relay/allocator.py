@@ -67,9 +67,12 @@ def rate_terms(h_sq: float, g_sq: float, rho_i: float, p_mw: float, cfg: SystemC
 
     Where a term's SNR overflows, log1p(SNR) equals the sum of the logs of
     its factors to float precision, so that term is taken in that form
-    instead of inf.
+    instead of inf. Raises ``ValueError`` unless both gains are finite and
+    nonnegative, ``rho_i`` lies in [0, 1] and the power is nonnegative.
     """
     h_sq, g_sq, rho_i, p_mw = float(h_sq), float(g_sq), float(rho_i), float(p_mw)
+    if not (0.0 <= h_sq < math.inf and 0.0 <= g_sq < math.inf):
+        raise ValueError("h_sq and g_sq must be finite and nonnegative")
     if not 0.0 <= rho_i <= 1.0:
         raise ValueError("rho_i must lie in [0, 1]")
     if not p_mw >= 0.0:
@@ -208,7 +211,9 @@ def waterfill(gammas, p_max: float) -> np.ndarray:
     arithmetic; from 8 channels up it runs on NumPy arrays. The cut sits at
     8 because ``ndarray.sum`` adds fewer than 8 elements strictly left to
     right, which a plain ``+=`` loop reproduces, and switches to pairwise
-    summation from 8 up.
+    summation from 8 up. The float body keeps the active set as the
+    channels whose 1/gamma is at most a threshold ``top``, so its overshoot
+    recheck is the one test ``top < level``.
 
     Raises ``ValueError`` unless every gain is finite and nonnegative and
     ``p_max`` is positive and finite, and :class:`NoUsablePairError` when
@@ -236,12 +241,15 @@ def _waterfill_floats(gam: np.ndarray, p_max: float) -> np.ndarray:
         if not 0.0 <= g < math.inf:
             raise ValueError("gammas must be finite and nonnegative")
     _check_budget(p_max)
-    usable = [i for i, g in enumerate(values) if g > _GAMMA_MIN_INVERTIBLE]
-    if not usable:
-        if not max(values) > 0.0:
-            raise NoUsablePairError("no usable pair: every effective gain is zero")
-        return _all_to_strongest(gam, p_max)
-    inv = [1.0 / values[i] for i in usable]
+    if min(values) > _GAMMA_MIN_INVERTIBLE:
+        usable, inv = None, [1.0 / g for g in values]  # no index map needed
+    else:
+        usable = [i for i, g in enumerate(values) if g > _GAMMA_MIN_INVERTIBLE]
+        if not usable:
+            if not max(values) > 0.0:
+                raise NoUsablePairError("no usable pair: every effective gain is zero")
+            return _all_to_strongest(gam, p_max)
+        inv = [1.0 / values[i] for i in usable]
     steps = sorted(inv)
     budget = p_max
     scale = 1.0
@@ -258,29 +266,33 @@ def _waterfill_floats(gam: np.ndarray, p_max: float) -> np.ndarray:
         prefix += step
         if step < (budget + prefix) / k:
             n_active += 1
-    top = steps[max(n_active, 1) - 1]
-    active = [j for j, x in enumerate(inv) if x <= top]
+    n_active = max(n_active, 1)
+    # the active set is always {x in inv: x <= top}, so top < level holds
+    # iff no active channel overshoots the level
     while True:
         # left to right, as ndarray.sum adds so few elements; the builtin
         # sum() compensates its rounding from Python 3.12 on
-        total = 0.0
-        for j in active:
-            total += inv[j]
-        level = (budget + total) / len(active)
-        kept = [j for j in active if inv[j] < level]
-        if len(kept) == len(active):
+        top = steps[n_active - 1]
+        total, count = 0.0, 0
+        for x in inv:
+            if x <= top:
+                total += x
+                count += 1
+        level = (budget + total) / count
+        if top < level:
             break
-        if not kept:
+        while n_active and steps[n_active - 1] >= level:
+            n_active -= 1
+        if not n_active:
             return _all_to_strongest(gam, p_max)
-        active = kept
-    alloc = [0.0] * len(inv)
-    for j in active:
-        alloc[j] = level - inv[j]
+    alloc = [level - x if x <= top else 0.0 for x in inv]
     # np.argmax's pick: the first largest allocation
     largest = alloc.index(max(alloc))
     alloc[largest] += budget - math.fsum(alloc)
     if scale != 1.0:
         alloc = [a * scale for a in alloc]
+    if usable is None:
+        return np.array(alloc)
     powers = [0.0] * len(values)
     for i, a in zip(usable, alloc):
         powers[i] = a

@@ -4,13 +4,16 @@ and a conventional relay with its own power supply."""
 from __future__ import annotations
 
 import enum
+import math
 
 import numpy as np
 
 from .allocator import (
+    _FLOAT_BODY_LIMIT,
     _PRODUCT_LIMIT,
     _PROPOSED_ROW,
     NoUsablePairError,
+    _check_width,
     _identity_pairing,
     _largest,
     _pair_rates,
@@ -18,9 +21,10 @@ from .allocator import (
     _sorted_perm,
     _split_gains,
     _water_filled,
+    split_and_gain,
 )
 # not called here, but perfbench/spans.py BINDINGS looks them up by these names
-from .allocator import solve, sorted_pairing, split_and_gain, waterfill  # noqa: F401
+from .allocator import solve, sorted_pairing, waterfill  # noqa: F401
 from .model import AllocationResult, ChannelRealization, SystemConfig
 
 __all__ = [
@@ -93,8 +97,12 @@ def conventional_hop_powers(channel: ChannelRealization, cfg: SystemConfig, resu
     (source, relay) components, per incoming subcarrier.
 
     The source takes P*b/(a+b) of a pair's power P; where P*b or a+b
-    overflows it takes P / (1 + a/b) instead.
+    overflows it takes P / (1 + a/b) instead. Raises ``ValueError`` when the
+    channel or the result is not ``cfg.n_subcarriers`` wide.
     """
+    _check_width(channel.n_subcarriers, cfg)
+    for vec in (result.pairing.perm, result.powers):
+        _check_width(vec.size, cfg, "result")
     a, b = _conventional_slopes(channel, cfg)
     b = b[result.pairing.perm]
     live = (a > 0.0) & (b > 0.0)
@@ -140,6 +148,16 @@ def _conventional_gains(channel: ChannelRealization, perm: np.ndarray, cfg: Syst
     return np.ones(n), gam
 
 
+def _conventional_gain(a: float, b: float) -> float:
+    """The gamma ``_conventional_gains`` gives slopes a, b, on Python floats."""
+    if not (a > 0.0 and b > 0.0):
+        return 0.0
+    if a * b == math.inf:
+        lo, hi = min(a, b), max(a, b)
+        return lo / (1.0 + lo / hi)
+    return a * b / (a + b)
+
+
 def _uniform_powers(gam: np.ndarray, cfg: SystemConfig) -> np.ndarray:
     return np.full(gam.size, cfg.p_max / gam.size)
 
@@ -171,8 +189,14 @@ def _trial_rates(policies, channel: ChannelRealization, cfg: SystemConfig):
     rows' gains and powers fill one ``(P, N)`` table each and all P rates are
     summed at once. A row sum adds its N terms in the order of a 1-D
     ``ndarray.sum``, left to right below 8 terms and pairwise from 8 up.
+    Below ``_FLOAT_BODY_LIMIT`` subcarriers the rows are built on Python
+    floats, where a dozen small NumPy calls would cost more than the
+    arithmetic, and from it up on NumPy arrays; both make the same
+    ``split_and_gain`` and ``waterfill`` calls and float operations.
     """
     n = channel.n_subcarriers
+    if n < _FLOAT_BODY_LIMIT:
+        return _trial_rates_floats(policies, channel, cfg)
     perms = {True: _sorted_perm(channel.h_sq, channel.g_sq), False: _identity_pairing(n).perm}
     gams = np.zeros((len(policies), n))
     powers = np.zeros((len(policies), n))
@@ -186,3 +210,32 @@ def _trial_rates(policies, channel: ChannelRealization, cfg: SystemConfig):
             # the row keeps zero gains and powers, so it sums to exactly 0.0
             dead[row] = True
     return _pair_rates(gams, powers, cfg.p_max).sum(axis=1), dead
+
+
+def _trial_rates_floats(policies, channel: ChannelRealization, cfg: SystemConfig):
+    """``_trial_rates`` on Python floats, below ``_FLOAT_BODY_LIMIT`` subcarriers."""
+    n = channel.n_subcarriers
+    h_list, g_list = channel.h_sq.tolist(), channel.g_sq.tolist()
+    # a stable descending sort: the order of np.argsort(-x, kind="stable")
+    order_h = sorted(range(n), key=h_list.__getitem__, reverse=True)
+    order_g = sorted(range(n), key=g_list.__getitem__, reverse=True)
+    # the outgoing gain that incoming subcarrier i forwards over, for i in order
+    g_sorted = [g_list[j] for _, j in sorted(zip(order_h, order_g))]
+    s_ra, s_d = cfg.noise.sigma_ra_sq, cfg.noise.sigma_d_sq
+    gams, powers = [], []
+    dead = np.zeros(len(policies), dtype=bool)
+    for row, policy in enumerate(policies):
+        use_sorted, gains, power_rule = _RULES[policy]
+        g_row = g_sorted if use_sorted else g_list
+        if gains is _conventional_gains:
+            gam = [_conventional_gain(h / s_ra, g / s_d) for h, g in zip(h_list, g_row)]
+        else:
+            gam = [split_and_gain(h, g, cfg)[1] for h, g in zip(h_list, g_row)]
+        try:
+            row_powers = [cfg.p_max / n] * n if power_rule is _uniform_powers else power_rule(gam, cfg)
+        except NoUsablePairError:
+            dead[row] = True
+            gam = row_powers = [0.0] * n
+        gams.append(gam)
+        powers.append(row_powers)
+    return _pair_rates(np.array(gams), np.array(powers), cfg.p_max).sum(axis=1), dead

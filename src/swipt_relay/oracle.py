@@ -19,6 +19,7 @@ import numpy as np
 
 from .allocator import (
     _GAMMA_MIN_INVERTIBLE,
+    _check_budget,
     _check_width,
     _pair_rates,
     effective_gain,
@@ -127,10 +128,14 @@ def best_pairing_exhaustive(channel: ChannelRealization, cfg: SystemConfig) -> t
 def power_by_grid(gammas, p_max: float, resolution: int = 10**6) -> np.ndarray:
     """Two-channel power allocation by dense grid search: P1 sweeps
     {0, p_max/resolution, ..., p_max}, P2 takes the remainder, and the summed
-    rate is maximized. Accurate to one grid step."""
+    rate is maximized. Accurate to one grid step. Rejects gains and a
+    budget that ``waterfill`` rejects, with the same messages."""
     gam = np.asarray(gammas, dtype=float)
     if gam.shape != (2,):
         raise ValueError("power_by_grid expects exactly two gains")
+    if not ((gam >= 0.0) & (gam < math.inf)).all():
+        raise ValueError("gammas must be finite and nonnegative")
+    _check_budget(p_max)
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
     p1 = np.linspace(0.0, p_max, resolution + 1)

@@ -52,6 +52,14 @@ def test_pair_rate_rejects_bad_inputs(single_pair_cfg):
         rate_terms(0.9, 0.9, 0.5, math.nan, single_pair_cfg)
 
 
+@pytest.mark.parametrize(
+    "h_sq, g_sq", [(-1.0, 1.0), (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, -math.inf)]
+)
+def test_pair_rate_rejects_a_bad_gain(h_sq, g_sq, default_cfg):
+    with pytest.raises(ValueError, match="h_sq and g_sq must be finite and nonnegative"):
+        rate_terms(h_sq, g_sq, 0.5, 1.0, default_cfg)
+
+
 def test_pair_rate_reference_instance(single_pair_cfg):
     """At the equal-rate split the two terms coincide and the pair rate, half
     the smaller term, is half either term; the split itself comes from the

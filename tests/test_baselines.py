@@ -188,6 +188,20 @@ def test_conventional_first_hop_limited():
     assert result.total_rate == pytest.approx(0.5 * math.log2(1 + slope * 10.0), rel=1e-9)
 
 
+def test_conventional_hop_powers_rejects_a_channel_of_another_width(default_cfg):
+    narrow = ChannelRealization([1.0, 0.5, 0.25], [0.8, 0.4, 0.2])
+    result = solve_conventional(generate_channel(default_cfg, 3), default_cfg)
+    with pytest.raises(ValueError, match="channel has 3 subcarriers, config expects 4"):
+        conventional_hop_powers(narrow, default_cfg, result)
+
+
+def test_conventional_hop_powers_rejects_a_result_of_another_width(default_cfg):
+    narrow_cfg = make_cfg(n_subcarriers=3, taps=1)
+    result = solve_conventional(ChannelRealization([1.0, 0.5, 0.25], [0.8, 0.4, 0.2]), narrow_cfg)
+    with pytest.raises(ValueError, match="result has 3 subcarriers, config expects 4"):
+        conventional_hop_powers(generate_channel(default_cfg, 3), default_cfg, result)
+
+
 def test_conventional_budget_and_hop_balance(default_cfg):
     for seed in range(1, 31):
         chan = generate_channel(default_cfg, seed)

@@ -43,8 +43,9 @@ def calls(monkeypatch):
     return counts
 
 
-def test_sweep_call_counts(calls):
-    cfg = make_cfg(n_subcarriers=4, taps=2)
+@pytest.mark.parametrize("n", [4, 9])
+def test_sweep_call_counts(calls, n):
+    cfg = make_cfg(n_subcarriers=n, taps=2)
     values, trials = (10.0, 30.0), 3
     sweep(cfg, SweepSpec("p_max_dbm", values, trials, seed=7, policies=tuple(PolicyId)))
     n_trials = len(values) * trials
@@ -67,9 +68,13 @@ PER_TRIAL = {
 }
 
 
-@pytest.mark.parametrize("policy", list(PolicyId), ids=lambda policy: policy.value)
-def test_sweep_call_counts_per_policy(calls, policy):
-    cfg = make_cfg(n_subcarriers=4, taps=2)
+@pytest.mark.parametrize(
+    "policy, n",
+    # the N=4 cases keep the bare policy ids they had before N=9 was added
+    [pytest.param(p, n, id=p.value if n == 4 else f"{p.value}-{n}") for n in (4, 9) for p in PolicyId],
+)
+def test_sweep_call_counts_per_policy(calls, policy, n):
+    cfg = make_cfg(n_subcarriers=n, taps=2)
     values, trials = (10.0, 30.0), 3
     sweep(cfg, SweepSpec("p_max_dbm", values, trials, seed=7, policies=(policy,)))
     n_trials = len(values) * trials

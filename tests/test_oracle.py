@@ -144,6 +144,24 @@ def test_grid_validates_inputs():
         power_by_grid([1.0, 2.0], 1.0, resolution=0)
 
 
+@pytest.mark.parametrize(
+    "gammas, p_max, message",
+    [
+        ([1.0, math.nan], 10.0, "gammas must be finite and nonnegative"),
+        ([1.0, -1.0], 10.0, "gammas must be finite and nonnegative"),
+        ([math.inf, 1.0], 10.0, "gammas must be finite and nonnegative"),
+        ([1.0, 2.0], math.nan, "p_max must be positive and finite"),
+        ([1.0, 2.0], 0.0, "p_max must be positive and finite"),
+        ([1.0, 2.0], math.inf, "p_max must be positive and finite"),
+    ],
+)
+def test_grid_rejects_what_waterfill_rejects(gammas, p_max, message):
+    with pytest.raises(ValueError, match=message):
+        power_by_grid(gammas, p_max, 100)
+    with pytest.raises(ValueError, match=message):
+        waterfill(gammas, p_max)
+
+
 # -------------------------------------------- two-subcarrier sorted identity
 
 def _sorted_vs_swapped_margin(h, g, p_max, cfg):
