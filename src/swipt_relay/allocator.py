@@ -68,14 +68,15 @@ def rate_terms(h_sq: float, g_sq: float, rho_i: float, p_mw: float, cfg: SystemC
     Where a term's SNR overflows, log1p(SNR) equals the sum of the logs of
     its factors to float precision, so that term is taken in that form
     instead of inf. Raises ``ValueError`` unless both gains are finite and
-    nonnegative, ``rho_i`` lies in [0, 1] and the power is nonnegative.
+    nonnegative, ``rho_i`` lies in [0, 1] and the power is finite and
+    nonnegative.
     """
     h_sq, g_sq, rho_i, p_mw = float(h_sq), float(g_sq), float(rho_i), float(p_mw)
     if not (0.0 <= h_sq < math.inf and 0.0 <= g_sq < math.inf):
         raise ValueError("h_sq and g_sq must be finite and nonnegative")
     if not 0.0 <= rho_i <= 1.0:
         raise ValueError("rho_i must lie in [0, 1]")
-    if not p_mw >= 0.0:
+    if not 0.0 <= p_mw < math.inf:
         raise ValueError("power must be nonnegative")
     noise = cfg.noise
     decode_noise = rho_i * noise.sigma_ra_sq + noise.sigma_rb_sq

@@ -179,63 +179,67 @@ def solve_policy(policy: PolicyId, channel: ChannelRealization, cfg: SystemConfi
     return _run_row(_RULES[policy], channel, cfg)
 
 
-def _trial_rates(policies, channel: ChannelRealization, cfg: SystemConfig):
+def _trial_rates(policies, channels, cfg: SystemConfig):
     """Total rate of each of ``policies`` (distinct ``PolicyId`` values) on
-    one realization, with the bits of ``solve_policy(...).total_rate``, and a
-    boolean per policy that is set where it raised :class:`NoUsablePairError`;
-    such a policy scores 0.0.
+    each of ``channels``, a block of ``cfg.n_subcarriers``-wide
+    realizations, with the bits of ``solve_policy(...).total_rate``: a
+    ``(P, b)`` rate table, and a ``(P, b)`` boolean table that is set where
+    a policy raised :class:`NoUsablePairError` on a channel, which scores 0.
 
-    The sorted order is computed once and no per-policy result is built: the
-    rows' gains and powers fill one ``(P, N)`` table each and all P rates are
-    summed at once. A row sum adds its N terms in the order of a 1-D
-    ``ndarray.sum``, left to right below 8 terms and pairwise from 8 up.
-    Below ``_FLOAT_BODY_LIMIT`` subcarriers the rows are built on Python
-    floats, where a dozen small NumPy calls would cost more than the
-    arithmetic, and from it up on NumPy arrays; both make the same
-    ``split_and_gain`` and ``waterfill`` calls and float operations.
+    No per-policy result is built and each channel's sorted order is
+    computed once. Below ``_FLOAT_BODY_LIMIT`` subcarriers the pass is
+    policy-major on Python floats, where a dozen small NumPy calls per trial
+    would cost more than the arithmetic: each row takes its gains, then its
+    powers, for the whole block, and one rate sum scores all ``P*b`` rows.
+    From it up each channel fills a ``(P, N)`` NumPy table of gains and one
+    of powers; a block-high table would only add temporaries. A row sum
+    adds its N terms as a 1-D ``ndarray.sum`` does whatever the table's
+    height, left to right below 8 terms and pairwise from 8 up. Both bodies
+    make the same ``split_and_gain`` and ``waterfill`` calls and float
+    operations.
     """
-    n = channel.n_subcarriers
-    if n < _FLOAT_BODY_LIMIT:
-        return _trial_rates_floats(policies, channel, cfg)
-    perms = {True: _sorted_perm(channel.h_sq, channel.g_sq), False: _identity_pairing(n).perm}
-    gams = np.zeros((len(policies), n))
-    powers = np.zeros((len(policies), n))
-    dead = np.zeros(len(policies), dtype=bool)
-    for row, policy in enumerate(policies):
-        use_sorted, gains, power_rule = _RULES[policy]
-        try:
-            gam = gains(channel, perms[use_sorted], cfg)[1]
-            gams[row], powers[row] = gam, power_rule(gam, cfg)
-        except NoUsablePairError:
-            # the row keeps zero gains and powers, so it sums to exactly 0.0
-            dead[row] = True
-    return _pair_rates(gams, powers, cfg.p_max).sum(axis=1), dead
-
-
-def _trial_rates_floats(policies, channel: ChannelRealization, cfg: SystemConfig):
-    """``_trial_rates`` on Python floats, below ``_FLOAT_BODY_LIMIT`` subcarriers."""
-    n = channel.n_subcarriers
-    h_list, g_list = channel.h_sq.tolist(), channel.g_sq.tolist()
-    # a stable descending sort: the order of np.argsort(-x, kind="stable")
-    order_h = sorted(range(n), key=h_list.__getitem__, reverse=True)
-    order_g = sorted(range(n), key=g_list.__getitem__, reverse=True)
-    # the outgoing gain that incoming subcarrier i forwards over, for i in order
-    g_sorted = [g_list[j] for _, j in sorted(zip(order_h, order_g))]
+    n, shape = cfg.n_subcarriers, (len(policies), len(channels))
+    if n >= _FLOAT_BODY_LIMIT:
+        rates, dead = np.empty(shape), np.zeros(shape, dtype=bool)
+        for col, channel in enumerate(channels):
+            perms = {True: _sorted_perm(channel.h_sq, channel.g_sq), False: _identity_pairing(n).perm}
+            gams, powers = np.zeros((len(policies), n)), np.zeros((len(policies), n))
+            for row, policy in enumerate(policies):
+                use_sorted, gains, power_rule = _RULES[policy]
+                try:
+                    gam = gains(channel, perms[use_sorted], cfg)[1]
+                    gams[row], powers[row] = gam, power_rule(gam, cfg)
+                except NoUsablePairError:
+                    # the row keeps zero gains and powers, so it sums to exactly 0.0
+                    dead[row, col] = True
+            rates[:, col] = _pair_rates(gams, powers, cfg.p_max).sum(axis=1)
+        return rates, dead
+    h_lists = [channel.h_sq.tolist() for channel in channels]
+    g_lists = [channel.g_sq.tolist() for channel in channels]
+    g_sorted = []
+    for h_list, g_list in zip(h_lists, g_lists):
+        # a stable descending sort: the order of np.argsort(-x, kind="stable")
+        order_h = sorted(range(n), key=h_list.__getitem__, reverse=True)
+        order_g = sorted(range(n), key=g_list.__getitem__, reverse=True)
+        # the outgoing gain that incoming subcarrier i forwards over, for i in order
+        g_sorted.append([g_list[j] for _, j in sorted(zip(order_h, order_g))])
     s_ra, s_d = cfg.noise.sigma_ra_sq, cfg.noise.sigma_d_sq
-    gams, powers = [], []
-    dead = np.zeros(len(policies), dtype=bool)
-    for row, policy in enumerate(policies):
+    gams, powers, dead = [], [], []
+    for policy in policies:
         use_sorted, gains, power_rule = _RULES[policy]
-        g_row = g_sorted if use_sorted else g_list
+        hg_lists = list(zip(h_lists, g_sorted if use_sorted else g_lists))
         if gains is _conventional_gains:
-            gam = [_conventional_gain(h / s_ra, g / s_d) for h, g in zip(h_list, g_row)]
+            row_gams = [[_conventional_gain(h / s_ra, g / s_d) for h, g in zip(*hg)] for hg in hg_lists]
         else:
-            gam = [split_and_gain(h, g, cfg)[1] for h, g in zip(h_list, g_row)]
-        try:
-            row_powers = [cfg.p_max / n] * n if power_rule is _uniform_powers else power_rule(gam, cfg)
-        except NoUsablePairError:
-            dead[row] = True
-            gam = row_powers = [0.0] * n
-        gams.append(gam)
-        powers.append(row_powers)
-    return _pair_rates(np.array(gams), np.array(powers), cfg.p_max).sum(axis=1), dead
+            row_gams = [[split_and_gain(h, g, cfg)[1] for h, g in zip(*hg)] for hg in hg_lists]
+        for gam in row_gams:
+            try:
+                gam_powers = [cfg.p_max / n] * n if power_rule is _uniform_powers else power_rule(gam, cfg)
+                dead.append(False)
+            except NoUsablePairError:
+                dead.append(True)
+                gam = gam_powers = [0.0] * n
+            gams.append(gam)
+            powers.append(gam_powers)
+    rates = _pair_rates(np.array(gams), np.array(powers), cfg.p_max).sum(axis=1)
+    return rates.reshape(shape), np.array(dead).reshape(shape)

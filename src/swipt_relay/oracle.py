@@ -19,6 +19,7 @@ import numpy as np
 
 from .allocator import (
     _GAMMA_MIN_INVERTIBLE,
+    NoUsablePairError,
     _check_budget,
     _check_width,
     _pair_rates,
@@ -129,15 +130,19 @@ def power_by_grid(gammas, p_max: float, resolution: int = 10**6) -> np.ndarray:
     """Two-channel power allocation by dense grid search: P1 sweeps
     {0, p_max/resolution, ..., p_max}, P2 takes the remainder, and the summed
     rate is maximized. Accurate to one grid step. Rejects gains and a
-    budget that ``waterfill`` rejects, with the same messages."""
+    budget that ``waterfill`` rejects, with the same messages, raises
+    :class:`NoUsablePairError` where both gains are zero, and takes only an
+    int resolution."""
     gam = np.asarray(gammas, dtype=float)
     if gam.shape != (2,):
         raise ValueError("power_by_grid expects exactly two gains")
     if not ((gam >= 0.0) & (gam < math.inf)).all():
         raise ValueError("gammas must be finite and nonnegative")
     _check_budget(p_max)
-    if resolution < 1:
-        raise ValueError("resolution must be >= 1")
+    if not (gam > 0.0).any():
+        raise NoUsablePairError("no usable pair: every effective gain is zero")
+    if isinstance(resolution, bool) or not isinstance(resolution, (int, np.integer)) or resolution < 1:
+        raise ValueError("resolution must be an int >= 1")
     p1 = np.linspace(0.0, p_max, resolution + 1)
     objective = np.log1p(gam[0] * p1) + np.log1p(gam[1] * (p_max - p1))
     best = int(np.argmax(objective))
@@ -307,8 +312,8 @@ def verify(
 
     # every reduced policy is dominated on this very realization; a rival
     # with no usable pair scores 0
-    rival_rates, _ = _trial_rates(_RIVALS, channel, cfg)
-    residual = _worst([rate - result.total_rate for rate in rival_rates.tolist()])
+    rival_rates, _ = _trial_rates(_RIVALS, [channel], cfg)
+    residual = _worst([rate - result.total_rate for rate in rival_rates[:, 0].tolist()])
     checks.append(CheckResult("per_trial_dominance", residual <= tol, residual, tol))
 
     return VerificationReport(tuple(checks))

@@ -52,6 +52,11 @@ def test_pair_rate_rejects_bad_inputs(single_pair_cfg):
         rate_terms(0.9, 0.9, 0.5, math.nan, single_pair_cfg)
 
 
+def test_pair_rate_rejects_an_infinite_power(default_cfg):
+    with pytest.raises(ValueError, match="power must be nonnegative"):
+        rate_terms(1.0, 1.0, 0.5, math.inf, default_cfg)
+
+
 @pytest.mark.parametrize(
     "h_sq, g_sq", [(-1.0, 1.0), (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, -math.inf)]
 )

@@ -328,7 +328,8 @@ def test_conventional_rate_is_finite_where_slope_product_overflows(h_sq, g_sq):
     assert gam[0] == lo / (1.0 + lo / hi)
     assert gam[0] == pytest.approx(lo, rel=1e-12)
     assert gam[1] == a[1] * b[1] / (a[1] + b[1])
-    rates, dead = _trial_rates(tuple(PolicyId), chan, cfg)
+    rates, dead = _trial_rates(tuple(PolicyId), [chan], cfg)
+    rates, dead = rates[:, 0], dead[:, 0]
     assert np.isfinite(rates).all() and (rates >= 0.0).all() and not dead.any()
     assert rates[-1] == result.total_rate
 
@@ -394,16 +395,43 @@ def test_trial_rates_match_solve_policy(name, p_max):
     h_sq, g_sq = TRIAL_CHANNELS[name]
     cfg = make_cfg(n_subcarriers=len(h_sq), taps=1, p_max=p_max)
     chan = ChannelRealization(h_sq, g_sq)
-    rates, dead = _trial_rates(tuple(PolicyId), chan, cfg)
+    rates, dead = _trial_rates(tuple(PolicyId), [chan], cfg)
+    rates, dead = rates[:, 0], dead[:, 0]
     want_rates, want_dead = _one_at_a_time(chan, cfg)
     assert rates.tobytes() == np.array(want_rates).tobytes()
     assert dead.tolist() == want_dead
 
 
+@pytest.mark.parametrize("p_max", [1e-6, 1000.0, 1e9])
+@pytest.mark.parametrize("n", [1, 4, 7, 9])
+def test_trial_rates_of_a_block_equal_its_one_channel_blocks(n, p_max):
+    """A block's tables are the column stacks of one-channel blocks, bit for
+    bit. The block holds a dead channel, one where the supplied relay's a*b
+    overflows (so the whole block's rate sum takes the overflow branch), and
+    random channels with and without edge gains."""
+    cfg = make_cfg(n_subcarriers=n, taps=1, p_max=p_max)
+    h_over, g_over = TRIAL_CHANNELS["conventional-overflow"]
+    channels = [
+        ChannelRealization(mixed_gains(1, n), [0.0] * n),
+        ChannelRealization((h_over + mixed_gains(2, n))[:n], (g_over + mixed_gains(3, n))[:n]),
+        *(generate_channel(cfg, seed) for seed in range(5)),
+        *(ChannelRealization(mixed_gains(seed, n), mixed_gains(seed + 1, n)) for seed in (10, 20, 30)),
+    ]
+    rates, dead = _trial_rates(tuple(PolicyId), channels, cfg)
+    singles = [_trial_rates(tuple(PolicyId), [chan], cfg) for chan in channels]
+    assert rates.shape == dead.shape == (len(PolicyId), len(channels))
+    assert rates.tobytes() == np.hstack([one for one, _ in singles]).tobytes()
+    assert dead.tolist() == np.hstack([one for _, one in singles]).tolist()
+    # on the dead channel every water-filling policy is dead and all score 0
+    assert dead[:, 0].tolist() == [True, True, False, False, True]
+    assert not rates[:, 0].any()
+
+
 def test_trial_rates_score_harvesting_disabled_as_dead():
     cfg = make_cfg(eta=0.0)
     chan = generate_channel(cfg, 4)
-    rates, dead = _trial_rates(tuple(PolicyId), chan, cfg)
+    rates, dead = _trial_rates(tuple(PolicyId), [chan], cfg)
+    rates, dead = rates[:, 0], dead[:, 0]
     assert dead.tolist() == [True, True, False, False, False]
     assert rates.tolist()[:4] == [0.0] * 4 and rates[4] > 0.0
 
@@ -420,7 +448,8 @@ def test_trial_rates_match_solve_policy_at_any_width(seed, n, eta):
     h_sq, g_sq = mixed_gains(seed, n), mixed_gains(seed + 1, n)
     cfg = make_cfg(n_subcarriers=n, taps=1, p_max=1000.0, eta=eta)
     chan = ChannelRealization(h_sq, g_sq)
-    rates, dead = _trial_rates(tuple(PolicyId), chan, cfg)
+    rates, dead = _trial_rates(tuple(PolicyId), [chan], cfg)
+    rates, dead = rates[:, 0], dead[:, 0]
     want_rates, want_dead = _one_at_a_time(chan, cfg)
     assert rates.tobytes() == np.array(want_rates).tobytes()
     assert dead.tolist() == want_dead
@@ -447,7 +476,8 @@ def test_trial_rates_match_solve_policy_on_random_channels(data, n, p_max, eta):
     g_sq = data.draw(st.lists(_gain, min_size=n, max_size=n))
     cfg = make_cfg(n_subcarriers=n, taps=1, p_max=p_max, eta=eta)
     chan = ChannelRealization(h_sq, g_sq)
-    rates, dead = _trial_rates(tuple(PolicyId), chan, cfg)
+    rates, dead = _trial_rates(tuple(PolicyId), [chan], cfg)
+    rates, dead = rates[:, 0], dead[:, 0]
     want_rates, want_dead = _one_at_a_time(chan, cfg)
     assert rates.tobytes() == np.array(want_rates).tobytes()
     assert dead.tolist() == want_dead

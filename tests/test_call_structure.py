@@ -43,10 +43,14 @@ def calls(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize("n", [4, 9])
-def test_sweep_call_counts(calls, n):
+# 65 trials per point cross a block boundary of run_trials; the 3-trial
+# cases keep the ids they had before it was added
+@pytest.mark.parametrize(
+    "n, trials", [pytest.param(n, t, id=str(n) if t == 3 else f"{n}-{t}-trials") for t in (3, 65) for n in (4, 9)]
+)
+def test_sweep_call_counts(calls, n, trials):
     cfg = make_cfg(n_subcarriers=n, taps=2)
-    values, trials = (10.0, 30.0), 3
+    values = (10.0, 30.0)
     sweep(cfg, SweepSpec("p_max_dbm", values, trials, seed=7, policies=tuple(PolicyId)))
     n_trials = len(values) * trials
     assert calls == {
@@ -69,13 +73,17 @@ PER_TRIAL = {
 
 
 @pytest.mark.parametrize(
-    "policy, n",
-    # the N=4 cases keep the bare policy ids they had before N=9 was added
-    [pytest.param(p, n, id=p.value if n == 4 else f"{p.value}-{n}") for n in (4, 9) for p in PolicyId],
+    "policy, n, trials",
+    # the N=4, 3-trial cases keep the bare policy ids they had before N=9
+    # and 65 trials were added
+    [
+        pytest.param(p, n, t, id=p.value + ("" if n == 4 else f"-{n}") + ("" if t == 3 else f"-{t}-trials"))
+        for t in (3, 65) for n in (4, 9) for p in PolicyId
+    ],
 )
-def test_sweep_call_counts_per_policy(calls, policy, n):
+def test_sweep_call_counts_per_policy(calls, policy, n, trials):
     cfg = make_cfg(n_subcarriers=n, taps=2)
-    values, trials = (10.0, 30.0), 3
+    values = (10.0, 30.0)
     sweep(cfg, SweepSpec("p_max_dbm", values, trials, seed=7, policies=(policy,)))
     n_trials = len(values) * trials
     waterfills, splits = PER_TRIAL[policy]

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from swipt_relay import allocator, montecarlo
-from swipt_relay.baselines import PolicyId
+from swipt_relay.baselines import PolicyId, solve_policy
 from swipt_relay.channel import generate_channel
-from swipt_relay.allocator import solve
+from swipt_relay.allocator import NoUsablePairError, solve
+from swipt_relay.model import ChannelRealization
 from swipt_relay.montecarlo import (
     CSV_COLUMNS,
     POINT_SEED_STRIDE,
@@ -68,6 +69,33 @@ def test_dead_trials_counted_when_harvesting_disabled():
     # the supplied relay does not harvest at all
     assert batch.dead_trials[PolicyId.CONVENTIONAL_NON_EH] == 0
     assert np.all(batch.rates[PolicyId.CONVENTIONAL_NON_EH] > 0.0)
+
+
+@pytest.mark.parametrize("n", [4, 9])
+@pytest.mark.parametrize("trials", [1, 63, 64, 65, 130])
+def test_run_trials_match_solve_policy_across_blocks(monkeypatch, trials, n):
+    """Whole and partial blocks of trials give each policy the bits of a
+    per-trial solve_policy. Every 7th channel is dead, and each policy
+    counts the trials it had to score as zero."""
+    cfg = make_cfg(n_subcarriers=n, taps=2)
+
+    def channel_of(cfg, seed):
+        chan = generate_channel(cfg, seed)
+        return ChannelRealization(chan.h_sq, np.zeros(n)) if seed % 7 == 0 else chan
+
+    monkeypatch.setattr(montecarlo, "generate_channel", channel_of)
+    batch = run_trials(cfg, ALL_POLICIES, trials, seed=11)
+    for policy in ALL_POLICIES:
+        want, dead = [], 0
+        for seed in range(12, 12 + trials):
+            try:
+                want.append(solve_policy(policy, channel_of(cfg, seed), cfg).total_rate)
+            except NoUsablePairError:
+                want.append(0.0)
+                dead += 1
+        assert batch.rates[policy].tobytes() == np.array(want).tobytes()
+        assert batch.dead_trials[policy] == dead
+    assert batch.dead_trials[PolicyId.PROPOSED] == (trials + 4) // 7
 
 
 def test_run_trials_validates_inputs(default_cfg):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from swipt_relay.allocator import effective_gain, solve, split_and_gain, waterfill
+from swipt_relay.allocator import NoUsablePairError, effective_gain, solve, split_and_gain, waterfill
 from swipt_relay.channel import generate_channel
 from swipt_relay.model import ChannelRealization, NoiseProfile
 from swipt_relay.oracle import (
@@ -142,6 +142,19 @@ def test_grid_validates_inputs():
         power_by_grid([1.0], 1.0)
     with pytest.raises(ValueError):
         power_by_grid([1.0, 2.0], 1.0, resolution=0)
+
+
+def test_grid_rejects_a_dead_channel():
+    with pytest.raises(NoUsablePairError):
+        power_by_grid([0.0, 0.0], 10.0, 100)
+    with pytest.raises(NoUsablePairError):
+        waterfill([0.0, 0.0], 10.0)
+
+
+@pytest.mark.parametrize("resolution", [True, 100.0, 2.5, "100", None])
+def test_grid_rejects_a_resolution_that_is_not_an_int(resolution):
+    with pytest.raises(ValueError, match="resolution must be an int >= 1"):
+        power_by_grid([1.0, 2.0], 10.0, resolution)
 
 
 @pytest.mark.parametrize(
