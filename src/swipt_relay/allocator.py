@@ -61,6 +61,15 @@ class NoUsablePairError(ValueError):
     """Every pair of the channel has zero effective gain; no rate can flow."""
 
 
+def _check_split(h_sq: float, g_sq: float, rho_i: float) -> None:
+    """Raise ``ValueError`` unless both gains are finite and nonnegative and
+    ``rho_i`` lies in [0, 1]."""
+    if not (0.0 <= h_sq < math.inf and 0.0 <= g_sq < math.inf):
+        raise ValueError("h_sq and g_sq must be finite and nonnegative")
+    if not 0.0 <= rho_i <= 1.0:
+        raise ValueError("rho_i must lie in [0, 1]")
+
+
 def rate_terms(h_sq: float, g_sq: float, rho_i: float, p_mw: float, cfg: SystemConfig) -> tuple[float, float]:
     """The two mutual-information terms of one pair, in bits/s/Hz (without
     the 1/2 pre-log): decode at the relay, and forward on harvested power.
@@ -72,10 +81,7 @@ def rate_terms(h_sq: float, g_sq: float, rho_i: float, p_mw: float, cfg: SystemC
     nonnegative.
     """
     h_sq, g_sq, rho_i, p_mw = float(h_sq), float(g_sq), float(rho_i), float(p_mw)
-    if not (0.0 <= h_sq < math.inf and 0.0 <= g_sq < math.inf):
-        raise ValueError("h_sq and g_sq must be finite and nonnegative")
-    if not 0.0 <= rho_i <= 1.0:
-        raise ValueError("rho_i must lie in [0, 1]")
+    _check_split(h_sq, g_sq, rho_i)
     if not 0.0 <= p_mw < math.inf:
         raise ValueError("power must be nonnegative")
     noise = cfg.noise
@@ -99,22 +105,24 @@ def rate_terms(h_sq: float, g_sq: float, rho_i: float, p_mw: float, cfg: SystemC
 def sorted_pairing(h_sq, g_sq) -> SubcarrierPairing:
     """Match the k-th largest incoming gain with the k-th largest outgoing
     gain for every k. Ties break toward the lower original index (stable
-    sort), which never changes the achievable rate."""
-    h = np.asarray(h_sq, dtype=float)
-    g = np.asarray(g_sq, dtype=float)
-    if h.ndim != 1 or g.ndim != 1 or h.shape != g.shape:
-        raise ValueError("h_sq and g_sq must be equal-length vectors")
+    sort), which never changes the achievable rate. Raises ``ValueError``
+    on gains a :class:`ChannelRealization` rejects."""
+    channel = ChannelRealization(h_sq, g_sq)
     # a permutation by construction: skip the constructor's copy and check
-    return _frozen(SubcarrierPairing, perm=_sorted_perm(h, g))
+    return _frozen(SubcarrierPairing, perm=_sorted_perm(channel.h_sq, channel.g_sq))
 
 
 def _sorted_perm(h: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """The permutation of :func:`sorted_pairing` for two equal-length float
-    vectors: incoming subcarrier i forwards over outgoing ``perm[i]``."""
-    order_h = np.argsort(-h, kind="stable")
-    order_g = np.argsort(-g, kind="stable")
-    perm = np.empty(h.size, dtype=np.int64)
-    perm[order_h] = order_g
+    """The permutations of :func:`sorted_pairing` for two equal-shape float
+    vectors, or tables of one channel per row: incoming subcarrier i of a
+    row forwards over outgoing ``perm[..., i]``."""
+    order_h = np.argsort(-h, axis=-1, kind="stable")
+    order_g = np.argsort(-g, axis=-1, kind="stable")
+    perm = np.empty_like(order_h)
+    if h.ndim == 1:
+        perm[order_h] = order_g
+    else:
+        perm[np.arange(len(h))[:, None], order_h] = order_g
     return perm
 
 
@@ -126,7 +134,9 @@ def _identity_pairing(n: int) -> SubcarrierPairing:
 
 def effective_gain(h_sq: float, rho_i: float, cfg: SystemConfig) -> float:
     """Rate slope of a pair after the split: gamma such that the pair rate is
-    0.5*log2(1 + gamma*P). Independent of any power value."""
+    0.5*log2(1 + gamma*P). Independent of any power value. Raises
+    ``ValueError`` on a gain or ``rho_i`` that :func:`rate_terms` rejects."""
+    _check_split(h_sq, 0.0, rho_i)  # gamma does not depend on g_sq
     noise = cfg.noise
     return h_sq * rho_i / (rho_i * noise.sigma_ra_sq + noise.sigma_rb_sq)
 
@@ -351,16 +361,16 @@ def _water_filled(gam: np.ndarray, cfg: SystemConfig) -> np.ndarray:
     return waterfill(gam, cfg.p_max)
 
 
-def _split_gains(channel: ChannelRealization, perm: np.ndarray, cfg: SystemConfig):
-    """(rho_I, gamma) vectors of the pairs that forward subcarrier i over
-    ``perm[i]``, one ``split_and_gain`` call per pair."""
+def _split_gains(h: np.ndarray, g_paired: np.ndarray, cfg: SystemConfig):
+    """(rho_I, gamma) tables of the pairs whose incoming gains are ``h`` and
+    outgoing gains ``g_paired``, two tables of any equal shape; one
+    ``split_and_gain`` call per pair."""
     # the split loop runs on Python floats: NumPy-scalar arithmetic is about
     # 3x slower and gives the same bits
-    h_list = channel.h_sq.tolist()
-    g_list = channel.g_sq[perm].tolist()
-    pairs = [split_and_gain(h, g, cfg) for h, g in zip(h_list, g_list)]
+    pairs = map(split_and_gain, h.ravel().tolist(), g_paired.ravel().tolist(), itertools.repeat(cfg))
     # one flat buffer: about 2.5x faster than np.array on the list of tuples
-    return np.fromiter(itertools.chain.from_iterable(pairs), float, 2 * len(pairs)).reshape(-1, 2).T
+    table = np.fromiter(itertools.chain.from_iterable(pairs), float, 2 * h.size)
+    return table.reshape(-1, 2).T.reshape(2, *h.shape)
 
 
 def _largest(values: np.ndarray) -> float:
@@ -414,19 +424,21 @@ def _check_width(n: int, cfg: SystemConfig, what: str = "channel") -> None:
 
 def _run_row(row, channel: ChannelRealization, cfg: SystemConfig) -> AllocationResult:
     """The result of one policy row on one realization. A row is three rules:
-    sorted (else identity) pairing, the (rho_I, gamma) of the pairs for a
-    given permutation, and the powers on them.
+    sorted (else identity) pairing; the (rho_I, gamma) tables of the pairs
+    of given incoming and outgoing gain tables, which ``baselines`` also
+    runs on a ``(b, N)`` block of channels; and the powers of one channel.
 
     Raises ``ValueError`` when the channel's width is not the config's, and
     :class:`NoUsablePairError` where the row water-fills a dead channel.
     """
     use_sorted, gains, power_rule = row
     _check_width(channel.n_subcarriers, cfg)
+    h, g = channel.h_sq, channel.g_sq
     if use_sorted:
-        pairing = sorted_pairing(channel.h_sq, channel.g_sq)
+        pairing = _frozen(SubcarrierPairing, perm=_sorted_perm(h, g))
     else:
         pairing = _identity_pairing(channel.n_subcarriers)
-    rho, gam = gains(channel, pairing.perm, cfg)
+    rho, gam = gains(h, g[pairing.perm], cfg)
     return _result(pairing, rho, gam, power_rule(gam, cfg), cfg.p_max)
 
 

@@ -4,27 +4,23 @@ and a conventional relay with its own power supply."""
 from __future__ import annotations
 
 import enum
-import math
 
 import numpy as np
 
 from .allocator import (
-    _FLOAT_BODY_LIMIT,
     _PRODUCT_LIMIT,
     _PROPOSED_ROW,
     NoUsablePairError,
     _check_width,
-    _identity_pairing,
     _largest,
     _pair_rates,
     _run_row,
     _sorted_perm,
     _split_gains,
     _water_filled,
-    split_and_gain,
 )
 # not called here, but perfbench/spans.py BINDINGS looks them up by these names
-from .allocator import solve, sorted_pairing, waterfill  # noqa: F401
+from .allocator import solve, sorted_pairing, split_and_gain, waterfill  # noqa: F401
 from .model import AllocationResult, ChannelRealization, SystemConfig
 
 __all__ = [
@@ -69,13 +65,12 @@ def solve_uniform(channel: ChannelRealization, cfg: SystemConfig, use_pairing: b
     return solve_policy(policy, channel, cfg)
 
 
-def _conventional_slopes(channel: ChannelRealization, cfg: SystemConfig):
+def _conventional_slopes(h: np.ndarray, g: np.ndarray, cfg: SystemConfig):
     """Per-hop SNR slopes of the supplied-relay system (per mW at the relay
-    and at the destination). The relay has no power splitter; its decoder
-    sees the antenna noise."""
-    a = channel.h_sq / cfg.noise.sigma_ra_sq
-    b = channel.g_sq / cfg.noise.sigma_d_sq
-    return a, b
+    and at the destination) for incoming gains ``h`` and outgoing gains
+    ``g``. The relay has no power splitter; its decoder sees the antenna
+    noise."""
+    return h / cfg.noise.sigma_ra_sq, g / cfg.noise.sigma_d_sq
 
 
 def solve_conventional(channel: ChannelRealization, cfg: SystemConfig) -> AllocationResult:
@@ -103,8 +98,7 @@ def conventional_hop_powers(channel: ChannelRealization, cfg: SystemConfig, resu
     _check_width(channel.n_subcarriers, cfg)
     for vec in (result.pairing.perm, result.powers):
         _check_width(vec.size, cfg, "result")
-    a, b = _conventional_slopes(channel, cfg)
-    b = b[result.pairing.perm]
+    a, b = _conventional_slopes(channel.h_sq, channel.g_sq[result.pairing.perm], cfg)
     live = (a > 0.0) & (b > 0.0)
     a, b, powers = a[live], b[live], result.powers[live]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -119,20 +113,20 @@ def conventional_hop_powers(channel: ChannelRealization, cfg: SystemConfig, resu
     return p_source, p_relay
 
 
-def _conventional_gains(channel: ChannelRealization, perm: np.ndarray, cfg: SystemConfig):
-    """(rho_I, gamma) of the supplied-relay pairs that forward subcarrier i
-    over ``perm[i]``: no split (rho_I = 1) and gamma = a*b/(a+b).
+def _conventional_gains(h: np.ndarray, g_paired: np.ndarray, cfg: SystemConfig):
+    """(rho_I, gamma) tables of the supplied-relay pairs whose incoming gains
+    are ``h`` and outgoing gains ``g_paired``, two tables of any equal
+    shape: no split (rho_I = 1) and gamma = a*b/(a+b).
 
     Where a*b overflows, gamma (below min(a, b)) is taken as
     lo / (1 + lo/hi) with lo, hi the smaller and larger slope. No product
     overflows while max(a) * max(b) lies below ``_PRODUCT_LIMIT``, which one
-    check decides.
+    check decides; both forms give the same bits where no product
+    overflows, so a pair's gamma does not depend on the rest of the table.
     """
-    n = channel.n_subcarriers
-    a, b = _conventional_slopes(channel, cfg)
+    a, b = _conventional_slopes(h, g_paired, cfg)
     overflow_free = _largest(a) * _largest(b) < _PRODUCT_LIMIT
-    b = b[perm]
-    gam = np.zeros(n)
+    gam = np.zeros(h.shape)
     live = (a > 0.0) & (b > 0.0)
     a, b = a[live], b[live]
     if overflow_free:
@@ -145,17 +139,7 @@ def _conventional_gains(channel: ChannelRealization, perm: np.ndarray, cfg: Syst
         lo, hi = np.minimum(a[big], b[big]), np.maximum(a[big], b[big])
         live_gam[big] = lo / (1.0 + lo / hi)
         gam[live] = live_gam
-    return np.ones(n), gam
-
-
-def _conventional_gain(a: float, b: float) -> float:
-    """The gamma ``_conventional_gains`` gives slopes a, b, on Python floats."""
-    if not (a > 0.0 and b > 0.0):
-        return 0.0
-    if a * b == math.inf:
-        lo, hi = min(a, b), max(a, b)
-        return lo / (1.0 + lo / hi)
-    return a * b / (a + b)
+    return np.ones(h.shape), gam
 
 
 def _uniform_powers(gam: np.ndarray, cfg: SystemConfig) -> np.ndarray:
@@ -186,60 +170,27 @@ def _trial_rates(policies, channels, cfg: SystemConfig):
     ``(P, b)`` rate table, and a ``(P, b)`` boolean table that is set where
     a policy raised :class:`NoUsablePairError` on a channel, which scores 0.
 
-    No per-policy result is built and each channel's sorted order is
-    computed once. Below ``_FLOAT_BODY_LIMIT`` subcarriers the pass is
-    policy-major on Python floats, where a dozen small NumPy calls per trial
-    would cost more than the arithmetic: each row takes its gains, then its
-    powers, for the whole block, and one rate sum scores all ``P*b`` rows.
-    From it up each channel fills a ``(P, N)`` NumPy table of gains and one
-    of powers; a block-high table would only add temporaries. A row sum
-    adds its N terms as a 1-D ``ndarray.sum`` does whatever the table's
-    height, left to right below 8 terms and pairwise from 8 up. Both bodies
-    make the same ``split_and_gain`` and ``waterfill`` calls and float
-    operations.
+    The rules of ``_run_row`` run on ``(b, N)`` tables, one channel per
+    row, and no per-policy result is built: the block's sorted pairings are
+    computed once, then each policy row takes its gains over the whole
+    block, its powers channel by channel, and one row sum per channel. A
+    row sum adds its N terms as a 1-D ``ndarray.sum`` does whatever the
+    table's height, left to right below 8 terms and pairwise from 8 up.
     """
-    n, shape = cfg.n_subcarriers, (len(policies), len(channels))
-    if n >= _FLOAT_BODY_LIMIT:
-        rates, dead = np.empty(shape), np.zeros(shape, dtype=bool)
-        for col, channel in enumerate(channels):
-            perms = {True: _sorted_perm(channel.h_sq, channel.g_sq), False: _identity_pairing(n).perm}
-            gams, powers = np.zeros((len(policies), n)), np.zeros((len(policies), n))
-            for row, policy in enumerate(policies):
-                use_sorted, gains, power_rule = _RULES[policy]
-                try:
-                    gam = gains(channel, perms[use_sorted], cfg)[1]
-                    gams[row], powers[row] = gam, power_rule(gam, cfg)
-                except NoUsablePairError:
-                    # the row keeps zero gains and powers, so it sums to exactly 0.0
-                    dead[row, col] = True
-            rates[:, col] = _pair_rates(gams, powers, cfg.p_max).sum(axis=1)
-        return rates, dead
-    h_lists = [channel.h_sq.tolist() for channel in channels]
-    g_lists = [channel.g_sq.tolist() for channel in channels]
-    g_sorted = []
-    for h_list, g_list in zip(h_lists, g_lists):
-        # a stable descending sort: the order of np.argsort(-x, kind="stable")
-        order_h = sorted(range(n), key=h_list.__getitem__, reverse=True)
-        order_g = sorted(range(n), key=g_list.__getitem__, reverse=True)
-        # the outgoing gain that incoming subcarrier i forwards over, for i in order
-        g_sorted.append([g_list[j] for _, j in sorted(zip(order_h, order_g))])
-    s_ra, s_d = cfg.noise.sigma_ra_sq, cfg.noise.sigma_d_sq
-    gams, powers, dead = [], [], []
-    for policy in policies:
+    h = np.array([channel.h_sq for channel in channels])
+    g = np.array([channel.g_sq for channel in channels])
+    paired = {True: np.take_along_axis(g, _sorted_perm(h, g), axis=1), False: g}
+    rates = np.empty((len(policies), len(channels)))
+    dead = np.zeros(rates.shape, dtype=bool)
+    for row, policy in enumerate(policies):
         use_sorted, gains, power_rule = _RULES[policy]
-        hg_lists = list(zip(h_lists, g_sorted if use_sorted else g_lists))
-        if gains is _conventional_gains:
-            row_gams = [[_conventional_gain(h / s_ra, g / s_d) for h, g in zip(*hg)] for hg in hg_lists]
-        else:
-            row_gams = [[split_and_gain(h, g, cfg)[1] for h, g in zip(*hg)] for hg in hg_lists]
-        for gam in row_gams:
+        gam = gains(h, paired[use_sorted], cfg)[1]
+        powers = np.zeros(gam.shape)
+        for col, channel_gam in enumerate(gam):
             try:
-                gam_powers = [cfg.p_max / n] * n if power_rule is _uniform_powers else power_rule(gam, cfg)
-                dead.append(False)
+                powers[col] = power_rule(channel_gam, cfg)
             except NoUsablePairError:
-                dead.append(True)
-                gam = gam_powers = [0.0] * n
-            gams.append(gam)
-            powers.append(gam_powers)
-    rates = _pair_rates(np.array(gams), np.array(powers), cfg.p_max).sum(axis=1)
-    return rates.reshape(shape), np.array(dead).reshape(shape)
+                # every gain of the channel is zero, so it sums to exactly 0.0
+                dead[row, col] = True
+        rates[row] = _pair_rates(gam, powers, cfg.p_max).sum(axis=1)
+    return rates, dead

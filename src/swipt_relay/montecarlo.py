@@ -6,9 +6,9 @@ its channel from seed s + t; sweep point k offsets the run seed by
 k * 1_000_000, so adding sweep points or policies never perturbs existing
 results. A sweep is limited to fewer than 10^6 trials per point, so no two
 points share a channel seed. Trials run serially in blocks: a block's
-channels are generated in seed order, then one pass over the policy rows of
-``baselines`` scores the whole block and keeps only total rates. Rates are
-reduced in trial order.
+channels are generated in seed order, then the policy rules of ``baselines``
+score the whole block as ``(b, N)`` tables and keep only total rates. Rates
+are reduced in trial order.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .baselines import PolicyId, _trial_rates
 # not called here, but perfbench/spans.py BINDINGS looks it up by this name
 from .baselines import solve_policy  # noqa: F401
 from .channel import _check_seed, generate_channel
-from .model import ConfigError, SystemConfig, config_errors, dbm_to_mw, validate_config
+from .model import ConfigError, SystemConfig, _is_int, config_errors, dbm_to_mw, validate_config
 
 __all__ = [
     "POINT_SEED_STRIDE",
@@ -37,9 +37,10 @@ __all__ = [
 
 POINT_SEED_STRIDE = 1_000_000  # collision-free for < 10^6 trials per point
 
-# trials per block: 64 channels hold 256 KB at N=256, and blocks of 16 to
-# 2000 trials run equally fast
-_BLOCK_TRIALS = 64
+# subcarrier pairs per block of trials, a trial counting as at least 64
+# pairs: 64 trials up to N=64, 16 at N=256. At N=256 4-trial blocks run
+# ~20% slower, and 64-trial blocks hold ~3 MB more.
+_BLOCK_PAIRS = 4096
 
 SWEEP_VARIABLES = ("p_max_dbm", "relay_position")
 
@@ -64,6 +65,11 @@ def _check_policies(policies) -> tuple[PolicyId, ...]:
     return policies
 
 
+def _check_trials(trials) -> None:
+    if not (_is_int(trials) and trials >= 1):
+        raise ValueError("trials must be an integer >= 1")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """One sweep request: which knob to vary, where, and how hard to average."""
@@ -85,8 +91,7 @@ class SweepSpec:
         policies = _check_policies(self.policies)
         if len(set(policies)) != len(policies):
             raise ValueError("policies must not repeat")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        _check_trials(self.trials)
         if self.trials >= POINT_SEED_STRIDE:
             raise ValueError(
                 f"trials must be below {POINT_SEED_STRIDE}, the per-point seed stride, "
@@ -109,27 +114,28 @@ class TrialResult:
 def run_trials(cfg: SystemConfig, policies, trials: int, seed: int) -> TrialResult:
     """Evaluate every policy on ``trials`` common channel draws.
 
-    The trials run in blocks of ``_BLOCK_TRIALS``. A block first draws its
-    channels, one per trial in seed order, then scores all distinct policies
-    on them in one pass (``baselines._trial_rates``): each channel's sorted
-    pairing is computed once and only the total rates are kept, with the
-    bits each policy's ``solve_policy(...).total_rate`` has. Running one
-    layer over a block at a time, not alternating them per trial, keeps each
-    layer's code and data cache-resident. A policy named twice is evaluated
-    once. The policies are checked, and must be nonempty, before the first
-    trial.
+    The trials run in blocks of ``_BLOCK_PAIRS`` subcarrier pairs. A block
+    first draws its channels, one per trial in seed order, then scores all
+    distinct policies on them (``baselines._trial_rates``): the block's
+    sorted pairings are computed once, each policy takes its gains over the
+    whole block, and only the total rates are kept, with the bits each
+    policy's ``solve_policy(...).total_rate`` has. Running one layer over a
+    block at a time, not alternating them per trial, keeps each layer's code
+    and data cache-resident. A policy named twice is evaluated once. The
+    policies, and an integer ``trials`` of at least 1, are checked before
+    the first trial.
 
     Deterministic given (cfg, policies, trials, seed).
     """
     validate_config(cfg)
     distinct = tuple(dict.fromkeys(_check_policies(policies)))
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_trials(trials)
     seed = _check_seed(seed)
     table = np.empty((len(distinct), trials))
     dead = np.zeros(len(distinct), dtype=np.int64)
-    for start in range(0, trials, _BLOCK_TRIALS):
-        stop = min(start + _BLOCK_TRIALS, trials)
+    block = max(_BLOCK_PAIRS // max(cfg.n_subcarriers, 64), 1)
+    for start in range(0, trials, block):
+        stop = min(start + block, trials)
         channels = [generate_channel(cfg, seed + index + 1) for index in range(start, stop)]
         table[:, start:stop], dead_now = _trial_rates(distinct, channels, cfg)
         dead += dead_now.sum(axis=1)

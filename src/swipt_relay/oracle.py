@@ -213,12 +213,13 @@ def _worst(residuals) -> float:
     return worst
 
 
-def _pair_gammas(channel: ChannelRealization, result: AllocationResult, cfg: SystemConfig) -> np.ndarray:
-    """Effective gains implied by the allocation's own splits (zero on pairs
-    that cannot carry rate)."""
+def _pair_gammas(channel: ChannelRealization, perm: np.ndarray, rho_i: np.ndarray, cfg: SystemConfig):
+    """Effective gains implied by the splits ``rho_i`` of the pairs that
+    forward subcarrier i over ``perm[i]`` (zero on pairs that cannot carry
+    rate)."""
     gam = np.zeros(channel.n_subcarriers)
-    for i in np.flatnonzero(_live(channel.g_sq[result.pairing.perm], cfg)):
-        gam[i] = effective_gain(channel.h_sq[i], result.rho_i[i], cfg)
+    for i in np.flatnonzero(_live(channel.g_sq[perm], cfg)):
+        gam[i] = effective_gain(channel.h_sq[i], rho_i[i], cfg)
     return gam
 
 
@@ -235,14 +236,16 @@ def verify(
     allocation. Requires N <= 8 for the exhaustive pairing check. Raises
     ``ValueError`` when the channel or the result is not as wide as ``cfg``.
     """
-    if not tol > 0.0:
-        raise ValueError("tolerance must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tolerance must be positive and finite")
     _check_width(channel.n_subcarriers, cfg)
     if result is None:
         result = solve(channel, cfg)
     for vec in (result.pairing.perm, result.rho_i, result.powers):
         _check_width(vec.size, cfg, "result")
     perm = result.pairing.perm
+    # root_bounds fails a split outside [0, 1]; the other checks take it clamped
+    rho_i = np.clip(result.rho_i, 0.0, 1.0)
     n = channel.n_subcarriers
     checks: list[CheckResult] = []
 
@@ -250,9 +253,8 @@ def verify(
     gaps = []
     for i in range(n):
         if result.powers[i] > 0.0:
-            rho = min(max(result.rho_i[i], 0.0), 1.0)
             t_decode, t_forward = rate_terms(
-                channel.h_sq[i], channel.g_sq[perm[i]], rho, result.powers[i], cfg
+                channel.h_sq[i], channel.g_sq[perm[i]], rho_i[i], result.powers[i], cfg
             )
             gaps.append(abs(t_decode - t_forward) / max(t_decode, 1e-12))
     residual = _worst(gaps)
@@ -280,7 +282,7 @@ def verify(
     checks.append(CheckResult("monotone_rho_in_b", monotone and residual <= tol, max(residual, 0.0), tol))
 
     # stationarity of the power allocation
-    gam = _pair_gammas(channel, result, cfg)
+    gam = _pair_gammas(channel, perm, rho_i, cfg)
     active = result.powers > 0.0
     # a pair whose 1/gamma overflows is idle beside a usable one
     usable = gam > _GAMMA_MIN_INVERTIBLE
@@ -303,11 +305,13 @@ def verify(
         residual = _worst((budget, spread, slack))
     checks.append(CheckResult("waterfill_kkt", residual <= tol, residual, tol))
 
-    # no other pairing beats the sorted one; an infinite claimed rate has no
-    # defined gap to the search's finite one
+    # no other pairing beats the sorted one, and the claimed rate is the one
+    # the splits and powers deliver; an infinite claimed rate has no defined
+    # gap to the search's finite one
     _, best_rate = best_pairing_exhaustive(channel, cfg)
     gap = best_rate - result.total_rate if math.isfinite(result.total_rate) else math.nan
-    residual = _worst((gap,))
+    delivered = float(_pair_rates(gam, result.powers, cfg.p_max).sum())
+    residual = _worst((gap, (result.total_rate - delivered) / max(delivered, 1e-12)))
     checks.append(CheckResult("pairing_optimality", residual <= tol, residual, tol))
 
     # every reduced policy is dominated on this very realization; a rival

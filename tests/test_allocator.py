@@ -131,6 +131,14 @@ def test_sorted_pairing_rejects_length_mismatch():
         sorted_pairing([1.0, 2.0], [1.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf])
+def test_sorted_pairing_rejects_a_bad_gain(bad):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        sorted_pairing([1.0, bad], [1.0, 2.0])
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        sorted_pairing([1.0, 2.0], [bad, 2.0])
+
+
 # ------------------------------------------------ closed-form split (rho_I)
 
 def test_optimal_rho_reference_instance(single_pair_cfg):
@@ -188,6 +196,23 @@ def test_optimal_rho_interior_and_equalizing(g, s_ra, s_rb, s_d, eta):
 
 def test_effective_gain_zero_split(single_pair_cfg):
     assert effective_gain(0.9, 0.0, single_pair_cfg) == 0.0
+
+
+@pytest.mark.parametrize(
+    "h_sq, rho_i, message",
+    [
+        (math.nan, 0.5, "h_sq and g_sq must be finite and nonnegative"),
+        (-1.0, 0.5, "h_sq and g_sq must be finite and nonnegative"),
+        (math.inf, 0.5, "h_sq and g_sq must be finite and nonnegative"),
+        (1.0, 2.0, r"rho_i must lie in \[0, 1\]"),
+        (1.0, math.nan, r"rho_i must lie in \[0, 1\]"),
+    ],
+)
+def test_effective_gain_rejects_what_rate_terms_rejects(h_sq, rho_i, message, single_pair_cfg):
+    with pytest.raises(ValueError, match=message):
+        effective_gain(h_sq, rho_i, single_pair_cfg)
+    with pytest.raises(ValueError, match=message):
+        rate_terms(h_sq, 1.0, rho_i, 1.0, single_pair_cfg)
 
 
 def test_effective_gain_reference_instance(single_pair_cfg):
@@ -315,16 +340,18 @@ def test_split_and_gain_caps_rho_at_one_below_direct_max():
 )
 def test_split_table_matches_per_pair_calls(seed, n, eta):
     """_split_gains equals one split_and_gain call per pair stacked by
-    np.array, byte for byte, over sorted and identity pairings."""
-    h, g = mixed_gains(seed, n), mixed_gains(seed + 1, n)
+    np.array, byte for byte, over sorted and identity pairings, on one
+    channel and on a table of three, one per row."""
+    h = np.array([mixed_gains(seed + k, n) for k in range(3)])
+    g = np.array([mixed_gains(seed + k + 3, n) for k in range(3)])
     cfg = make_cfg(n_subcarriers=n, taps=1, eta=eta)
-    chan = ChannelRealization(h, g)
-    for perm in (_sorted_perm(chan.h_sq, chan.g_sq), np.arange(n)):
-        pairs = zip(chan.h_sq.tolist(), chan.g_sq[perm].tolist())
-        want = np.array([split_and_gain(hi, gi, cfg) for hi, gi in pairs]).T
-        got = _split_gains(chan, perm, cfg)
-        assert got.dtype == want.dtype and got.shape == want.shape == (2, n)
-        assert got.tobytes() == want.tobytes()
+    for paired in (np.take_along_axis(g, _sorted_perm(h, g), axis=1), g):
+        for h_in, g_in in ((h[0], paired[0]), (h, paired)):
+            pairs = zip(h_in.ravel().tolist(), g_in.ravel().tolist())
+            want = np.array([split_and_gain(hi, gi, cfg) for hi, gi in pairs]).T.reshape(2, *h_in.shape)
+            got = _split_gains(h_in, g_in, cfg)
+            assert got.dtype == want.dtype and got.shape == want.shape == (2, *h_in.shape)
+            assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------- waterfill

@@ -291,11 +291,11 @@ def test_overflowing_pair_rate_is_finite(policy):
     result = solve_policy(policy, chan, cfg)
     assert result.total_rate == float(result.pair_rates.sum())
     if policy is PolicyId.CONVENTIONAL_NON_EH:
-        gam = _conventional_gains(chan, result.pairing.perm, cfg)[1]
+        gam = _conventional_gains(chan.h_sq, chan.g_sq[result.pairing.perm], cfg)[1]
         np.testing.assert_array_equal(result.pair_rates, 0.5 * np.log1p(gam * result.powers) / math.log(2.0))
         assert math.isfinite(result.total_rate)
         return
-    rho, gam = _split_gains(chan, result.pairing.perm, cfg)
+    rho, gam = _split_gains(chan.h_sq, chan.g_sq[result.pairing.perm], cfg)
     with np.errstate(over="ignore"):  # the product gamma*P itself still overflows
         product = gam * result.powers
     big = int(np.argmax(gam))
@@ -323,7 +323,7 @@ def test_conventional_rate_is_finite_where_slope_product_overflows(h_sq, g_sq):
     assert np.isfinite(result.pair_rates).all() and (result.pair_rates >= 0.0).all()
     a = chan.h_sq / cfg.noise.sigma_ra_sq
     b = chan.g_sq[result.pairing.perm] / cfg.noise.sigma_d_sq
-    gam = _conventional_gains(chan, result.pairing.perm, cfg)[1]
+    gam = _conventional_gains(chan.h_sq, chan.g_sq[result.pairing.perm], cfg)[1]
     lo, hi = min(a[0], b[0]), max(a[0], b[0])
     assert gam[0] == lo / (1.0 + lo / hi)
     assert gam[0] == pytest.approx(lo, rel=1e-12)
@@ -403,7 +403,7 @@ def test_trial_rates_match_solve_policy(name, p_max):
 
 
 @pytest.mark.parametrize("p_max", [1e-6, 1000.0, 1e9])
-@pytest.mark.parametrize("n", [1, 4, 7, 9])
+@pytest.mark.parametrize("n", [1, 4, 7, 9, 256])
 def test_trial_rates_of_a_block_equal_its_one_channel_blocks(n, p_max):
     """A block's tables are the column stacks of one-channel blocks, bit for
     bit. The block holds a dead channel, one where the supplied relay's a*b

@@ -373,6 +373,11 @@ def test_verify_rejects_nonpositive_tolerance(cfg_path, capsys):
     assert "tolerance must be positive" in capsys.readouterr().err
 
 
+def test_verify_rejects_an_infinite_tolerance(cfg_path, capsys):
+    assert main(["verify", cfg_path, "--tol", "inf"]) == 1
+    assert "tolerance must be positive and finite" in capsys.readouterr().err
+
+
 def test_verify_rejects_zero_seeds(cfg_path, capsys):
     assert main(["verify", cfg_path, "--seeds", "0"]) == 1
 

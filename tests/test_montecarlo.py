@@ -98,6 +98,16 @@ def test_run_trials_match_solve_policy_across_blocks(monkeypatch, trials, n):
     assert batch.dead_trials[PolicyId.PROPOSED] == (trials + 4) // 7
 
 
+@pytest.mark.parametrize("trials", [2.5, 2.0, True, "3"])
+def test_trials_must_be_an_integer(trials, default_cfg):
+    """A fractional, boolean or string trial count is rejected up front, by
+    the sweep request and by the trial runner alike."""
+    with pytest.raises(ValueError, match="trials must be an integer >= 1"):
+        SweepSpec("p_max_dbm", (10.0,), trials, seed=0, policies=(PolicyId.PROPOSED,))
+    with pytest.raises(ValueError, match="trials must be an integer >= 1"):
+        run_trials(default_cfg, (PolicyId.PROPOSED,), trials, seed=1)
+
+
 def test_run_trials_validates_inputs(default_cfg):
     with pytest.raises(ValueError):
         run_trials(default_cfg, ALL_POLICIES, trials=0, seed=1)

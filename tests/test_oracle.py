@@ -327,6 +327,41 @@ def test_verify_rejects_a_result_of_another_width(default_cfg):
 def test_verify_rejects_bad_tolerance(default_cfg):
     with pytest.raises(ValueError):
         verify(generate_channel(default_cfg, 1), default_cfg, tol=0.0)
+    # an infinite tolerance would pass every check
+    for tol in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            verify(generate_channel(default_cfg, 1), default_cfg, tol=tol)
+
+
+def test_verify_fails_a_claimed_rate_above_the_delivered_one(default_cfg):
+    """The claimed total rate must be the one the result's splits and powers
+    deliver: a rate raised by 5 bits/s/Hz fails pairing_optimality with the
+    relative excess as its residual, and every other check still passes."""
+    from dataclasses import replace
+
+    chan = generate_channel(default_cfg, 2)
+    result = solve(chan, default_cfg)
+    report = verify(chan, default_cfg, result=replace(result, total_rate=result.total_rate + 5.0))
+    by_name = {check.check_name: check for check in report.checks}
+    assert not by_name["pairing_optimality"].passed
+    assert by_name["pairing_optimality"].residual == pytest.approx(5.0 / result.total_rate)
+    assert [check.check_name for check in report.checks if not check.passed] == ["pairing_optimality"]
+    assert verify(chan, default_cfg).checks[4].residual == 0.0
+
+
+def test_verify_reports_a_split_above_one(default_cfg):
+    """A split outside [0, 1] fails root_bounds and is taken clamped by the
+    other checks, so the audit reports it instead of raising."""
+    from dataclasses import replace
+
+    chan = generate_channel(default_cfg, 3)
+    result = solve(chan, default_cfg)
+    rho = result.rho_i.copy()
+    rho[0] = 1.25
+    report = verify(chan, default_cfg, result=replace(result, rho_i=rho))
+    by_name = {check.check_name: check for check in report.checks}
+    assert not by_name["root_bounds"].passed
+    assert by_name["root_bounds"].residual == pytest.approx(0.25)
 
 
 # ------------------------------------------- the search's table, bit for bit
