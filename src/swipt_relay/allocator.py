@@ -19,7 +19,6 @@ All functions are pure; concurrent use needs no coordination.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 
@@ -124,12 +123,6 @@ def _sorted_perm(h: np.ndarray, g: np.ndarray) -> np.ndarray:
     else:
         perm[np.arange(len(h))[:, None], order_h] = order_g
     return perm
-
-
-@functools.lru_cache(maxsize=16)
-def _identity_pairing(n: int) -> SubcarrierPairing:
-    # immutable, so one checked instance per N is shared by every result
-    return SubcarrierPairing(np.arange(n, dtype=np.int64))
 
 
 def effective_gain(h_sq: float, rho_i: float, cfg: SystemConfig) -> float:
@@ -399,6 +392,27 @@ def _pair_rates(gam: np.ndarray, powers: np.ndarray, p_max: float) -> np.ndarray
     return rates
 
 
+def _table_rates(gam: np.ndarray, power_rule, cfg: SystemConfig):
+    """Total rate of each row of the ``(b, N)`` gain table ``gam``, whose
+    powers ``power_rule`` gives row by row: a ``(b,)`` rate vector, and a
+    ``(b,)`` boolean vector that is set where the rule raised
+    :class:`NoUsablePairError` on a row, which scores 0.
+
+    A row sum adds its N terms as a 1-D ``ndarray.sum`` does whatever the
+    table's height, left to right below 8 terms and pairwise from 8 up, so a
+    row's rate has the bits of the ``total_rate`` of its one-row result.
+    """
+    powers = np.zeros(gam.shape)
+    dead = np.zeros(len(gam), dtype=bool)
+    for row, row_gam in enumerate(gam):
+        try:
+            powers[row] = power_rule(row_gam, cfg)
+        except NoUsablePairError:
+            # every gain of the row is zero, so it sums to exactly 0.0
+            dead[row] = True
+    return _pair_rates(gam, powers, cfg.p_max).sum(axis=1), dead
+
+
 def _result(
     pairing: SubcarrierPairing, rho: np.ndarray, gam: np.ndarray, powers: np.ndarray, p_max: float
 ) -> AllocationResult:
@@ -434,10 +448,8 @@ def _run_row(row, channel: ChannelRealization, cfg: SystemConfig) -> AllocationR
     use_sorted, gains, power_rule = row
     _check_width(channel.n_subcarriers, cfg)
     h, g = channel.h_sq, channel.g_sq
-    if use_sorted:
-        pairing = _frozen(SubcarrierPairing, perm=_sorted_perm(h, g))
-    else:
-        pairing = _identity_pairing(channel.n_subcarriers)
+    perm = _sorted_perm(h, g) if use_sorted else np.arange(channel.n_subcarriers)
+    pairing = _frozen(SubcarrierPairing, perm=perm)
     rho, gam = gains(h, g[pairing.perm], cfg)
     return _result(pairing, rho, gam, power_rule(gam, cfg), cfg.p_max)
 

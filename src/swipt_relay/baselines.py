@@ -8,15 +8,12 @@ import enum
 import numpy as np
 
 from .allocator import (
-    _PRODUCT_LIMIT,
     _PROPOSED_ROW,
-    NoUsablePairError,
     _check_width,
-    _largest,
-    _pair_rates,
     _run_row,
     _sorted_perm,
     _split_gains,
+    _table_rates,
     _water_filled,
 )
 # not called here, but perfbench/spans.py BINDINGS looks them up by these names
@@ -119,26 +116,21 @@ def _conventional_gains(h: np.ndarray, g_paired: np.ndarray, cfg: SystemConfig):
     shape: no split (rho_I = 1) and gamma = a*b/(a+b).
 
     Where a*b overflows, gamma (below min(a, b)) is taken as
-    lo / (1 + lo/hi) with lo, hi the smaller and larger slope. No product
-    overflows while max(a) * max(b) lies below ``_PRODUCT_LIMIT``, which one
-    check decides; both forms give the same bits where no product
-    overflows, so a pair's gamma does not depend on the rest of the table.
+    lo / (1 + lo/hi) with lo, hi the smaller and larger slope; every other
+    pair's gamma is the plain quotient, so it does not depend on the rest of
+    the table.
     """
     a, b = _conventional_slopes(h, g_paired, cfg)
-    overflow_free = _largest(a) * _largest(b) < _PRODUCT_LIMIT
     gam = np.zeros(h.shape)
     live = (a > 0.0) & (b > 0.0)
     a, b = a[live], b[live]
-    if overflow_free:
-        gam[live] = a * b / (a + b)
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            product = a * b
-            live_gam = product / (a + b)
-        big = np.isinf(product)
-        lo, hi = np.minimum(a[big], b[big]), np.maximum(a[big], b[big])
-        live_gam[big] = lo / (1.0 + lo / hi)
-        gam[live] = live_gam
+    with np.errstate(over="ignore", invalid="ignore"):
+        product = a * b
+        live_gam = product / (a + b)
+    big = np.isinf(product)
+    lo, hi = np.minimum(a[big], b[big]), np.maximum(a[big], b[big])
+    live_gam[big] = lo / (1.0 + lo / hi)
+    gam[live] = live_gam
     return np.ones(h.shape), gam
 
 
@@ -173,24 +165,15 @@ def _trial_rates(policies, channels, cfg: SystemConfig):
     The rules of ``_run_row`` run on ``(b, N)`` tables, one channel per
     row, and no per-policy result is built: the block's sorted pairings are
     computed once, then each policy row takes its gains over the whole
-    block, its powers channel by channel, and one row sum per channel. A
-    row sum adds its N terms as a 1-D ``ndarray.sum`` does whatever the
-    table's height, left to right below 8 terms and pairwise from 8 up.
+    block and scores them with ``allocator._table_rates``, the scorer the
+    exhaustive pairing search shares.
     """
     h = np.array([channel.h_sq for channel in channels])
     g = np.array([channel.g_sq for channel in channels])
     paired = {True: np.take_along_axis(g, _sorted_perm(h, g), axis=1), False: g}
     rates = np.empty((len(policies), len(channels)))
-    dead = np.zeros(rates.shape, dtype=bool)
+    dead = np.empty(rates.shape, dtype=bool)
     for row, policy in enumerate(policies):
         use_sorted, gains, power_rule = _RULES[policy]
-        gam = gains(h, paired[use_sorted], cfg)[1]
-        powers = np.zeros(gam.shape)
-        for col, channel_gam in enumerate(gam):
-            try:
-                powers[col] = power_rule(channel_gam, cfg)
-            except NoUsablePairError:
-                # every gain of the channel is zero, so it sums to exactly 0.0
-                dead[row, col] = True
-        rates[row] = _pair_rates(gam, powers, cfg.p_max).sum(axis=1)
+        rates[row], dead[row] = _table_rates(gains(h, paired[use_sorted], cfg)[1], power_rule, cfg)
     return rates, dead

@@ -230,6 +230,14 @@ def _frozen(cls, **fields):
     return obj
 
 
+def _holds_bool(values) -> bool:
+    """Whether ``values`` holds a bool entry, which ``np.array(values,
+    dtype=float)`` would take as 0 or 1: a bool is not a number."""
+    if isinstance(values, np.ndarray) and values.dtype != object:
+        return values.dtype == bool
+    return any(isinstance(x, (bool, np.bool_)) for x in np.array(values, dtype=object).ravel())
+
+
 @dataclass(frozen=True)
 class ChannelRealization:
     """Squared channel-gain magnitudes per subcarrier for both hops."""
@@ -238,6 +246,9 @@ class ChannelRealization:
     g_sq: np.ndarray
 
     def __post_init__(self):
+        for name in ("h_sq", "g_sq"):
+            if _holds_bool(getattr(self, name)):
+                raise ValueError(f"{name} entries must be numbers, not bools")
         h = np.array(self.h_sq, dtype=float)
         g = np.array(self.g_sq, dtype=float)
         if h.ndim != 1 or g.ndim != 1 or h.shape != g.shape:
@@ -267,7 +278,11 @@ class SubcarrierPairing:
     perm: np.ndarray
 
     def __post_init__(self):
-        p = np.array(self.perm, dtype=np.int64)
+        p = np.array(self.perm)
+        # a float or bool index would be truncated to another permutation
+        if p.dtype.kind not in "iu":
+            raise ValueError(f"perm must hold integers, got dtype {p.dtype}")
+        p = p.astype(np.int64, copy=False)
         if p.ndim != 1 or not np.array_equal(np.sort(p), np.arange(p.size)):
             raise ValueError("perm must be a permutation of 0..N-1")
         p.setflags(write=False)

@@ -23,12 +23,15 @@ from .allocator import (
     _check_budget,
     _check_width,
     _pair_rates,
+    _table_rates,
+    _water_filled,
     effective_gain,
     rate_terms,
     solve,
     split_and_gain,
-    waterfill,
 )
+# not called here, but perfbench/spans.py BINDINGS looks it up by this name
+from .allocator import waterfill  # noqa: F401
 from .baselines import PolicyId, _trial_rates
 from .model import AllocationResult, ChannelRealization, SubcarrierPairing, SystemConfig
 
@@ -98,9 +101,10 @@ def best_pairing_exhaustive(channel: ChannelRealization, cfg: SystemConfig) -> t
     permutations instead of this oracle.
 
     The candidates are the rows of one ``(N!, N)`` table of effective gains,
-    built from the N per-subcarrier split factors. Each row with a live pair
-    is water-filled by its own ``waterfill`` call (N! calls when every row
-    is live); a row of dead pairs makes no call and scores 0. The rates of
+    built from the N per-subcarrier split factors and scored by the sweep's
+    scorer, ``allocator._table_rates``: each row is water-filled by its own
+    ``waterfill`` call, N! calls in all. A row of dead pairs makes its call
+    too, which raises :class:`NoUsablePairError`, and scores 0. The rates of
     all rows are then summed at once. At N = 8 each ``(N!, N)`` float table
     (gains, powers, rate terms) is 40320 x 8, about 2.6 MB, and a call peaks
     near 10 MB; at N = 6 a table is 35 KB.
@@ -116,11 +120,7 @@ def best_pairing_exhaustive(channel: ChannelRealization, cfg: SystemConfig) -> t
     factor = np.array([split_and_gain(1.0, g, cfg)[1] for g in channel.g_sq.tolist()])
     perms = _permutations(n)
     # row r pairs incoming subcarrier i with outgoing perms[r, i]
-    gams = channel.h_sq * factor[perms]
-    powers = np.zeros_like(gams)
-    for r in np.flatnonzero((gams > 0.0).any(axis=1)).tolist():
-        powers[r] = waterfill(gams[r], cfg.p_max)
-    rates = _pair_rates(gams, powers, cfg.p_max).sum(axis=1)
+    rates, _ = _table_rates(channel.h_sq * factor[perms], _water_filled, cfg)
     # the first largest rate: ties go to the earliest row
     best = int(np.argmax(rates))
     return SubcarrierPairing(perms[best]), float(rates[best])
@@ -233,9 +233,16 @@ def verify(
 
     When ``result`` is omitted the allocator is run first; passing a result
     lets callers audit an externally produced (or deliberately corrupted)
-    allocation. Requires N <= 8 for the exhaustive pairing check. Raises
-    ``ValueError`` when the channel or the result is not as wide as ``cfg``.
+    allocation. Raises ``ValueError`` when ``cfg`` has more than 8
+    subcarriers, which the exhaustive pairing check cannot enumerate (checked
+    before anything else runs), and when the channel or the result is not as
+    wide as ``cfg``.
     """
+    if cfg.n_subcarriers > _EXHAUSTIVE_CAP:
+        raise ValueError(
+            f"n_subcarriers must be at most {_EXHAUSTIVE_CAP} for verification "
+            "(the pairing check enumerates all N! permutations)"
+        )
     if not 0.0 < tol < math.inf:
         raise ValueError("tolerance must be positive and finite")
     _check_width(channel.n_subcarriers, cfg)

@@ -139,6 +139,11 @@ def test_sorted_pairing_rejects_a_bad_gain(bad):
         sorted_pairing([1.0, 2.0], [bad, 2.0])
 
 
+def test_sorted_pairing_rejects_bool_gains():
+    with pytest.raises(ValueError, match="not bools"):
+        sorted_pairing([True, False], [1.0, 2.0])
+
+
 # ------------------------------------------------ closed-form split (rho_I)
 
 def test_optimal_rho_reference_instance(single_pair_cfg):
@@ -383,6 +388,12 @@ def test_waterfill_zero_gain_gets_exactly_zero():
 def test_waterfill_all_dead_raises():
     with pytest.raises(NoUsablePairError):
         waterfill([0.0, 0.0], 10.0)
+
+
+@pytest.mark.parametrize("gammas", [[], [[1.0, 2.0]], np.ones((2, 2))])
+def test_waterfill_rejects_an_input_that_is_not_a_nonempty_vector(gammas):
+    with pytest.raises(ValueError, match="gammas must be a nonempty vector"):
+        waterfill(gammas, 10.0)
 
 
 def test_waterfill_rejects_bad_budget():

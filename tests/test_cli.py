@@ -158,6 +158,25 @@ def test_sweep_overflowing_dbm_value_exits_1(cfg_path, capsys):
     assert "4000.0 dBm overflows a float in mW" in capsys.readouterr().err
 
 
+def test_solve_rejects_a_channel_file_with_an_extra_key(single_pair_paths, tmp_path, capsys):
+    cfg, _ = single_pair_paths
+    chan = tmp_path / "extra.json"
+    chan.write_text(json.dumps({"h_sq": [0.9], "g_sq": [0.9], "taps": 1}))
+    assert main(["solve", cfg, "--channel-file", str(chan)]) == 1
+    assert "exactly h_sq and g_sq" in capsys.readouterr().err
+
+
+def test_solve_rejects_a_channel_file_of_bools(tmp_path, capsys):
+    data = config_to_dict(default_config())
+    data.update(n_subcarriers=2, taps=2)
+    cfg = tmp_path / "two.json"
+    cfg.write_text(json.dumps(data))
+    chan = tmp_path / "bools.json"
+    chan.write_text(json.dumps({"h_sq": [True, True], "g_sq": [True, False]}))
+    assert main(["solve", str(cfg), "--channel-file", str(chan)]) == 1
+    assert "entries must be numbers, not bools" in capsys.readouterr().err
+
+
 def test_solve_channel_size_mismatch(cfg_path, tmp_path, capsys):
     chan = tmp_path / "chan.json"
     chan.write_text(json.dumps({"h_sq": [0.9], "g_sq": [0.9]}))
@@ -321,6 +340,12 @@ def test_sweep_rejects_trials_beyond_seed_stride(cfg_path, capsys):
     assert "below 1000000" in capsys.readouterr().err
 
 
+def test_sweep_relay_position_outside_the_link_exits_1(cfg_path, capsys):
+    argv = ["sweep", cfg_path, "--variable", "relay_position", "--values", "0.5,1.5", "--trials", "2"]
+    assert main(argv) == 1
+    assert "sweep produced an invalid config" in capsys.readouterr().err
+
+
 def test_sweep_byte_identical_reruns(cfg_path, tmp_path):
     args = [
         "sweep",
@@ -366,6 +391,15 @@ def test_verify_caps_subcarrier_count(tmp_path, capsys):
     path.write_text(json.dumps(data))
     assert main(["verify", str(path), "--seeds", "1"]) == 1
     assert "at most 8" in capsys.readouterr().err
+
+
+def test_verify_on_a_dead_config_exits_3(tmp_path, capsys):
+    data = config_to_dict(default_config())
+    data["eta"] = 0.0
+    path = tmp_path / "dead.json"
+    path.write_text(json.dumps(data))
+    assert main(["verify", str(path), "--seeds", "2"]) == 3
+    assert "seed 1: no usable pair" in capsys.readouterr().err
 
 
 def test_verify_rejects_nonpositive_tolerance(cfg_path, capsys):

@@ -288,6 +288,22 @@ def test_pairing_must_be_permutation():
         SubcarrierPairing([1, 2, 3])
 
 
+@pytest.mark.parametrize("perm", [[0.4, 1.2], [1.0, 0.0], np.array([1.0, 0.0]), [True, False]])
+def test_pairing_rejects_a_perm_that_is_not_integers(perm):
+    # a float or bool index would be truncated: [0.4, 1.2] read as [0, 1]
+    with pytest.raises(ValueError, match="perm must hold integers"):
+        SubcarrierPairing(perm)
+    assert SubcarrierPairing(np.array([1, 0], dtype=np.int32)).perm.dtype == np.int64
+
+
+@pytest.mark.parametrize("bools", [[True, False], [True, 2.0], [np.True_, 2.0], np.array([True, True])])
+def test_channel_realization_rejects_bool_gains(bools):
+    with pytest.raises(ValueError, match="h_sq entries must be numbers, not bools"):
+        ChannelRealization(bools, [1.0, 2.0])
+    with pytest.raises(ValueError, match="g_sq entries must be numbers, not bools"):
+        ChannelRealization([1.0, 2.0], bools)
+
+
 def test_channel_realization_invariants():
     chan = ChannelRealization([1.0, 2.0], [0.5, 0.0])
     assert chan.n_subcarriers == 2

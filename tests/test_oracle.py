@@ -51,6 +51,8 @@ def test_bisection_rejects_degenerate_inputs(single_pair_cfg):
         rho_by_bisection(0.9, make_cfg(eta=0.0))
     with pytest.raises(ValueError):
         rho_by_bisection(0.9, single_pair_cfg, tol=0.0)
+    with pytest.raises(ValueError, match="p_mw must be positive"):
+        rho_by_bisection(0.9, single_pair_cfg, p_mw=0.0)
 
 
 # ------------------------------------------------------- exhaustive pairing
@@ -322,6 +324,28 @@ def test_verify_rejects_a_result_of_another_width(default_cfg):
     narrow = solve(generate_channel(narrow_cfg, 5), narrow_cfg)
     with pytest.raises(ValueError, match="result has 3 subcarriers, config expects 4"):
         verify(generate_channel(default_cfg, 5), default_cfg, result=narrow)
+
+
+def test_verify_checks_the_subcarrier_cap_first():
+    # solve would raise NoUsablePairError on this dead channel
+    cfg = make_cfg(n_subcarriers=9, taps=4)
+    chan = ChannelRealization([1.0] * 9, [0.0] * 9)
+    with pytest.raises(ValueError, match="at most 8") as info:
+        verify(chan, cfg)
+    assert not isinstance(info.value, NoUsablePairError)
+
+
+def test_verify_reports_power_on_a_zero_gain_pair():
+    cfg = make_cfg(n_subcarriers=2, taps=2)
+    chan = ChannelRealization([1.0, 1.0], [1.0, 0.0])
+    from dataclasses import replace
+
+    result = solve(chan, cfg)
+    assert result.powers[1] == 0.0  # the dead pair
+    spread = replace(result, powers=np.full(2, cfg.p_max / 2))
+    kkt = {check.check_name: check for check in verify(chan, cfg, result=spread).checks}["waterfill_kkt"]
+    assert not kkt.passed
+    assert kkt.residual == math.inf
 
 
 def test_verify_rejects_bad_tolerance(default_cfg):
