@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .model import AllocationResult, ChannelRealization, SubcarrierPairing, SystemConfig, _frozen
+from .model import AllocationResult, ChannelRealization, SubcarrierPairing, SystemConfig, _frozen, _holds_bool
 
 __all__ = [
     "NoUsablePairError",
@@ -221,9 +221,9 @@ def waterfill(gammas, p_max: float) -> np.ndarray:
 
     Raises ``ValueError`` unless every gain is finite and nonnegative and
     ``p_max`` is positive and finite, and :class:`NoUsablePairError` when
-    every gain is zero.
+    every gain is zero. A bool is neither a gain nor a budget.
     """
-    gam = np.asarray(gammas, dtype=float)
+    gam = _gain_array(gammas)
     if gam.ndim != 1 or gam.size == 0:
         raise ValueError("gammas must be a nonempty vector")
     if gam.size < _FLOAT_BODY_LIMIT:
@@ -231,8 +231,19 @@ def waterfill(gammas, p_max: float) -> np.ndarray:
     return _waterfill_array(gam, p_max)
 
 
+def _gain_array(gammas) -> np.ndarray:
+    """``gammas`` as a float array, rejecting a bool entry that the cast
+    would read as 0 or 1."""
+    gam = np.asarray(gammas, dtype=float)
+    # a float64 array comes back as itself and holds no bool, so the
+    # engine's gain rows skip the check
+    if gam is not gammas and _holds_bool(gammas):
+        raise ValueError("gammas entries must be numbers, not bools")
+    return gam
+
+
 def _check_budget(p_max: float) -> None:
-    if not (math.isfinite(p_max) and p_max > 0.0):
+    if isinstance(p_max, (bool, np.bool_)) or not (math.isfinite(p_max) and p_max > 0.0):
         raise ValueError("p_max must be positive and finite")
 
 

@@ -7,16 +7,22 @@ the non-normalized N-point DFT of the taps, so the mean gain per subcarrier
 is (1+d)^(-alpha).
 
 Reproducibility contract: a realization is a pure function of (config, seed).
-The master seed feeds a PCG64 SeedSequence whose first spawned child drives
-the source-relay taps and whose second drives the relay-destination taps, so
-the two hops never share a stream. Child k is built directly as
-``SeedSequence(seed, spawn_key=(k,))``, which is the same stream as the k-th
-child of ``SeedSequence(seed).spawn(2)``. Each tap consumes exactly two
-standard normal variates (real part first, then imaginary).
+Hop 1 (source-relay) draws from the stream of the first child of
+``SeedSequence(seed).spawn(2)`` and hop 2 (relay-destination) from the
+second, so the two hops never share a stream. Child k is
+``SeedSequence(seed, spawn_key=(k,))``; its pool is that of
+``SeedSequence(words + [k])``, where ``words`` are the seed's 32-bit words,
+least significant first, zero-padded to 4, because NumPy pads the run
+entropy to the pool size before it appends a spawn key. Each hop's PCG64 is
+seeded from that pool with ``generate_state(4, np.uint64)``'s own hash, done
+for both hops in one array expression, so the streams are those of the
+spawned children bit for bit. Each tap consumes exactly two standard normal
+variates (real part first, then imaginary).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from pathlib import Path
@@ -27,6 +33,19 @@ from .model import ChannelRealization, SystemConfig, _frozen
 
 __all__ = ["generate_channel", "load_channel_file"]
 
+# SeedSequence's pool holds 4 uint32 words, and PCG64 asks it for 4 uint64
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+# generate_state's output hash: it cycles through the pool, and word i of
+# its output is pool[i % 4] XOR INIT_B * MULT_B**i, times INIT_B *
+# MULT_B**(i + 1) (mod 2**32), then XOR itself shifted right by 16
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_HASH = [_INIT_B * pow(_MULT_B, i, 2**32) & _MASK32 for i in range(2 * _POOL_SIZE + 1)]
+# both hops' 8 output words, each hop's pool taken twice; uint32 arrays wrap
+# silently where uint32 scalars would warn of overflow
+_HASH_XOR = np.array(_HASH[:-1] * 2, np.uint32)
+_HASH_MULT = np.array(_HASH[1:] * 2, np.uint32)
+
 
 def _check_seed(seed) -> int:
     """``seed`` as a Python int. A float or a bool is rejected rather than
@@ -34,6 +53,40 @@ def _check_seed(seed) -> int:
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     return int(seed)
+
+
+def _hop_states(seed: int) -> np.ndarray:
+    """The ``(2, 4)`` uint64 PCG64 seeds of hops 1 and 2: row k is
+    ``SeedSequence(seed, spawn_key=(k,)).generate_state(4, np.uint64)``."""
+    n_words = max(-(-seed.bit_length() // 32), _POOL_SIZE)
+    words = [(seed >> (32 * i)) & _MASK32 for i in range(n_words)]
+    seed_seq = np.random.SeedSequence
+    pool_1 = seed_seq(np.array(words + [0], np.uint32)).pool
+    pool_2 = seed_seq(np.array(words + [1], np.uint32)).pool
+    # joined, not gathered as pools[:, idx]: a strided array has no uint64 view
+    state = (np.concatenate((pool_1, pool_1, pool_2, pool_2)) ^ _HASH_XOR) * _HASH_MULT
+    state ^= state >> 16
+    # little-endian word pairs make each uint64, as generate_state reads them
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False).reshape(2, 4)
+
+
+@functools.cache
+def _fixed_state():
+    """An ``ISeedSequence`` that hands PCG64 a precomputed state. Built on
+    first use, so that importing the package leaves ``numpy.random`` out."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class FixedState(ISeedSequence):
+        def __init__(self, state: np.ndarray):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != _POOL_SIZE or np.dtype(dtype) != np.uint64:
+                asked = f"{n_words} {np.dtype(dtype)}"
+                raise ValueError(f"holds exactly {_POOL_SIZE} uint64 words, asked for {asked}")
+            return self.state
+
+    return FixedState
 
 
 def generate_channel(cfg: SystemConfig, seed: int) -> ChannelRealization:
@@ -52,12 +105,14 @@ def generate_channel(cfg: SystemConfig, seed: int) -> ChannelRealization:
     if n_sub < n_taps:
         raise ValueError(f"n_subcarriers ({n_sub}) must be >= number of taps ({n_taps})")
     parts = np.empty((2, 2 * n_taps))
+    states = _hop_states(seed)
+    fixed_state = _fixed_state()
     for k, distance in enumerate((cfg.dr, cfg.d0 - cfg.dr)):
         if distance < 0:
             raise ValueError("hop distance must be >= 0")
         # real/imaginary parts each carry half of the per-tap variance
         std = math.sqrt(0.5 / (n_taps * (1.0 + distance) ** cfg.alpha))
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
+        rng = np.random.Generator(np.random.PCG64(fixed_state(states[k])))
         parts[k] = rng.standard_normal(2 * n_taps) * std
     gains = np.abs(np.fft.fft(parts.view(complex), n=n_sub, axis=-1)) ** 2
     # a squared magnitude is never negative, so finiteness is the whole check

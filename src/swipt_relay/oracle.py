@@ -22,6 +22,7 @@ from .allocator import (
     NoUsablePairError,
     _check_budget,
     _check_width,
+    _gain_array,
     _pair_rates,
     _table_rates,
     _water_filled,
@@ -133,7 +134,7 @@ def power_by_grid(gammas, p_max: float, resolution: int = 10**6) -> np.ndarray:
     budget that ``waterfill`` rejects, with the same messages, raises
     :class:`NoUsablePairError` where both gains are zero, and takes only an
     int resolution."""
-    gam = np.asarray(gammas, dtype=float)
+    gam = _gain_array(gammas)
     if gam.shape != (2,):
         raise ValueError("power_by_grid expects exactly two gains")
     if not ((gam >= 0.0) & (gam < math.inf)).all():

@@ -403,6 +403,12 @@ def test_waterfill_rejects_bad_budget():
         waterfill([1.0], math.inf)
 
 
+def test_waterfill_takes_ints_and_other_float_widths_as_numbers():
+    expected = waterfill([1.0, 2.0], 1.0)
+    for gammas in ([1, 2], np.array([1, 2]), np.array([1.0, 2.0], np.float32)):
+        assert waterfill(gammas, 1).tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf])
 def test_waterfill_rejects_invalid_gain(bad):
     with pytest.raises(ValueError, match="finite and nonnegative"):

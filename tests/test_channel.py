@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swipt_relay.baselines import PolicyId, solve_policy
-from swipt_relay.channel import generate_channel
+import swipt_relay
+from swipt_relay.channel import _fixed_state, _hop_states, generate_channel
 
 from conftest import make_cfg
 
@@ -142,6 +147,53 @@ def test_generate_channel_matches_reference_composition(case):
     ref_h, ref_g = reference_gains(cfg, seed)
     assert chan.h_sq.tobytes() == ref_h.tobytes()
     assert chan.g_sq.tobytes() == ref_g.tobytes()
+
+
+# one seed on each side of every 32-bit word-count boundary: up to 4 words
+# the entropy is zero-padded to the pool size, from 5 words up it is not
+BOUNDARY_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 1, 2**96 - 1, 2**96 + 1,
+                  2**128 - 1, 2**128, 2**128 + 1, 2**160, 2**200 + 3]
+
+
+@pytest.mark.parametrize("seed", BOUNDARY_SEEDS)
+def test_hop_streams_match_the_spawned_children_at_every_word_count(seed):
+    states = _hop_states(seed)
+    for k, state in enumerate(states):
+        child = np.random.SeedSequence(seed, spawn_key=(k,))
+        assert state.tobytes() == child.generate_state(4, np.uint64).tobytes()
+        ours = np.random.Generator(np.random.PCG64(_fixed_state()(state))).standard_normal(64)
+        assert ours.tobytes() == np.random.default_rng(child).standard_normal(64).tobytes()
+    cfg = make_cfg(n_subcarriers=16, taps=8)
+    chan = generate_channel(cfg, seed)
+    ref_h, ref_g = reference_gains(cfg, seed)
+    assert chan.h_sq.tobytes() == ref_h.tobytes()
+    assert chan.g_sq.tobytes() == ref_g.tobytes()
+
+
+@pytest.mark.parametrize("seed", [np.uint64(2**64 - 1), np.int64(2**63 - 1), np.uint32(2**32 - 1), np.uint8(0)])
+def test_numpy_integer_seeds_name_the_same_channel_as_python_ints(seed):
+    cfg = make_cfg(n_subcarriers=16, taps=8)
+    chan = generate_channel(cfg, seed)
+    ref_h, ref_g = reference_gains(cfg, int(seed))
+    assert chan.h_sq.tobytes() == ref_h.tobytes()
+    assert chan.g_sq.tobytes() == ref_g.tobytes()
+
+
+@pytest.mark.parametrize("n_words, dtype", [(4, np.uint32), (8, np.uint32), (2, np.uint64), (8, np.uint64)])
+def test_fixed_state_hands_out_only_a_pcg64_seed(n_words, dtype):
+    fixed = _fixed_state()(_hop_states(5)[0])
+    with pytest.raises(ValueError, match="exactly 4 uint64 words"):
+        fixed.generate_state(n_words, dtype)
+
+
+def test_importing_the_package_leaves_numpy_random_unimported():
+    # numpy.random costs several MB and milliseconds at import; a
+    # generate_channel call loads it when it first needs it
+    src = str(Path(swipt_relay.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, swipt_relay; print(sorted(m for m in sys.modules if m.startswith('numpy.random')))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def _assert_read_only(arr):

@@ -168,6 +168,12 @@ def test_grid_rejects_a_resolution_that_is_not_an_int(resolution):
         ([1.0, 2.0], math.nan, "p_max must be positive and finite"),
         ([1.0, 2.0], 0.0, "p_max must be positive and finite"),
         ([1.0, 2.0], math.inf, "p_max must be positive and finite"),
+        # a bool is not a number, though a float cast reads it as 0 or 1
+        ([True, False], 10.0, "gammas entries must be numbers, not bools"),
+        ([1.0, np.bool_(True)], 10.0, "gammas entries must be numbers, not bools"),
+        (np.array([True, True]), 10.0, "gammas entries must be numbers, not bools"),
+        ([1.0, 2.0], True, "p_max must be positive and finite"),
+        ([1.0, 2.0], np.bool_(True), "p_max must be positive and finite"),
     ],
 )
 def test_grid_rejects_what_waterfill_rejects(gammas, p_max, message):
