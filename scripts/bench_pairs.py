@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare two revisions on the benchmark in alternating pairs of runs.
 
-    python3 scripts/bench_pairs.py [--base REV] [--head REV] [--pairs N]
+    python3 scripts/bench_pairs.py [--base REV] [--head REV] [--pairs N] [--workload NAME ...]
 
 Both revisions are extracted with ``git archive REV | tar -x`` into a
 temporary directory, so each run sees only committed files. For every
@@ -15,7 +15,11 @@ outlives its timeout counts as a crash.
 The summary goes to ``BENCH_<short head sha>.json`` at the repository root:
 per workload and end-to-end metric, each side's median and quartiles, the
 head/base ratio of the medians and the pairs the head wins, plus the failed
-operations of every run. Only the standard library is used.
+operations of every run. ``--workload NAME``, repeatable, runs only the
+named workloads; when the summary file already holds a comparison of the
+same revisions with the same pairs and run length, its other workloads are
+kept, so one workload can be rerun without losing the rest. Only the
+standard library is used.
 """
 
 from __future__ import annotations
@@ -112,16 +116,38 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> dict:
     }
 
 
-def main() -> int:
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = spec["run_seconds"]
+def parse_args(argv: list[str] | None, workloads: list[str]) -> argparse.Namespace:
+    """The command line; ``workloads`` are BENCHMARK.json's names in its
+    order, and ``args.workloads`` comes back as the chosen ones in that
+    order, all of them by default."""
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--base", default="HEAD~1", help="base revision (default: HEAD~1)")
     parser.add_argument("--head", default="HEAD", help="head revision (default: HEAD)")
     parser.add_argument("--pairs", type=int, default=10, help="pairs of runs per workload (default: 10)")
-    args = parser.parse_args()
+    parser.add_argument("--workload", action="append", dest="workloads", choices=workloads, metavar="NAME",
+                        help="run only this workload; repeat for more (default: all of "
+                        + ", ".join(workloads) + ")")
+    args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    chosen = args.workloads or workloads
+    args.workloads = [name for name in workloads if name in chosen]
+    return args
+
+
+def merge_earlier(report: dict, earlier: dict | None) -> dict:
+    """``report`` with the workloads of ``earlier`` that it did not rerun,
+    when ``earlier`` compared the same revisions with the same pairs and run
+    length; otherwise ``report`` as it is."""
+    if earlier is None or any(earlier.get(key) != report[key] for key in ("revisions", "pairs", "seconds")):
+        return report
+    return {**report, "workloads": {**earlier["workloads"], **report["workloads"]}}
+
+
+def main(argv: list[str] | None = None) -> int:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
+    args = parse_args(argv, [w["name"] for w in spec["workloads"]])
 
     better = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
     sides = {"base": git("rev-parse", args.base), "head": git("rev-parse", args.head)}
@@ -137,7 +163,7 @@ def main() -> int:
         trees = {side: Path(tmp) / side for side in sides}
         for side, sha in sides.items():
             extract(sha, trees[side])
-        for workload in (w["name"] for w in spec["workloads"]):
+        for workload in args.workloads:
             pairs = []
             for i, seed in enumerate(report["seeds"]):
                 order = ("base", "head") if i % 2 == 0 else ("head", "base")
@@ -147,6 +173,7 @@ def main() -> int:
                 print(f"{workload} seed {seed}: trials_per_s base {tps[0]} head {tps[1]}", flush=True)
             report["workloads"][workload] = summarize(pairs, better)
     path = ROOT / f"BENCH_{sides['head'][:7]}.json"
+    report = merge_earlier(report, json.loads(path.read_text()) if path.exists() else None)
     path.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {path.name}")
     return 0

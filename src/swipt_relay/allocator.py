@@ -24,7 +24,8 @@ import math
 
 import numpy as np
 
-from .model import AllocationResult, ChannelRealization, SubcarrierPairing, SystemConfig, _frozen, _holds_bool
+from .model import AllocationResult, ChannelRealization, SubcarrierPairing, SystemConfig, _frozen
+from .model import _holds_non_real, _is_real
 
 __all__ = [
     "NoUsablePairError",
@@ -54,6 +55,9 @@ _PRODUCT_LIMIT = 2.0**1023
 # and the largest gain of a rate sum are taken on Python floats below it and
 # on NumPy arrays from it up.
 _FLOAT_BODY_LIMIT = 8
+# module aliases: one global lookup each on the float water-filling path
+_INF = math.inf
+_fsum = math.fsum
 
 
 class NoUsablePairError(ValueError):
@@ -221,7 +225,7 @@ def waterfill(gammas, p_max: float) -> np.ndarray:
 
     Raises ``ValueError`` unless every gain is finite and nonnegative and
     ``p_max`` is positive and finite, and :class:`NoUsablePairError` when
-    every gain is zero. A bool is neither a gain nor a budget.
+    every gain is zero. A bool or a string is neither a gain nor a budget.
     """
     gam = _gain_array(gammas)
     if gam.ndim != 1 or gam.size == 0:
@@ -232,19 +236,28 @@ def waterfill(gammas, p_max: float) -> np.ndarray:
 
 
 def _gain_array(gammas) -> np.ndarray:
-    """``gammas`` as a float array, rejecting a bool entry that the cast
-    would read as 0 or 1."""
+    """``gammas`` as a float array, rejecting an entry that is not a real
+    number, such as a bool the cast would read as 0 or 1 or a numeric
+    string it would parse."""
     gam = np.asarray(gammas, dtype=float)
-    # a float64 array comes back as itself and holds no bool, so the
-    # engine's gain rows skip the check
-    if gam is not gammas and _holds_bool(gammas):
-        raise ValueError("gammas entries must be numbers, not bools")
+    # a float64 array comes back as itself and holds only real numbers, so
+    # the engine's gain rows skip the check
+    if gam is not gammas and _holds_non_real(gammas):
+        raise ValueError("gammas entries must be numbers, not bools or strings")
     return gam
 
 
-def _check_budget(p_max: float) -> None:
-    if isinstance(p_max, (bool, np.bool_)) or not (math.isfinite(p_max) and p_max > 0.0):
-        raise ValueError("p_max must be positive and finite")
+def _check_budget(p_max) -> float:
+    """``p_max`` as a Python float. Raises ``ValueError`` unless it is a
+    positive finite real number; a bool or a string is not one."""
+    if _is_real(p_max):
+        try:
+            budget = float(p_max)
+        except OverflowError:  # an int past the float range
+            budget = math.inf
+        if 0.0 < budget < math.inf:
+            return budget
+    raise ValueError("p_max must be positive and finite")
 
 
 def _waterfill_floats(gam: np.ndarray, p_max: float) -> np.ndarray:
@@ -253,9 +266,11 @@ def _waterfill_floats(gam: np.ndarray, p_max: float) -> np.ndarray:
     ``_FLOAT_BODY_LIMIT`` gains."""
     values = gam.tolist()
     for g in values:
-        if not 0.0 <= g < math.inf:
+        if not 0.0 <= g < _INF:
             raise ValueError("gammas must be finite and nonnegative")
-    _check_budget(p_max)
+    # the engine's budget, a positive finite float, needs no further check
+    if type(p_max) is not float or not 0.0 < p_max < _INF:
+        p_max = _check_budget(p_max)
     if min(values) > _GAMMA_MIN_INVERTIBLE:
         usable, inv = None, [1.0 / g for g in values]  # no index map needed
     else:
@@ -277,7 +292,10 @@ def _waterfill_floats(gam: np.ndarray, p_max: float) -> np.ndarray:
     # np.cumsum keeps it; every k is counted, as count_nonzero counts
     n_active = 0
     prefix = 0.0
-    for k, step in enumerate(steps, 1):
+    # a float count divides as the int one would, without the conversion
+    k = 0.0
+    for step in steps:
+        k += 1.0
         prefix += step
         if step < (budget + prefix) / k:
             n_active += 1
@@ -303,7 +321,7 @@ def _waterfill_floats(gam: np.ndarray, p_max: float) -> np.ndarray:
     alloc = [level - x if x <= top else 0.0 for x in inv]
     # np.argmax's pick: the first largest allocation
     largest = alloc.index(max(alloc))
-    alloc[largest] += budget - math.fsum(alloc)
+    alloc[largest] += budget - _fsum(alloc)
     if scale != 1.0:
         alloc = [a * scale for a in alloc]
     if usable is None:
@@ -318,7 +336,7 @@ def _waterfill_array(gam: np.ndarray, p_max: float) -> np.ndarray:
     """``waterfill`` on NumPy arrays, for a vector of any length."""
     if not ((gam >= 0.0) & (gam < math.inf)).all():
         raise ValueError("gammas must be finite and nonnegative")
-    _check_budget(p_max)
+    p_max = _check_budget(p_max)
     # a channel whose 1/gamma overflows is never powered beside a stronger one
     usable = gam > _GAMMA_MIN_INVERTIBLE
     if not usable.any():
@@ -360,9 +378,24 @@ def _waterfill_array(gam: np.ndarray, p_max: float) -> np.ndarray:
     return powers
 
 
-def _water_filled(gam: np.ndarray, cfg: SystemConfig) -> np.ndarray:
-    # this module's ``waterfill`` binding, looked up at call time
-    return waterfill(gam, cfg.p_max)
+def _water_filled(gam: np.ndarray, cfg: SystemConfig, dead: np.ndarray | None = None) -> np.ndarray:
+    """The water-filled powers of each row of the ``(b, N)`` gain table
+    ``gam``, one ``waterfill`` call per row, through this module's binding
+    looked up at call time.
+
+    A row of zero gains raises :class:`NoUsablePairError`, unless a ``(b,)``
+    boolean vector ``dead`` is given: then the row is flagged there and
+    keeps zero powers.
+    """
+    powers = np.zeros(gam.shape)
+    for row, row_gam in enumerate(gam):
+        try:
+            powers[row] = waterfill(row_gam, cfg.p_max)
+        except NoUsablePairError:
+            if dead is None:
+                raise
+            dead[row] = True
+    return powers
 
 
 def _split_gains(h: np.ndarray, g_paired: np.ndarray, cfg: SystemConfig):
@@ -405,22 +438,17 @@ def _pair_rates(gam: np.ndarray, powers: np.ndarray, p_max: float) -> np.ndarray
 
 def _table_rates(gam: np.ndarray, power_rule, cfg: SystemConfig):
     """Total rate of each row of the ``(b, N)`` gain table ``gam``, whose
-    powers ``power_rule`` gives row by row: a ``(b,)`` rate vector, and a
-    ``(b,)`` boolean vector that is set where the rule raised
-    :class:`NoUsablePairError` on a row, which scores 0.
+    ``(b, N)`` power table ``power_rule`` gives: a ``(b,)`` rate vector, and
+    a ``(b,)`` boolean vector that the rule sets where a row has no usable
+    pair, which scores 0.
 
     A row sum adds its N terms as a 1-D ``ndarray.sum`` does whatever the
     table's height, left to right below 8 terms and pairwise from 8 up, so a
     row's rate has the bits of the ``total_rate`` of its one-row result.
     """
-    powers = np.zeros(gam.shape)
     dead = np.zeros(len(gam), dtype=bool)
-    for row, row_gam in enumerate(gam):
-        try:
-            powers[row] = power_rule(row_gam, cfg)
-        except NoUsablePairError:
-            # every gain of the row is zero, so it sums to exactly 0.0
-            dead[row] = True
+    powers = power_rule(gam, cfg, dead)
+    # a dead row's gains and powers are all zero, so it sums to exactly 0.0
     return _pair_rates(gam, powers, cfg.p_max).sum(axis=1), dead
 
 
@@ -450,8 +478,9 @@ def _check_width(n: int, cfg: SystemConfig, what: str = "channel") -> None:
 def _run_row(row, channel: ChannelRealization, cfg: SystemConfig) -> AllocationResult:
     """The result of one policy row on one realization. A row is three rules:
     sorted (else identity) pairing; the (rho_I, gamma) tables of the pairs
-    of given incoming and outgoing gain tables, which ``baselines`` also
-    runs on a ``(b, N)`` block of channels; and the powers of one channel.
+    of given incoming and outgoing gain tables; and the ``(b, N)`` power
+    table of a ``(b, N)`` gain table. ``baselines`` runs the same rules on a
+    block of channels, one per row; here the block is this one channel.
 
     Raises ``ValueError`` when the channel's width is not the config's, and
     :class:`NoUsablePairError` where the row water-fills a dead channel.
@@ -462,7 +491,7 @@ def _run_row(row, channel: ChannelRealization, cfg: SystemConfig) -> AllocationR
     perm = _sorted_perm(h, g) if use_sorted else np.arange(channel.n_subcarriers)
     pairing = _frozen(SubcarrierPairing, perm=perm)
     rho, gam = gains(h, g[pairing.perm], cfg)
-    return _result(pairing, rho, gam, power_rule(gam, cfg), cfg.p_max)
+    return _result(pairing, rho, gam, power_rule(gam[None], cfg)[0], cfg.p_max)
 
 
 # the three-step policy of this module as a row

@@ -134,8 +134,10 @@ def _conventional_gains(h: np.ndarray, g_paired: np.ndarray, cfg: SystemConfig):
     return np.ones(h.shape), gam
 
 
-def _uniform_powers(gam: np.ndarray, cfg: SystemConfig) -> np.ndarray:
-    return np.full(gam.size, cfg.p_max / gam.size)
+def _uniform_powers(gam: np.ndarray, cfg: SystemConfig, dead: np.ndarray | None = None) -> np.ndarray:
+    """p_max/N on every pair of each row of the ``(b, N)`` gain table
+    ``gam``; no row is ever dead, so ``dead`` is left as it is."""
+    return np.full(gam.shape, cfg.p_max / gam.shape[-1])
 
 
 # every policy as a row of the three rules ``allocator._run_row`` executes

@@ -115,6 +115,12 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number: an int or a float, Python or
+    NumPy; a bool, a string or a complex number is not."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 def _finite(value) -> bool:
     """Whether ``value`` is a finite real number; a bool or a value of another
     type is not, so a mistyped field is reported rather than raised as
@@ -230,12 +236,13 @@ def _frozen(cls, **fields):
     return obj
 
 
-def _holds_bool(values) -> bool:
-    """Whether ``values`` holds a bool entry, which ``np.array(values,
-    dtype=float)`` would take as 0 or 1: a bool is not a number."""
+def _holds_non_real(values) -> bool:
+    """Whether ``values`` holds an entry that is not a real number, which
+    ``np.array(values, dtype=float)`` would still convert: it takes a bool
+    as 0 or 1 and parses a numeric string."""
     if isinstance(values, np.ndarray) and values.dtype != object:
-        return values.dtype == bool
-    return any(isinstance(x, (bool, np.bool_)) for x in np.array(values, dtype=object).ravel())
+        return values.dtype.kind not in "iuf"
+    return not all(_is_real(x) for x in np.array(values, dtype=object).ravel())
 
 
 @dataclass(frozen=True)
@@ -247,8 +254,8 @@ class ChannelRealization:
 
     def __post_init__(self):
         for name in ("h_sq", "g_sq"):
-            if _holds_bool(getattr(self, name)):
-                raise ValueError(f"{name} entries must be numbers, not bools")
+            if _holds_non_real(getattr(self, name)):
+                raise ValueError(f"{name} entries must be numbers, not bools or strings")
         h = np.array(self.h_sq, dtype=float)
         g = np.array(self.g_sq, dtype=float)
         if h.ndim != 1 or g.ndim != 1 or h.shape != g.shape:

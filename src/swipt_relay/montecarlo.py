@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -86,6 +87,9 @@ class SweepSpec:
         values = tuple(float(v) for v in self.values)
         if not values:
             raise ValueError("values must be nonempty")
+        # a NaN compares false either way, so the order check would pass it
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError("values must be finite")
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ValueError("values must be strictly increasing")
         policies = _check_policies(self.policies)

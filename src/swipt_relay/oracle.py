@@ -139,7 +139,7 @@ def power_by_grid(gammas, p_max: float, resolution: int = 10**6) -> np.ndarray:
         raise ValueError("power_by_grid expects exactly two gains")
     if not ((gam >= 0.0) & (gam < math.inf)).all():
         raise ValueError("gammas must be finite and nonnegative")
-    _check_budget(p_max)
+    p_max = _check_budget(p_max)
     if not (gam > 0.0).any():
         raise NoUsablePairError("no usable pair: every effective gain is zero")
     if isinstance(resolution, bool) or not isinstance(resolution, (int, np.integer)) or resolution < 1:

@@ -12,6 +12,7 @@ from swipt_relay.allocator import (
     NoUsablePairError,
     _sorted_perm,
     _split_gains,
+    _water_filled,
     _waterfill_array,
     _waterfill_floats,
     effective_gain,
@@ -606,6 +607,8 @@ def test_waterfill_bodies_bit_identical(problem):
         ([1.0, 0.5, 0.25], math.inf, ValueError),
         ([math.nan], math.nan, ValueError),  # the gains are checked first
         ([0.0, 0.0, 0.0], 10.0, NoUsablePairError),
+        ([1.0, 2.0], "1.0", ValueError),
+        ([1.0, 2.0], None, ValueError),
     ],
 )
 def test_waterfill_bodies_raise_alike(gammas, p_max, error):
@@ -704,6 +707,28 @@ def test_solve_pairing_invariant_under_common_scaling(default_cfg):
             solve(chan, default_cfg).pairing.perm,
             solve(scaled, default_cfg).pairing.perm,
         )
+
+
+@pytest.mark.parametrize("n", [2, 9])
+def test_waterfill_takes_a_numpy_float32_budget_at_its_value(n):
+    # float32 arithmetic on the budget overflowed in the prefix-sum guard
+    gam = np.linspace(1.0, 3.0, n)
+    powers = waterfill(gam, np.float32(0.1))
+    assert powers.dtype == np.float64
+    assert powers.tobytes() == waterfill(gam, float(np.float32(0.1))).tobytes()
+    assert power_by_grid(gam[:2], np.float32(0.1), 10).dtype == np.float64
+
+
+def test_water_filled_rule_raises_on_a_dead_row_unless_given_dead(default_cfg):
+    gam = np.array([[0.5, 0.2, 0.1, 0.3], [0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 2.0, 0.5]])
+    with pytest.raises(NoUsablePairError, match="^no usable pair: every effective gain is zero$"):
+        _water_filled(gam, default_cfg)
+    dead = np.zeros(len(gam), dtype=bool)
+    powers = _water_filled(gam, default_cfg, dead)
+    assert dead.tolist() == [False, True, False]
+    assert powers[1].tolist() == [0.0] * 4
+    for row in (0, 2):
+        assert powers[row].tobytes() == waterfill(gam[row], default_cfg.p_max).tobytes()
 
 
 def test_solve_dead_channel_raises(default_cfg):

@@ -60,3 +60,32 @@ def test_summary_skips_a_run_without_result():
     assert summary["metrics"]["trials_per_s"]["base"]["median"] == 100.0
     assert summary["failed"]["head"] == [0, None]
     assert bench_pairs.summarize([(crashed, crashed)], BETTER)["metrics"] == {}
+
+
+NAMES = ["figure-sweep", "wide-ofdm", "verify-oracle", "single-solve"]
+
+
+def test_workload_option_repeats_and_keeps_the_benchmark_order():
+    assert bench_pairs.parse_args([], NAMES).workloads == NAMES
+    args = bench_pairs.parse_args(["--workload", "single-solve", "--workload", "figure-sweep"], NAMES)
+    assert args.workloads == ["figure-sweep", "single-solve"]
+    assert bench_pairs.parse_args(["--workload", "wide-ofdm"] * 2, NAMES).workloads == ["wide-ofdm"]
+
+
+@pytest.mark.parametrize("argv", [["--workload", "no-such-workload"], ["--pairs", "0"]])
+def test_bad_arguments_exit_with_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        bench_pairs.parse_args(argv, NAMES)
+    assert info.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_a_rerun_workload_replaces_its_entry_and_keeps_the_rest():
+    same = {"revisions": {"base": "a", "head": "b"}, "pairs": 10, "seconds": 10}
+    earlier = {**same, "workloads": {"figure-sweep": "old", "wide-ofdm": "kept"}}
+    rerun = {**same, "workloads": {"figure-sweep": "new"}}
+    assert bench_pairs.merge_earlier(rerun, earlier)["workloads"] == {"figure-sweep": "new", "wide-ofdm": "kept"}
+    # another comparison's entries are not mixed in
+    for key, value in (("revisions", {"base": "a", "head": "c"}), ("pairs", 3), ("seconds", 5)):
+        assert bench_pairs.merge_earlier({**rerun, key: value}, earlier)["workloads"] == {"figure-sweep": "new"}
+    assert bench_pairs.merge_earlier(rerun, None) is rerun

@@ -170,6 +170,17 @@ def test_hop_streams_match_the_spawned_children_at_every_word_count(seed):
     assert chan.g_sq.tobytes() == ref_g.tobytes()
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**200))
+def test_hop_states_match_the_spawned_children(seed):
+    """One pool mixed from the seed's words, then the spawn word mixed in,
+    gives each child's PCG64 seed at any word count."""
+    states = _hop_states(seed)
+    for k, state in enumerate(states):
+        child = np.random.SeedSequence(seed, spawn_key=(k,))
+        assert state.tobytes() == child.generate_state(4, np.uint64).tobytes()
+
+
 @pytest.mark.parametrize("seed", [np.uint64(2**64 - 1), np.int64(2**63 - 1), np.uint32(2**32 - 1), np.uint8(0)])
 def test_numpy_integer_seeds_name_the_same_channel_as_python_ints(seed):
     cfg = make_cfg(n_subcarriers=16, taps=8)

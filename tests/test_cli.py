@@ -177,6 +177,17 @@ def test_solve_rejects_a_channel_file_of_bools(tmp_path, capsys):
     assert "entries must be numbers, not bools" in capsys.readouterr().err
 
 
+def test_solve_rejects_a_channel_file_of_strings(tmp_path, capsys):
+    data = config_to_dict(default_config())
+    data.update(n_subcarriers=2, taps=2)
+    cfg = tmp_path / "two.json"
+    cfg.write_text(json.dumps(data))
+    chan = tmp_path / "strings.json"
+    chan.write_text(json.dumps({"h_sq": ["1.5", "2"], "g_sq": ["3", "0.5"]}))
+    assert main(["solve", str(cfg), "--channel-file", str(chan)]) == 1
+    assert "entries must be numbers, not bools or strings" in capsys.readouterr().err
+
+
 def test_solve_channel_size_mismatch(cfg_path, tmp_path, capsys):
     chan = tmp_path / "chan.json"
     chan.write_text(json.dumps({"h_sq": [0.9], "g_sq": [0.9]}))

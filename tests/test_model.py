@@ -304,6 +304,17 @@ def test_channel_realization_rejects_bool_gains(bools):
         ChannelRealization([1.0, 2.0], bools)
 
 
+@pytest.mark.parametrize(
+    "entries", [["1.5", "2"], [1.5, "2"], np.array(["1.5", "2"]), [1.0, 2.0 + 0.0j], [1.0, None]]
+)
+def test_channel_realization_rejects_gains_that_are_not_real_numbers(entries):
+    # a float cast would parse the numeric strings
+    with pytest.raises(ValueError, match="h_sq entries must be numbers, not bools or strings"):
+        ChannelRealization(entries, [3.0, 0.5])
+    with pytest.raises(ValueError, match="g_sq entries must be numbers, not bools or strings"):
+        ChannelRealization([3.0, 0.5], entries)
+
+
 def test_channel_realization_invariants():
     chan = ChannelRealization([1.0, 2.0], [0.5, 0.0])
     assert chan.n_subcarriers == 2

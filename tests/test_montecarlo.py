@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -164,6 +166,21 @@ def test_run_trials_rates_are_read_only(default_cfg):
         assert not rates.flags.writeable
         with pytest.raises(ValueError):
             rates.setflags(write=True)
+
+
+@pytest.mark.parametrize(
+    "variable, values",
+    [
+        ("p_max_dbm", (10.0, math.nan, 5.0)),
+        ("p_max_dbm", (math.nan,)),
+        ("p_max_dbm", (10.0, math.inf)),
+        ("relay_position", (0.5, math.nan, 0.2)),
+    ],
+)
+def test_sweep_spec_rejects_values_that_are_not_finite(variable, values):
+    # a NaN compares false both ways, so it slipped past the order check
+    with pytest.raises(ValueError, match="values must be finite"):
+        SweepSpec(variable, values, 3, 1, (PolicyId.PROPOSED,))
 
 
 def test_sweep_spec_validation():

@@ -174,6 +174,13 @@ def test_grid_rejects_a_resolution_that_is_not_an_int(resolution):
         (np.array([True, True]), 10.0, "gammas entries must be numbers, not bools"),
         ([1.0, 2.0], True, "p_max must be positive and finite"),
         ([1.0, 2.0], np.bool_(True), "p_max must be positive and finite"),
+        # nor is a string, though a float cast parses a numeric one
+        (["1.0", "2.0"], 1.0, "gammas entries must be numbers, not bools or strings"),
+        ([1.0, "2.0"], 1.0, "gammas entries must be numbers, not bools or strings"),
+        (np.array(["1.0", "2.0"]), 1.0, "gammas entries must be numbers, not bools or strings"),
+        ([1.0, 2.0], "1.0", "p_max must be positive and finite"),
+        ([1.0, 2.0], None, "p_max must be positive and finite"),
+        pytest.param([1.0, 2.0], 10**400, "p_max must be positive and finite", id="int-budget-past-floats"),
     ],
 )
 def test_grid_rejects_what_waterfill_rejects(gammas, p_max, message):
