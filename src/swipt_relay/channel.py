@@ -41,7 +41,8 @@ _MASK32 = 0xFFFFFFFF
 # mix_entropy's hashmix: call c XORs its input with INIT_A * MULT_A**c,
 # multiplies by INIT_A * MULT_A**(c + 1) (mod 2**32), then XORs the product
 # with itself shifted right by 16; mix(x, y) is MIX_MULT_L*x - MIX_MULT_R*y
-# (mod 2**32), shifted and XORed the same way
+# (mod 2**32), shifted and XORed the same way. MIX_MULT_L multiplies the
+# pool array, MIX_MULT_R is folded into the cached spawn terms.
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), 0x4973F715
 # generate_state's output hash: it cycles through the pool, and word i of
@@ -70,9 +71,10 @@ def _hashmix(value: int, call: int) -> int:
 def _spawn_terms(n_words: int) -> np.ndarray:
     """``MIX_MULT_R * hashmix(k, 4w + d)`` for a seed of ``n_words`` (w >= 4)
     entropy words, laid out as the 16 output words of :func:`_hop_states`:
-    the spawn word k of hop k + 1, at its pool word d. The seed's words take
-    the first 4w calls of ``hashmix`` (4 to fill the pool, 12 to mix it, 4
-    per word past the fourth), so the spawn word's calls come next."""
+    hop k + 1 mixes in spawn word k, and its two rows hold pool words
+    d = 0..3 each. The seed's words take the first 4w calls of ``hashmix``
+    (4 to fill the pool, 12 to mix it, 4 per word past the fourth), so the
+    spawn word's calls come next."""
     terms = [[_MIX_MULT_R * _hashmix(k, 4 * n_words + d) & _MASK32 for d in range(_POOL_SIZE)] for k in (0, 1)]
     terms = np.array([terms[0], terms[0], terms[1], terms[1]], np.uint32)
     terms.setflags(write=False)  # one cached array serves every caller
