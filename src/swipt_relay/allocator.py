@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from .model import AllocationResult, ChannelRealization, SubcarrierPairing, SystemConfig, _frozen
-from .model import _holds_non_real, _is_real
+from .model import _real, _real_array
 
 __all__ = [
     "NoUsablePairError",
@@ -64,13 +64,16 @@ class NoUsablePairError(ValueError):
     """Every pair of the channel has zero effective gain; no rate can flow."""
 
 
-def _check_split(h_sq: float, g_sq: float, rho_i: float) -> None:
-    """Raise ``ValueError`` unless both gains are finite and nonnegative and
-    ``rho_i`` lies in [0, 1]."""
+def _check_split(h_sq: float, g_sq: float, rho_i: float) -> tuple[float, float, float]:
+    """The gains and ``rho_i`` as Python floats, read by the number rule of
+    ``model._real``. Raises ``ValueError`` unless both gains are finite and
+    nonnegative and ``rho_i`` lies in [0, 1]."""
+    h_sq, g_sq, rho_i = _real(h_sq), _real(g_sq), _real(rho_i)
     if not (0.0 <= h_sq < math.inf and 0.0 <= g_sq < math.inf):
         raise ValueError("h_sq and g_sq must be finite and nonnegative")
     if not 0.0 <= rho_i <= 1.0:
         raise ValueError("rho_i must lie in [0, 1]")
+    return h_sq, g_sq, rho_i
 
 
 def rate_terms(h_sq: float, g_sq: float, rho_i: float, p_mw: float, cfg: SystemConfig) -> tuple[float, float]:
@@ -79,12 +82,16 @@ def rate_terms(h_sq: float, g_sq: float, rho_i: float, p_mw: float, cfg: SystemC
 
     Where a term's SNR overflows, log1p(SNR) equals the sum of the logs of
     its factors to float precision, so that term is taken in that form
-    instead of inf. Raises ``ValueError`` unless both gains are finite and
-    nonnegative, ``rho_i`` lies in [0, 1] and the power is finite and
-    nonnegative.
+    instead of inf. Each argument is read as a Python float, so an int or a
+    NumPy scalar gives the float's result. Raises ``ValueError`` unless both
+    gains are finite and nonnegative ("h_sq and g_sq must be finite and
+    nonnegative"), ``rho_i`` lies in [0, 1] ("rho_i must lie in [0, 1]") and
+    the power is finite and nonnegative ("power must be nonnegative"). A
+    bool, a string or ``None`` is not a number, and an int past the float
+    range is out of range.
     """
-    h_sq, g_sq, rho_i, p_mw = float(h_sq), float(g_sq), float(rho_i), float(p_mw)
-    _check_split(h_sq, g_sq, rho_i)
+    h_sq, g_sq, rho_i = _check_split(h_sq, g_sq, rho_i)
+    p_mw = _real(p_mw)
     if not 0.0 <= p_mw < math.inf:
         raise ValueError("power must be nonnegative")
     noise = cfg.noise
@@ -131,9 +138,10 @@ def _sorted_perm(h: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def effective_gain(h_sq: float, rho_i: float, cfg: SystemConfig) -> float:
     """Rate slope of a pair after the split: gamma such that the pair rate is
-    0.5*log2(1 + gamma*P). Independent of any power value. Raises
-    ``ValueError`` on a gain or ``rho_i`` that :func:`rate_terms` rejects."""
-    _check_split(h_sq, 0.0, rho_i)  # gamma does not depend on g_sq
+    0.5*log2(1 + gamma*P), as a Python float. Independent of any power
+    value. Raises ``ValueError`` on a gain or ``rho_i`` that
+    :func:`rate_terms` rejects, with its message."""
+    h_sq, _, rho_i = _check_split(h_sq, 0.0, rho_i)  # gamma does not depend on g_sq
     noise = cfg.noise
     return h_sq * rho_i / (rho_i * noise.sigma_ra_sq + noise.sigma_rb_sq)
 
@@ -239,24 +247,19 @@ def _gain_array(gammas) -> np.ndarray:
     """``gammas`` as a float array, rejecting an entry that is not a real
     number, such as a bool the cast would read as 0 or 1 or a numeric
     string it would parse."""
-    gam = np.asarray(gammas, dtype=float)
-    # a float64 array comes back as itself and holds only real numbers, so
-    # the engine's gain rows skip the check
-    if gam is not gammas and _holds_non_real(gammas):
-        raise ValueError("gammas entries must be numbers, not bools or strings")
-    return gam
+    # a float64 array holds only real numbers, so the engine's gain rows
+    # skip the scan
+    if type(gammas) is np.ndarray and gammas.dtype == np.float64:
+        return gammas
+    return _real_array("gammas", gammas)
 
 
 def _check_budget(p_max) -> float:
     """``p_max`` as a Python float. Raises ``ValueError`` unless it is a
     positive finite real number; a bool or a string is not one."""
-    if _is_real(p_max):
-        try:
-            budget = float(p_max)
-        except OverflowError:  # an int past the float range
-            budget = math.inf
-        if 0.0 < budget < math.inf:
-            return budget
+    budget = _real(p_max)
+    if 0.0 < budget < math.inf:
+        return budget
     raise ValueError("p_max must be positive and finite")
 
 

@@ -56,8 +56,12 @@ def solve_opa_no_pairing(channel: ChannelRealization, cfg: SystemConfig) -> Allo
 
 def solve_uniform(channel: ChannelRealization, cfg: SystemConfig, use_pairing: bool) -> AllocationResult:
     """p_max/N on every subcarrier; pairing is sorted or identity per the
-    flag; the equal-rate split is still applied per pair. Never raises: a
-    dead channel simply carries zero rate."""
+    flag; the equal-rate split is still applied per pair. A dead channel
+    simply carries zero rate. Raises ``ValueError`` when ``use_pairing`` is
+    not a bool (Python or NumPy), and when the channel's width is not the
+    config's."""
+    if not isinstance(use_pairing, (bool, np.bool_)):
+        raise ValueError(f"use_pairing must be a bool, got {use_pairing!r}")
     policy = PolicyId.UNIFORM_WITH_PAIRING if use_pairing else PolicyId.UNIFORM_NO_PAIRING
     return solve_policy(policy, channel, cfg)
 

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import ChannelRealization, SystemConfig, _frozen
+from .model import ChannelRealization, SystemConfig, _frozen, _is_int
 
 __all__ = ["generate_channel", "load_channel_file"]
 
@@ -84,7 +84,7 @@ def _spawn_terms(n_words: int) -> np.ndarray:
 def _check_seed(seed) -> int:
     """``seed`` as a Python int. A float or a bool is rejected rather than
     truncated, so no two distinct seeds name the same channel."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+    if not (_is_int(seed) and seed >= 0):
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     return int(seed)
 

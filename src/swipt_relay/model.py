@@ -38,8 +38,11 @@ __all__ = [
 
 
 def dbm_to_mw(x_dbm: float) -> float:
-    """Convert a dBm power to linear milliwatts: 10^(x/10)."""
-    x = float(x_dbm)
+    """Convert a dBm power to linear milliwatts: 10^(x/10), as a Python
+    float. Raises ``ValueError`` unless ``x_dbm`` is a finite real number
+    (see :func:`_real`: a bool, a string or ``None`` is not one) whose power
+    fits a float."""
+    x = _real(x_dbm)
     if not math.isfinite(x):
         raise ValueError("dBm value must be finite")
     try:
@@ -79,9 +82,10 @@ class NoiseProfile:
     def __post_init__(self):
         try:
             sigma_d_sq = self.sigma_da_sq + self.sigma_db_sq
-        except TypeError:
-            # a mistyped field: config_errors reports it by name, and any
-            # arithmetic on None raises TypeError, as the sum did
+        except (TypeError, OverflowError):
+            # a mistyped field, or an int past the float range beside a
+            # float: config_errors reports it by name, and any arithmetic on
+            # None raises TypeError, as the sum did
             sigma_d_sq = None
         object.__setattr__(self, "sigma_d_sq", sigma_d_sq)
 
@@ -121,20 +125,26 @@ def _is_real(value) -> bool:
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
-def _finite(value) -> bool:
-    """Whether ``value`` is a finite real number; a bool or a value of another
-    type is not, so a mistyped field is reported rather than raised as
-    TypeError."""
-    if isinstance(value, (bool, np.bool_)):
-        return False
+def _real(value) -> float:
+    """``value`` as a Python float if it is a real number (see
+    :func:`_is_real`), an int past the float range as the infinity of its
+    sign, and anything else as NaN, which fails every range check.
+
+    With :func:`_is_int` and :func:`_is_real` this is the package's one rule
+    for what counts as a number: a checked argument is read through it, so a
+    mistyped one is reported with its range message rather than raised as
+    ``TypeError`` or ``OverflowError``, or parsed from a string.
+    """
+    if not _is_real(value):
+        return math.nan
     try:
-        return math.isfinite(value)
-    except TypeError:
-        return False
+        return float(value)
+    except OverflowError:  # an int past the float range
+        return math.inf if value > 0 else -math.inf
 
 
 def _positive_finite(name: str, value, errors: list[str]) -> None:
-    if not (_finite(value) and value > 0):
+    if not 0.0 < _real(value) < math.inf:
         errors.append(f"{name} must be a positive, finite number")
 
 
@@ -154,14 +164,14 @@ def config_errors(cfg: SystemConfig) -> list[str]:
     _positive_finite("p_max", cfg.p_max, errors)
     _positive_finite("alpha", cfg.alpha, errors)
     _positive_finite("d0", cfg.d0, errors)
-    if not (_finite(cfg.eta) and 0.0 <= cfg.eta <= 1.0):
+    if not 0.0 <= _real(cfg.eta) <= 1.0:
         errors.append("eta out of [0,1]")
-    if not (_finite(cfg.dr) and _finite(cfg.d0) and 0.0 < cfg.dr < cfg.d0):
+    if not 0.0 < _real(cfg.dr) < _real(cfg.d0) < math.inf:
         errors.append(
             "dr: relay must lie strictly between the source and the destination "
             "(0 < dr < d0)"
         )
-    elif _finite(cfg.alpha) and cfg.alpha > 0:
+    elif 0.0 < _real(cfg.alpha) < math.inf:
         # the channel draw divides each hop's tap variance by the product
         # taps * (1 + d)**alpha; where that is inf, every gain comes out 0
         for hop, distance in (("source-relay", cfg.dr), ("relay-destination", cfg.d0 - cfg.dr)):
@@ -245,6 +255,16 @@ def _holds_non_real(values) -> bool:
     return not all(_is_real(x) for x in np.array(values, dtype=object).ravel())
 
 
+def _real_array(name: str, values) -> np.ndarray:
+    """``values`` as a new float array, each entry read by :func:`_real`, so
+    that an int past the float range reads as inf where a float cast would
+    raise. Raises ``ValueError`` naming ``name`` on an entry that is not a
+    real number (see :func:`_holds_non_real`)."""
+    if _holds_non_real(values):
+        raise ValueError(f"{name} entries must be numbers, not bools or strings")
+    return np.array(np.frompyfunc(_real, 1, 1)(values), dtype=float)
+
+
 @dataclass(frozen=True)
 class ChannelRealization:
     """Squared channel-gain magnitudes per subcarrier for both hops."""
@@ -253,11 +273,8 @@ class ChannelRealization:
     g_sq: np.ndarray
 
     def __post_init__(self):
-        for name in ("h_sq", "g_sq"):
-            if _holds_non_real(getattr(self, name)):
-                raise ValueError(f"{name} entries must be numbers, not bools or strings")
-        h = np.array(self.h_sq, dtype=float)
-        g = np.array(self.g_sq, dtype=float)
+        h = _real_array("h_sq", self.h_sq)
+        g = _real_array("g_sq", self.g_sq)
         if h.ndim != 1 or g.ndim != 1 or h.shape != g.shape:
             raise ValueError("h_sq and g_sq must be equal-length vectors")
         if h.size == 0:
@@ -289,6 +306,10 @@ class SubcarrierPairing:
         # a float or bool index would be truncated to another permutation
         if p.dtype.kind not in "iu":
             raise ValueError(f"perm must hold integers, got dtype {p.dtype}")
+        # np.array casts a bool among ints to an int, so the entries are
+        # scanned as well
+        if _holds_non_real(self.perm):
+            raise ValueError("perm must hold integers, not bools")
         p = p.astype(np.int64, copy=False)
         if p.ndim != 1 or not np.array_equal(np.sort(p), np.arange(p.size)):
             raise ValueError("perm must be a permutation of 0..N-1")
@@ -340,20 +361,18 @@ _TOP_KEYS = {"n_subcarriers", "p_max_mw", "p_max_dbm", "eta", "d0", "dr", "alpha
 
 
 def _as_int(name: str, value, errors: list[str]) -> int:
-    # is_integer() is False for inf and NaN, which int() would raise on
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        errors.append(f"{name} must be an integer")
-        return 0
-    return value
+    # an integral float counts; is_integer() is False for inf and NaN, which
+    # int() would raise on
+    if _is_int(value) or _real(value).is_integer():
+        return int(value)
+    errors.append(f"{name} must be an integer")
+    return 0
 
 
 def _as_float(name: str, value, errors: list[str]) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_real(value):
         errors.append(f"{name} must be a number")
-        return math.nan
-    return float(value)
+    return _real(value)
 
 
 _FIELD_TYPES = {

@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .baselines import PolicyId, _trial_rates
 # not called here, but perfbench/spans.py BINDINGS looks it up by this name
 from .baselines import solve_policy  # noqa: F401
 from .channel import _check_seed, generate_channel
-from .model import ConfigError, SystemConfig, _is_int, config_errors, dbm_to_mw, validate_config
+from .model import ConfigError, SystemConfig, _is_int, _real, config_errors, dbm_to_mw, validate_config
 
 __all__ = [
     "POINT_SEED_STRIDE",
@@ -44,16 +44,6 @@ POINT_SEED_STRIDE = 1_000_000  # collision-free for < 10^6 trials per point
 _BLOCK_PAIRS = 4096
 
 SWEEP_VARIABLES = ("p_max_dbm", "relay_position")
-
-CSV_COLUMNS = (
-    "sweep_variable",
-    "sweep_value",
-    "policy",
-    "mean_rate_bps_hz",
-    "std_rate",
-    "trials",
-    "seed",
-)
 
 
 def _check_policies(policies) -> tuple[PolicyId, ...]:
@@ -84,10 +74,11 @@ class SweepSpec:
     def __post_init__(self):
         if self.variable not in SWEEP_VARIABLES:
             raise ValueError(f"variable must be one of {SWEEP_VARIABLES}")
-        values = tuple(float(v) for v in self.values)
+        values = tuple(_real(v) for v in self.values)
         if not values:
             raise ValueError("values must be nonempty")
-        # a NaN compares false either way, so the order check would pass it
+        # a NaN (also what a value that is not a number reads as) compares
+        # false either way, so the order check would pass it
         if not all(math.isfinite(v) for v in values):
             raise ValueError("values must be finite")
         if any(b <= a for a, b in zip(values, values[1:])):
@@ -161,6 +152,10 @@ class SweepRow:
     seed: int
 
 
+# the CSV header: one column per SweepRow field, in field order
+CSV_COLUMNS = tuple(field.name for field in fields(SweepRow))
+
+
 @dataclass(frozen=True)
 class SweepResult:
     """Aggregated sweep table, one row per (sweep point, policy)."""
@@ -175,27 +170,15 @@ class SweepResult:
             buf.write(f"# {banner}\n")
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        for row in self.rows:
-            writer.writerow(
-                [
-                    row.sweep_variable,
-                    repr(row.sweep_value),
-                    row.policy,
-                    repr(row.mean_rate_bps_hz),
-                    repr(row.std_rate),
-                    row.trials,
-                    row.seed,
-                ]
-            )
+        # the csv module writes a float as its repr
+        writer.writerows(map(astuple, self.rows))
         return buf.getvalue()
 
 
 def _substitute(cfg: SystemConfig, variable: str, value: float) -> SystemConfig:
     if variable == "p_max_dbm":
         return replace(cfg, p_max=dbm_to_mw(value))
-    if variable == "relay_position":
-        return replace(cfg, dr=value * cfg.d0)
-    raise ValueError(f"variable must be one of {SWEEP_VARIABLES}")
+    return replace(cfg, dr=value * cfg.d0)  # relay_position, as SweepSpec checks
 
 
 def sweep(cfg: SystemConfig, spec: SweepSpec) -> SweepResult:
@@ -223,7 +206,7 @@ def sweep(cfg: SystemConfig, spec: SweepSpec) -> SweepResult:
             rows.append(
                 SweepRow(
                     sweep_variable=spec.variable,
-                    sweep_value=float(value),
+                    sweep_value=value,
                     policy=policy.value,
                     mean_rate_bps_hz=float(rates.mean()),
                     std_rate=std,

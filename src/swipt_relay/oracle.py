@@ -34,7 +34,7 @@ from .allocator import (
 # not called here, but perfbench/spans.py BINDINGS looks it up by this name
 from .allocator import waterfill  # noqa: F401
 from .baselines import PolicyId, _trial_rates
-from .model import AllocationResult, ChannelRealization, SubcarrierPairing, SystemConfig
+from .model import AllocationResult, ChannelRealization, SubcarrierPairing, SystemConfig, _is_int, _real
 
 __all__ = [
     "CheckResult",
@@ -64,7 +64,15 @@ def rho_by_bisection(g_sq: float, cfg: SystemConfig, tol: float = 1e-12, p_mw: f
     The decode term vanishes at rho = 0 and the forward term at rho = 1, so
     their difference brackets a sign change; the root does not depend on the
     probe power ``p_mw`` (nor on the incoming gain, fixed at 1 here).
+
+    Raises ``ValueError`` unless ``tol`` is a real number in (0, 1) ("tol
+    must lie in (0, 1)") and ``p_mw`` a positive one ("p_mw must be
+    positive"); on a ``g_sq`` or an infinite ``p_mw`` that
+    :func:`rate_terms` rejects, with its message; and
+    when the pair is degenerate, so that no sign change is bracketed. A
+    bool, a string or ``None`` is not a number.
     """
+    tol, p_mw = _real(tol), _real(p_mw)
     if not 0.0 < tol < 1.0:
         raise ValueError("tol must lie in (0, 1)")
     if not p_mw > 0.0:
@@ -142,7 +150,7 @@ def power_by_grid(gammas, p_max: float, resolution: int = 10**6) -> np.ndarray:
     p_max = _check_budget(p_max)
     if not (gam > 0.0).any():
         raise NoUsablePairError("no usable pair: every effective gain is zero")
-    if isinstance(resolution, bool) or not isinstance(resolution, (int, np.integer)) or resolution < 1:
+    if not (_is_int(resolution) and resolution >= 1):
         raise ValueError("resolution must be an int >= 1")
     p1 = np.linspace(0.0, p_max, resolution + 1)
     objective = np.log1p(gam[0] * p1) + np.log1p(gam[1] * (p_max - p1))
@@ -236,14 +244,18 @@ def verify(
     lets callers audit an externally produced (or deliberately corrupted)
     allocation. Raises ``ValueError`` when ``cfg`` has more than 8
     subcarriers, which the exhaustive pairing check cannot enumerate (checked
-    before anything else runs), and when the channel or the result is not as
-    wide as ``cfg``.
+    before anything else runs); unless ``tol`` is a positive, finite real
+    number ("tolerance must be positive and finite"; a bool, a string or
+    ``None`` is not one, and an int past the float range is not finite),
+    which each check then carries as a Python float; and when the channel
+    or the result is not as wide as ``cfg``.
     """
     if cfg.n_subcarriers > _EXHAUSTIVE_CAP:
         raise ValueError(
             f"n_subcarriers must be at most {_EXHAUSTIVE_CAP} for verification "
             "(the pairing check enumerates all N! permutations)"
         )
+    tol = _real(tol)
     if not 0.0 < tol < math.inf:
         raise ValueError("tolerance must be positive and finite")
     _check_width(channel.n_subcarriers, cfg)

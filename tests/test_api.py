@@ -87,3 +87,28 @@ def test_every_import_is_used_exported_or_bound(path):
     exported = set(getattr(importlib.import_module(name), "__all__", ()))
     bound = {attr for owner, attr in _benchmark_bindings() if owner == name}
     assert imported - used - exported - bound == set()
+
+
+# the spellings of a number type that ``isinstance`` could test against
+NUMBER_TYPES = {f"{prefix}{name}" for prefix in ("np.", "numpy.") for name in ("integer", "floating", "number")}
+NUMBER_TYPES |= {"int", "float"}
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in Path(swipt_relay.__file__).parent.glob("*.py") if p.stem != "model"),
+    ids=lambda p: p.stem,
+)
+def test_only_the_model_decides_what_counts_as_a_number(path):
+    """Whether an argument is a number is decided by ``model._is_int``,
+    ``_is_real`` and ``_real`` alone: no other module runs an ``isinstance``
+    test against a number type."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    tested = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance":
+            kinds = node.args[1]
+            for kind in kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]:
+                if ast.unparse(kind) in NUMBER_TYPES:
+                    tested.append(f"line {node.lineno}: {ast.unparse(node)}")
+    assert tested == []

@@ -152,6 +152,22 @@ def test_overflowing_dbm_budget_exits_1(tmp_path, capsys):
     assert "p_max_dbm: 4000.0 dBm overflows a float in mW" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["solve"], ["sweep", "--variable", "p_max_dbm", "--values", "10,20", "--trials", "2"], ["verify"]],
+)
+def test_an_integer_budget_past_the_float_range_exits_1(argv, tmp_path, capsys):
+    # a 401-digit JSON integer reads as inf, an out-of-range budget like any other
+    data = config_to_dict(default_config())
+    data["p_max_mw"] = 10**400
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    assert main([argv[0], str(path), *argv[1:]]) == 1
+    err = capsys.readouterr().err
+    assert "invalid config" in err
+    assert "p_max must be a positive, finite number" in err
+
+
 def test_sweep_overflowing_dbm_value_exits_1(cfg_path, capsys):
     argv = ["sweep", cfg_path, "--variable", "p_max_dbm", "--values", "4000", "--trials", "2"]
     assert main(argv) == 1
@@ -186,6 +202,18 @@ def test_solve_rejects_a_channel_file_of_strings(tmp_path, capsys):
     chan.write_text(json.dumps({"h_sq": ["1.5", "2"], "g_sq": ["3", "0.5"]}))
     assert main(["solve", str(cfg), "--channel-file", str(chan)]) == 1
     assert "entries must be numbers, not bools or strings" in capsys.readouterr().err
+
+
+def test_solve_rejects_a_channel_file_gain_past_the_float_range(tmp_path, capsys):
+    # a 401-digit JSON integer reads as inf, not as an OverflowError
+    data = config_to_dict(default_config())
+    data.update(n_subcarriers=2, taps=2)
+    cfg = tmp_path / "two.json"
+    cfg.write_text(json.dumps(data))
+    chan = tmp_path / "huge.json"
+    chan.write_text(json.dumps({"h_sq": [1.5, 10**400], "g_sq": [3.0, 0.5]}))
+    assert main(["solve", str(cfg), "--channel-file", str(chan)]) == 1
+    assert "h_sq entries must be finite and nonnegative" in capsys.readouterr().err
 
 
 def test_solve_channel_size_mismatch(cfg_path, tmp_path, capsys):
