@@ -14,8 +14,9 @@ outlives its timeout counts as a crash.
 
 The summary goes to ``BENCH_<short head sha>.json`` at the repository root:
 per workload and end-to-end metric, each side's median and quartiles, the
-head/base ratio of the medians and the pairs the head wins, plus the failed
-operations of every run. ``--workload NAME``, repeatable, runs only the
+head/base ratio of the medians, the pairs the head wins and whether the
+head median is worse than the base's past the metric's ``bound`` (printed
+as well), plus the failed operations of every run. ``--workload NAME``, repeatable, runs only the
 named workloads; when the summary file already holds a comparison of the
 same revisions with the same pairs and run length, its other workloads are
 kept, so one workload can be rerun without losing the rest. Only the
@@ -81,13 +82,22 @@ def quartiles(values: list[float]) -> dict:
     return {"q1": q1, "median": median, "q3": q3}
 
 
-def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> dict:
+def worse_past_bound(base: float, head: float, direction: str, bound: float) -> bool:
+    """Whether ``head`` is worse than ``base`` in ``direction`` (``"higher"``
+    or ``"lower"`` is better) by more than ``bound`` times ``|base|``."""
+    worse = base - head if direction == "higher" else head - base
+    return worse > bound * abs(base)
+
+
+def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str], bounds: dict[str, float] | None = None) -> dict:
     """Summary of one workload's (base run, head run) pairs.
 
     ``better`` maps each metric to ``"higher"`` or ``"lower"``. A metric is
     summarised over the pairs where both runs report it; the head wins a
-    pair when its value is strictly better. ``failed`` lists each run's
-    failed operations (None for a run that printed no result).
+    pair when its value is strictly better. A metric named in ``bounds``
+    also gets ``worse_past_bound``: whether the head median is worse than
+    the base median by more than that fraction of it. ``failed`` lists each
+    run's failed operations (None for a run that printed no result).
     """
     metrics = {}
     for name, direction in better.items():
@@ -110,6 +120,9 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> dict:
             "wins": wins,
             "pairs": len(both),
         }
+        if bounds and name in bounds:
+            metrics[name]["worse_past_bound"] = worse_past_bound(
+                base_q["median"], head_q["median"], direction, bounds[name])
     return {
         "metrics": metrics,
         "failed": {"base": [b["failed"] for b, _ in pairs], "head": [h["failed"] for _, h in pairs]},
@@ -150,6 +163,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parse_args(argv, [w["name"] for w in spec["workloads"]])
 
     better = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
+    bounds = {metric["name"]: metric["bound"] for metric in spec["end_to_end"]}
     sides = {"base": git("rev-parse", args.base), "head": git("rev-parse", args.head)}
     report = {
         "revisions": sides,
@@ -171,7 +185,11 @@ def main(argv: list[str] | None = None) -> int:
                 pairs.append((runs["base"], runs["head"]))
                 tps = [runs[side]["metrics"].get("trials_per_s", {}).get("value") for side in ("base", "head")]
                 print(f"{workload} seed {seed}: trials_per_s base {tps[0]} head {tps[1]}", flush=True)
-            report["workloads"][workload] = summarize(pairs, better)
+            summary = report["workloads"][workload] = summarize(pairs, better, bounds)
+            for name, metric in summary["metrics"].items():
+                if metric["worse_past_bound"]:
+                    print(f"{workload}: {name} worse past its bound {bounds[name]}: median "
+                          f"{metric['base']['median']} -> {metric['head']['median']}", flush=True)
     path = ROOT / f"BENCH_{sides['head'][:7]}.json"
     report = merge_earlier(report, json.loads(path.read_text()) if path.exists() else None)
     path.write_text(json.dumps(report, indent=2) + "\n")

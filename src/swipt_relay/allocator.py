@@ -126,8 +126,9 @@ def _sorted_perm(h: np.ndarray, g: np.ndarray) -> np.ndarray:
     """The permutations of :func:`sorted_pairing` for two equal-shape float
     vectors, or tables of one channel per row: incoming subcarrier i of a
     row forwards over outgoing ``perm[..., i]``."""
-    order_h = np.argsort(-h, axis=-1, kind="stable")
-    order_g = np.argsort(-g, axis=-1, kind="stable")
+    # the method skips the np.argsort wrapper, about half the call
+    order_h = (-h).argsort(axis=-1, kind="stable")
+    order_g = (-g).argsort(axis=-1, kind="stable")
     perm = np.empty_like(order_h)
     if h.ndim == 1:
         perm[order_h] = order_g
@@ -372,8 +373,9 @@ def _waterfill_array(gam: np.ndarray, p_max: float) -> np.ndarray:
             return _all_to_strongest(gam, p_max)
     alloc = np.where(active, level - inv, 0.0)
     # pin the float sum exactly to the budget; the correction is O(ulp) and
-    # lands on the largest allocation
-    alloc[int(np.argmax(alloc))] += budget - math.fsum(alloc.tolist())
+    # lands on the largest allocation. Zeros leave a correctly rounded sum
+    # as it is, so only the active allocations are summed
+    alloc[int(np.argmax(alloc))] += budget - math.fsum(alloc[active].tolist())
     if scale != 1.0:
         alloc *= scale
     powers = np.zeros_like(gam)
@@ -382,14 +384,18 @@ def _waterfill_array(gam: np.ndarray, p_max: float) -> np.ndarray:
 
 
 def _water_filled(gam: np.ndarray, cfg: SystemConfig, dead: np.ndarray | None = None) -> np.ndarray:
-    """The water-filled powers of each row of the ``(b, N)`` gain table
-    ``gam``, one ``waterfill`` call per row, through this module's binding
-    looked up at call time.
+    """The water-filled powers of one channel's gain vector ``gam``, or of
+    each row of a ``(b, N)`` gain table ``gam``: one ``waterfill`` call per
+    channel, through this module's binding looked up at call time.
 
-    A row of zero gains raises :class:`NoUsablePairError`, unless a ``(b,)``
-    boolean vector ``dead`` is given: then the row is flagged there and
-    keeps zero powers.
+    Like every rule, it takes either shape; ``waterfill`` takes one vector,
+    so a vector goes to it as it is, and a table row by row into a power
+    table. A channel of zero gains raises :class:`NoUsablePairError`,
+    unless ``gam`` is a table and a ``(b,)`` boolean vector ``dead`` is
+    given: then the row is flagged there and keeps zero powers.
     """
+    if gam.ndim == 1:
+        return waterfill(gam, cfg.p_max)
     powers = np.zeros(gam.shape)
     for row, row_gam in enumerate(gam):
         try:
@@ -404,12 +410,15 @@ def _water_filled(gam: np.ndarray, cfg: SystemConfig, dead: np.ndarray | None = 
 def _split_gains(h: np.ndarray, g_paired: np.ndarray, cfg: SystemConfig):
     """(rho_I, gamma) tables of the pairs whose incoming gains are ``h`` and
     outgoing gains ``g_paired``, two tables of any equal shape; one
-    ``split_and_gain`` call per pair."""
+    ``split_and_gain`` call per pair. Both are read-only views of one
+    array."""
     # the split loop runs on Python floats: NumPy-scalar arithmetic is about
     # 3x slower and gives the same bits
     pairs = map(split_and_gain, h.ravel().tolist(), g_paired.ravel().tolist(), itertools.repeat(cfg))
     # one flat buffer: about 2.5x faster than np.array on the list of tuples
     table = np.fromiter(itertools.chain.from_iterable(pairs), float, 2 * h.size)
+    # read-only before the views are taken, so that both inherit the flag
+    table.setflags(write=False)
     return table.reshape(-1, 2).T.reshape(2, *h.shape)
 
 
@@ -430,7 +439,11 @@ def _pair_rates(gam: np.ndarray, powers: np.ndarray, p_max: float) -> np.ndarray
     ``_PRODUCT_LIMIT``, which one reduction decides.
     """
     if _largest(gam) * p_max < _PRODUCT_LIMIT:
-        return 0.5 * np.log1p(gam * powers) / _LN2
+        # the bits of 0.5 * log1p(gamma * P) / ln 2, with two arrays fewer
+        rates = np.log1p(gam * powers)
+        rates *= 0.5
+        rates /= _LN2
+        return rates
     with np.errstate(over="ignore"):
         snr = gam * powers
     rates = 0.5 * np.log1p(snr) / _LN2
@@ -481,9 +494,9 @@ def _check_width(n: int, cfg: SystemConfig, what: str = "channel") -> None:
 def _run_row(row, channel: ChannelRealization, cfg: SystemConfig) -> AllocationResult:
     """The result of one policy row on one realization. A row is three rules:
     sorted (else identity) pairing; the (rho_I, gamma) tables of the pairs
-    of given incoming and outgoing gain tables; and the ``(b, N)`` power
-    table of a ``(b, N)`` gain table. ``baselines`` runs the same rules on a
-    block of channels, one per row; here the block is this one channel.
+    of given incoming and outgoing gain tables; and the powers of a gain
+    table. ``baselines`` runs the same rules on a ``(b, N)`` block of
+    channels, one per row; here they run on this channel's vectors.
 
     Raises ``ValueError`` when the channel's width is not the config's, and
     :class:`NoUsablePairError` where the row water-fills a dead channel.
@@ -493,8 +506,11 @@ def _run_row(row, channel: ChannelRealization, cfg: SystemConfig) -> AllocationR
     h, g = channel.h_sq, channel.g_sq
     perm = _sorted_perm(h, g) if use_sorted else np.arange(channel.n_subcarriers)
     pairing = _frozen(SubcarrierPairing, perm=perm)
-    rho, gam = gains(h, g[pairing.perm], cfg)
-    return _result(pairing, rho, gam, power_rule(gam[None], cfg)[0], cfg.p_max)
+    # two indexings: unpacking a (2, N) table would start an iterator, which
+    # costs more than both
+    tables = gains(h, g[perm], cfg)
+    rho, gam = tables[0], tables[1]
+    return _result(pairing, rho, gam, power_rule(gam, cfg), cfg.p_max)
 
 
 # the three-step policy of this module as a row

@@ -139,8 +139,9 @@ def _conventional_gains(h: np.ndarray, g_paired: np.ndarray, cfg: SystemConfig):
 
 
 def _uniform_powers(gam: np.ndarray, cfg: SystemConfig, dead: np.ndarray | None = None) -> np.ndarray:
-    """p_max/N on every pair of each row of the ``(b, N)`` gain table
-    ``gam``; no row is ever dead, so ``dead`` is left as it is."""
+    """p_max/N on every pair of one channel's gain vector ``gam``, or of
+    each row of a ``(b, N)`` gain table; no row is ever dead, so ``dead`` is
+    left as it is."""
     return np.full(gam.shape, cfg.p_max / gam.shape[-1])
 
 

@@ -150,9 +150,12 @@ def generate_channel(cfg: SystemConfig, seed: int) -> ChannelRealization:
         rng.standard_normal(out=parts[k])
         parts[k] *= std
     gains = np.abs(np.fft.fft(parts.view(complex), n=n_sub, axis=-1)) ** 2
-    # a squared magnitude is never negative, so finiteness is the whole check
-    if not np.isfinite(gains).all():
+    # a squared magnitude is never negative, so finiteness is the whole
+    # check, and one max is below inf only if no gain is inf or NaN
+    if not gains.max() < math.inf:
         raise ValueError("h_sq and g_sq entries must be finite and nonnegative")
+    # marked once, before the two hop rows are taken as views of it
+    gains.setflags(write=False)
     return _frozen(ChannelRealization, h_sq=gains[0], g_sq=gains[1])
 
 

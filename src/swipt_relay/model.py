@@ -80,6 +80,7 @@ class NoiseProfile:
     sigma_db_sq: float
 
     def __post_init__(self):
+        _floats_for_numpy_reals(self, _NOISE_KEYS)
         try:
             sigma_d_sq = self.sigma_da_sq + self.sigma_db_sq
         except (TypeError, OverflowError):
@@ -113,6 +114,9 @@ class SystemConfig:
     taps: int
     noise: NoiseProfile
 
+    def __post_init__(self):
+        _floats_for_numpy_reals(self, ("p_max", "eta", "d0", "dr", "alpha"))
+
 
 def _is_int(value) -> bool:
     """Whether ``value`` is an integer; a bool is not."""
@@ -141,6 +145,17 @@ def _real(value) -> float:
         return float(value)
     except OverflowError:  # an int past the float range
         return math.inf if value > 0 else -math.inf
+
+
+def _floats_for_numpy_reals(obj, names) -> None:
+    """Store each field ``names`` of the frozen dataclass ``obj`` that holds
+    a NumPy real scalar as the Python float of its value (see
+    :func:`_real`), so that a ``float32`` field cannot carry float32
+    arithmetic into the engine. Python ints and non-numbers stay as given,
+    for :func:`config_errors` to report."""
+    for name in names:
+        if isinstance(value := getattr(obj, name), np.generic) and _is_real(value):
+            object.__setattr__(obj, name, _real(value))
 
 
 def _positive_finite(name: str, value, errors: list[str]) -> None:
@@ -232,17 +247,17 @@ def _frozen(cls, **fields):
     """Build the frozen dataclass ``cls`` around values the engine has just
     computed, skipping the copy and checks of its constructor.
 
-    Each array field, and the array it is a view of, is made read-only in
-    place, so the result is as read-only as a constructed one. Only for
-    arrays no caller holds: input from outside goes through ``cls(...)``.
+    Each array field is made read-only in place. A view is as read-only as
+    a constructed field only if the array it views is too: the engine marks
+    such a base once, before it takes the views, which inherit the flag.
+    Only for arrays no caller holds: input from outside goes through
+    ``cls(...)``.
     """
     obj = object.__new__(cls)
-    for name, value in fields.items():
+    for value in fields.values():
         if isinstance(value, np.ndarray):
             value.setflags(write=False)
-            if value.base is not None:
-                value.base.setflags(write=False)
-        object.__setattr__(obj, name, value)
+    obj.__dict__.update(fields)
     return obj
 
 

@@ -37,6 +37,16 @@ def mixed_gains(seed: int, n: int) -> list[float]:
     return np.where(rng.random(n) < 0.25, edge, regular).tolist()
 
 
+def assert_read_only(arr):
+    """``arr`` refuses writes, and so does the array it views, if any."""
+    assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        arr[0] = arr[0]
+    # a view of a writable array would leave a back door through .base
+    if arr.base is not None:
+        assert not arr.base.flags.writeable
+
+
 @pytest.fixture
 def default_cfg():
     return default_config()

@@ -710,6 +710,25 @@ def test_water_filled_rule_raises_on_a_dead_row_unless_given_dead(default_cfg):
         assert powers[row].tobytes() == waterfill(gam[row], default_cfg.p_max).tobytes()
 
 
+@pytest.mark.parametrize("n", [1, 4, 9])
+def test_water_filled_rule_on_a_vector_is_its_row_of_a_table(n, default_cfg):
+    """One channel's vector gets the powers of its row in a table, which
+    holds it among others or alone; a dead vector raises."""
+    gam = np.array([mixed_gains(seed, n) for seed in range(40)])
+    gam[3] = 0.0
+    dead = np.zeros(len(gam), dtype=bool)
+    table = _water_filled(gam, default_cfg, dead)
+    for row, vec in enumerate(gam):
+        if dead[row]:
+            with pytest.raises(NoUsablePairError):
+                _water_filled(vec, default_cfg)
+            continue
+        powers = _water_filled(vec, default_cfg)
+        assert powers.shape == (n,)
+        assert powers.tobytes() == table[row].tobytes() == _water_filled(vec[None], default_cfg)[0].tobytes()
+    assert dead[3]
+
+
 def test_solve_dead_channel_raises(default_cfg):
     with pytest.raises(NoUsablePairError):
         solve(ChannelRealization([0.0] * 4, [0.0] * 4), default_cfg)

@@ -20,7 +20,7 @@ from swipt_relay.channel import generate_channel
 from swipt_relay.model import ChannelRealization, NoiseProfile
 from swipt_relay.oracle import best_pairing_exhaustive, verify
 
-from conftest import NOISE_1DBM, make_cfg, mixed_gains
+from conftest import NOISE_1DBM, assert_read_only, make_cfg, mixed_gains
 
 
 def test_policy_names_are_exact():
@@ -481,3 +481,39 @@ def test_trial_rates_match_solve_policy_on_random_channels(data, n, p_max, eta):
     want_rates, want_dead = _one_at_a_time(chan, cfg)
     assert rates.tobytes() == np.array(want_rates).tobytes()
     assert dead.tolist() == want_dead
+
+
+@pytest.mark.parametrize("p_max", [1000.0, 1e9])
+@pytest.mark.parametrize("name", sorted(TRIAL_CHANNELS))
+def test_solve_policy_results_are_read_only_down_to_their_bases(name, p_max):
+    """Each policy's result arrays, and the arrays they view, are read-only:
+    on N=1 and N=9, with dead pairs, and where gamma*P overflows."""
+    h_sq, g_sq = TRIAL_CHANNELS[name]
+    cfg = make_cfg(n_subcarriers=len(h_sq), taps=1, p_max=p_max)
+    chan = ChannelRealization(h_sq, g_sq)
+    for policy in PolicyId:
+        try:
+            result = solve_policy(policy, chan, cfg)
+        except NoUsablePairError:
+            continue
+        for arr in (result.rho_i, result.powers, result.pair_rates, result.pairing.perm):
+            assert_read_only(arr)
+
+
+@pytest.mark.parametrize("eta", [0.0, 1.0])
+@pytest.mark.parametrize("n", [1, 4, 9])
+def test_trial_rates_of_one_channel_are_its_column_of_a_64_channel_block(n, eta):
+    """A block of one gives its channel's column of a 64-channel block (the
+    block run_trials makes up to N=64) bit for bit. The block holds a dead
+    channel, and with eta=0 every water-filling policy is dead on all."""
+    cfg = make_cfg(n_subcarriers=n, taps=1, eta=eta)
+    channels = [generate_channel(cfg, seed) for seed in range(63)]
+    channels.insert(17, ChannelRealization(mixed_gains(5, n), [0.0] * n))
+    rates, dead = _trial_rates(tuple(PolicyId), channels, cfg)
+    assert rates.shape == (len(PolicyId), 64)
+    for column, chan in enumerate(channels):
+        one_rates, one_dead = _trial_rates(tuple(PolicyId), [chan], cfg)
+        assert one_rates[:, 0].tobytes() == rates[:, column].tobytes()
+        assert one_dead[:, 0].tolist() == dead[:, column].tolist()
+    assert dead[:, 17].tolist() == [True, True, False, False, True]
+    assert dead.all(axis=1).tolist() == [eta == 0.0, eta == 0.0, False, False, False]

@@ -89,3 +89,35 @@ def test_a_rerun_workload_replaces_its_entry_and_keeps_the_rest():
     for key, value in (("revisions", {"base": "a", "head": "c"}), ("pairs", 3), ("seconds", 5)):
         assert bench_pairs.merge_earlier({**rerun, key: value}, earlier)["workloads"] == {"figure-sweep": "new"}
     assert bench_pairs.merge_earlier(rerun, None) is rerun
+
+
+def test_a_median_worse_past_its_bound_is_flagged():
+    bounds = {"trials_per_s": 0.2, "latency_p50_ms": 0.25}
+    # throughput 100 -> 79 is 21% worse; latency 10 -> 12.4 is 24% worse
+    pairs = [(_run(100.0, 10.0), _run(79.0, 12.4))] * 3
+    metrics = bench_pairs.summarize(pairs, BETTER, bounds)["metrics"]
+    assert metrics["trials_per_s"]["worse_past_bound"] is True
+    assert metrics["latency_p50_ms"]["worse_past_bound"] is False
+    # better medians are never flagged, however far they move
+    pairs = [(_run(100.0, 10.0), _run(300.0, 1.0))] * 3
+    metrics = bench_pairs.summarize(pairs, BETTER, bounds)["metrics"]
+    assert not metrics["trials_per_s"]["worse_past_bound"]
+    assert not metrics["latency_p50_ms"]["worse_past_bound"]
+    # a metric without a bound is not judged
+    assert "worse_past_bound" not in bench_pairs.summarize(pairs, BETTER)["metrics"]["trials_per_s"]
+
+
+@pytest.mark.parametrize(
+    "base, head, direction, flagged",
+    [
+        (100.0, 80.0, "higher", False),  # exactly at the bound
+        (100.0, 79.9, "higher", True),
+        (10.0, 12.0, "lower", False),
+        (10.0, 12.1, "lower", True),
+        (0.0, 0.1, "lower", True),  # anything worse than a zero base
+        (0.0, 0.0, "lower", False),
+        (-10.0, -12.1, "higher", True),  # the bound scales with |base|
+    ],
+)
+def test_worse_past_bound_is_relative_to_the_base_median(base, head, direction, flagged):
+    assert bench_pairs.worse_past_bound(base, head, direction, 0.2) is flagged

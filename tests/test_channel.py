@@ -13,7 +13,7 @@ from swipt_relay.baselines import PolicyId, solve_policy
 import swipt_relay
 from swipt_relay.channel import _fixed_state, _hop_states, generate_channel
 
-from conftest import make_cfg
+from conftest import assert_read_only, make_cfg
 
 
 def reference_taps(cfg, seed):
@@ -207,23 +207,14 @@ def test_importing_the_package_leaves_numpy_random_unimported():
     assert proc.stdout.strip() == "[]"
 
 
-def _assert_read_only(arr):
-    assert not arr.flags.writeable
-    with pytest.raises(ValueError):
-        arr[0] = arr[0]
-    # a view of a writable array would leave a back door through .base
-    if arr.base is not None:
-        assert not arr.base.flags.writeable
-
-
 def test_generated_channel_and_results_are_read_only(default_cfg):
     chan = generate_channel(default_cfg, 3)
-    _assert_read_only(chan.h_sq)
-    _assert_read_only(chan.g_sq)
+    assert_read_only(chan.h_sq)
+    assert_read_only(chan.g_sq)
     for policy in PolicyId:
         result = solve_policy(policy, chan, default_cfg)
         for arr in (result.pairing.perm, result.rho_i, result.powers, result.pair_rates):
-            _assert_read_only(arr)
+            assert_read_only(arr)
 
 
 def test_relay_near_destination_second_hop_mean_gain_is_one():

@@ -294,35 +294,35 @@ ARGS = {
     "SystemConfig(p_max)": Arg(
         _config("p_max"),
         10.0,
-        (10, np.float64(10.0)),
+        (10, np.float64(10.0), np.float32(10.0)),
         {"p_max must be a positive, finite number": HOSTILE + (-1.0, 0.0)},
     ),
     "SystemConfig(eta)": Arg(
-        _config("eta"), 1.0, (1, np.float64(1.0)), {"eta out of [0,1]": HOSTILE + (-1.0, 1.5)}
+        _config("eta"), 1.0, (1, np.float64(1.0), np.float32(1.0)), {"eta out of [0,1]": HOSTILE + (-1.0, 1.5)}
     ),
     "SystemConfig(d0)": Arg(
         _config("d0"),
         1.0,
-        (1, np.float64(1.0)),
+        (1, np.float64(1.0), np.float32(1.0)),
         {"d0 must be a positive, finite number": HOSTILE + (-1.0, 0.0)},
     ),
     "SystemConfig(dr)": Arg(
         _config("dr"),
         0.5,
-        (np.float64(0.5),),
+        (np.float64(0.5), np.float32(0.5)),
         {"dr: relay must lie strictly between": HOSTILE + (-1.0, 0.0, 1.0)},
     ),
     "SystemConfig(alpha)": Arg(
         _config("alpha"),
         3.0,
-        (3, np.float64(3.0)),
+        (3, np.float64(3.0), np.float32(3.0)),
         {"alpha must be a positive, finite number": HOSTILE + (-1.0, 0.0)},
     ),
     **{
         f"NoiseProfile({field})": Arg(
             _noise(field),
             0.5,
-            (np.float64(0.5),),
+            (np.float64(0.5), np.float32(0.5)),
             {f"noise.{field} must be a positive, finite number": HOSTILE + (-1.0, 0.0)},
         )
         for field in ("sigma_ra_sq", "sigma_rb_sq", "sigma_da_sq", "sigma_db_sq")

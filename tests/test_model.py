@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from swipt_relay.allocator import solve
 from swipt_relay.baselines import PolicyId, solve_policy
 from swipt_relay.channel import generate_channel
 from swipt_relay.model import (
@@ -25,6 +26,7 @@ from swipt_relay.model import (
     load_config,
     validate_config,
 )
+from swipt_relay.montecarlo import run_trials
 
 from conftest import make_cfg
 
@@ -119,6 +121,35 @@ def test_mistyped_field_is_reported_not_raised(field, value):
     errors = config_errors(make_cfg(**{field: value}))
     assert errors and all(isinstance(err, str) for err in errors)
     assert any(field in err for err in errors), errors
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("eta", np.float32(1.0)), ("d0", np.float32(1.3)), ("alpha", np.float32(2.7)), ("p_max", np.int64(10))],
+)
+def test_a_numpy_scalar_field_gives_the_float_result(field, value):
+    """A NumPy real field is stored as the Python float of its value, so
+    float32 arithmetic never reaches the engine: solve and run_trials give
+    the float's bits without a warning, and the config writes to JSON."""
+    cfg = make_cfg(**{field: value})
+    want = make_cfg(**{field: float(value)})
+    assert type(getattr(cfg, field)) is float and cfg == want
+    for seed in range(1, 6):
+        got = solve(generate_channel(cfg, seed), cfg)
+        assert got.total_rate.hex() == solve(generate_channel(want, seed), want).total_rate.hex()
+    got, ref = run_trials(cfg, tuple(PolicyId), 20, 3), run_trials(want, tuple(PolicyId), 20, 3)
+    assert all(got.rates[p].tobytes() == ref.rates[p].tobytes() for p in PolicyId)
+    assert json.dumps(config_to_dict(cfg)) == json.dumps(config_to_dict(want))
+
+
+def test_a_numpy_scalar_noise_field_is_stored_as_a_float():
+    noise = NoiseProfile(np.float32(1.5), np.float64(1.0), np.float32(0.25), np.int64(1))
+    assert [type(getattr(noise, f.name)) for f in dataclasses.fields(noise)] == [float] * 4
+    assert noise.sigma_d_sq == 1.25 and type(noise.sigma_d_sq) is float
+    # Python ints and non-numbers stay as given, for config_errors to report
+    kept = NoiseProfile(1, np.True_, "1", None)
+    assert (kept.sigma_ra_sq, kept.sigma_rb_sq, kept.sigma_da_sq) == (1, np.True_, "1")
+    assert type(kept.sigma_ra_sq) is int and type(kept.sigma_rb_sq) is np.bool_
 
 
 def test_path_loss_overflow_reported():
