@@ -14,10 +14,11 @@ outlives its timeout counts as a crash.
 
 The summary goes to ``BENCH_<short head sha>.json`` at the repository root:
 per workload and end-to-end metric, each side's median and quartiles, the
-head/base ratio of the medians, the pairs the head wins and whether the
-head median is worse than the base's past the metric's ``bound`` (printed
-as well), plus the failed operations of every run. ``--workload NAME``, repeatable, runs only the
-named workloads; when the summary file already holds a comparison of the
+head/base ratio of the medians, the pairs the head wins, whether the
+head median is worse than the base's past the metric's ``bound``, and
+whether the base runs spread too widely for that bound to tell (both
+printed as well), plus the failed operations of every run.
+``--workload NAME``, repeatable, runs only the named workloads; when the summary file already holds a comparison of the
 same revisions with the same pairs and run length, its other workloads are
 kept, so one workload can be rerun without losing the rest. Only the
 standard library is used.
@@ -96,7 +97,10 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str], bounds: di
     summarised over the pairs where both runs report it; the head wins a
     pair when its value is strictly better. A metric named in ``bounds``
     also gets ``worse_past_bound``: whether the head median is worse than
-    the base median by more than that fraction of it. ``failed`` lists each
+    the base median by more than that fraction of it; and ``unresolved``:
+    whether the base quartiles lie further apart than that fraction of the
+    base median, so that a move within the bound cannot be told from the
+    base's own spread. ``failed`` lists each
     run's failed operations (None for a run that printed no result).
     """
     metrics = {}
@@ -123,6 +127,7 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str], bounds: di
         if bounds and name in bounds:
             metrics[name]["worse_past_bound"] = worse_past_bound(
                 base_q["median"], head_q["median"], direction, bounds[name])
+            metrics[name]["unresolved"] = base_q["q3"] - base_q["q1"] > bounds[name] * abs(base_q["median"])
     return {
         "metrics": metrics,
         "failed": {"base": [b["failed"] for b, _ in pairs], "head": [h["failed"] for _, h in pairs]},
@@ -190,6 +195,9 @@ def main(argv: list[str] | None = None) -> int:
                 if metric["worse_past_bound"]:
                     print(f"{workload}: {name} worse past its bound {bounds[name]}: median "
                           f"{metric['base']['median']} -> {metric['head']['median']}", flush=True)
+                if metric["unresolved"]:
+                    print(f"{workload}: {name} unresolved: base quartiles {metric['base']['q1']}.."
+                          f"{metric['base']['q3']} spread wider than its bound {bounds[name]}", flush=True)
     path = ROOT / f"BENCH_{sides['head'][:7]}.json"
     report = merge_earlier(report, json.loads(path.read_text()) if path.exists() else None)
     path.write_text(json.dumps(report, indent=2) + "\n")

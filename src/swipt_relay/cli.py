@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -72,7 +73,10 @@ def _parse_values(text: str) -> list[float]:
             raise _CommandError(1, f"cannot parse range '{text}': {exc}") from exc
         if step <= 0:
             raise _CommandError(1, "range step must be positive")
-        count = round((stop - start) / step)
+        span = (stop - start) / step
+        if not all(map(math.isfinite, (start, stop, step, span))):
+            raise _CommandError(1, f"cannot parse range '{text}': bounds, step and span must be finite")
+        count = round(span)
         if count < 0 or abs(start + count * step - stop) > 1e-9 * max(1.0, abs(stop)):
             raise _CommandError(1, f"range '{text}' does not divide evenly into steps")
         values = [round(start + k * step, 12) for k in range(count + 1)]

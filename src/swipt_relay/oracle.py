@@ -87,6 +87,8 @@ def rho_by_bisection(g_sq: float, cfg: SystemConfig, tol: float = 1e-12, p_mw: f
         raise ValueError("equal-rate condition not bracketed; the pair is degenerate")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # lo and hi are adjacent floats: no finer root
+            break
         if gap(mid) < 0.0:
             lo = mid
         else:

@@ -44,14 +44,6 @@ def test_pair_rate_dead_hops(single_pair_cfg):
     assert rate_terms(0.9, 0.0, 1.0, 10.0, single_pair_cfg)[1] == 0.0
 
 
-@pytest.mark.parametrize(
-    "h_sq, g_sq", [(-1.0, 1.0), (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, -math.inf)]
-)
-def test_pair_rate_rejects_a_bad_gain(h_sq, g_sq, default_cfg):
-    with pytest.raises(ValueError, match="h_sq and g_sq must be finite and nonnegative"):
-        rate_terms(h_sq, g_sq, 0.5, 1.0, default_cfg)
-
-
 def test_pair_rate_reference_instance(single_pair_cfg):
     """At the equal-rate split the two terms coincide and the pair rate, half
     the smaller term, is half either term; the split itself comes from the
@@ -118,19 +110,6 @@ def test_sorted_pairing_rejects_length_mismatch():
         sorted_pairing([1.0, 2.0], [1.0])
 
 
-@pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf])
-def test_sorted_pairing_rejects_a_bad_gain(bad):
-    with pytest.raises(ValueError, match="finite and nonnegative"):
-        sorted_pairing([1.0, bad], [1.0, 2.0])
-    with pytest.raises(ValueError, match="finite and nonnegative"):
-        sorted_pairing([1.0, 2.0], [bad, 2.0])
-
-
-def test_sorted_pairing_rejects_bool_gains():
-    with pytest.raises(ValueError, match="not bools"):
-        sorted_pairing([True, False], [1.0, 2.0])
-
-
 # ------------------------------------------------ closed-form split (rho_I)
 
 def test_optimal_rho_reference_instance(single_pair_cfg):
@@ -188,23 +167,6 @@ def test_optimal_rho_interior_and_equalizing(g, s_ra, s_rb, s_d, eta):
 
 def test_effective_gain_zero_split(single_pair_cfg):
     assert effective_gain(0.9, 0.0, single_pair_cfg) == 0.0
-
-
-@pytest.mark.parametrize(
-    "h_sq, rho_i, message",
-    [
-        (math.nan, 0.5, "h_sq and g_sq must be finite and nonnegative"),
-        (-1.0, 0.5, "h_sq and g_sq must be finite and nonnegative"),
-        (math.inf, 0.5, "h_sq and g_sq must be finite and nonnegative"),
-        (1.0, 2.0, r"rho_i must lie in \[0, 1\]"),
-        (1.0, math.nan, r"rho_i must lie in \[0, 1\]"),
-    ],
-)
-def test_effective_gain_rejects_what_rate_terms_rejects(h_sq, rho_i, message, single_pair_cfg):
-    with pytest.raises(ValueError, match=message):
-        effective_gain(h_sq, rho_i, single_pair_cfg)
-    with pytest.raises(ValueError, match=message):
-        rate_terms(h_sq, 1.0, rho_i, 1.0, single_pair_cfg)
 
 
 def test_effective_gain_reference_instance(single_pair_cfg):
@@ -381,18 +343,6 @@ def test_waterfill_all_dead_raises():
 def test_waterfill_rejects_an_input_that_is_not_a_nonempty_vector(gammas):
     with pytest.raises(ValueError, match="gammas must be a nonempty vector"):
         waterfill(gammas, 10.0)
-
-
-def test_waterfill_takes_ints_and_other_float_widths_as_numbers():
-    expected = waterfill([1.0, 2.0], 1.0)
-    for gammas in ([1, 2], np.array([1, 2]), np.array([1.0, 2.0], np.float32)):
-        assert waterfill(gammas, 1).tobytes() == expected.tobytes()
-
-
-@pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf])
-def test_waterfill_rejects_invalid_gain(bad):
-    with pytest.raises(ValueError, match="finite and nonnegative"):
-        waterfill([bad, 1.0], 10.0)
 
 
 @pytest.mark.parametrize(
@@ -686,16 +636,6 @@ def test_solve_pairing_invariant_under_common_scaling(default_cfg):
             solve(chan, default_cfg).pairing.perm,
             solve(scaled, default_cfg).pairing.perm,
         )
-
-
-@pytest.mark.parametrize("n", [2, 9])
-def test_waterfill_takes_a_numpy_float32_budget_at_its_value(n):
-    # float32 arithmetic on the budget overflowed in the prefix-sum guard
-    gam = np.linspace(1.0, 3.0, n)
-    powers = waterfill(gam, np.float32(0.1))
-    assert powers.dtype == np.float64
-    assert powers.tobytes() == waterfill(gam, float(np.float32(0.1))).tobytes()
-    assert power_by_grid(gam[:2], np.float32(0.1), 10).dtype == np.float64
 
 
 def test_water_filled_rule_raises_on_a_dead_row_unless_given_dead(default_cfg):

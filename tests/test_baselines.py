@@ -17,7 +17,7 @@ from swipt_relay.baselines import (
     solve_uniform,
 )
 from swipt_relay.channel import generate_channel
-from swipt_relay.model import ChannelRealization, NoiseProfile
+from swipt_relay.model import ChannelRealization
 from swipt_relay.oracle import best_pairing_exhaustive, verify
 
 from conftest import NOISE_1DBM, assert_read_only, make_cfg, mixed_gains

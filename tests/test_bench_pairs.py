@@ -107,6 +107,23 @@ def test_a_median_worse_past_its_bound_is_flagged():
     assert "worse_past_bound" not in bench_pairs.summarize(pairs, BETTER)["metrics"]["trials_per_s"]
 
 
+def test_a_base_spread_wider_than_the_bound_is_unresolved():
+    bounds = {"trials_per_s": 0.2, "latency_p50_ms": 0.25}
+    # throughput quartiles 85..115 are 30% of the median 100, wider than 0.2;
+    # latency quartiles 9.5..10.5 are 10% of 10, inside 0.25
+    base = [(60.0, 9.0), (85.0, 9.5), (100.0, 10.0), (115.0, 10.5), (140.0, 11.0)]
+    pairs = [(_run(tps, p50), _run(tps, p50)) for tps, p50 in base]
+    metrics = bench_pairs.summarize(pairs, BETTER, bounds)["metrics"]
+    assert metrics["trials_per_s"]["base"] == {"q1": 85.0, "median": 100.0, "q3": 115.0}
+    assert metrics["trials_per_s"]["unresolved"] is True
+    assert metrics["latency_p50_ms"]["unresolved"] is False
+    # a spread of exactly the bound still resolves; only the base is judged
+    pairs = [(_run(tps, 10.0), _run(1000.0, 10.0)) for tps in (80.0, 90.0, 100.0, 110.0, 120.0)]
+    assert bench_pairs.summarize(pairs, BETTER, bounds)["metrics"]["trials_per_s"]["unresolved"] is False
+    # a metric without a bound is not judged
+    assert "unresolved" not in bench_pairs.summarize(pairs, BETTER)["metrics"]["trials_per_s"]
+
+
 @pytest.mark.parametrize(
     "base, head, direction, flagged",
     [

@@ -1,7 +1,6 @@
 import json
 import math
 
-import numpy as np
 import pytest
 
 from swipt_relay.cli import main
@@ -369,6 +368,14 @@ def test_sweep_rejects_bad_range(cfg_path, capsys):
         == 1
     )
     assert "divide evenly" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("values", ["10..inf step 1", "1e308..-1e308 step 1e-300", "nan..10 step 1", "10..20 step nan"])
+def test_sweep_rejects_a_range_that_is_not_finite(values, cfg_path, capsys):
+    # an infinite bound or a span past the float range overflowed the step
+    # count, and a NaN could not be rounded to one
+    assert main(["sweep", cfg_path, "--variable", "p_max_dbm", "--values", values, "--trials", "1"]) == 1
+    assert f"cannot parse range '{values}'" in capsys.readouterr().err
 
 
 def test_sweep_rejects_trials_beyond_seed_stride(cfg_path, capsys):

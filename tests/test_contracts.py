@@ -11,12 +11,14 @@ are. ``ConfigError`` and ``NoUsablePairError`` are ``ValueError``s.
 import dataclasses
 import math
 import re
+import typing
 from dataclasses import replace
 from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
 
+import swipt_relay
 from swipt_relay import (
     ChannelRealization,
     PolicyId,
@@ -75,10 +77,11 @@ def _entries(first, values):
     return tuple([first, value] for value in values)
 
 
-def _gains(name, range_message, call):
+def _gains(name, range_message, call, refused=None):
     """The row of the gain vector ``name``: an out-of-range entry is refused
-    with ``range_message``, and an entry that is not a number with the
-    message that names the vector."""
+    with ``range_message``, an entry that is not a number (a complex one
+    included) with the message that names the vector, and the values of
+    ``refused`` with their messages."""
     return Arg(
         call,
         [1.0, 2.0],
@@ -88,9 +91,14 @@ def _gains(name, range_message, call):
             f"{name} entries must be numbers, not bools or strings": (
                 *_entries(1.0, NOT_NUMBERS),
                 [True, False],
+                [True, 2.0],
+                [np.True_, 2.0],
+                [1.0, 2.0 + 0.0j],
+                ["1.5", "2"],
                 np.array([True, True]),
                 np.array(["1.0", "2.0"]),
             ),
+            **(refused or {}),
         },
     )
 
@@ -189,7 +197,12 @@ ARGS = {
         (10, np.int64(10), np.float32(10.0)),
         {"p_max must be positive and finite": HOSTILE + (-1.0, 0.0)},
     ),
-    "power_by_grid(gammas)": _gains("gammas", GAMMAS_MESSAGE, lambda v: power_by_grid(v, 10.0, 100)),
+    "power_by_grid(gammas)": _gains(
+        "gammas",
+        GAMMAS_MESSAGE,
+        lambda v: power_by_grid(v, 10.0, 100),
+        {"power_by_grid expects exactly two gains": ([1.0],)},
+    ),
     "power_by_grid(p_max)": Arg(
         lambda v: power_by_grid([1.0, 2.0], v, 100),
         10.0,
@@ -376,3 +389,28 @@ def test_a_hostile_value_raises_the_documented_error(name, value, message):
 def test_an_int_or_numpy_scalar_gives_the_float_result(name, value):
     arg = ARGS[name]
     assert _bits(arg.call(value)) == _bits(arg.call(arg.value))
+
+
+# public names whose numeric fields are not checked, and why
+UNCHECKED = {
+    "AllocationResult": "verify(result=...) audits corrupted results on purpose",
+    "TrialResult": "an output record, built only by run_trials",
+}
+
+
+def _holds_a_number(hint) -> bool:
+    return hint in (int, float, bool) or any(_holds_a_number(arg) for arg in typing.get_args(hint))
+
+
+def test_every_public_numeric_argument_has_a_row():
+    """A parameter of a public function, or a field of a public dataclass,
+    annotated as a number (or as a container of numbers) is checked here
+    and nowhere else, so a new one needs a row."""
+    rows = {re.match(r"\w+\(\w+", name)[0] + ")" for name in ARGS}
+    numeric = {
+        f"{name}({param})"
+        for name in set(swipt_relay.__all__) - set(UNCHECKED)
+        for param, hint in typing.get_type_hints(getattr(swipt_relay, name)).items()
+        if param != "return" and _holds_a_number(hint)
+    }
+    assert numeric - rows == set()

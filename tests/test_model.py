@@ -37,12 +37,6 @@ def test_dbm_to_mw_reference_points():
     assert dbm_to_mw(1.0) == pytest.approx(1.2589254117941673, rel=1e-15)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_dbm_to_mw_rejects_nonfinite(bad):
-    with pytest.raises(ValueError):
-        dbm_to_mw(bad)
-
-
 def test_dbm_budget_overflow_is_a_config_error():
     with pytest.raises(ValueError, match="overflows"):
         dbm_to_mw(4000.0)
@@ -64,19 +58,6 @@ def test_default_config_is_valid_and_validation_idempotent():
     assert cfg.eta == 1.0 and cfg.n_subcarriers == 4
     assert validate_config(cfg) is cfg
     assert validate_config(validate_config(cfg)) is cfg
-
-
-def test_eta_out_of_range_reported():
-    cfg = make_cfg(eta=1.5)
-    with pytest.raises(ConfigError) as excinfo:
-        validate_config(cfg)
-    assert any("eta out of [0,1]" in err for err in excinfo.value.errors)
-
-
-@pytest.mark.parametrize("dr", [0.0, 1.0, 1.5, -0.2])
-def test_relay_position_bounds(dr):
-    errors = config_errors(make_cfg(dr=dr))
-    assert any("relay must lie strictly between" in err for err in errors)
 
 
 def test_fewer_subcarriers_than_taps_reported():
@@ -317,33 +298,6 @@ def test_pairing_must_be_permutation():
         SubcarrierPairing([0, 0, 1])
     with pytest.raises(ValueError):
         SubcarrierPairing([1, 2, 3])
-
-
-@pytest.mark.parametrize("perm", [[0.4, 1.2], [1.0, 0.0], np.array([1.0, 0.0]), [True, False]])
-def test_pairing_rejects_a_perm_that_is_not_integers(perm):
-    # a float or bool index would be truncated: [0.4, 1.2] read as [0, 1]
-    with pytest.raises(ValueError, match="perm must hold integers"):
-        SubcarrierPairing(perm)
-    assert SubcarrierPairing(np.array([1, 0], dtype=np.int32)).perm.dtype == np.int64
-
-
-@pytest.mark.parametrize("bools", [[True, False], [True, 2.0], [np.True_, 2.0], np.array([True, True])])
-def test_channel_realization_rejects_bool_gains(bools):
-    with pytest.raises(ValueError, match="h_sq entries must be numbers, not bools"):
-        ChannelRealization(bools, [1.0, 2.0])
-    with pytest.raises(ValueError, match="g_sq entries must be numbers, not bools"):
-        ChannelRealization([1.0, 2.0], bools)
-
-
-@pytest.mark.parametrize(
-    "entries", [["1.5", "2"], [1.5, "2"], np.array(["1.5", "2"]), [1.0, 2.0 + 0.0j], [1.0, None]]
-)
-def test_channel_realization_rejects_gains_that_are_not_real_numbers(entries):
-    # a float cast would parse the numeric strings
-    with pytest.raises(ValueError, match="h_sq entries must be numbers, not bools or strings"):
-        ChannelRealization(entries, [3.0, 0.5])
-    with pytest.raises(ValueError, match="g_sq entries must be numbers, not bools or strings"):
-        ChannelRealization([3.0, 0.5], entries)
 
 
 def test_channel_realization_invariants():

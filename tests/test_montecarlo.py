@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -100,30 +98,8 @@ def test_run_trials_match_solve_policy_across_blocks(monkeypatch, trials, n):
     assert batch.dead_trials[PolicyId.PROPOSED] == (trials + 4) // 7
 
 
-@pytest.mark.parametrize("trials", [2.5, 2.0, True, "3"])
-def test_trials_must_be_an_integer(trials, default_cfg):
-    """A fractional, boolean or string trial count is rejected up front, by
-    the sweep request and by the trial runner alike."""
-    with pytest.raises(ValueError, match="trials must be an integer >= 1"):
-        SweepSpec("p_max_dbm", (10.0,), trials, seed=0, policies=(PolicyId.PROPOSED,))
-    with pytest.raises(ValueError, match="trials must be an integer >= 1"):
-        run_trials(default_cfg, (PolicyId.PROPOSED,), trials, seed=1)
-
-
-def test_run_trials_validates_inputs(default_cfg):
-    with pytest.raises(ValueError):
-        run_trials(default_cfg, ALL_POLICIES, trials=0, seed=1)
-    with pytest.raises(ValueError):
-        run_trials(default_cfg, ALL_POLICIES, trials=1, seed=-1)
-    # a fractional or boolean seed would otherwise reuse another seed's channels
-    for seed in (0.5, 2.0, True):
-        with pytest.raises(ValueError, match="nonnegative integer"):
-            run_trials(default_cfg, ALL_POLICIES, trials=1, seed=seed)
-    np.testing.assert_array_equal(
-        run_trials(default_cfg, ALL_POLICIES, trials=2, seed=np.int64(4)).rates[PolicyId.PROPOSED],
-        run_trials(default_cfg, ALL_POLICIES, trials=2, seed=4).rates[PolicyId.PROPOSED],
-    )
-    with pytest.raises(Exception):
+def test_run_trials_rejects_an_invalid_config():
+    with pytest.raises(ValueError, match=r"eta out of \[0,1\]"):
         run_trials(make_cfg(eta=5.0), ALL_POLICIES, trials=1, seed=1)
 
 
@@ -168,21 +144,6 @@ def test_run_trials_rates_are_read_only(default_cfg):
             rates.setflags(write=True)
 
 
-@pytest.mark.parametrize(
-    "variable, values",
-    [
-        ("p_max_dbm", (10.0, math.nan, 5.0)),
-        ("p_max_dbm", (math.nan,)),
-        ("p_max_dbm", (10.0, math.inf)),
-        ("relay_position", (0.5, math.nan, 0.2)),
-    ],
-)
-def test_sweep_spec_rejects_values_that_are_not_finite(variable, values):
-    # a NaN compares false both ways, so it slipped past the order check
-    with pytest.raises(ValueError, match="values must be finite"):
-        SweepSpec(variable, values, 3, 1, (PolicyId.PROPOSED,))
-
-
 def test_sweep_spec_validation():
     good = dict(
         variable="p_max_dbm", values=(10.0, 20.0), trials=2, seed=0, policies=(PolicyId.PROPOSED,)
@@ -194,8 +155,6 @@ def test_sweep_spec_validation():
         SweepSpec(**{**good, "values": (10.0, 10.0)})
     with pytest.raises(ValueError):
         SweepSpec(**{**good, "values": (20.0, 10.0)})
-    with pytest.raises(ValueError):
-        SweepSpec(**{**good, "trials": 0})
     SweepSpec(**{**good, "trials": POINT_SEED_STRIDE - 1})
     with pytest.raises(ValueError, match=f"below {POINT_SEED_STRIDE}"):
         SweepSpec(**{**good, "trials": POINT_SEED_STRIDE})
@@ -209,9 +168,6 @@ def test_sweep_spec_validation():
     # a policy name is not a policy; it would only fail at the first trial
     with pytest.raises(ValueError, match="unhandled policy"):
         SweepSpec(**{**good, "policies": ("proposed",)})
-    for seed in (-1, 0.5, 3.0, True, np.float64(2.0)):
-        with pytest.raises(ValueError, match="nonnegative integer"):
-            SweepSpec(**{**good, "seed": seed})
     # a NumPy integer is accepted and stored as a Python int for the CSV
     spec = SweepSpec(**{**good, "seed": np.int64(3)})
     assert spec.seed == 3 and type(spec.seed) is int
