@@ -72,6 +72,14 @@ class Arg(NamedTuple):
     refused: dict  # ValueError message -> the values refused with it
 
 
+def _scalars(value: float) -> tuple:
+    """``value`` as a NumPy float of every width and, if it is integral, as
+    an int and a NumPy int: each must give the float's result, so none can
+    carry its own arithmetic into the engine."""
+    floats = (np.float16(value), np.float32(value), np.float64(value), np.longdouble(value))
+    return (int(value), np.int64(value), *floats) if value.is_integer() else floats
+
+
 def _entries(first, values):
     """Two-entry vectors whose second entry is each of ``values``."""
     return tuple([first, value] for value in values)
@@ -117,61 +125,59 @@ def _sweep(**spec):
 
 
 ARGS = {
-    "dbm_to_mw(x_dbm)": Arg(
-        dbm_to_mw, 30.0, (30, np.int64(30), np.float32(30.0)), {"dBm value must be finite": HOSTILE}
-    ),
+    "dbm_to_mw(x_dbm)": Arg(dbm_to_mw, 30.0, _scalars(30.0), {"dBm value must be finite": HOSTILE}),
     "rate_terms(h_sq)": Arg(
         lambda v: rate_terms(v, 0.9, 0.5, 10.0, SINGLE),
         2.0,
-        (2, np.int64(2), np.float32(2.0)),
+        _scalars(2.0),
         {GAIN_MESSAGE: HOSTILE + (-1.0,)},
     ),
     "rate_terms(g_sq)": Arg(
         lambda v: rate_terms(0.9, v, 0.5, 10.0, SINGLE),
         2.0,
-        (2, np.int64(2), np.float32(2.0)),
+        _scalars(2.0),
         {GAIN_MESSAGE: HOSTILE + (-1.0,)},
     ),
     "rate_terms(rho_i)": Arg(
         lambda v: rate_terms(0.9, 0.9, v, 10.0, SINGLE),
         1.0,
-        (1, np.int64(1), np.float32(1.0)),
+        _scalars(1.0),
         {RHO_MESSAGE: HOSTILE + (-1.0, 1.5)},
     ),
     "rate_terms(p_mw)": Arg(
         lambda v: rate_terms(0.9, 0.9, 0.5, v, SINGLE),
         10.0,
-        (10, np.int64(10), np.float32(10.0)),
+        _scalars(10.0),
         {"power must be nonnegative": HOSTILE + (-1.0,)},
     ),
     "effective_gain(h_sq)": Arg(
         lambda v: effective_gain(v, 0.5, SINGLE),
         2.0,
-        (2, np.int64(2), np.float32(2.0)),
+        _scalars(2.0),
         {GAIN_MESSAGE: HOSTILE + (-1.0,)},
     ),
     "effective_gain(rho_i)": Arg(
         lambda v: effective_gain(0.9, v, SINGLE),
         1.0,
-        (1, np.int64(1), np.float32(1.0)),
+        _scalars(1.0),
         {RHO_MESSAGE: HOSTILE + (-1.0, 2.0)},
     ),
     "rho_by_bisection(g_sq)": Arg(
         lambda v: rho_by_bisection(v, SINGLE),
         2.0,
-        (2, np.int64(2), np.float32(2.0)),
+        _scalars(2.0),
         {GAIN_MESSAGE: HOSTILE + (-1.0,)},
     ),
     "rho_by_bisection(tol)": Arg(
         lambda v: rho_by_bisection(0.9, SINGLE, tol=v),
         0.5,
-        (np.float64(0.5), np.float32(0.5)),
+        _scalars(0.5),
         {"tol must lie in (0, 1)": HOSTILE + (-1.0, 0.0, 1.0)},
     ),
     "rho_by_bisection(p_mw)": Arg(
         lambda v: rho_by_bisection(0.9, SINGLE, p_mw=v),
         10.0,
-        (10, np.int64(10), np.float32(10.0)),
+        _scalars(10.0),
         {
             "p_mw must be positive": (math.nan, -math.inf, -BIG, -1.0, 0.0, *NOT_NUMBERS),
             # past the float range, the probe power fails in rate_terms
@@ -188,13 +194,13 @@ ARGS = {
     "waterfill(p_max)": Arg(
         lambda v: waterfill([1.0, 2.0], v),
         10.0,
-        (10, np.int64(10), np.float32(10.0)),
+        _scalars(10.0),
         {"p_max must be positive and finite": HOSTILE + (-1.0, 0.0)},
     ),
     "waterfill(p_max), N=9": Arg(
         lambda v: waterfill(np.linspace(1.0, 3.0, 9), v),
         10.0,
-        (10, np.int64(10), np.float32(10.0)),
+        _scalars(10.0),
         {"p_max must be positive and finite": HOSTILE + (-1.0, 0.0)},
     ),
     "power_by_grid(gammas)": _gains(
@@ -206,7 +212,7 @@ ARGS = {
     "power_by_grid(p_max)": Arg(
         lambda v: power_by_grid([1.0, 2.0], v, 100),
         10.0,
-        (10, np.int64(10), np.float32(10.0)),
+        _scalars(10.0),
         {"p_max must be positive and finite": HOSTILE + (-1.0, 0.0)},
     ),
     "power_by_grid(resolution)": Arg(
@@ -276,7 +282,7 @@ ARGS = {
     "verify(tol)": Arg(
         lambda v: verify(CHANNEL, CFG, tol=v),
         1.0,
-        (1, np.int64(1), np.float32(1.0)),
+        _scalars(1.0),
         {"tolerance must be positive and finite": HOSTILE + (-1.0, 0.0)},
     ),
     "solve_uniform(use_pairing)": Arg(
@@ -307,35 +313,35 @@ ARGS = {
     "SystemConfig(p_max)": Arg(
         _config("p_max"),
         10.0,
-        (10, np.float64(10.0), np.float32(10.0)),
+        _scalars(10.0),
         {"p_max must be a positive, finite number": HOSTILE + (-1.0, 0.0)},
     ),
     "SystemConfig(eta)": Arg(
-        _config("eta"), 1.0, (1, np.float64(1.0), np.float32(1.0)), {"eta out of [0,1]": HOSTILE + (-1.0, 1.5)}
+        _config("eta"), 1.0, _scalars(1.0), {"eta out of [0,1]": HOSTILE + (-1.0, 1.5)}
     ),
     "SystemConfig(d0)": Arg(
         _config("d0"),
         1.0,
-        (1, np.float64(1.0), np.float32(1.0)),
+        _scalars(1.0),
         {"d0 must be a positive, finite number": HOSTILE + (-1.0, 0.0)},
     ),
     "SystemConfig(dr)": Arg(
         _config("dr"),
         0.5,
-        (np.float64(0.5), np.float32(0.5)),
+        _scalars(0.5),
         {"dr: relay must lie strictly between": HOSTILE + (-1.0, 0.0, 1.0)},
     ),
     "SystemConfig(alpha)": Arg(
         _config("alpha"),
         3.0,
-        (3, np.float64(3.0), np.float32(3.0)),
+        _scalars(3.0),
         {"alpha must be a positive, finite number": HOSTILE + (-1.0, 0.0)},
     ),
     **{
         f"NoiseProfile({field})": Arg(
             _noise(field),
             0.5,
-            (np.float64(0.5), np.float32(0.5)),
+            _scalars(0.5),
             {f"noise.{field} must be a positive, finite number": HOSTILE + (-1.0, 0.0)},
         )
         for field in ("sigma_ra_sq", "sigma_rb_sq", "sigma_da_sq", "sigma_db_sq")
