@@ -17,7 +17,10 @@ per workload and end-to-end metric, each side's median and quartiles, the
 head/base ratio of the medians, the pairs the head wins, whether the
 head median is worse than the base's past the metric's ``bound``, and
 whether the base runs spread too widely for that bound to tell (both
-printed as well), plus the failed operations of every run.
+printed as well), plus the failed operations of every run. The exit status
+is 1 when a workload's head runs all printed no result or a metric's head
+median is worse past its bound, and 0 otherwise; the summary file is written
+either way, and a metric that is only unresolved does not fail the run.
 ``--workload NAME``, repeatable, runs only the named workloads; when the summary file already holds a comparison of the
 same revisions with the same pairs and run length, its other workloads are
 kept, so one workload can be rerun without losing the rest. Only the
@@ -134,6 +137,21 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str], bounds: di
     }
 
 
+def verdict(workloads: dict) -> list[str]:
+    """Why the comparison fails, one line per reason, from the per-workload
+    summaries of :func:`summarize`: a workload whose head runs all printed
+    no result, and a metric whose head median is worse than the base's past
+    its bound. An empty list passes; ``unresolved`` alone fails nothing."""
+    reasons = []
+    for workload, summary in workloads.items():
+        if all(failed is None for failed in summary["failed"]["head"]):
+            reasons.append(f"{workload}: no head run printed a result")
+        for name, metric in summary["metrics"].items():
+            if metric.get("worse_past_bound"):
+                reasons.append(f"{workload}: {name} worse past its bound")
+    return reasons
+
+
 def parse_args(argv: list[str] | None, workloads: list[str]) -> argparse.Namespace:
     """The command line; ``workloads`` are BENCHMARK.json's names in its
     order, and ``args.workloads`` comes back as the chosen ones in that
@@ -202,7 +220,10 @@ def main(argv: list[str] | None = None) -> int:
     report = merge_earlier(report, json.loads(path.read_text()) if path.exists() else None)
     path.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {path.name}")
-    return 0
+    reasons = verdict(report["workloads"])
+    for reason in reasons:
+        print(f"FAIL {reason}", flush=True)
+    return 1 if reasons else 0
 
 
 if __name__ == "__main__":

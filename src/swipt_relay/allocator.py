@@ -275,20 +275,19 @@ def _waterfill_floats(gam: np.ndarray, p_max: float) -> np.ndarray:
     # the engine's budget, a positive finite float, needs no further check
     if type(p_max) is not float or not 0.0 < p_max < _INF:
         p_max = _check_budget(p_max)
-    if min(values) > _GAMMA_MIN_INVERTIBLE:
-        usable, inv = None, [1.0 / g for g in values]  # no index map needed
-    else:
-        usable = [i for i, g in enumerate(values) if g > _GAMMA_MIN_INVERTIBLE]
-        if not usable:
-            if not max(values) > 0.0:
-                raise NoUsablePairError("no usable pair: every effective gain is zero")
-            return _all_to_strongest(gam, p_max)
-        inv = [1.0 / values[i] for i in usable]
+    # a channel whose 1/gamma overflows keeps its place at 1/gamma = inf,
+    # which no level reaches, so it sorts last and is never powered
+    inv = [1.0 / g if g > _GAMMA_MIN_INVERTIBLE else _INF for g in values]
     steps = sorted(inv)
+    n_usable = len(steps) - steps.count(_INF)
+    if not n_usable:
+        if not max(values) > 0.0:
+            raise NoUsablePairError("no usable pair: every effective gain is zero")
+        return _all_to_strongest(gam, p_max)
     budget = p_max
     scale = 1.0
-    if p_max + len(steps) * steps[-1] >= _PREFIX_SUM_LIMIT:
-        scale = 2.0 ** (len(steps).bit_length() + 1)
+    if p_max + n_usable * steps[n_usable - 1] >= _PREFIX_SUM_LIMIT:
+        scale = 2.0 ** (n_usable.bit_length() + 1)
         inv = [x / scale for x in inv]
         steps = [x / scale for x in steps]
         budget = p_max / scale
@@ -328,12 +327,7 @@ def _waterfill_floats(gam: np.ndarray, p_max: float) -> np.ndarray:
     alloc[largest] += budget - _fsum(alloc)
     if scale != 1.0:
         alloc = [a * scale for a in alloc]
-    if usable is None:
-        return np.array(alloc)
-    powers = [0.0] * len(values)
-    for i, a in zip(usable, alloc):
-        powers[i] = a
-    return np.array(powers)
+    return np.array(alloc)
 
 
 def _waterfill_array(gam: np.ndarray, p_max: float) -> np.ndarray:
@@ -341,14 +335,16 @@ def _waterfill_array(gam: np.ndarray, p_max: float) -> np.ndarray:
     if not ((gam >= 0.0) & (gam < math.inf)).all():
         raise ValueError("gammas must be finite and nonnegative")
     p_max = _check_budget(p_max)
-    # a channel whose 1/gamma overflows is never powered beside a stronger one
+    # a channel whose 1/gamma overflows keeps its place at 1/gamma = inf,
+    # which no level reaches; the finite steps sort first
     usable = gam > _GAMMA_MIN_INVERTIBLE
-    if not usable.any():
+    n_usable = int(np.count_nonzero(usable))
+    if not n_usable:
         if not (gam > 0.0).any():
             raise NoUsablePairError("no usable pair: every effective gain is zero")
         return _all_to_strongest(gam, p_max)
-    inv = 1.0 / gam[usable]
-    steps = np.sort(inv)
+    inv = np.divide(1.0, gam, out=np.full(gam.shape, math.inf), where=usable)
+    steps = np.sort(inv)[:n_usable]
     budget = p_max
     scale = 1.0
     if p_max + steps.size * steps.item(-1) >= _PREFIX_SUM_LIMIT:
@@ -378,9 +374,7 @@ def _waterfill_array(gam: np.ndarray, p_max: float) -> np.ndarray:
     alloc[int(np.argmax(alloc))] += budget - math.fsum(alloc[active].tolist())
     if scale != 1.0:
         alloc *= scale
-    powers = np.zeros_like(gam)
-    powers[usable] = alloc
-    return powers
+    return alloc
 
 
 def _water_filled(gam: np.ndarray, cfg: SystemConfig, dead: np.ndarray | None = None) -> np.ndarray:

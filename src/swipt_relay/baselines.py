@@ -92,26 +92,27 @@ def conventional_hop_powers(channel: ChannelRealization, cfg: SystemConfig, resu
     """Split the pooled pair powers of a conventional allocation back into
     (source, relay) components, per incoming subcarrier.
 
-    The source takes P*b/(a+b) of a pair's power P; where P*b or a+b
-    overflows it takes P / (1 + a/b) instead. Raises ``ValueError`` when the
-    channel or the result is not ``cfg.n_subcarriers`` wide.
+    The source takes P*b/(a+b) of a pair's power P, at most P; where P*b
+    or a+b overflows it takes P / (1 + a/b) instead. The relay takes the
+    rest, and a pair with a dead hop gives the source nothing. Raises
+    ``ValueError`` when the channel or the result is not
+    ``cfg.n_subcarriers`` wide.
     """
     _check_width(channel.n_subcarriers, cfg)
     for vec in (result.pairing.perm, result.powers):
         _check_width(vec.size, cfg, "result")
     a, b = _conventional_slopes(channel.h_sq, channel.g_sq[result.pairing.perm], cfg)
+    powers = result.powers
     live = (a > 0.0) & (b > 0.0)
-    a, b, powers = a[live], b[live], result.powers[live]
     with np.errstate(over="ignore", invalid="ignore"):
         product, total = powers * b, a + b
         share = product / total
-    big = ~np.isfinite(product) | np.isinf(total)
+    big = live & (~np.isfinite(product) | np.isinf(total))
     share[big] = powers[big] / (1.0 + a[big] / b[big])
-    p_source = np.zeros(channel.n_subcarriers)
-    p_relay = np.zeros(channel.n_subcarriers)
-    p_source[live] = share
-    p_relay[live] = powers - share
-    return p_source, p_relay
+    # a pair with a dead hop keeps its place, with no source power; the
+    # share can round an ulp above P where one slope dwarfs the other
+    p_source = np.where(live, np.minimum(share, powers), 0.0)
+    return p_source, powers - p_source
 
 
 def _conventional_gains(h: np.ndarray, g_paired: np.ndarray, cfg: SystemConfig):
@@ -125,16 +126,14 @@ def _conventional_gains(h: np.ndarray, g_paired: np.ndarray, cfg: SystemConfig):
     the table.
     """
     a, b = _conventional_slopes(h, g_paired, cfg)
-    gam = np.zeros(h.shape)
-    live = (a > 0.0) & (b > 0.0)
-    a, b = a[live], b[live]
     with np.errstate(over="ignore", invalid="ignore"):
         product = a * b
-        live_gam = product / (a + b)
+        # a pair with a dead hop keeps its place at gamma = 0; its quotient
+        # is 0 or, where 0 meets 0 or inf, NaN
+        gam = np.where((a > 0.0) & (b > 0.0), product / (a + b), 0.0)
     big = np.isinf(product)
     lo, hi = np.minimum(a[big], b[big]), np.maximum(a[big], b[big])
-    live_gam[big] = lo / (1.0 + lo / hi)
-    gam[live] = live_gam
+    gam[big] = lo / (1.0 + lo / hi)
     return np.ones(h.shape), gam
 
 

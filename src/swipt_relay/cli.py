@@ -19,12 +19,16 @@ from .baselines import PolicyId
 from .channel import generate_channel, load_channel_file
 from .model import ConfigError, allocation_to_dict, load_config, validate_config
 from .montecarlo import SWEEP_VARIABLES, SweepSpec, sweep
-from .oracle import VerificationReport, verify
+from .oracle import VerificationReport, _check_verify_args, verify
 
 __all__ = ["entrypoint", "main"]
 
 _BANNER = f"swipt-relay {__version__}"
 _ALL_POLICY_NAMES = ",".join(policy.value for policy in PolicyId)
+# a range's points are built as a list before the sweep runs each of them
+# for every trial; past this many, a mistyped step would exhaust memory
+# long before any sweep could finish, so the range is refused up front
+_MAX_RANGE_POINTS = 10**6
 
 
 class _CommandError(Exception):
@@ -79,6 +83,10 @@ def _parse_values(text: str) -> list[float]:
         count = round(span)
         if count < 0 or abs(start + count * step - stop) > 1e-9 * max(1.0, abs(stop)):
             raise _CommandError(1, f"range '{text}' does not divide evenly into steps")
+        if count >= _MAX_RANGE_POINTS:
+            raise _CommandError(
+                1, f"range '{text}' has {count + 1} points; at most {_MAX_RANGE_POINTS} are allowed"
+            )
         values = [round(start + k * step, 12) for k in range(count + 1)]
     else:
         try:
@@ -148,6 +156,11 @@ def _cmd_verify(args) -> int:
     cfg = _load_config(args.config)
     if args.seeds < 1:
         raise _CommandError(1, "seeds must be >= 1")
+    try:
+        # before the first channel is generated, whose size is the config's
+        _check_verify_args(cfg, args.tol)
+    except ValueError as exc:
+        raise _CommandError(1, str(exc)) from exc
     reports = []
     for seed in range(1, args.seeds + 1):
         try:

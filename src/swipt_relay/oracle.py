@@ -234,6 +234,21 @@ def _pair_gammas(channel: ChannelRealization, perm: np.ndarray, rho_i: np.ndarra
     return gam
 
 
+def _check_verify_args(cfg: SystemConfig, tol) -> float:
+    """``tol`` as a Python float, once ``cfg`` and ``tol`` pass
+    :func:`verify`'s first two checks, which need no channel: at most 8
+    subcarriers, and a positive, finite tolerance."""
+    if cfg.n_subcarriers > _EXHAUSTIVE_CAP:
+        raise ValueError(
+            f"n_subcarriers must be at most {_EXHAUSTIVE_CAP} for verification "
+            "(the pairing check enumerates all N! permutations)"
+        )
+    tol = _real(tol)
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tolerance must be positive and finite")
+    return tol
+
+
 def verify(
     channel: ChannelRealization,
     cfg: SystemConfig,
@@ -252,14 +267,7 @@ def verify(
     which each check then carries as a Python float; and when the channel
     or the result is not as wide as ``cfg``.
     """
-    if cfg.n_subcarriers > _EXHAUSTIVE_CAP:
-        raise ValueError(
-            f"n_subcarriers must be at most {_EXHAUSTIVE_CAP} for verification "
-            "(the pairing check enumerates all N! permutations)"
-        )
-    tol = _real(tol)
-    if not 0.0 < tol < math.inf:
-        raise ValueError("tolerance must be positive and finite")
+    tol = _check_verify_args(cfg, tol)
     _check_width(channel.n_subcarriers, cfg)
     if result is None:
         result = solve(channel, cfg)

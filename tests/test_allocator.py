@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swipt_relay.allocator import (
@@ -570,6 +570,42 @@ def test_numpy_sum_adds_few_elements_left_to_right(values, mask_seed):
     mask = np.random.default_rng(mask_seed).random(arr.size) < 0.6
     picked = arr[mask]
     assert _bits(picked.sum()) == _bits(left_to_right(picked.tolist()))
+
+
+@st.composite
+def _gains_with_unusable(draw):
+    """1 to 300 gains, a drawn share of them zero, subnormal or 2**-1024,
+    whose 1/gamma overflows, and at least one above 2**-1024. A tenth lie
+    near the float range, where 1/gamma scaled down turns subnormal."""
+    n = draw(st.integers(1, 12) | st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gammas = 10.0 ** np.where(rng.random(n) < 0.1, rng.uniform(290.0, 308.25, n), rng.uniform(-12.0, 6.0, n))
+    unusable = rng.random(n) < draw(st.floats(0.0, 1.0))
+    gammas[unusable] = rng.choice([0.0, 5e-324, 1e-310, 2.0**-1024], int(unusable.sum()))
+    usable_gain = st.floats(2.0**-1024, 2.0**-1022, exclude_min=True) | st.floats(1e-300, 1.7e308)
+    gammas[draw(st.integers(0, n - 1))] = draw(usable_gain)
+    return gammas
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    gammas=_gains_with_unusable(),
+    p_max=st.floats(-30.0, 308.0).map(lambda e: 10.0**e) | st.floats(5e-324, 2.0**-1022),
+)
+# a subnormal budget loses bits when scaled down, so the scaling must follow
+# the usable channels alone: their count, and the largest finite 1/gamma
+@example(gammas=np.array([1e300, 0.0]), p_max=7e-309)
+@example(gammas=np.array([1e300, 2.0**-1024 + 2.0**-1074] + [0.0] * 7), p_max=7e-309)
+def test_waterfill_on_unusable_gains_equals_waterfill_on_the_usable_ones(gammas, p_max):
+    """A channel whose 1/gamma overflows keeps its place and gets 0.0; every
+    other channel gets the bits of water-filling the usable channels alone,
+    also where dropping the unusable ones takes the vector below 8."""
+    usable = gammas > 2.0**-1024
+    expected = np.zeros(gammas.size)
+    expected[usable] = waterfill(gammas[usable], p_max)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert waterfill(gammas, p_max).tobytes() == expected.tobytes()
 
 
 # --------------------------------------------------------------------- solve

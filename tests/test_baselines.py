@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swipt_relay.allocator import NoUsablePairError, _split_gains, solve
@@ -20,7 +21,7 @@ from swipt_relay.channel import generate_channel
 from swipt_relay.model import ChannelRealization
 from swipt_relay.oracle import best_pairing_exhaustive, verify
 
-from conftest import NOISE_1DBM, assert_read_only, make_cfg, mixed_gains
+from conftest import EDGE_GAINS, NOISE_1DBM, assert_read_only, make_cfg, mixed_gains
 
 
 def test_policy_names_are_exact():
@@ -481,6 +482,43 @@ def test_trial_rates_match_solve_policy_on_random_channels(data, n, p_max, eta):
     want_rates, want_dead = _one_at_a_time(chan, cfg)
     assert rates.tobytes() == np.array(want_rates).tobytes()
     assert dead.tolist() == want_dead
+
+
+_in_domain_gain = st.sampled_from(EDGE_GAINS) | st.floats(-12.0, 6.0).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    gains=st.lists(st.tuples(_in_domain_gain, _in_domain_gain), min_size=1, max_size=12),
+    p_max=st.floats(-6.0, 9.0).map(lambda e: 10.0**e),
+    eta=st.sampled_from([0.0, 5e-324, 1.0]),
+)
+# P*b/(a+b) rounds an ulp above P on the 1e300 pair; the relay's rest must
+# not turn negative
+@example(gains=[(0.9547922439374674, 1e300), (1.0, 1.0)], p_max=6.34553643662418, eta=1.0)
+def test_in_domain_outputs_are_finite_and_nonnegative(gains, p_max, eta):
+    """Every policy's result, the one-pass trial's rates and the conventional
+    hop powers are finite and nonnegative, with no RuntimeWarning, on either
+    side of the 8-element water-filling cut; the two hop powers sum back to
+    the pooled power to within its ulp."""
+    cfg = make_cfg(n_subcarriers=len(gains), taps=1, p_max=p_max, eta=eta)
+    chan = ChannelRealization(*zip(*gains))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for policy in PolicyId:
+            try:
+                result = solve_policy(policy, chan, cfg)
+            except NoUsablePairError:
+                continue  # a water-filled row on a dead channel
+            outputs = [result.rho_i, result.powers, result.pair_rates, np.array([result.total_rate])]
+            if policy is PolicyId.CONVENTIONAL_NON_EH:
+                p_source, p_relay = conventional_hop_powers(chan, cfg, result)
+                assert (np.abs(p_source + p_relay - result.powers) <= np.spacing(result.powers)).all()
+                outputs += [p_source, p_relay]
+            for values in outputs:
+                assert np.isfinite(values).all() and (values >= 0.0).all()
+        rates, _ = _trial_rates(tuple(PolicyId), [chan, chan], cfg)
+    assert np.isfinite(rates).all() and (rates >= 0.0).all()
 
 
 @pytest.mark.parametrize("p_max", [1000.0, 1e9])

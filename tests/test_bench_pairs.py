@@ -1,6 +1,7 @@
 """The pure summary of scripts/bench_pairs.py, on fixed numbers."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -138,3 +139,42 @@ def test_a_base_spread_wider_than_the_bound_is_unresolved():
 )
 def test_worse_past_bound_is_relative_to_the_base_median(base, head, direction, flagged):
     assert bench_pairs.worse_past_bound(base, head, direction, 0.2) is flagged
+
+
+def test_verdict_fails_on_a_worse_median_or_a_workload_without_head_results():
+    bounds = {"trials_per_s": 0.2, "latency_p50_ms": 0.25}
+    crashed = {"correct": False, "attempted": 0, "failed": None, "metrics": {}, "error": "exit 1"}
+    flat = bench_pairs.summarize([(_run(100.0, 10.0), _run(99.0, 10.1))] * 3, BETTER, bounds)
+    assert bench_pairs.verdict({"figure-sweep": flat, "single-solve": flat}) == []
+    worse = bench_pairs.summarize([(_run(100.0, 10.0), _run(79.0, 10.0))] * 3, BETTER, bounds)
+    assert bench_pairs.verdict({"figure-sweep": flat, "wide-ofdm": worse}) == [
+        "wide-ofdm: trials_per_s worse past its bound"]
+    dead = bench_pairs.summarize([(_run(100.0, 10.0), crashed)] * 3, BETTER, bounds)
+    assert bench_pairs.verdict({"verify-oracle": dead}) == ["verify-oracle: no head run printed a result"]
+    # one head run with a result is enough; a crashed base run fails nothing
+    some = bench_pairs.summarize([(_run(100.0, 10.0), crashed), (crashed, _run(100.0, 10.0))], BETTER, bounds)
+    assert bench_pairs.verdict({"single-solve": some}) == []
+
+
+def test_verdict_passes_a_metric_that_is_only_unresolved():
+    bounds = {"trials_per_s": 0.2, "latency_p50_ms": 0.25}
+    base = (60.0, 85.0, 100.0, 115.0, 140.0)
+    summary = bench_pairs.summarize([(_run(tps, 10.0), _run(tps, 10.0)) for tps in base], BETTER, bounds)
+    assert summary["metrics"]["trials_per_s"]["unresolved"] is True
+    assert bench_pairs.verdict({"figure-sweep": summary}) == []
+
+
+def test_main_exits_1_on_a_failing_verdict_and_still_writes_the_summary(tmp_path, monkeypatch):
+    spec = {"run_seconds": 1, "workloads": [{"name": "w"}],
+            "end_to_end": [{"name": "trials_per_s", "better": "higher", "bound": 0.2}]}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    runs = {"base": _run(100.0, 10.0), "head": _run(70.0, 10.0)}
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "a" * 40 if args[-1] == "HEAD~1" else "b" * 40)
+    monkeypatch.setattr(bench_pairs, "extract", lambda rev, dest: None)
+    monkeypatch.setattr(bench_pairs, "run_once", lambda tree, workload, seed, seconds: runs[tree.name])
+    assert bench_pairs.main(["--pairs", "2"]) == 1
+    report = json.loads((tmp_path / "BENCH_bbbbbbb.json").read_text())
+    assert report["workloads"]["w"]["metrics"]["trials_per_s"]["worse_past_bound"] is True
+    runs["head"] = _run(100.0, 10.0)
+    assert bench_pairs.main(["--pairs", "2"]) == 0

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import swipt_relay
 from swipt_relay.cli import main
 from swipt_relay.model import config_to_dict, default_config
 
@@ -378,6 +383,24 @@ def test_sweep_rejects_a_range_that_is_not_finite(values, cfg_path, capsys):
     assert f"cannot parse range '{values}'" in capsys.readouterr().err
 
 
+def test_sweep_refuses_a_range_of_too_many_points_before_building_it(cfg_path):
+    # a child under a 1 GB address-space cap and a timeout, so that a parser
+    # that builds every point first fails here instead of exhausting memory
+    src = str(Path(swipt_relay.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+               OPENBLAS_NUM_THREADS="1")
+    argv = ["sweep", cfg_path, "--variable", "p_max_dbm", "--values", "0..1e9 step 1", "--trials", "1"]
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+        "from swipt_relay.cli import main\n"
+        f"sys.exit(main({argv!r}))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert "range '0..1e9 step 1' has 1000000001 points; at most 1000000 are allowed" in proc.stderr
+
+
 def test_sweep_rejects_trials_beyond_seed_stride(cfg_path, capsys):
     code = main(
         ["sweep", cfg_path, "--variable", "p_max_dbm", "--values", "10,20", "--trials", "1000005"]
@@ -430,9 +453,11 @@ def test_verify_hundred_seeds_all_pass(cfg_path, capsys):
     assert "overall: PASS" in out
 
 
-def test_verify_caps_subcarrier_count(tmp_path, capsys):
+@pytest.mark.parametrize("n_subcarriers", [9, 10**12])
+def test_verify_caps_subcarrier_count(n_subcarriers, tmp_path, capsys):
+    # checked before the first channel, which would not fit in memory at 10**12
     data = config_to_dict(default_config())
-    data["n_subcarriers"] = 9
+    data["n_subcarriers"] = n_subcarriers
     path = tmp_path / "big.json"
     path.write_text(json.dumps(data))
     assert main(["verify", str(path), "--seeds", "1"]) == 1
