@@ -17,7 +17,8 @@ per workload and end-to-end metric, each side's median and quartiles, the
 head/base ratio of the medians, the pairs the head wins, whether the
 head median is worse than the base's past the metric's ``bound``, and
 whether the base runs spread too widely for that bound to tell (both
-printed as well), plus the failed operations of every run. The exit status
+printed as well), plus the failed operations of every run, and each side's
+count of code lines under ``src/`` (``code_lines``). The exit status
 is 1 when a workload's head runs all printed no result or a metric's head
 median is worse past its bound, and 0 otherwise; the summary file is written
 either way, and a metric that is only unresolved does not fail the run.
@@ -30,6 +31,7 @@ standard library is used.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import platform
@@ -37,11 +39,14 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 RUN_TIMEOUT_S = 600
 SEED_BASE = 71
+# tokens that put no code on a line
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
 
 
 def git(*args: str) -> str:
@@ -59,6 +64,23 @@ def extract(rev: str, dest: Path) -> None:
         status = archive.wait()
     if status != 0:
         raise SystemExit(f"git archive {rev} failed")
+
+
+def code_lines(root: Path) -> int:
+    """Lines of code in the ``.py`` files under ``root``, by ``tokenize``: a
+    line counts when a token of a statement lies on it, so blank lines,
+    comments and docstrings (a statement that is a string alone) do not."""
+    rows = set()
+    for path in sorted(root.rglob("*.py")):
+        statement = []
+        for token in tokenize.generate_tokens(io.StringIO(path.read_text()).readline):
+            if token.type in (tokenize.NEWLINE, tokenize.ENDMARKER):
+                if not (len(statement) == 1 and statement[0].type == tokenize.STRING):
+                    rows.update((path, row) for tok in statement for row in range(tok.start[0], tok.end[0] + 1))
+                statement = []
+            elif token.type not in _NOT_CODE:
+                statement.append(token)
+    return len(rows)
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -200,6 +222,9 @@ def main(argv: list[str] | None = None) -> int:
         trees = {side: Path(tmp) / side for side in sides}
         for side, sha in sides.items():
             extract(sha, trees[side])
+        report["src_code_lines"] = {side: code_lines(trees[side] / "src") for side in sides}
+        print(f"src code lines: base {report['src_code_lines']['base']} head {report['src_code_lines']['head']}",
+              flush=True)
         for workload in args.workloads:
             pairs = []
             for i, seed in enumerate(report["seeds"]):

@@ -322,11 +322,11 @@ def _waterfill_floats(gam: np.ndarray, p_max: float) -> np.ndarray:
         if not n_active:
             return _all_to_strongest(gam, p_max)
     alloc = [level - x if x <= top else 0.0 for x in inv]
-    # np.argmax's pick: the first largest allocation
-    largest = alloc.index(max(alloc))
-    alloc[largest] += budget - _fsum(alloc)
     if scale != 1.0:
         alloc = [a * scale for a in alloc]
+    # np.argmax's pick: the first largest allocation
+    largest = alloc.index(max(alloc))
+    alloc[largest] += p_max - _fsum(alloc)
     return np.array(alloc)
 
 
@@ -368,12 +368,13 @@ def _waterfill_array(gam: np.ndarray, p_max: float) -> np.ndarray:
         if not active.any():
             return _all_to_strongest(gam, p_max)
     alloc = np.where(active, level - inv, 0.0)
-    # pin the float sum exactly to the budget; the correction is O(ulp) and
-    # lands on the largest allocation. Zeros leave a correctly rounded sum
-    # as it is, so only the active allocations are summed
-    alloc[int(np.argmax(alloc))] += budget - math.fsum(alloc[active].tolist())
     if scale != 1.0:
         alloc *= scale
+    # pin the float sum exactly to the budget, after scaling back, where a
+    # subnormal scaled budget would have lost bits; the correction is O(ulp)
+    # and lands on the largest allocation. Zeros leave a correctly rounded
+    # sum as it is, so only the active allocations are summed
+    alloc[int(np.argmax(alloc))] += p_max - math.fsum(alloc[active].tolist())
     return alloc
 
 
@@ -423,16 +424,34 @@ def _largest(values: np.ndarray) -> float:
     return float(values.max())
 
 
-def _pair_rates(gam: np.ndarray, powers: np.ndarray, p_max: float) -> np.ndarray:
+def _fits(gam: np.ndarray, p_max: float) -> bool:
+    """Whether no product gamma*P of the gain table ``gam`` can overflow at
+    powers of at most ``p_max`` each: max(gamma) * p_max lies below
+    ``_PRODUCT_LIMIT``, which one reduction decides. Every rule's gains go
+    through it before their powers are taken.
+
+    Raises ``ValueError`` "an effective gain passes the float range: the
+    channel is too strong for the noise" when a gain is inf: a pair whose
+    effective gain overflows, as it can on a strong channel at low noise
+    powers, has no rate to report.
+    """
+    top = _largest(gam)
+    if top * p_max < _PRODUCT_LIMIT:
+        return True
+    if top == _INF:
+        raise ValueError("an effective gain passes the float range: the channel is too strong for the noise")
+    return False
+
+
+def _pair_rates(gam: np.ndarray, powers: np.ndarray, fits: bool) -> np.ndarray:
     """0.5*log2(1 + gamma*P) elementwise, for gains and powers of any equal
-    shape whose powers are at most ``p_max`` each.
+    shape, where ``fits`` is :func:`_fits` of the gains and a bound on the
+    powers; ``False`` takes the form that holds for any gains.
 
     Where gamma*P overflows, log1p(gamma*P) equals log(gamma) + log(P) to
     float precision, so those terms are taken in that form instead of inf.
-    No product can overflow while max(gamma) * p_max lies below
-    ``_PRODUCT_LIMIT``, which one reduction decides.
     """
-    if _largest(gam) * p_max < _PRODUCT_LIMIT:
+    if fits:
         # the bits of 0.5 * log1p(gamma * P) / ln 2, with two arrays fewer
         rates = np.log1p(gam * powers)
         rates *= 0.5
@@ -455,27 +474,14 @@ def _table_rates(gam: np.ndarray, power_rule, cfg: SystemConfig):
     A row sum adds its N terms as a 1-D ``ndarray.sum`` does whatever the
     table's height, left to right below 8 terms and pairwise from 8 up, so a
     row's rate has the bits of the ``total_rate`` of its one-row result.
+    Raises ``ValueError`` when a gain of the table is inf (see
+    :func:`_fits`), before any power is taken.
     """
     dead = np.zeros(len(gam), dtype=bool)
+    fits = _fits(gam, cfg.p_max)
     powers = power_rule(gam, cfg, dead)
     # a dead row's gains and powers are all zero, so it sums to exactly 0.0
-    return _pair_rates(gam, powers, cfg.p_max).sum(axis=1), dead
-
-
-def _result(
-    pairing: SubcarrierPairing, rho: np.ndarray, gam: np.ndarray, powers: np.ndarray, p_max: float
-) -> AllocationResult:
-    """The frozen result of a policy that put ``powers`` (each at most
-    ``p_max``) on pairs of effective gains ``gam``."""
-    pair_rates = _pair_rates(gam, powers, p_max)
-    return _frozen(
-        AllocationResult,
-        pairing=pairing,
-        rho_i=rho,
-        powers=powers,
-        pair_rates=pair_rates,
-        total_rate=float(pair_rates.sum()),
-    )
+    return _pair_rates(gam, powers, fits).sum(axis=1), dead
 
 
 def _check_width(n: int, cfg: SystemConfig, what: str = "channel") -> None:
@@ -492,19 +498,29 @@ def _run_row(row, channel: ChannelRealization, cfg: SystemConfig) -> AllocationR
     table. ``baselines`` runs the same rules on a ``(b, N)`` block of
     channels, one per row; here they run on this channel's vectors.
 
-    Raises ``ValueError`` when the channel's width is not the config's, and
+    Raises ``ValueError`` when the channel's width is not the config's or
+    an effective gain passes the float range (see :func:`_fits`), and
     :class:`NoUsablePairError` where the row water-fills a dead channel.
     """
     use_sorted, gains, power_rule = row
     _check_width(channel.n_subcarriers, cfg)
     h, g = channel.h_sq, channel.g_sq
     perm = _sorted_perm(h, g) if use_sorted else np.arange(channel.n_subcarriers)
-    pairing = _frozen(SubcarrierPairing, perm=perm)
     # two indexings: unpacking a (2, N) table would start an iterator, which
     # costs more than both
     tables = gains(h, g[perm], cfg)
     rho, gam = tables[0], tables[1]
-    return _result(pairing, rho, gam, power_rule(gam, cfg), cfg.p_max)
+    fits = _fits(gam, cfg.p_max)
+    powers = power_rule(gam, cfg)
+    pair_rates = _pair_rates(gam, powers, fits)
+    return _frozen(
+        AllocationResult,
+        pairing=_frozen(SubcarrierPairing, perm=perm),
+        rho_i=rho,
+        powers=powers,
+        pair_rates=pair_rates,
+        total_rate=float(pair_rates.sum()),
+    )
 
 
 # the three-step policy of this module as a row
@@ -515,6 +531,7 @@ def solve(channel: ChannelRealization, cfg: SystemConfig) -> AllocationResult:
     """Run the full three-step policy on one realization.
 
     Raises :class:`NoUsablePairError` when the whole channel is dead, and
-    ``ValueError`` when its width is not ``cfg.n_subcarriers``.
+    ``ValueError`` when its width is not ``cfg.n_subcarriers`` or an
+    effective gain passes the float range.
     """
     return _run_row(_PROPOSED_ROW, channel, cfg)

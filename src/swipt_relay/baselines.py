@@ -66,14 +66,6 @@ def solve_uniform(channel: ChannelRealization, cfg: SystemConfig, use_pairing: b
     return solve_policy(policy, channel, cfg)
 
 
-def _conventional_slopes(h: np.ndarray, g: np.ndarray, cfg: SystemConfig):
-    """Per-hop SNR slopes of the supplied-relay system (per mW at the relay
-    and at the destination) for incoming gains ``h`` and outgoing gains
-    ``g``. The relay has no power splitter; its decoder sees the antenna
-    noise."""
-    return h / cfg.noise.sigma_ra_sq, g / cfg.noise.sigma_d_sq
-
-
 def solve_conventional(channel: ChannelRealization, cfg: SystemConfig) -> AllocationResult:
     """Relay with its own supply (no harvesting, no splitting): the source
     and relay spend one pooled budget p_max.
@@ -92,48 +84,45 @@ def conventional_hop_powers(channel: ChannelRealization, cfg: SystemConfig, resu
     """Split the pooled pair powers of a conventional allocation back into
     (source, relay) components, per incoming subcarrier.
 
-    The source takes P*b/(a+b) of a pair's power P, at most P; where P*b
-    or a+b overflows it takes P / (1 + a/b) instead. The relay takes the
-    rest, and a pair with a dead hop gives the source nothing. Raises
+    With each hop's noise-to-gain ratio u = sigma_ra^2/h and
+    v = sigma_d^2/g, the source takes P / (1 + v/u) of a pair's power P,
+    which never exceeds P, and the relay takes the rest. A pair of zero gain
+    in ``_conventional_gains`` (a dead hop) gives the source nothing. Raises
     ``ValueError`` when the channel or the result is not
     ``cfg.n_subcarriers`` wide.
     """
     _check_width(channel.n_subcarriers, cfg)
     for vec in (result.pairing.perm, result.powers):
         _check_width(vec.size, cfg, "result")
-    a, b = _conventional_slopes(channel.h_sq, channel.g_sq[result.pairing.perm], cfg)
-    powers = result.powers
-    live = (a > 0.0) & (b > 0.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        product, total = powers * b, a + b
-        share = product / total
-    big = live & (~np.isfinite(product) | np.isinf(total))
-    share[big] = powers[big] / (1.0 + a[big] / b[big])
-    # a pair with a dead hop keeps its place, with no source power; the
-    # share can round an ulp above P where one slope dwarfs the other
-    p_source = np.where(live, np.minimum(share, powers), 0.0)
+    h, g = channel.h_sq, channel.g_sq[result.pairing.perm]
+    noise, powers = cfg.noise, result.powers
+    # a ratio of 0 or inf gives the share its limit; a dead pair's NaN is
+    # dropped below
+    with np.errstate(all="ignore"):
+        share = powers / (1.0 + (noise.sigma_d_sq / g) / (noise.sigma_ra_sq / h))
+    p_source = np.where(_conventional_gains(h, g, cfg)[1] > 0.0, share, 0.0)
     return p_source, powers - p_source
 
 
 def _conventional_gains(h: np.ndarray, g_paired: np.ndarray, cfg: SystemConfig):
     """(rho_I, gamma) tables of the supplied-relay pairs whose incoming gains
     are ``h`` and outgoing gains ``g_paired``, two tables of any equal
-    shape: no split (rho_I = 1) and gamma = a*b/(a+b).
+    shape: no split (rho_I = 1) and gamma = a*b/(a+b), with a = h/sigma_ra^2
+    and b = g/sigma_d^2 the per-hop SNR slopes.
 
-    Where a*b overflows, gamma (below min(a, b)) is taken as
-    lo / (1 + lo/hi) with lo, hi the smaller and larger slope; every other
-    pair's gamma is the plain quotient, so it does not depend on the rest of
-    the table.
+    Where that quotient is not finite (a dead pair's 0/0, or a slope or a*b
+    past the float range) gamma is taken as
+    1 / (sigma_ra^2/h + sigma_d^2/g), one over the sum of the hops'
+    noise-to-gain ratios: 0 on a dead hop, and finite wherever the true
+    gain fits a float. Every other pair's gamma is the plain quotient, so it
+    does not depend on the rest of the table.
     """
-    a, b = _conventional_slopes(h, g_paired, cfg)
-    with np.errstate(over="ignore", invalid="ignore"):
-        product = a * b
-        # a pair with a dead hop keeps its place at gamma = 0; its quotient
-        # is 0 or, where 0 meets 0 or inf, NaN
-        gam = np.where((a > 0.0) & (b > 0.0), product / (a + b), 0.0)
-    big = np.isinf(product)
-    lo, hi = np.minimum(a[big], b[big]), np.maximum(a[big], b[big])
-    gam[big] = lo / (1.0 + lo / hi)
+    noise = cfg.noise
+    with np.errstate(all="ignore"):
+        a, b = h / noise.sigma_ra_sq, g_paired / noise.sigma_d_sq
+        gam = a * b / (a + b)
+        odd = ~np.isfinite(gam)
+        gam[odd] = 1.0 / (noise.sigma_ra_sq / h[odd] + noise.sigma_d_sq / g_paired[odd])
     return np.ones(h.shape), gam
 
 
@@ -155,7 +144,9 @@ _RULES = {
 
 
 def solve_policy(policy: PolicyId, channel: ChannelRealization, cfg: SystemConfig) -> AllocationResult:
-    """Run the named policy's row on one realization."""
+    """Run the named policy's row on one realization. Raises ``ValueError``
+    when the channel's width is not the config's or a pair's effective gain
+    passes the float range (the channel is too strong for the noise)."""
     if not isinstance(policy, PolicyId):
         raise ValueError(f"unhandled policy: {policy!r}")
     return _run_row(_RULES[policy], channel, cfg)
@@ -167,6 +158,8 @@ def _trial_rates(policies, channels, cfg: SystemConfig):
     realizations, with the bits of ``solve_policy(...).total_rate``: a
     ``(P, b)`` rate table, and a ``(P, b)`` boolean table that is set where
     a policy raised :class:`NoUsablePairError` on a channel, which scores 0.
+    A channel on which a policy's effective gain passes the float range
+    raises that policy's ``ValueError``, as ``solve_policy`` does.
 
     The rules of ``_run_row`` run on ``(b, N)`` tables, one channel per
     row, and no per-policy result is built: the block's sorted pairings are

@@ -123,7 +123,8 @@ def _cmd_solve(args) -> int:
     try:
         result = solve(channel, cfg)
     except ValueError as exc:
-        # a channel file of another width, or a dead channel
+        # a channel file of another width, a dead channel, or one whose
+        # effective gain passes the float range
         raise _CommandError(1, str(exc)) from exc
     _write_text(args.output, json.dumps(allocation_to_dict(result), indent=2) + "\n")
     return 0

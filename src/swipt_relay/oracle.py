@@ -340,7 +340,8 @@ def verify(
     # gap to the search's finite one
     _, best_rate = best_pairing_exhaustive(channel, cfg)
     gap = best_rate - result.total_rate if math.isfinite(result.total_rate) else math.nan
-    delivered = float(_pair_rates(gam, result.powers, cfg.p_max).sum())
+    # the rate form that holds for any gains: no overflow test is needed
+    delivered = float(_pair_rates(gam, result.powers, False).sum())
     residual = _worst((gap, (result.total_rate - delivered) / max(delivered, 1e-12)))
     checks.append(CheckResult("pairing_optimality", residual <= tol, residual, tol))
 

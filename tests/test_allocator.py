@@ -369,6 +369,10 @@ def test_waterfill_budget_below_float_spacing_goes_to_strongest(gammas, p_max, e
         ([1.0, 6e-309, 6e-309], 10.0),  # 1/gamma finite, their sum overflows
         ([1.0, 1e-308], 1.7e308),  # budget near the float range, both powered
         ([1.0, 1.0, 1.0], 1.5e308),
+        # scaled down, the budget is subnormal and loses bits: it is pinned
+        # after scaling back, in both bodies
+        ([1e300, 2.0**-1024 + 2.0**-1074], 7e-309),
+        ([1e300] + [2.0**-1024 + 2.0**-1074] * 7, 7e-309),
     ],
 )
 def test_waterfill_prefix_sums_near_overflow(gammas, p_max):

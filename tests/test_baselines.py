@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,10 +19,16 @@ from swipt_relay.baselines import (
     solve_uniform,
 )
 from swipt_relay.channel import generate_channel
-from swipt_relay.model import ChannelRealization
+from swipt_relay.model import ChannelRealization, NoiseProfile, default_config
 from swipt_relay.oracle import best_pairing_exhaustive, verify
 
 from conftest import EDGE_GAINS, NOISE_1DBM, assert_read_only, make_cfg, mixed_gains
+
+
+# every noise power 1e-3 mW: a valid config where a strong channel's
+# effective gain can pass the float range
+LOW_NOISE = NoiseProfile(1e-3, 1e-3, 1e-3, 1e-3)
+GAIN_OVERFLOW = "an effective gain passes the float range: the channel is too strong for the noise"
 
 
 def test_policy_names_are_exact():
@@ -307,54 +314,95 @@ def test_overflowing_pair_rate_is_finite(policy):
     assert result.pair_rates[1 - big] == 0.5 * np.log1p(product[1 - big]) / math.log(2.0)
 
 
-@pytest.mark.parametrize(
-    "h_sq, g_sq",
-    [([1e301, 1.0], [1e10, 0.5]), ([1e10, 0.5], [1e301, 1.0])],
-    ids=["huge-incoming", "huge-outgoing"],
-)
-def test_conventional_rate_is_finite_where_slope_product_overflows(h_sq, g_sq):
-    """a*b passes the float range on the strongest pair although its gamma,
-    below min(a, b), does not: that gamma is taken as lo / (1 + lo/hi), and
+# the supplied relay's a*b overflows on the strongest pair at the default
+# noise; at 1e-3 mW the slope a = h/sigma_ra^2 itself overflows
+OVERFLOW_CASES = {
+    "huge-incoming": ([1e301, 1.0], [1e10, 0.5], None),
+    "huge-outgoing": ([1e10, 0.5], [1e301, 1.0], None),
+    "low-noise-incoming": ([1e306], [1.0], LOW_NOISE),
+    "low-noise-both": ([1e306, 1.0], [1e300, 0.5], LOW_NOISE),
+}
+
+
+def _overflow_case(name, **overrides):
+    h_sq, g_sq, noise = OVERFLOW_CASES[name]
+    cfg = make_cfg(n_subcarriers=len(h_sq), taps=1, **overrides, **({"noise": noise} if noise else {}))
+    return ChannelRealization(h_sq, g_sq), cfg
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOW_CASES))
+def test_conventional_rate_is_finite_where_slope_product_overflows(name):
+    """a*b (or a slope itself) passes the float range on the strongest pair
+    although its gamma, below min(a, b), does not: that gamma is taken as
+    1 / (sigma_ra^2/h + sigma_d^2/g), within a few ulp of the exact gain, and
     the other pair keeps the bits of a*b/(a+b). RuntimeWarnings are errors
     under the test suite's filter."""
-    cfg = make_cfg(n_subcarriers=2, taps=1)
-    chan = ChannelRealization(h_sq, g_sq)
+    chan, cfg = _overflow_case(name)
     result = solve_conventional(chan, cfg)
     assert math.isfinite(result.total_rate) and result.total_rate >= 0.0
     assert np.isfinite(result.pair_rates).all() and (result.pair_rates >= 0.0).all()
-    a = chan.h_sq / cfg.noise.sigma_ra_sq
-    b = chan.g_sq[result.pairing.perm] / cfg.noise.sigma_d_sq
+    s_ra, s_d = cfg.noise.sigma_ra_sq, cfg.noise.sigma_d_sq
+    # Python floats: a slope past the float range reads as inf, silently
+    h, g = chan.h_sq.tolist(), chan.g_sq[result.pairing.perm].tolist()
+    a, b = [x / s_ra for x in h], [x / s_d for x in g]
     gam = _conventional_gains(chan.h_sq, chan.g_sq[result.pairing.perm], cfg)[1]
-    lo, hi = min(a[0], b[0]), max(a[0], b[0])
-    assert gam[0] == lo / (1.0 + lo / hi)
-    assert gam[0] == pytest.approx(lo, rel=1e-12)
-    assert gam[1] == a[1] * b[1] / (a[1] + b[1])
-    rates, dead = _trial_rates(tuple(PolicyId), [chan], cfg)
-    rates, dead = rates[:, 0], dead[:, 0]
+    assert gam[0] == 1.0 / (s_ra / h[0] + s_d / g[0])
+    exact = 1 / (Fraction(s_ra) / Fraction(h[0]) + Fraction(s_d) / Fraction(g[0]))
+    assert gam[0] == pytest.approx(float(exact), rel=4e-16)
+    if len(h) > 1:
+        assert gam[1] == a[1] * b[1] / (a[1] + b[1])
+    # at low noise the split rows refuse these channels
+    policies = (PolicyId.CONVENTIONAL_NON_EH,) if cfg.noise is LOW_NOISE else tuple(PolicyId)
+    rates, dead = _trial_rates(policies, [chan], cfg)
     assert np.isfinite(rates).all() and (rates >= 0.0).all() and not dead.any()
-    assert rates[-1] == result.total_rate
+    assert rates[-1, 0] == result.total_rate
 
 
-@pytest.mark.parametrize(
-    "h_sq, g_sq",
-    [([1e301, 1.0], [1e10, 0.5]), ([1e10, 0.5], [1e301, 1.0])],
-    ids=["huge-incoming", "huge-outgoing"],
-)
-def test_conventional_hop_powers_are_finite_where_power_product_overflows(h_sq, g_sq):
-    """On a huge outgoing slope b, P*b passes the float range although the
-    source's share P*b/(a+b) is at most P: that share is taken as
-    P / (1 + a/b), and the other pair keeps the bits of P*b/(a+b)."""
-    cfg = make_cfg(n_subcarriers=2, taps=1, p_max=1e9)
-    chan = ChannelRealization(h_sq, g_sq)
+def test_conventional_rates_the_low_noise_channel_whose_slope_overflows():
+    """h = 1e306 at 1e-3 mW: a = h/sigma_ra^2 is inf, b = 1/2e-3 = 500, and
+    the pair is b-limited, so gamma = 500 and the rate is
+    0.5*log2(1 + 500*p_max)."""
+    chan, cfg = _overflow_case("low-noise-incoming")
+    result = solve_conventional(chan, cfg)
+    assert result.total_rate == pytest.approx(0.5 * math.log2(1.0 + 500.0 * cfg.p_max), rel=1e-15)
+    assert result.total_rate == pytest.approx(9.4658, abs=1e-4)
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOW_CASES))
+def test_conventional_hop_powers_are_finite_where_power_product_overflows(name):
+    """On a huge slope the products P*b and a*b pass the float range, but
+    the source's share P / (1 + (sigma_d^2/g)/(sigma_ra^2/h)) never does: it
+    lies in [0, P] on every pair, and the relay takes the rest."""
+    chan, cfg = _overflow_case(name, p_max=1e9)
     result = solve_conventional(chan, cfg)
     p_source, p_relay = conventional_hop_powers(chan, cfg, result)
     assert np.isfinite(p_source).all() and np.isfinite(p_relay).all()
     assert (p_source >= 0.0).all() and (p_relay >= 0.0).all()
+    assert (p_source <= result.powers).all() and (p_relay <= result.powers).all()
     np.testing.assert_array_equal(p_relay, result.powers - p_source)
-    a = chan.h_sq / cfg.noise.sigma_ra_sq
-    b = chan.g_sq[result.pairing.perm] / cfg.noise.sigma_d_sq
-    assert p_source[0] == result.powers[0] / (1.0 + a[0] / b[0])
-    assert p_source[1] == result.powers[1] * b[1] / (a[1] + b[1])
+    s_ra, s_d = cfg.noise.sigma_ra_sq, cfg.noise.sigma_d_sq
+    h, g = chan.h_sq.tolist(), chan.g_sq[result.pairing.perm].tolist()
+    for i, power in enumerate(result.powers.tolist()):
+        assert p_source[i] == power / (1.0 + (s_d / g[i]) / (s_ra / h[i]))
+
+
+@pytest.mark.parametrize("g_sq", [1.0, 1e306], ids=["split-gain", "both-gains"])
+def test_an_effective_gain_past_the_float_range_is_refused(g_sq):
+    """At 1e-3 mW noise the split gain of a 1e306 incoming gain overflows,
+    and with a 1e306 outgoing gain so does the supplied relay's (about
+    3.3e308). Each policy that meets an infinite gain refuses the channel
+    with one ValueError, before any power is taken, and so does the
+    one-pass trial."""
+    cfg = make_cfg(n_subcarriers=1, taps=1, noise=LOW_NOISE)
+    chan = ChannelRealization([1e306], [g_sq])
+    refusing = [policy for policy in PolicyId if g_sq > 1.0 or policy is not PolicyId.CONVENTIONAL_NON_EH]
+    for policy in refusing:
+        with pytest.raises(ValueError, match=GAIN_OVERFLOW):
+            solve_policy(policy, chan, cfg)
+        with pytest.raises(ValueError, match=GAIN_OVERFLOW):
+            _trial_rates((policy,), [chan, generate_channel(cfg, 1)], cfg)
+    with pytest.raises(ValueError, match=GAIN_OVERFLOW):
+        solve(chan, cfg)
 
 
 # ------------------------------------------------------- one-pass trial
@@ -484,7 +532,11 @@ def test_trial_rates_match_solve_policy_on_random_channels(data, n, p_max, eta):
     assert dead.tolist() == want_dead
 
 
-_in_domain_gain = st.sampled_from(EDGE_GAINS) | st.floats(-12.0, 6.0).map(lambda e: 10.0**e)
+_in_domain_gain = (
+    st.sampled_from(EDGE_GAINS + (1e306,))
+    | st.floats(-12.0, 6.0).map(lambda e: 10.0**e)
+    | st.floats(6.0, 306.0).map(lambda e: 10.0**e)
+)
 
 
 @settings(max_examples=300, deadline=None)
@@ -492,17 +544,27 @@ _in_domain_gain = st.sampled_from(EDGE_GAINS) | st.floats(-12.0, 6.0).map(lambda
     gains=st.lists(st.tuples(_in_domain_gain, _in_domain_gain), min_size=1, max_size=12),
     p_max=st.floats(-6.0, 9.0).map(lambda e: 10.0**e),
     eta=st.sampled_from([0.0, 5e-324, 1.0]),
+    noise=st.sampled_from([default_config().noise, LOW_NOISE]),
 )
-# P*b/(a+b) rounds an ulp above P on the 1e300 pair; the relay's rest must
+# P*b/(a+b) rounded an ulp above P on the 1e300 pair; the relay's rest must
 # not turn negative
-@example(gains=[(0.9547922439374674, 1e300), (1.0, 1.0)], p_max=6.34553643662418, eta=1.0)
-def test_in_domain_outputs_are_finite_and_nonnegative(gains, p_max, eta):
+@example(gains=[(0.9547922439374674, 1e300), (1.0, 1.0)], p_max=6.34553643662418, eta=1.0,
+         noise=default_config().noise)
+# at low noise the split gain overflows (refused) and the supplied relay's
+# slope a overflows (rated); with both gains huge, both are refused
+@example(gains=[(1e306, 1.0)], p_max=1000.0, eta=1.0, noise=LOW_NOISE)
+@example(gains=[(1e306, 1e306)], p_max=1000.0, eta=1.0, noise=LOW_NOISE)
+def test_in_domain_outputs_are_finite_and_nonnegative(gains, p_max, eta, noise):
     """Every policy's result, the one-pass trial's rates and the conventional
     hop powers are finite and nonnegative, with no RuntimeWarning, on either
-    side of the 8-element water-filling cut; the two hop powers sum back to
-    the pooled power to within its ulp."""
-    cfg = make_cfg(n_subcarriers=len(gains), taps=1, p_max=p_max, eta=eta)
+    side of the 8-element water-filling cut, at the default noise and at
+    1e-3 mW; each hop power is at most its pair's power, and the two sum
+    back to it to within its ulp. A policy may instead raise
+    NoUsablePairError, or refuse a channel whose effective gain passes the
+    float range, and then the one-pass trial refuses it too."""
+    cfg = make_cfg(n_subcarriers=len(gains), taps=1, p_max=p_max, eta=eta, noise=noise)
     chan = ChannelRealization(*zip(*gains))
+    refused = False
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for policy in PolicyId:
@@ -510,13 +572,22 @@ def test_in_domain_outputs_are_finite_and_nonnegative(gains, p_max, eta):
                 result = solve_policy(policy, chan, cfg)
             except NoUsablePairError:
                 continue  # a water-filled row on a dead channel
+            except ValueError as err:
+                assert str(err) == GAIN_OVERFLOW
+                refused = True
+                continue
             outputs = [result.rho_i, result.powers, result.pair_rates, np.array([result.total_rate])]
             if policy is PolicyId.CONVENTIONAL_NON_EH:
                 p_source, p_relay = conventional_hop_powers(chan, cfg, result)
                 assert (np.abs(p_source + p_relay - result.powers) <= np.spacing(result.powers)).all()
+                assert (p_source <= result.powers).all() and (p_relay <= result.powers).all()
                 outputs += [p_source, p_relay]
             for values in outputs:
                 assert np.isfinite(values).all() and (values >= 0.0).all()
+        if refused:
+            with pytest.raises(ValueError, match=GAIN_OVERFLOW):
+                _trial_rates(tuple(PolicyId), [chan, chan], cfg)
+            return
         rates, _ = _trial_rates(tuple(PolicyId), [chan, chan], cfg)
     assert np.isfinite(rates).all() and (rates >= 0.0).all()
 

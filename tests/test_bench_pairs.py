@@ -178,3 +178,33 @@ def test_main_exits_1_on_a_failing_verdict_and_still_writes_the_summary(tmp_path
     assert report["workloads"]["w"]["metrics"]["trials_per_s"]["worse_past_bound"] is True
     runs["head"] = _run(100.0, 10.0)
     assert bench_pairs.main(["--pairs", "2"]) == 0
+
+
+def test_main_records_the_code_lines_under_src_of_each_side(tmp_path, monkeypatch):
+    spec = {"run_seconds": 1, "workloads": [{"name": "w"}],
+            "end_to_end": [{"name": "trials_per_s", "better": "higher", "bound": 0.2}]}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    sources = {
+        # blank, comment and docstring lines do not count; the four lines of
+        # the two statements do
+        "a" * 40: (
+            '"""Module docstring."""\n\n# a comment\nimport math\n\n\ndef f(x):\n'
+            '    """A docstring\n    on two lines."""\n    return math.sqrt(\n        x)  # trailing\n'
+        ),
+        # an assigned string is code on every line it spans
+        "b" * 40: 'X = """not a docstring:\nan assigned string"""\n',
+    }
+
+    def extract(rev, dest):
+        (dest / "src" / "pkg").mkdir(parents=True)
+        (dest / "src" / "pkg" / "m.py").write_text(sources[rev])
+        (dest / "tests").mkdir()
+        (dest / "tests" / "test_m.py").write_text("assert True\n")
+
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "a" * 40 if args[-1] == "HEAD~1" else "b" * 40)
+    monkeypatch.setattr(bench_pairs, "extract", extract)
+    monkeypatch.setattr(bench_pairs, "run_once", lambda tree, workload, seed, seconds: _run(100.0, 10.0))
+    assert bench_pairs.main(["--pairs", "1"]) == 0
+    report = json.loads((tmp_path / "BENCH_bbbbbbb.json").read_text())
+    assert report["src_code_lines"] == {"base": 4, "head": 2}

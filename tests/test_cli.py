@@ -220,6 +220,19 @@ def test_solve_rejects_a_channel_file_gain_past_the_float_range(tmp_path, capsys
     assert "h_sq entries must be finite and nonnegative" in capsys.readouterr().err
 
 
+def test_solve_refuses_an_effective_gain_past_the_float_range(tmp_path, capsys):
+    # at 1e-3 mW noise the split gain of a 1e306 incoming gain overflows
+    data = config_to_dict(default_config())
+    data.update(n_subcarriers=1, taps=1, noise={key: 1e-3 for key in data["noise"]})
+    cfg = tmp_path / "quiet.json"
+    cfg.write_text(json.dumps(data))
+    chan = tmp_path / "strong.json"
+    chan.write_text(json.dumps({"h_sq": [1e306], "g_sq": [1.0]}))
+    assert main(["solve", str(cfg), "--channel-file", str(chan)]) == 1
+    err = capsys.readouterr().err
+    assert "an effective gain passes the float range: the channel is too strong for the noise" in err
+
+
 def test_solve_channel_size_mismatch(cfg_path, tmp_path, capsys):
     chan = tmp_path / "chan.json"
     chan.write_text(json.dumps({"h_sq": [0.9], "g_sq": [0.9]}))
