@@ -108,7 +108,8 @@ def _conventional_gains(h: np.ndarray, g_paired: np.ndarray, cfg: SystemConfig):
     """(rho_I, gamma) tables of the supplied-relay pairs whose incoming gains
     are ``h`` and outgoing gains ``g_paired``, two tables of any equal
     shape: no split (rho_I = 1) and gamma = a*b/(a+b), with a = h/sigma_ra^2
-    and b = g/sigma_d^2 the per-hop SNR slopes.
+    and b = g/sigma_d^2 the per-hop SNR slopes (the relay has no splitter,
+    so its decoder sees the antenna noise).
 
     Where that quotient is not finite (a dead pair's 0/0, or a slope or a*b
     past the float range) gamma is taken as
