@@ -322,11 +322,12 @@ def _waterfill_floats(gam: np.ndarray, p_max: float) -> np.ndarray:
         if not n_active:
             return _all_to_strongest(gam, p_max)
     alloc = [level - x if x <= top else 0.0 for x in inv]
-    if scale != 1.0:
-        alloc = [a * scale for a in alloc]
     # np.argmax's pick: the first largest allocation
     largest = alloc.index(max(alloc))
-    alloc[largest] += p_max - _fsum(alloc)
+    alloc[largest] += budget - _fsum(alloc)
+    if scale != 1.0:
+        alloc = [a * scale for a in alloc]
+        alloc[largest] += p_max - budget * scale
     return np.array(alloc)
 
 
@@ -368,13 +369,18 @@ def _waterfill_array(gam: np.ndarray, p_max: float) -> np.ndarray:
         if not active.any():
             return _all_to_strongest(gam, p_max)
     alloc = np.where(active, level - inv, 0.0)
+    # pin the float sum exactly to the budget; the correction is O(ulp) and
+    # lands on the largest allocation. Zeros leave a correctly rounded sum
+    # as it is, so only the active allocations are summed
+    largest = int(np.argmax(alloc))
+    alloc[largest] += budget - math.fsum(alloc[active].tolist())
     if scale != 1.0:
+        # the pin keeps every allocation at most the scaled budget, so none
+        # overflows on the way back; the scaling is exact, so the sum falls
+        # short of p_max only by the bits that a subnormal scaled budget lost
+        # (none where it is normal), which the largest allocation takes
         alloc *= scale
-    # pin the float sum exactly to the budget, after scaling back, where a
-    # subnormal scaled budget would have lost bits; the correction is O(ulp)
-    # and lands on the largest allocation. Zeros leave a correctly rounded
-    # sum as it is, so only the active allocations are summed
-    alloc[int(np.argmax(alloc))] += p_max - math.fsum(alloc[active].tolist())
+        alloc[largest] += p_max - budget * scale
     return alloc
 
 
@@ -417,13 +423,6 @@ def _split_gains(h: np.ndarray, g_paired: np.ndarray, cfg: SystemConfig):
     return table.reshape(-1, 2).T.reshape(2, *h.shape)
 
 
-def _largest(values: np.ndarray) -> float:
-    """The largest element of a nonempty array, as a Python float."""
-    if values.size < _FLOAT_BODY_LIMIT:
-        return max(values.ravel().tolist())  # a third of ndarray.max()'s call cost
-    return float(values.max())
-
-
 def _fits(gam: np.ndarray, p_max: float) -> bool:
     """Whether no product gamma*P of the gain table ``gam`` can overflow at
     powers of at most ``p_max`` each: max(gamma) * p_max lies below
@@ -435,7 +434,8 @@ def _fits(gam: np.ndarray, p_max: float) -> bool:
     effective gain overflows, as it can on a strong channel at low noise
     powers, has no rate to report.
     """
-    top = _largest(gam)
+    # below 8 elements, max of a list costs a third of ndarray.max()'s call
+    top = max(gam.ravel().tolist()) if gam.size < _FLOAT_BODY_LIMIT else float(gam.max())
     if top * p_max < _PRODUCT_LIMIT:
         return True
     if top == _INF:

@@ -86,21 +86,22 @@ def conventional_hop_powers(channel: ChannelRealization, cfg: SystemConfig, resu
 
     With each hop's noise-to-gain ratio u = sigma_ra^2/h and
     v = sigma_d^2/g, the source takes P / (1 + v/u) of a pair's power P,
-    which never exceeds P, and the relay takes the rest. A pair of zero gain
-    in ``_conventional_gains`` (a dead hop) gives the source nothing. Raises
-    ``ValueError`` when the channel or the result is not
-    ``cfg.n_subcarriers`` wide.
+    which never exceeds P, and the relay takes the rest. An unpowered pair
+    gives the source nothing; ``result`` is a conventional allocation, which
+    powers only pairs of positive finite gain, so every powered pair has a
+    ratio to split by. Raises ``ValueError`` when the channel or the result
+    is not ``cfg.n_subcarriers`` wide.
     """
     _check_width(channel.n_subcarriers, cfg)
     for vec in (result.pairing.perm, result.powers):
         _check_width(vec.size, cfg, "result")
     h, g = channel.h_sq, channel.g_sq[result.pairing.perm]
     noise, powers = cfg.noise, result.powers
-    # a ratio of 0 or inf gives the share its limit; a dead pair's NaN is
-    # dropped below
+    # a ratio of 0 or inf gives the share its limit; a dead pair's NaN falls
+    # on an unpowered pair and is dropped below
     with np.errstate(all="ignore"):
         share = powers / (1.0 + (noise.sigma_d_sq / g) / (noise.sigma_ra_sq / h))
-    p_source = np.where(_conventional_gains(h, g, cfg)[1] > 0.0, share, 0.0)
+    p_source = np.where(powers > 0.0, share, 0.0)
     return p_source, powers - p_source
 
 

@@ -22,6 +22,7 @@ from .allocator import (
     NoUsablePairError,
     _check_budget,
     _check_width,
+    _fits,
     _gain_array,
     _pair_rates,
     _table_rates,
@@ -340,8 +341,7 @@ def verify(
     # gap to the search's finite one
     _, best_rate = best_pairing_exhaustive(channel, cfg)
     gap = best_rate - result.total_rate if math.isfinite(result.total_rate) else math.nan
-    # the rate form that holds for any gains: no overflow test is needed
-    delivered = float(_pair_rates(gam, result.powers, False).sum())
+    delivered = float(_pair_rates(gam, result.powers, _fits(gam, cfg.p_max)).sum())
     residual = _worst((gap, (result.total_rate - delivered) / max(delivered, 1e-12)))
     checks.append(CheckResult("pairing_optimality", residual <= tol, residual, tol))
 

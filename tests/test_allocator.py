@@ -373,6 +373,10 @@ def test_waterfill_budget_below_float_spacing_goes_to_strongest(gammas, p_max, e
         # after scaling back, in both bodies
         ([1e300, 2.0**-1024 + 2.0**-1074], 7e-309),
         ([1e300] + [2.0**-1024 + 2.0**-1074] * 7, 7e-309),
+        # the largest budget: level - 1/gamma rounds above the scaled budget,
+        # and the allocation scaled back must still not overflow
+        ([2.0**-1023], sys.float_info.max),
+        ([2.0**-1023] + [0.0] * 7, sys.float_info.max),
     ],
 )
 def test_waterfill_prefix_sums_near_overflow(gammas, p_max):
@@ -385,9 +389,13 @@ def test_waterfill_prefix_sums_near_overflow(gammas, p_max):
     assert math.fsum(powers) == p_max
     gam = np.asarray(gammas)
     active = powers > 0.0
-    levels = powers[active] + 1.0 / gam[active]
+    # halved, a level at the edge of the float range stays finite; a zero
+    # gain's 1/gamma is inf, above every level
+    with np.errstate(divide="ignore"):
+        half_inv = 0.5 / gam
+    levels = 0.5 * powers[active] + half_inv[active]
     np.testing.assert_allclose(levels, levels[0], rtol=1e-15, atol=0.0)
-    assert np.all(1.0 / gam[~active] >= levels[0])
+    assert np.all(half_inv[~active] >= levels[0])
 
 
 def test_waterfill_overflowing_prefix_sum_example():
