@@ -43,9 +43,9 @@ _GAMMA_MIN_INVERTIBLE = 2.0**-1024
 # water-filling's prefix sums stay finite while p_max + N * max(1/gamma) is
 # below this bound
 _PREFIX_SUM_LIMIT = 2.0**1023
-# split_and_gain's direct root form squares b: it stays finite up to this b
-# for noise powers up to ~1e76 mW; past it the root is taken from the
-# quadratic divided by b
+# split_and_gain's root squares b: it stays finite up to this b for noise
+# powers up to ~1e76 mW; past it the root is taken from the quadratic
+# divided by b
 _B_DIRECT_MAX = 2.0**256
 # no product gamma*P overflows while max(gamma) * p_max stays below this
 # bound: a power exceeds p_max by at most the ulp the budget pin adds
@@ -156,11 +156,12 @@ def split_and_gain(h_sq: float, g_sq: float, cfg: SystemConfig) -> tuple[float, 
         b*s_ra*rho^2 + (1 - b*s_ra + b*s_rb)*rho - b*s_rb = 0,
 
     which always lies strictly inside (0, 1). It is evaluated through the
-    rationalized root form that avoids cancellation. Past b = 2**256, where
-    b*b heads for overflow, the same root is taken from the quadratic divided
-    by b, whose coefficients stay finite for any b; there rho_I rounds to 1
-    and gamma to h_sq / (s_ra + s_rb). A root that rounds above 1, as it can
-    from b ~ 1e12 on, is capped at 1. gamma is exactly
+    rationalized root form that avoids cancellation, on the quadratic times
+    t, whose coefficients are c*s_ra, t - c*s_ra + c*s_rb and -c*s_rb with
+    c = b*t. Up to b = 2**256, t = 1; past it, where b*b heads for overflow,
+    t = 1/b and c = 1, which keep every coefficient finite for any b; there
+    rho_I rounds to 1 and gamma to h_sq / (s_ra + s_rb). A root that rounds
+    above 1, as it can from b ~ 1e12 on, is capped at 1. gamma is exactly
     ``effective_gain(h_sq, rho_I, cfg)``. A pair is dead when b is not
     positive: zero gain, harvesting disabled, or b underflowing to zero.
     """
@@ -168,33 +169,25 @@ def split_and_gain(h_sq: float, g_sq: float, cfg: SystemConfig) -> tuple[float, 
     b = cfg.eta * g_sq / noise.sigma_d_sq
     s_ra = noise.sigma_ra_sq
     s_rb = noise.sigma_rb_sq
-    if not 0.0 < b <= _B_DIRECT_MAX:
-        if not b > 0.0:
-            return 1.0, 0.0
-        rho_info = _rho_past_direct_max(b, s_ra, s_rb)
+    # a product with 1.0 is exact, so either scaling has the bits of its
+    # quadratic written out
+    if 0.0 < b <= _B_DIRECT_MAX:
+        t, c = 1.0, b
+    elif b > 0.0:
+        t, c = 1.0 / b, 1.0
     else:
-        quad = b * s_ra
-        lin = 1.0 - quad + b * s_rb
-        root = math.sqrt(lin * lin + 4.0 * b * b * s_ra * s_rb)
-        if lin >= 0.0:
-            rho_info = 2.0 * b * s_rb / (lin + root)
-        else:
-            rho_info = (root - lin) / (2.0 * quad)
+        return 1.0, 0.0
+    quad = c * s_ra
+    lin = t - quad + c * s_rb
+    root = math.sqrt(lin * lin + 4.0 * c * c * s_ra * s_rb)
+    if lin >= 0.0:
+        rho_info = 2.0 * c * s_rb / (lin + root)
+    else:
+        rho_info = (root - lin) / (2.0 * quad)
     # the root lies below 1 but can round an ulp above it once b is large
     if rho_info > 1.0:
         rho_info = 1.0
     return rho_info, h_sq * rho_info / (rho_info * s_ra + s_rb)
-
-
-def _rho_past_direct_max(b: float, s_ra: float, s_rb: float) -> float:
-    """rho_I for b above ``_B_DIRECT_MAX`` (b may be inf), from
-    s_ra*rho^2 + (1/b - s_ra + s_rb)*rho - s_rb = 0. The root lies below 1
-    but rounds within an ulp of it; the caller caps it at 1."""
-    lin = 1.0 / b - s_ra + s_rb
-    root = math.sqrt(lin * lin + 4.0 * s_ra * s_rb)
-    if lin >= 0.0:
-        return 2.0 * s_rb / (lin + root)
-    return (root - lin) / (2.0 * s_ra)
 
 
 def _all_to_strongest(gam: np.ndarray, p_max: float) -> np.ndarray:
@@ -215,10 +208,12 @@ def waterfill(gammas, p_max: float) -> np.ndarray:
     (p_max + s_1 + ... + s_k) / k, and channel k is powered iff s_k lies
     below that level, which holds for a prefix of k. One sort and one
     running sum give the level, so a call costs O(N log N). The returned
-    powers satisfy the stationarity conditions to float precision and sum to
-    ``p_max``. Channels with gamma == 0 receive exactly zero. When ``p_max``
-    lies below the float spacing of the strongest 1/gamma (or that 1/gamma
-    overflows), the whole budget goes to the strongest channel. When
+    powers are nonnegative, satisfy the stationarity conditions to float
+    precision, and sum to ``p_max`` within one ulp of it (``math.fsum``).
+    Channels with gamma == 0 receive exactly zero. When ``p_max`` lies below
+    the float spacing of the strongest 1/gamma (or that 1/gamma overflows),
+    or is subnormal and so coarse that the equal shares round past it, the
+    whole budget goes to the strongest channel. When
     ``p_max + N * max(1/gamma)`` nears the float range, the problem is solved
     scaled down by a power of two, so the prefix sums cannot overflow.
 
@@ -328,6 +323,8 @@ def _waterfill_floats(gam: np.ndarray, p_max: float) -> np.ndarray:
     if scale != 1.0:
         alloc = [a * scale for a in alloc]
         alloc[largest] += p_max - budget * scale
+    if alloc[largest] < 0.0:  # see _waterfill_array
+        return _all_to_strongest(gam, p_max)
     return np.array(alloc)
 
 
@@ -381,6 +378,11 @@ def _waterfill_array(gam: np.ndarray, p_max: float) -> np.ndarray:
         # (none where it is normal), which the largest allocation takes
         alloc *= scale
         alloc[largest] += p_max - budget * scale
+    # a subnormal budget can round several equal shares up past it, so that
+    # the pin drives the largest below zero: the whole budget then goes to
+    # the strongest channel
+    if alloc[largest] < 0.0:
+        return _all_to_strongest(gam, p_max)
     return alloc
 
 

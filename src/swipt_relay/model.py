@@ -1,5 +1,11 @@
 """Domain types and configuration handling for the relay simulator.
 
+A :class:`SystemConfig` is checked once, when it is built: its constructor,
+and so ``dataclasses.replace``, :func:`config_from_dict`,
+:func:`load_config` and :func:`default_config`, raises :class:`ConfigError`
+on a config that is not a physical link. The engine takes any config it is
+given as valid.
+
 Every power in this package is a linear milliwatt quantity; dBm appears only
 at I/O boundaries and is converted once on the way in. Rates are bits/s/Hz
 per subcarrier pair and include the 1/2 pre-log factor of two-slot
@@ -103,6 +109,11 @@ class SystemConfig:
     alpha: path-loss exponent.
     taps: channel impulse-response length L (requires N >= L).
     noise: receiver noise powers.
+
+    Construction (``dataclasses.replace`` included) raises
+    :class:`ConfigError` with the list :func:`config_errors` reports, so
+    every config in existence is valid. A :class:`NoiseProfile` is not
+    checked on its own: its faults are listed with the config's.
     """
 
     n_subcarriers: int
@@ -116,6 +127,7 @@ class SystemConfig:
 
     def __post_init__(self):
         _floats_for_numpy_reals(self, ("p_max", "eta", "d0", "dr", "alpha"))
+        validate_config(self)
 
 
 def _is_int(value) -> bool:
@@ -158,13 +170,18 @@ def _floats_for_numpy_reals(obj, names) -> None:
             object.__setattr__(obj, name, _real(value))
 
 
+# the smallest relay noise power the split keeps full precision at
+_RELAY_NOISE_MIN = 2.0**-511
+
+
 def _positive_finite(name: str, value, errors: list[str]) -> None:
     if not 0.0 < _real(value) < math.inf:
         errors.append(f"{name} must be a positive, finite number")
 
 
 def config_errors(cfg: SystemConfig) -> list[str]:
-    """Collect every invariant violation of ``cfg`` (empty list if valid)."""
+    """Collect every invariant violation of ``cfg`` (empty list if valid),
+    one message per field, the list a config is refused with when built."""
     errors: list[str] = []
     if not _is_int(cfg.n_subcarriers) or cfg.n_subcarriers < 1:
         errors.append("n_subcarriers must be an integer >= 1")
@@ -206,14 +223,26 @@ def config_errors(cfg: SystemConfig) -> list[str]:
                     f"alpha ({cfg.alpha}): the {hop} tap-variance divisor "
                     f"{cfg.taps} * (1 + {distance})**alpha overflows a float"
                 )
-    for field_name in ("sigma_ra_sq", "sigma_rb_sq", "sigma_da_sq", "sigma_db_sq"):
+    for field_name in _NOISE_KEYS:
         _positive_finite(f"noise.{field_name}", getattr(cfg.noise, field_name), errors)
+    # the split's root adds 4 * sigma_ra_sq * sigma_rb_sq to a square, which
+    # can underflow; the term stays a normal float, and so keeps the root's
+    # precision, while each relay noise power is at least 2**-511 mW
+    for field_name in ("sigma_ra_sq", "sigma_rb_sq"):
+        value = _real(getattr(cfg.noise, field_name))
+        if 0.0 < value < _RELAY_NOISE_MIN:
+            errors.append(
+                f"noise.{field_name} ({value}): below 2**-511 mW the split's term "
+                "4 * sigma_ra_sq * sigma_rb_sq underflows a float"
+            )
     return errors
 
 
 def validate_config(cfg: SystemConfig) -> SystemConfig:
     """Return ``cfg`` unchanged if every invariant holds, else raise
-    :class:`ConfigError` carrying the complete violation list."""
+    :class:`ConfigError` carrying the complete violation list. The
+    constructor of :class:`SystemConfig` runs it, so a built config always
+    passes."""
     errors = config_errors(cfg)
     if errors:
         raise ConfigError(errors)
@@ -405,8 +434,9 @@ def config_from_dict(data: dict) -> SystemConfig:
 
     The power budget is accepted as ``p_max_mw`` or ``p_max_dbm``; when both
     are present the mW value wins. Unknown keys are rejected so typos cannot
-    silently fall back to defaults. The returned config is *not* validated;
-    call :func:`validate_config`.
+    silently fall back to defaults. Raises :class:`ConfigError` listing
+    every fault of the JSON form, or, once that reads, every invariant the
+    built config violates, as its constructor does.
     """
     if not isinstance(data, dict):
         raise ConfigError(["config must be a JSON object"])
@@ -470,9 +500,10 @@ def config_to_dict(cfg: SystemConfig) -> dict:
 
 
 def load_config(path: str | Path) -> SystemConfig:
-    """Read a config JSON file. I/O errors propagate as ``OSError``; malformed
-    content raises :class:`ConfigError`, or another ``ValueError`` for bytes
-    that are not UTF-8-encoded JSON."""
+    """Read a config JSON file and build the config it holds. I/O errors
+    propagate as ``OSError``; malformed content, or a config that violates
+    an invariant, raises :class:`ConfigError` (see :func:`config_from_dict`),
+    and bytes that are not UTF-8-encoded JSON another ``ValueError``."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     return config_from_dict(data)

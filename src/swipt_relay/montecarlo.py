@@ -21,10 +21,11 @@ from dataclasses import astuple, dataclass, fields, replace
 import numpy as np
 
 from .baselines import PolicyId, _trial_rates
-# not called here, but perfbench/spans.py BINDINGS looks it up by this name
-from .baselines import solve_policy  # noqa: F401
 from .channel import _check_seed, generate_channel
-from .model import ConfigError, SystemConfig, _is_int, _real, config_errors, dbm_to_mw, validate_config
+from .model import SystemConfig, _is_int, _real, dbm_to_mw
+# not called here, but perfbench/spans.py BINDINGS looks them up by these names
+from .baselines import solve_policy  # noqa: F401
+from .model import validate_config  # noqa: F401
 
 __all__ = [
     "POINT_SEED_STRIDE",
@@ -117,12 +118,11 @@ def run_trials(cfg: SystemConfig, policies, trials: int, seed: int) -> TrialResu
     policy's ``solve_policy(...).total_rate`` has. Running one layer over a
     block at a time, not alternating them per trial, keeps each layer's code
     and data cache-resident. A policy named twice is evaluated once. The
-    policies, and an integer ``trials`` of at least 1, are checked before
-    the first trial.
+    policies, an integer ``trials`` of at least 1 and the seed are checked
+    before the first trial; ``cfg`` was checked when it was built.
 
     Deterministic given (cfg, policies, trials, seed).
     """
-    validate_config(cfg)
     distinct = tuple(dict.fromkeys(_check_policies(policies)))
     _check_trials(trials)
     seed = _check_seed(seed)
@@ -186,17 +186,12 @@ def sweep(cfg: SystemConfig, spec: SweepSpec) -> SweepResult:
     copy of the config (relay_position is a fraction of d0), trials run under
     a value-indexed seed offset, and per-policy mean/std are tabulated.
 
-    Every point's config is built and checked before the first trial runs, so
-    an invalid later point fails at once, with the error ``run_trials``
-    would raise on it, instead of after the earlier points' trials.
-    ``run_trials`` still validates each point it is given, as it validates
-    any caller's config.
+    Every point's config is built, and so checked, before the first trial
+    runs, so an invalid later point raises its ``ConfigError`` (or, for a
+    dBm value past the float range, its ``ValueError``) at once, instead of
+    after the earlier points' trials.
     """
     points = [_substitute(cfg, spec.variable, value) for value in spec.values]
-    for point in points:
-        errors = config_errors(point)
-        if errors:
-            raise ConfigError(errors)
     rows: list[SweepRow] = []
     for index, (value, point) in enumerate(zip(spec.values, points)):
         batch = run_trials(point, spec.policies, spec.trials, spec.seed + index * POINT_SEED_STRIDE)

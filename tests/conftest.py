@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from swipt_relay.model import dbm_to_mw, default_config
+from swipt_relay.model import ConfigError, dbm_to_mw, default_config
 
 # 1 dBm in linear milliwatts; the default receiver noise level
 NOISE_1DBM = dbm_to_mw(1.0)
@@ -20,6 +20,16 @@ REF_RATE_10MW = 0.9335997298156259
 
 def make_cfg(**overrides):
     return replace(default_config(), **overrides)
+
+
+def config_faults(**overrides) -> list[str]:
+    """The messages of the ``ConfigError`` that refuses to build
+    ``make_cfg(**overrides)``, or [] if it builds."""
+    try:
+        make_cfg(**overrides)
+    except ConfigError as exc:
+        return exc.errors
+    return []
 
 
 # gains at the edges of the float range: zero, the smallest subnormal, a

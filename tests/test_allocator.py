@@ -24,7 +24,7 @@ from swipt_relay.allocator import (
 )
 from swipt_relay.channel import generate_channel
 from swipt_relay.model import ChannelRealization, NoiseProfile
-from swipt_relay.oracle import best_pairing_exhaustive, power_by_grid, rho_by_bisection
+from swipt_relay.oracle import best_pairing_exhaustive, power_by_grid, rho_by_bisection, verify
 
 from conftest import NOISE_1DBM, REF_GAIN, REF_GAMMA, REF_RATE_10MW, REF_RHO, make_cfg, mixed_gains
 
@@ -261,6 +261,24 @@ def test_split_and_gain_continuous_across_root_forms(s_ra, s_rb):
         assert 1.0 - 2.0**-52 <= rho <= 1.0
 
 
+@pytest.mark.parametrize(
+    "noise",
+    [(2.0**-511,) * 4, (2.0**-511, 2.0**-511, 0.5, 0.5), (2.0**-511, 1.0, 0.5, 0.5), (1.0, 2.0**-511, 0.5, 0.5)],
+)
+def test_split_and_gain_at_the_smallest_relay_noise(noise):
+    """At the smallest relay noise a config takes, 2**-511 mW, the split is
+    the bisection oracle's root to 1e-10 for g_sq from 1e-300 to 1e300, and
+    verify passes on seeded channels. Below it, with every noise power at
+    1e-160 mW, the split of g_sq = 2 was 0.6180364 against bisection's
+    0.6180340 and verify failed equal_rate; at 5e-324 mW it raised
+    ZeroDivisionError."""
+    cfg = make_cfg(noise=NoiseProfile(*noise))
+    for g in np.geomspace(1e-300, 1e300, 121).tolist():
+        assert abs(split_and_gain(1.0, g, cfg)[0] - rho_by_bisection(g, cfg)) <= 1e-10
+    for seed in range(1, 4):
+        assert verify(generate_channel(cfg, seed), cfg).all_pass
+
+
 def test_split_and_gain_caps_rho_at_one_below_direct_max():
     """Below b = 2**256 the direct root form can round an ulp above 1, from
     b ~ 1e12 on and on either sign of its linear coefficient. rho_I is
@@ -405,6 +423,38 @@ def test_waterfill_overflowing_prefix_sum_example():
     np.testing.assert_array_equal(waterfill([0.3] * 3, 1.5e308), [5e307] * 3)
 
 
+@pytest.mark.parametrize(
+    "gammas, p_max",
+    [
+        # equal shares of a subnormal budget round up past it, so the pin
+        # drove the first one below zero: in the float and the array body,
+        # unscaled and scaled down against an overflowing prefix sum
+        ([1.7e308] * 6, 2e-323),
+        ([1.7e308] * 6 + [0.0] * 3, 2e-323),
+        ([1.7e308] * 3 + [1e-308], 24 * 2.0**-1074),
+        ([1.7e308] * 6 + [1e-307] * 60, 4.783e-321),
+    ],
+)
+def test_waterfill_gives_a_coarse_subnormal_budget_to_the_strongest(gammas, p_max):
+    powers = waterfill(gammas, p_max)
+    assert np.all(powers >= 0.0)
+    np.testing.assert_array_equal(powers, [p_max] + [0.0] * (len(gammas) - 1))
+
+
+def test_waterfill_sums_to_the_budget_within_one_ulp():
+    """The pin lands on one allocation, so the sum of the powers can miss
+    p_max by its last bit, and by no more, in either body."""
+    # a miss of exactly one ulp
+    p_max = 23750133.58373585
+    powers = waterfill([2.3508342762555003e-07, 4.4848511811727376e-07], p_max)
+    assert abs(math.fsum(powers) - p_max) == math.ulp(p_max)
+    rng = np.random.default_rng(20261019)
+    for _ in range(3000):
+        gammas = 10.0 ** rng.uniform(-12.0, 6.0, size=int(rng.integers(1, 20)))
+        p_max = float(10.0 ** rng.uniform(-6.0, 9.0))
+        assert abs(math.fsum(waterfill(gammas, p_max)) - p_max) <= math.ulp(p_max)
+
+
 def waterfill_by_bisection(gammas, p_max):
     """Reference water-filling: bisect the level over
     [min 1/gamma, min 1/gamma + p_max] down to 1e-12 relative width, then
@@ -473,8 +523,8 @@ def test_waterfill_matches_bisection(gammas, p_max):
     p_max=st.floats(1e-2, 1e4),
 )
 def test_waterfill_stationarity(gammas, p_max):
-    """Budget met exactly, every powered channel on one water level, every
-    idle usable channel above it."""
+    """Budget met to within one ulp, every powered channel on one water
+    level, every idle usable channel above it."""
     gam = np.asarray(gammas)
     if not np.any(gam > 0):
         with pytest.raises(NoUsablePairError):
@@ -483,7 +533,7 @@ def test_waterfill_stationarity(gammas, p_max):
     powers = waterfill(gam, p_max)
     assert np.all(powers >= 0.0)
     assert np.all(powers[gam == 0.0] == 0.0)
-    assert abs(math.fsum(powers) - p_max) <= 1e-9
+    assert abs(math.fsum(powers) - p_max) <= math.ulp(p_max)
     active = powers > 0.0
     levels = powers[active] + 1.0 / gam[active]
     level = float(np.mean(levels))

@@ -112,3 +112,29 @@ def test_only_the_model_decides_what_counts_as_a_number(path):
                 if ast.unparse(kind) in NUMBER_TYPES:
                     tested.append(f"line {node.lineno}: {ast.unparse(node)}")
     assert tested == []
+
+
+# the names through which a config could be checked again after it is built
+CONFIG_CHECKS = {"config_errors", "validate_config", "ConfigError"}
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in Path(swipt_relay.__file__).parent.glob("*.py") if p.stem != "model"),
+    ids=lambda p: p.stem,
+)
+def test_only_the_model_checks_a_config(path):
+    """A config is checked once, when it is built: no other module calls
+    ``config_errors`` or ``validate_config``, or raises ``ConfigError``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    checked = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            target = node.func
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            target = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        else:
+            continue
+        if ast.unparse(target).split(".")[-1] in CONFIG_CHECKS:
+            checked.append(f"line {node.lineno}: {ast.unparse(node)}")
+    assert checked == []

@@ -45,8 +45,9 @@ def test_tap_set_total_power_matches_path_loss():
     assert _mean_tap_power(make_cfg(), 100_000) == pytest.approx(1.5**-3, rel=0.02)
 
 
-def test_single_tap_at_zero_distance_has_unit_power():
-    cfg = make_cfg(n_subcarriers=1, taps=1, d0=0.0, dr=0.0)
+def test_single_tap_at_vanishing_distance_has_unit_power():
+    # 1 + d rounds to 1, so both hops draw at the path loss of zero distance
+    cfg = make_cfg(n_subcarriers=1, taps=1, d0=2e-300, dr=1e-300)
     assert _mean_tap_power(cfg, 100_000) == pytest.approx(1.0, rel=0.02)
 
 
@@ -63,14 +64,6 @@ def test_gains_are_squared_dft_of_the_taps(n_sub, n_taps):
     phase = np.exp(-2j * np.pi * np.outer(np.arange(n_sub), np.arange(n_taps)) / n_sub)
     for gains, taps in zip((chan.h_sq, chan.g_sq), reference_taps(cfg, 7)):
         np.testing.assert_allclose(gains, np.abs(phase @ taps) ** 2, rtol=1e-12, atol=1e-15)
-
-
-def test_generate_channel_rejects_bad_taps_and_distance():
-    with pytest.raises(ValueError, match="taps must be >= 1"):
-        generate_channel(make_cfg(taps=0), 1)
-    # the relay beyond the destination puts hop 2 at a negative distance
-    with pytest.raises(ValueError, match="hop distance must be >= 0"):
-        generate_channel(make_cfg(dr=1.5), 1)
 
 
 @pytest.mark.parametrize("distance", [0.1, 0.3, 0.5, 0.7, 0.9])
@@ -104,12 +97,6 @@ def test_generate_channel_hops_are_distinct(default_cfg):
     # symmetric geometry, but the two hops draw from disjoint substreams
     chan = generate_channel(default_cfg, 5)
     assert not np.array_equal(chan.h_sq, chan.g_sq)
-
-
-def test_generate_channel_rejects_fewer_subcarriers_than_taps():
-    # np.fft.fft would otherwise truncate the 4-tap response to 3 taps
-    with pytest.raises(ValueError, match="must be >= number of taps"):
-        generate_channel(make_cfg(n_subcarriers=3, taps=4), 1)
 
 
 @st.composite
@@ -212,6 +199,27 @@ def test_relay_near_destination_second_hop_mean_gain_is_one():
     for seed in range(draws):
         acc += float(np.mean(generate_channel(cfg, seed).g_sq))
     assert acc / draws == pytest.approx(1.0, rel=0.03)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"alpha": 5e-324, "d0": 1.7e308, "dr": 1e-300},  # the weakest path loss
+        {"alpha": 1e300, "d0": 2e-300, "dr": 1e-300},  # 1 + d rounds to 1
+        {"alpha": 1750.09, "taps": 1},  # the path loss at the float range's edge
+        {"alpha": 1.0, "d0": 1.7e308, "dr": 8.5e307, "taps": 1},  # the farthest hops
+        {"n_subcarriers": 512, "taps": 512, "d0": 2e-300, "dr": 1e-300},  # the most taps at unit loss
+        {"n_subcarriers": 1, "taps": 1, "d0": 2e-300, "dr": 1e-300},
+    ],
+)
+def test_gains_are_finite_at_the_extreme_valid_configs(overrides):
+    """A built config bounds each hop's tap-variance divisor below by 1, so
+    every tap's std is at most sqrt(0.5) and the draw has no gain to check."""
+    cfg = make_cfg(**overrides)
+    for seed in range(50):
+        chan = generate_channel(cfg, seed)
+        for gains in (chan.h_sq, chan.g_sq):
+            assert np.all(np.isfinite(gains)) and np.all(gains >= 0.0)
 
 
 def test_fuzzed_gains_stay_finite_and_nonnegative():

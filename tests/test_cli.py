@@ -65,6 +65,11 @@ def test_solve_huge_outgoing_gain(single_pair_paths, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["total_rate"] > 0.0
 
 
+def test_solve_rejects_a_negative_seed(cfg_path, capsys):
+    assert main(["solve", cfg_path, "--seed", "-1"]) == 1
+    assert capsys.readouterr() == ("", "seed must be a nonnegative integer, got -1\n")
+
+
 def test_solve_missing_config_is_io_failure(tmp_path, capsys):
     assert main(["solve", str(tmp_path / "nope.json")]) == 2
     assert "cannot read" in capsys.readouterr().err
@@ -98,6 +103,30 @@ def test_solve_invalid_config_lists_violations(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "eta out of [0,1]" in err
     assert "relay must lie strictly between" in err
+
+
+def test_a_config_that_is_not_an_object_exits_1(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    assert main(["solve", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"invalid config '{path}':\n  - config must be a JSON object\n")
+
+
+@pytest.mark.parametrize("noise", [1e-160, 5e-324])
+def test_relay_noise_too_small_for_the_split_exits_1(noise, tmp_path, capsys):
+    # at 1e-160 mW verify failed its equal_rate check, and at 5e-324 mW it
+    # ended in a ZeroDivisionError traceback from the split
+    data = config_to_dict(default_config())
+    data["noise"] = dict.fromkeys(data["noise"], noise)
+    path = tmp_path / "quiet.json"
+    path.write_text(json.dumps(data))
+    assert main(["verify", str(path), "--seeds", "2"]) == 1
+    lines = "".join(
+        f"  - noise.{name} ({noise}): below 2**-511 mW the split's term "
+        "4 * sigma_ra_sq * sigma_rb_sq underflows a float\n"
+        for name in ("sigma_ra_sq", "sigma_rb_sq")
+    )
+    assert capsys.readouterr() == ("", f"invalid config '{path}':\n{lines}")
 
 
 @pytest.mark.parametrize(
@@ -386,6 +415,21 @@ def test_sweep_rejects_bad_range(cfg_path, capsys):
         == 1
     )
     assert "divide evenly" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ("10..40", "cannot parse range '10..40'; expected 'START..STOP step S'"),
+        ("a..b step 1", "cannot parse range 'a..b step 1': could not convert string to float: 'a'"),
+        ("10..40 step 0", "range step must be positive"),
+        ("10..40 step -5", "range step must be positive"),
+        ("10,abc", "cannot parse values '10,abc': could not convert string to float: 'abc'"),
+    ],
+)
+def test_sweep_rejects_values_it_cannot_parse(values, message, cfg_path, capsys):
+    assert main(["sweep", cfg_path, "--variable", "p_max_dbm", "--values", values, "--trials", "1"]) == 1
+    assert capsys.readouterr() == ("", message + "\n")
 
 
 @pytest.mark.parametrize("values", ["10..inf step 1", "1e308..-1e308 step 1e-300", "nan..10 step 1", "10..20 step nan"])

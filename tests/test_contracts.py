@@ -36,7 +36,6 @@ from swipt_relay import (
     solve_uniform,
     sorted_pairing,
     sweep,
-    validate_config,
     verify,
     waterfill,
 )
@@ -63,6 +62,7 @@ GAMMAS_MESSAGE = "gammas must be finite and nonnegative"
 RHO_MESSAGE = "rho_i must lie in [0, 1]"
 SEED_MESSAGE = "seed must be a nonnegative integer"
 TRIALS_MESSAGE = "trials must be an integer >= 1"
+RELAY_NOISE = ("sigma_ra_sq", "sigma_rb_sq")
 
 
 class Arg(NamedTuple):
@@ -112,11 +112,11 @@ def _gains(name, range_message, call, refused=None):
 
 
 def _config(field):
-    return lambda value: solve(CHANNEL, validate_config(make_cfg(**{field: value})))
+    return lambda value: solve(CHANNEL, make_cfg(**{field: value}))
 
 
 def _noise(field):
-    return lambda value: solve(CHANNEL, validate_config(make_cfg(noise=replace(CFG.noise, **{field: value}))))
+    return lambda value: solve(CHANNEL, make_cfg(noise=replace(CFG.noise, **{field: value})))
 
 
 def _sweep(**spec):
@@ -294,7 +294,8 @@ ARGS = {
     "solve_uniform(use_pairing=False)": Arg(
         lambda v: solve_uniform(CHANNEL, CFG, v), False, (np.False_,), {}
     ),
-    # a config field is checked by validate_config, which raises ConfigError
+    # a config field is checked when the config is built, which raises
+    # ConfigError
     "SystemConfig(n_subcarriers)": Arg(
         _config("n_subcarriers"),
         4,
@@ -329,7 +330,7 @@ ARGS = {
         _config("dr"),
         0.5,
         _scalars(0.5),
-        {"dr: relay must lie strictly between": HOSTILE + (-1.0, 0.0, 1.0)},
+        {"dr: relay must lie strictly between": HOSTILE + (-1.0, 0.0, 1.0, 1.5)},
     ),
     "SystemConfig(alpha)": Arg(
         _config("alpha"),
@@ -342,7 +343,14 @@ ARGS = {
             _noise(field),
             0.5,
             _scalars(0.5),
-            {f"noise.{field} must be a positive, finite number": HOSTILE + (-1.0, 0.0)},
+            {
+                f"noise.{field} must be a positive, finite number": HOSTILE + (-1.0, 0.0),
+                # the split's root needs each relay noise power at 2**-511 mW or more
+                **{
+                    f"noise.{field} ({value}): below 2**-511 mW the split's term": (value,)
+                    for value in ((5e-324, 1e-160) if field in RELAY_NOISE else ())
+                },
+            },
         )
         for field in ("sigma_ra_sq", "sigma_rb_sq", "sigma_da_sq", "sigma_db_sq")
     },

@@ -11,13 +11,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from swipt_relay.allocator import solve
-from swipt_relay.baselines import PolicyId, solve_policy
+from swipt_relay.baselines import PolicyId
 from swipt_relay.channel import generate_channel
 from swipt_relay.model import (
     ChannelRealization,
     ConfigError,
     NoiseProfile,
     SubcarrierPairing,
+    SystemConfig,
     config_errors,
     config_from_dict,
     config_to_dict,
@@ -28,7 +29,7 @@ from swipt_relay.model import (
 )
 from swipt_relay.montecarlo import run_trials
 
-from conftest import make_cfg
+from conftest import config_faults, make_cfg
 
 
 def test_dbm_to_mw_reference_points():
@@ -61,24 +62,23 @@ def test_default_config_is_valid_and_validation_idempotent():
 
 
 def test_fewer_subcarriers_than_taps_reported():
-    errors = config_errors(make_cfg(n_subcarriers=2, taps=4))
+    errors = config_faults(n_subcarriers=2, taps=4)
     assert errors == [
         "n_subcarriers (2) must be >= taps (4): the N-point DFT needs at least one point per tap"
     ]
     assert config_errors(make_cfg(n_subcarriers=4, taps=4)) == []
     with pytest.raises(ConfigError):
-        validate_config(make_cfg(n_subcarriers=1, taps=2))
+        make_cfg(n_subcarriers=1, taps=2)
 
 
 def test_all_violations_reported_together():
-    cfg = make_cfg(
+    errors = config_faults(
         eta=2.0,
         dr=5.0,
         p_max=-1.0,
         n_subcarriers=0,
         noise=NoiseProfile(-1.0, 1.0, 1.0, 1.0),
     )
-    errors = config_errors(cfg)
     for needle in ("eta", "dr", "p_max", "n_subcarriers", "noise.sigma_ra_sq"):
         assert any(needle in err for err in errors), needle
 
@@ -99,7 +99,7 @@ def test_all_violations_reported_together():
     ],
 )
 def test_mistyped_field_is_reported_not_raised(field, value):
-    errors = config_errors(make_cfg(**{field: value}))
+    errors = config_faults(**{field: value})
     assert errors and all(isinstance(err, str) for err in errors)
     assert any(field in err for err in errors), errors
 
@@ -127,21 +127,81 @@ def test_a_numpy_scalar_noise_field_is_stored_as_a_float():
     noise = NoiseProfile(np.float32(1.5), np.float64(1.0), np.float32(0.25), np.int64(1))
     assert [type(getattr(noise, f.name)) for f in dataclasses.fields(noise)] == [float] * 4
     assert noise.sigma_d_sq == 1.25 and type(noise.sigma_d_sq) is float
-    # Python ints and non-numbers stay as given, for config_errors to report
+    # Python ints and non-numbers stay as given, for the config to report
     kept = NoiseProfile(1, np.True_, "1", None)
     assert (kept.sigma_ra_sq, kept.sigma_rb_sq, kept.sigma_da_sq) == (1, np.True_, "1")
     assert type(kept.sigma_ra_sq) is int and type(kept.sigma_rb_sq) is np.bool_
 
 
+# configs that solve, verify and generate_channel took when they were
+# checked in four places, each with the list it is now refused with
+REFUSED_CONFIGS = [
+    ({"eta": 2.0}, ["eta out of [0,1]"]),
+    ({"dr": 1.5}, ["dr: relay must lie strictly between the source and the destination (0 < dr < d0)"]),
+    ({"alpha": -3.0}, ["alpha must be a positive, finite number"]),
+    ({"alpha": -2000.0}, ["alpha must be a positive, finite number"]),
+    (
+        {"alpha": 2000.0},
+        [
+            "alpha (2000.0): the source-relay path loss (1 + 0.5)**alpha overflows a float",
+            "alpha (2000.0): the relay-destination path loss (1 + 0.5)**alpha overflows a float",
+        ],
+    ),
+    (
+        {"d0": math.inf},
+        [
+            "d0 must be a positive, finite number",
+            "dr: relay must lie strictly between the source and the destination (0 < dr < d0)",
+        ],
+    ),
+    ({"taps": 0}, ["taps must be an integer >= 1"]),
+    (
+        {"n_subcarriers": 3, "taps": 4},
+        ["n_subcarriers (3) must be >= taps (4): the N-point DFT needs at least one point per tap"],
+    ),
+]
+
+
+@pytest.mark.parametrize("overrides, errors", REFUSED_CONFIGS, ids=lambda v: str(v) if isinstance(v, dict) else "")
+def test_an_invalid_config_cannot_be_built(overrides, errors):
+    """The constructor, dataclasses.replace and the JSON form each refuse
+    the config with the same list, so no invalid config reaches the engine."""
+    cfg = default_config()
+    fields = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)} | overrides
+    data = config_to_dict(cfg) | overrides
+    builds = (lambda: SystemConfig(**fields), lambda: replace(cfg, **overrides), lambda: config_from_dict(data))
+    for build in builds:
+        with pytest.raises(ConfigError) as excinfo:
+            build()
+        assert excinfo.value.errors == errors
+
+
+def test_relay_noise_below_the_split_bound_is_refused():
+    """Below 2**-511 mW, 4 * sigma_ra_sq * sigma_rb_sq leaves the normal
+    floats and the split's root loses its precision; the destination noise
+    has no such bound."""
+    for noise in (1e-160, 5e-324, math.nextafter(2.0**-511, 0.0)):
+        assert config_faults(noise=NoiseProfile(noise, noise, noise, noise)) == [
+            f"noise.{name} ({noise}): below 2**-511 mW the split's term "
+            "4 * sigma_ra_sq * sigma_rb_sq underflows a float"
+            for name in ("sigma_ra_sq", "sigma_rb_sq")
+        ]
+    assert config_faults(noise=NoiseProfile(1.0, 1e-160, 1.0, 1.0)) == [
+        "noise.sigma_rb_sq (1e-160): below 2**-511 mW the split's term "
+        "4 * sigma_ra_sq * sigma_rb_sq underflows a float"
+    ]
+    assert config_faults(noise=NoiseProfile(2.0**-511, 2.0**-511, 5e-324, 5e-324)) == []
+
+
 def test_path_loss_overflow_reported():
     # (1 + 0.5)**2000 overflows a float, so the channel draw could not scale the taps
-    errors = config_errors(make_cfg(alpha=2000.0))
+    errors = config_faults(alpha=2000.0)
     assert errors == [
         "alpha (2000.0): the source-relay path loss (1 + 0.5)**alpha overflows a float",
         "alpha (2000.0): the relay-destination path loss (1 + 0.5)**alpha overflows a float",
     ]
     # only the far hop overflows when the relay sits near the source
-    errors = config_errors(make_cfg(alpha=1800.0, dr=0.01))
+    errors = config_faults(alpha=1800.0, dr=0.01)
     assert errors == [
         "alpha (1800.0): the relay-destination path loss (1 + 0.99)**alpha overflows a float"
     ]
@@ -151,7 +211,7 @@ def test_path_loss_overflow_reported():
 def test_path_loss_times_taps_overflow_reported():
     # (1 + 0.5)**1750.09 fits a float but 4 times it does not: the channel
     # draw would divide the tap variance by inf and return an all-zero channel
-    errors = config_errors(make_cfg(alpha=1750.09))
+    errors = config_faults(alpha=1750.09)
     assert errors == [
         "alpha (1750.09): the source-relay tap-variance divisor 4 * (1 + 0.5)**alpha "
         "overflows a float",
@@ -202,16 +262,12 @@ def test_noise_profile_destination_total_is_not_a_field():
     assert hash(noise) == hash(NoiseProfile(*dataclasses.astuple(noise)))
 
 
-def test_noise_profile_with_a_mistyped_field_is_reported_then_fails_on_use():
-    """config_errors names the field; a solve that skips validation raises
-    TypeError, as the destination sum itself would, rather than computing
-    with a made-up noise power."""
-    cfg = make_cfg(noise=NoiseProfile(1.0, 1.0, None, 1.0))
-    assert config_errors(cfg) == ["noise.sigma_da_sq must be a positive, finite number"]
-    chan = ChannelRealization([1.0, 0.5, 0.25, 2.0], [0.3, 0.7, 1.5, 0.1])
-    for policy in PolicyId:
-        with pytest.raises(TypeError):
-            solve_policy(policy, chan, cfg)
+def test_noise_profile_with_a_mistyped_field_is_reported_when_the_config_is_built():
+    """A noise profile is not checked on its own: it builds, with no
+    destination sum, and the config built around it names the field."""
+    noise = NoiseProfile(1.0, 1.0, None, 1.0)
+    assert noise.sigma_d_sq is None
+    assert config_faults(noise=noise) == ["noise.sigma_da_sq must be a positive, finite number"]
 
 
 def test_config_json_round_trip():
@@ -253,6 +309,25 @@ def test_unknown_and_missing_keys_rejected():
     del data["noise"]["sigma_db_sq"]
     with pytest.raises(ConfigError, match="missing noise key"):
         config_from_dict(data)
+
+
+_JSON = config_to_dict(default_config())
+
+
+@pytest.mark.parametrize(
+    "data, errors",
+    [
+        ([1, 2], ["config must be a JSON object"]),
+        ({k: v for k, v in _JSON.items() if k != "p_max_mw"}, ["missing config keys: p_max_mw or p_max_dbm"]),
+        (_JSON | {"noise": _JSON["noise"] | {"x": 1.0}}, ["unknown noise keys: x"]),
+        (_JSON | {"noise": [1.0]}, ["noise must be an object"]),
+    ],
+    ids=["not-an-object", "no-budget", "unknown-noise-key", "noise-not-an-object"],
+)
+def test_config_from_dict_reports_the_json_form(data, errors):
+    with pytest.raises(ConfigError) as excinfo:
+        config_from_dict(data)
+    assert excinfo.value.errors == errors
 
 
 @pytest.mark.parametrize(
@@ -311,6 +386,8 @@ def test_channel_realization_invariants():
         ChannelRealization([1.0, math.inf], [0.5, 0.1])
     with pytest.raises(ValueError):
         ChannelRealization([1.0, 2.0], [0.5])
+    with pytest.raises(ValueError, match="^channel needs at least one subcarrier$"):
+        ChannelRealization([], [])
 
 
 def test_config_is_frozen():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from swipt_relay import allocator, montecarlo
+from swipt_relay import allocator, model, montecarlo
 from swipt_relay.baselines import PolicyId, solve_policy
 from swipt_relay.channel import generate_channel
 from swipt_relay.allocator import NoUsablePairError, solve
@@ -261,14 +261,17 @@ def test_sweep_rejects_invalid_substituted_config(default_cfg):
 
 
 def test_sweep_validates_each_point_once(default_cfg, monkeypatch):
+    """Each point is checked once, when its config is built; run_trials
+    checks nothing again."""
     seen = []
-    original = montecarlo.validate_config
+    original = model.validate_config
 
     def counted(cfg):
         seen.append(cfg)
         return original(cfg)
 
-    monkeypatch.setattr(montecarlo, "validate_config", counted)
+    # the constructor looks the check up in its module at call time
+    monkeypatch.setattr(model, "validate_config", counted)
     spec = SweepSpec(
         variable="p_max_dbm",
         values=(10.0, 20.0, 30.0),
