@@ -156,12 +156,12 @@ def split_and_gain(h_sq: float, g_sq: float, cfg: SystemConfig) -> tuple[float, 
         b*s_ra*rho^2 + (1 - b*s_ra + b*s_rb)*rho - b*s_rb = 0,
 
     which always lies strictly inside (0, 1). It is evaluated through the
-    rationalized root form that avoids cancellation, on the quadratic times
-    t, whose coefficients are c*s_ra, t - c*s_ra + c*s_rb and -c*s_rb with
-    c = b*t. Up to b = 2**256, t = 1; past it, where b*b heads for overflow,
-    t = 1/b and c = 1, which keep every coefficient finite for any b; there
-    rho_I rounds to 1 and gamma to h_sq / (s_ra + s_rb). A root that rounds
-    above 1, as it can from b ~ 1e12 on, is capped at 1. gamma is exactly
+    rationalized root form that avoids cancellation, written once for the
+    quadratic times t: t = 1 up to b = 2**256, and past it, where b*b heads
+    for overflow, t = 1/b, the quadratic divided by b, whose coefficients
+    stay finite for any b; there rho_I rounds to 1 and gamma to
+    h_sq / (s_ra + s_rb). A root that rounds above 1, as it can from
+    b ~ 1e12 on, is capped at 1. gamma is exactly
     ``effective_gain(h_sq, rho_I, cfg)``. A pair is dead when b is not
     positive: zero gain, harvesting disabled, or b underflowing to zero.
     """
@@ -169,19 +169,19 @@ def split_and_gain(h_sq: float, g_sq: float, cfg: SystemConfig) -> tuple[float, 
     b = cfg.eta * g_sq / noise.sigma_d_sq
     s_ra = noise.sigma_ra_sq
     s_rb = noise.sigma_rb_sq
-    # a product with 1.0 is exact, so either scaling has the bits of its
-    # quadratic written out
-    if 0.0 < b <= _B_DIRECT_MAX:
-        t, c = 1.0, b
-    elif b > 0.0:
-        t, c = 1.0 / b, 1.0
-    else:
-        return 1.0, 0.0
-    quad = c * s_ra
-    lin = t - quad + c * s_rb
-    root = math.sqrt(lin * lin + 4.0 * c * c * s_ra * s_rb)
+    # the quadratic times t has b*t where it has b and t where it has 1; past
+    # _B_DIRECT_MAX, b rebinds to b*t = 1, and a product with 1.0 is exact,
+    # so each form keeps the bits of its quadratic written out
+    t = 1.0
+    if not 0.0 < b <= _B_DIRECT_MAX:
+        if not b > 0.0:
+            return 1.0, 0.0
+        t, b = 1.0 / b, 1.0
+    quad = b * s_ra
+    lin = t - quad + b * s_rb
+    root = math.sqrt(lin * lin + 4.0 * b * b * s_ra * s_rb)
     if lin >= 0.0:
-        rho_info = 2.0 * c * s_rb / (lin + root)
+        rho_info = 2.0 * b * s_rb / (lin + root)
     else:
         rho_info = (root - lin) / (2.0 * quad)
     # the root lies below 1 but can round an ulp above it once b is large
