@@ -13,7 +13,7 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -50,13 +50,6 @@ _EXHAUSTIVE_CAP = 8  # 8! = 40320 pairings
 
 # the reduced policies the proposed one must dominate on every realization
 _RIVALS = (PolicyId.OPA_NO_PAIRING, PolicyId.UNIFORM_WITH_PAIRING, PolicyId.UNIFORM_NO_PAIRING)
-
-
-def _live(g_sq: np.ndarray, cfg: SystemConfig) -> np.ndarray:
-    """Which outgoing gains can carry rate, by the allocator's rule: the
-    forward quality b = eta*g_sq/sigma_d_sq must be positive, so a gain whose
-    b underflows to zero makes a dead pair, as does g_sq == 0 or eta == 0."""
-    return cfg.eta * g_sq / cfg.noise.sigma_d_sq > 0.0
 
 
 def rho_by_bisection(g_sq: float, cfg: SystemConfig, tol: float = 1e-12, p_mw: float = 1.0) -> float:
@@ -225,16 +218,6 @@ def _worst(residuals) -> float:
     return worst
 
 
-def _pair_gammas(channel: ChannelRealization, perm: np.ndarray, rho_i: np.ndarray, cfg: SystemConfig):
-    """Effective gains implied by the splits ``rho_i`` of the pairs that
-    forward subcarrier i over ``perm[i]`` (zero on pairs that cannot carry
-    rate)."""
-    gam = np.zeros(channel.n_subcarriers)
-    for i in np.flatnonzero(_live(channel.g_sq[perm], cfg)):
-        gam[i] = effective_gain(channel.h_sq[i], rho_i[i], cfg)
-    return gam
-
-
 def _check_verify_args(cfg: SystemConfig, tol) -> float:
     """``tol`` as a Python float, once ``cfg`` and ``tol`` pass
     :func:`verify`'s first two checks, which need no channel: at most 8
@@ -274,19 +257,25 @@ def verify(
         result = solve(channel, cfg)
     for vec in (result.pairing.perm, result.rho_i, result.powers):
         _check_width(vec.size, cfg, "result")
-    perm = result.pairing.perm
+    h_sq = channel.h_sq.tolist()
+    g_sq = channel.g_sq[result.pairing.perm].tolist()
+    raw_rho = result.rho_i.tolist()
     # root_bounds fails a split outside [0, 1]; the other checks take it clamped
-    rho_i = np.clip(result.rho_i, 0.0, 1.0)
-    n = channel.n_subcarriers
+    rho_i = np.clip(result.rho_i, 0.0, 1.0).tolist()
+    powers = result.powers.tolist()
+    total_rate = float(result.total_rate)
+    # the pairs that can carry rate, by split_and_gain's rule: the forward
+    # quality b = eta*g_sq/sigma_d_sq must be positive, so a b that
+    # underflows to zero makes a dead pair, as does g_sq == 0 or eta == 0; on
+    # Python floats a b past the float range is inf, with no warning
+    live = [cfg.eta * g / cfg.noise.sigma_d_sq > 0.0 for g in g_sq]
     checks: list[CheckResult] = []
 
     # equal-rate condition on every powered pair
     gaps = []
-    for i in range(n):
-        if result.powers[i] > 0.0:
-            t_decode, t_forward = rate_terms(
-                channel.h_sq[i], channel.g_sq[perm[i]], rho_i[i], result.powers[i], cfg
-            )
+    for h, g, rho, p in zip(h_sq, g_sq, rho_i, powers):
+        if p > 0.0:
+            t_decode, t_forward = rate_terms(h, g, rho, p, cfg)
             gaps.append(abs(t_decode - t_forward) / max(t_decode, 1e-12))
     residual = _worst(gaps)
     checks.append(CheckResult("equal_rate", residual <= tol, residual, tol))
@@ -294,10 +283,10 @@ def verify(
     # split ratios strictly inside (0, 1) on usable pairs
     gaps = []
     strict = True
-    for i in np.flatnonzero(_live(channel.g_sq[perm], cfg)):
-        rho = result.rho_i[i]
-        gaps += (-rho, rho - 1.0)
-        strict = strict and 0.0 < rho < 1.0
+    for rho, ok in zip(raw_rho, live):
+        if ok:
+            gaps += (-rho, rho - 1.0)
+            strict = strict and 0.0 < rho < 1.0
     residual = _worst(gaps)
     checks.append(CheckResult("root_bounds", strict and residual <= tol, residual, tol))
 
@@ -305,19 +294,23 @@ def verify(
     residual = 0.0
     monotone = True
     if cfg.eta > 0.0:
-        g_grid = np.geomspace(1e-4, 1e4, 64) * cfg.noise.sigma_d_sq / cfg.eta
-        rhos = [split_and_gain(1.0, g, cfg)[0] for g in g_grid]
+        # rho_I depends on b, s_ra and s_rb alone, and at eta = 1 and
+        # sigma_d_sq = 1 the outgoing gain is b: so the grid spans b itself,
+        # whatever eta and sigma_d_sq are, with no g that overflows or
+        # collapses to subnormals
+        unit = replace(cfg, eta=1.0, noise=replace(cfg.noise, sigma_da_sq=0.5, sigma_db_sq=0.5))
+        rhos = [split_and_gain(1.0, b, unit)[0] for b in np.geomspace(1e-4, 1e4, 64).tolist()]
         for lo_rho, hi_rho in zip(rhos, rhos[1:]):
             residual = max(residual, lo_rho - hi_rho)
             monotone = monotone and hi_rho > lo_rho
     checks.append(CheckResult("monotone_rho_in_b", monotone and residual <= tol, max(residual, 0.0), tol))
 
-    # stationarity of the power allocation
-    gam = _pair_gammas(channel, perm, rho_i, cfg)
+    # stationarity of the power allocation, on the gains the splits imply
+    gam = np.array([effective_gain(h, rho, cfg) if ok else 0.0 for h, rho, ok in zip(h_sq, rho_i, live)])
     active = result.powers > 0.0
     # a pair whose 1/gamma overflows is idle beside a usable one
     usable = gam > _GAMMA_MIN_INVERTIBLE
-    budget = abs(math.fsum(result.powers) - cfg.p_max)
+    budget = abs(math.fsum(powers) - cfg.p_max)
     if np.any(active & (gam <= 0.0)):
         residual = math.inf
     elif not usable.any():
@@ -326,7 +319,7 @@ def verify(
         strongest = np.count_nonzero(active) == 1 and gam[active].item() == gam.max()
         residual = budget if strongest else math.inf
     else:
-        inv = np.full(n, math.inf)
+        inv = np.full_like(gam, math.inf)
         inv[usable] = 1.0 / gam[usable]
         levels = result.powers[active] + inv[active]
         level = float(np.mean(levels)) if levels.size else 0.0
@@ -340,15 +333,15 @@ def verify(
     # the splits and powers deliver; an infinite claimed rate has no defined
     # gap to the search's finite one
     _, best_rate = best_pairing_exhaustive(channel, cfg)
-    gap = best_rate - result.total_rate if math.isfinite(result.total_rate) else math.nan
+    gap = best_rate - total_rate if math.isfinite(total_rate) else math.nan
     delivered = float(_pair_rates(gam, result.powers, _fits(gam, cfg.p_max)).sum())
-    residual = _worst((gap, (result.total_rate - delivered) / max(delivered, 1e-12)))
+    residual = _worst((gap, (total_rate - delivered) / max(delivered, 1e-12)))
     checks.append(CheckResult("pairing_optimality", residual <= tol, residual, tol))
 
     # every reduced policy is dominated on this very realization; a rival
     # with no usable pair scores 0
     rival_rates, _ = _trial_rates(_RIVALS, [channel], cfg)
-    residual = _worst([rate - result.total_rate for rate in rival_rates[:, 0].tolist()])
+    residual = _worst([rate - total_rate for rate in rival_rates[:, 0].tolist()])
     checks.append(CheckResult("per_trial_dominance", residual <= tol, residual, tol))
 
     return VerificationReport(tuple(checks))

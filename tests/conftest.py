@@ -1,4 +1,6 @@
+import importlib.util
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +32,16 @@ def config_faults(**overrides) -> list[str]:
     except ConfigError as exc:
         return exc.errors
     return []
+
+
+def benchmark_bindings():
+    """``BINDINGS`` of ``perfbench/spans.py``: the (owner, attribute, span
+    name) of every layer function the benchmark's tracer replaces."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans.BINDINGS
 
 
 # gains at the edges of the float range: zero, the smallest subnormal, a

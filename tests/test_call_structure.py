@@ -6,10 +6,8 @@ mode checks the same closed forms; an engine change that alters them fails
 here first.
 """
 
-import importlib.util
 import math
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
@@ -17,7 +15,7 @@ from swipt_relay import allocator, baselines, channel, montecarlo, oracle
 from swipt_relay.baselines import PolicyId
 from swipt_relay.montecarlo import SweepSpec, sweep
 
-from conftest import make_cfg
+from conftest import benchmark_bindings, make_cfg
 
 # (owner, attribute) of every binding through which a layer function is
 # looked up at call time, by the name its calls are counted under
@@ -111,11 +109,7 @@ def test_benchmark_bindings_exist():
     """Every binding the benchmark's tracer replaces is a module or class
     attribute; a renamed or removed one fails its traced mode with a
     KeyError."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
     missing = [
-        f"{owner.__name__}.{attr}" for owner, attr, _ in spans.BINDINGS if attr not in owner.__dict__
+        f"{owner.__name__}.{attr}" for owner, attr, _ in benchmark_bindings() if attr not in owner.__dict__
     ]
     assert not missing

@@ -530,6 +530,20 @@ def test_verify_on_a_dead_config_exits_3(tmp_path, capsys):
     assert "seed 1: no usable pair" in capsys.readouterr().err
 
 
+def test_verify_writes_a_failing_report_and_exits_3(tmp_path, capsys):
+    # at 5e-21 mW of destination noise equal_rate and root_bounds fail; the
+    # report is still written, with JSON booleans
+    data = config_to_dict(default_config())
+    data["noise"].update(sigma_da_sq=5e-21, sigma_db_sq=5e-21)
+    path, out = tmp_path / "quiet.json", tmp_path / "report.json"
+    path.write_text(json.dumps(data))
+    assert main(["verify", str(path), "--seeds", "2", "-o", str(out)]) == 3
+    table, err = capsys.readouterr()
+    assert "overall: FAIL" in table and err == ""
+    verdicts = {entry["check_name"]: entry["pass"] for entry in json.loads(out.read_text())}
+    assert verdicts["root_bounds"] is False and verdicts["monotone_rho_in_b"] is True
+
+
 def test_verify_rejects_nonpositive_tolerance(cfg_path, capsys):
     assert main(["verify", cfg_path, "--tol", "0"]) == 1
     assert "tolerance must be positive" in capsys.readouterr().err
@@ -552,6 +566,16 @@ def test_help_exits_cleanly(argv, capsys):
         main(argv)
     assert excinfo.value.code == 0
     assert "usage" in capsys.readouterr().out.lower()
+
+
+def test_module_run_prints_the_usage():
+    src = str(Path(swipt_relay.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "swipt_relay.cli", "--help"], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: swipt-relay")
 
 
 def test_version_flag(capsys):

@@ -1,6 +1,8 @@
 import itertools
 import json
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -243,8 +245,6 @@ def test_verify_certifies_all_to_strongest():
     assert report.all_pass, report.to_json()
     by_name = {check.check_name: check for check in report.checks}
     assert by_name["waterfill_kkt"].residual == 0.0
-    from dataclasses import replace
-
     # negative controls: the budget on the weaker pair, split over both, short
     for powers in ([0.0, cfg.p_max], [cfg.p_max / 2, cfg.p_max / 2]):
         wrong = replace(result, powers=np.array(powers))
@@ -270,8 +270,6 @@ def test_verify_flags_corrupted_split(default_cfg):
     result = solve(chan, default_cfg)
     rho = result.rho_i.copy()
     rho[0] += 0.1
-    from dataclasses import replace
-
     corrupted = replace(result, rho_i=rho)
     report = verify(chan, default_cfg, result=corrupted)
     by_name = {check.check_name: check for check in report.checks}
@@ -322,8 +320,6 @@ def test_verify_checks_the_subcarrier_cap_first():
 def test_verify_reports_power_on_a_zero_gain_pair():
     cfg = make_cfg(n_subcarriers=2, taps=2)
     chan = ChannelRealization([1.0, 1.0], [1.0, 0.0])
-    from dataclasses import replace
-
     result = solve(chan, cfg)
     assert result.powers[1] == 0.0  # the dead pair
     spread = replace(result, powers=np.full(2, cfg.p_max / 2))
@@ -336,8 +332,6 @@ def test_verify_fails_a_claimed_rate_above_the_delivered_one(default_cfg):
     """The claimed total rate must be the one the result's splits and powers
     deliver: a rate raised by 5 bits/s/Hz fails pairing_optimality with the
     relative excess as its residual, and every other check still passes."""
-    from dataclasses import replace
-
     chan = generate_channel(default_cfg, 2)
     result = solve(chan, default_cfg)
     report = verify(chan, default_cfg, result=replace(result, total_rate=result.total_rate + 5.0))
@@ -351,8 +345,6 @@ def test_verify_fails_a_claimed_rate_above_the_delivered_one(default_cfg):
 def test_verify_reports_a_split_above_one(default_cfg):
     """A split outside [0, 1] fails root_bounds and is taken clamped by the
     other checks, so the audit reports it instead of raising."""
-    from dataclasses import replace
-
     chan = generate_channel(default_cfg, 3)
     result = solve(chan, default_cfg)
     rho = result.rho_i.copy()
@@ -485,9 +477,49 @@ def test_merged_report_keeps_a_nan_residual():
 def test_verify_rejects_an_infinite_claimed_rate(default_cfg):
     chan = generate_channel(default_cfg, 2)
     result = solve(chan, default_cfg)
-    from dataclasses import replace
-
     report = verify(chan, default_cfg, result=replace(result, total_rate=math.inf))
     by_name = {check.check_name: check for check in report.checks}
     assert math.isnan(by_name["pairing_optimality"].residual)
     assert not by_name["pairing_optimality"].passed
+
+
+def test_every_verdict_is_a_bool_and_a_failing_report_serialises(default_cfg):
+    """A split of exactly 1 fails root_bounds, and the checks that take it
+    clamped fail too; a claimed rate 5 bits/s/Hz too high, given as a NumPy
+    float, fails pairing_optimality. Each verdict is a Python bool, so the
+    report and a merge of it serialise to JSON booleans."""
+    chan = generate_channel(default_cfg, 3)
+    result = solve(chan, default_cfg)
+    rho = result.rho_i.copy()
+    rho[0] = 1.0
+    claimed = np.float64(result.total_rate + 5.0)
+    failing = verify(chan, default_cfg, result=replace(result, rho_i=rho, total_rate=claimed))
+    merged = VerificationReport.merge([verify(chan, default_cfg), failing])
+    for report in (failing, merged):
+        assert all(type(check.passed) is bool for check in report.checks)
+        payload = json.loads(report.to_json())
+        assert [entry["pass"] for entry in payload] == [check.passed for check in report.checks]
+        verdicts = {entry["check_name"]: entry["pass"] for entry in payload}
+        assert verdicts["root_bounds"] is False and verdicts["pairing_optimality"] is False
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{"eta": 5e-324}, {"noise": replace(default_config().noise, sigma_da_sq=5e-324, sigma_db_sq=5e-324)}],
+    ids=["eta-5e-324", "sigma_d-5e-324"],
+)
+def test_monotone_grid_spans_b_at_the_float_edges(overrides):
+    """The monotone check's grid is taken in b, so neither an eta whose g
+    grid overflows nor a destination noise whose g grid collapses to
+    subnormals fails it or warns; at eta = 5e-324 every check passes."""
+    cfg = make_cfg(**overrides)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = verify(generate_channel(cfg, 1), cfg)
+    by_name = {check.check_name: check for check in report.checks}
+    assert by_name["monotone_rho_in_b"].passed
+    assert by_name["monotone_rho_in_b"].residual == 0.0
+    assert all(type(check.passed) is bool for check in report.checks)
+    assert len(json.loads(report.to_json())) == 6
+    if "eta" in overrides:
+        assert report.all_pass, report.to_json()
