@@ -223,9 +223,11 @@ def waterfill(gammas, p_max: float) -> np.ndarray:
     arithmetic; from 8 channels up it runs on NumPy arrays. The cut sits at
     8 because ``ndarray.sum`` adds fewer than 8 elements strictly left to
     right, which a plain ``+=`` loop reproduces, and switches to pairwise
-    summation from 8 up. The float body keeps the active set as the
-    channels whose 1/gamma is at most a threshold ``top``, so its overshoot
-    recheck is the one test ``top < level``.
+    summation from 8 up. The edge rules above are written once, in the
+    array body: the float body runs the common case and hands every other
+    input to it, as it does a rejected gain. It keeps the active set as the
+    channels whose 1/gamma is at most a threshold ``top``, so an overshoot
+    of the level shows as ``not top < level`` and is handed over there.
 
     Raises ``ValueError`` unless every gain is finite and nonnegative and
     ``p_max`` is positive and finite, and :class:`NoUsablePairError` when
@@ -262,11 +264,16 @@ def _check_budget(p_max) -> float:
 def _waterfill_floats(gam: np.ndarray, p_max: float) -> np.ndarray:
     """``waterfill`` on Python floats, step for step as
     :func:`_waterfill_array`, for a vector of fewer than
-    ``_FLOAT_BODY_LIMIT`` gains."""
+    ``_FLOAT_BODY_LIMIT`` gains. It runs the common case and returns
+    ``_waterfill_array(gam, p_max)`` for every other input: a gain that is
+    not finite and nonnegative, positive gains none of which is invertible,
+    prefix sums that could overflow, an overshoot of the level and a budget
+    pin below zero. The array body decides each of those with the same
+    float operations, so the bits and the errors are the same."""
     values = gam.tolist()
     for g in values:
         if not 0.0 <= g < _INF:
-            raise ValueError("gammas must be finite and nonnegative")
+            return _waterfill_array(gam, p_max)
     # the engine's budget, a positive finite float, needs no further check
     if type(p_max) is not float or not 0.0 < p_max < _INF:
         p_max = _check_budget(p_max)
@@ -275,17 +282,11 @@ def _waterfill_floats(gam: np.ndarray, p_max: float) -> np.ndarray:
     inv = [1.0 / g if g > _GAMMA_MIN_INVERTIBLE else _INF for g in values]
     steps = sorted(inv)
     n_usable = len(steps) - steps.count(_INF)
-    if not n_usable:
-        if not max(values) > 0.0:
-            raise NoUsablePairError("no usable pair: every effective gain is zero")
-        return _all_to_strongest(gam, p_max)
-    budget = p_max
-    scale = 1.0
-    if p_max + n_usable * steps[n_usable - 1] >= _PREFIX_SUM_LIMIT:
-        scale = 2.0 ** (n_usable.bit_length() + 1)
-        inv = [x / scale for x in inv]
-        steps = [x / scale for x in steps]
-        budget = p_max / scale
+    # raised here, so that the dead rows of an eta = 0 sweep stay on floats
+    if not n_usable and not max(values) > 0.0:
+        raise NoUsablePairError("no usable pair: every effective gain is zero")
+    if not n_usable or p_max + n_usable * steps[n_usable - 1] >= _PREFIX_SUM_LIMIT:
+        return _waterfill_array(gam, p_max)
     # the prefix levels, with the running sum kept apart from the budget as
     # np.cumsum keeps it; every k is counted, as count_nonzero counts
     n_active = 0
@@ -295,36 +296,27 @@ def _waterfill_floats(gam: np.ndarray, p_max: float) -> np.ndarray:
     for step in steps:
         k += 1.0
         prefix += step
-        if step < (budget + prefix) / k:
+        if step < (p_max + prefix) / k:
             n_active += 1
-    n_active = max(n_active, 1)
-    # the active set is always {x in inv: x <= top}, so top < level holds
-    # iff no active channel overshoots the level
-    while True:
-        # left to right, as ndarray.sum adds so few elements; the builtin
-        # sum() compensates its rounding from Python 3.12 on
-        top = steps[n_active - 1]
-        total, count = 0.0, 0
-        for x in inv:
-            if x <= top:
-                total += x
-                count += 1
-        level = (budget + total) / count
-        if top < level:
-            break
-        while n_active and steps[n_active - 1] >= level:
-            n_active -= 1
-        if not n_active:
-            return _all_to_strongest(gam, p_max)
+    # the active set is {x in inv: x <= top}; left to right, as ndarray.sum
+    # adds so few elements; the builtin sum() compensates its rounding from
+    # Python 3.12 on
+    top = steps[max(n_active, 1) - 1]
+    total, count = 0.0, 0
+    for x in inv:
+        if x <= top:
+            total += x
+            count += 1
+    level = (p_max + total) / count
+    # top < level holds iff no active channel overshoots the level
+    if not top < level:
+        return _waterfill_array(gam, p_max)
     alloc = [level - x if x <= top else 0.0 for x in inv]
     # np.argmax's pick: the first largest allocation
     largest = alloc.index(max(alloc))
-    alloc[largest] += budget - _fsum(alloc)
-    if scale != 1.0:
-        alloc = [a * scale for a in alloc]
-        alloc[largest] += p_max - budget * scale
-    if alloc[largest] < 0.0:  # see _waterfill_array
-        return _all_to_strongest(gam, p_max)
+    alloc[largest] += p_max - _fsum(alloc)
+    if alloc[largest] < 0.0:
+        return _waterfill_array(gam, p_max)
     return np.array(alloc)
 
 

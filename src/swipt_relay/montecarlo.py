@@ -164,9 +164,13 @@ class SweepResult:
 
     def to_csv(self, banner: str | None = None) -> str:
         """Render the stable CSV form; a non-None ``banner`` is emitted as a
-        leading comment line."""
+        leading comment line. Raises ``ValueError`` when the banner holds a
+        line break, which would put a line that is not a comment above the
+        header."""
         buf = io.StringIO()
         if banner is not None:
+            if "\n" in banner or "\r" in banner:
+                raise ValueError("banner must be one line")
             buf.write(f"# {banner}\n")
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from swipt_relay import allocator
 from swipt_relay.allocator import (
     NoUsablePairError,
     _sorted_perm,
@@ -22,8 +23,10 @@ from swipt_relay.allocator import (
     split_and_gain,
     waterfill,
 )
+from swipt_relay.baselines import PolicyId
 from swipt_relay.channel import generate_channel
 from swipt_relay.model import ChannelRealization, NoiseProfile
+from swipt_relay.montecarlo import SweepSpec, sweep
 from swipt_relay.oracle import best_pairing_exhaustive, power_by_grid, rho_by_bisection, verify
 
 from conftest import NOISE_1DBM, REF_GAIN, REF_GAMMA, REF_RATE_10MW, REF_RHO, make_cfg, mixed_gains
@@ -607,6 +610,54 @@ def test_waterfill_bodies_raise_alike(gammas, p_max, error):
     outcome = _outcome(_waterfill_floats, gammas, p_max)
     assert outcome[0] is error
     assert outcome == _outcome(_waterfill_array, gammas, p_max)
+
+
+@pytest.fixture
+def handoffs(monkeypatch):
+    """The calls that reach ``allocator._waterfill_array``, counted through
+    the module attribute the float body looks it up by."""
+    calls = []
+
+    def counted(gam, p_max):
+        calls.append(gam.size)
+        return _waterfill_array(gam, p_max)
+
+    monkeypatch.setattr(allocator, "_waterfill_array", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "gammas, p_max",
+    [
+        ([math.nan, 1.0], 10.0),  # a rejected gain
+        ([1.0, 2.0**-1030], 1e308),  # prefix sums near overflow: scaled
+        ([3.0, 3.0, 3.0], 5e-324),  # the threshold meets the level
+        ([5.0, 5.0, 5.0], 5e-324),  # the pin drives the largest below zero
+        ([1e-310, 5e-324], 10.0),  # positive gains, none invertible
+        # the prefix count admits a channel that overshoots the level
+        ([4.411923543412696] * 3 + [4.411923543412685, 4.411923543412694], 9.23057087659867e-19),
+    ],
+)
+def test_float_body_hands_each_edge_input_to_the_array_body(handoffs, gammas, p_max):
+    gam = np.array(gammas)
+    assert _outcome(waterfill, gam, p_max) == _outcome(_waterfill_array, gam, p_max)
+    assert handoffs == [gam.size]
+
+
+def test_benchmark_traffic_stays_on_the_float_body(handoffs):
+    """The sweep of the rate-vs-power figure with all five policies, solves
+    and exhaustive ``verify`` at N=6 never reach the array body, and
+    neither does a dead channel."""
+    cfg = make_cfg()
+    sweep(cfg, SweepSpec("p_max_dbm", tuple(range(10, 41, 5)), 300, seed=0, policies=tuple(PolicyId)))
+    for seed in range(1, 301):
+        solve(generate_channel(cfg, seed), cfg)
+    cfg6 = make_cfg(n_subcarriers=6)
+    for seed in range(1, 6):
+        assert verify(generate_channel(cfg6, seed), cfg6).all_pass
+    with pytest.raises(NoUsablePairError):
+        waterfill([0.0] * 4, 1.0)
+    assert handoffs == []
 
 
 @settings(max_examples=500, deadline=None)

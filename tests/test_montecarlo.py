@@ -9,6 +9,7 @@ from swipt_relay.model import ChannelRealization
 from swipt_relay.montecarlo import (
     CSV_COLUMNS,
     POINT_SEED_STRIDE,
+    SweepResult,
     SweepSpec,
     run_trials,
     sweep,
@@ -235,6 +236,13 @@ def test_sweep_csv_layout(default_cfg):
     banner = result.to_csv(banner="tool 1.2.3")
     assert banner.splitlines()[0] == "# tool 1.2.3"
     assert banner.splitlines()[1:] == lines
+
+
+@pytest.mark.parametrize("banner", ["a\nb", "a\r\nb", "a\rb", "tool 1.2.3\n"])
+def test_sweep_csv_refuses_a_banner_with_a_line_break(banner):
+    """A second banner line would stand above the header uncommented."""
+    with pytest.raises(ValueError, match="banner must be one line"):
+        SweepResult(()).to_csv(banner)
 
 
 def test_sweep_csv_is_reproducible(default_cfg):
