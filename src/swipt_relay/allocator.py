@@ -261,6 +261,19 @@ def _check_budget(p_max) -> float:
     raise ValueError("p_max must be positive and finite")
 
 
+def _check_waterfill_args(gam: np.ndarray, p_max) -> float:
+    """``p_max`` as a Python float, once the float array ``gam`` and
+    ``p_max`` pass water-filling's input rule: every gain finite and
+    nonnegative, a positive finite budget, and some gain positive, else
+    :class:`NoUsablePairError`."""
+    if not ((gam >= 0.0) & (gam < math.inf)).all():
+        raise ValueError("gammas must be finite and nonnegative")
+    p_max = _check_budget(p_max)
+    if not (gam > 0.0).any():
+        raise NoUsablePairError("no usable pair: every effective gain is zero")
+    return p_max
+
+
 def _waterfill_floats(gam: np.ndarray, p_max: float) -> np.ndarray:
     """``waterfill`` on Python floats, step for step as
     :func:`_waterfill_array`, for a vector of fewer than
@@ -322,16 +335,12 @@ def _waterfill_floats(gam: np.ndarray, p_max: float) -> np.ndarray:
 
 def _waterfill_array(gam: np.ndarray, p_max: float) -> np.ndarray:
     """``waterfill`` on NumPy arrays, for a vector of any length."""
-    if not ((gam >= 0.0) & (gam < math.inf)).all():
-        raise ValueError("gammas must be finite and nonnegative")
-    p_max = _check_budget(p_max)
+    p_max = _check_waterfill_args(gam, p_max)
     # a channel whose 1/gamma overflows keeps its place at 1/gamma = inf,
     # which no level reaches; the finite steps sort first
     usable = gam > _GAMMA_MIN_INVERTIBLE
     n_usable = int(np.count_nonzero(usable))
     if not n_usable:
-        if not (gam > 0.0).any():
-            raise NoUsablePairError("no usable pair: every effective gain is zero")
         return _all_to_strongest(gam, p_max)
     inv = np.divide(1.0, gam, out=np.full(gam.shape, math.inf), where=usable)
     steps = np.sort(inv)[:n_usable]
@@ -384,10 +393,10 @@ def _water_filled(gam: np.ndarray, cfg: SystemConfig, dead: np.ndarray | None = 
     channel, through this module's binding looked up at call time.
 
     Like every rule, it takes either shape; ``waterfill`` takes one vector,
-    so a vector goes to it as it is, and a table row by row into a power
-    table. A channel of zero gains raises :class:`NoUsablePairError`,
-    unless ``gam`` is a table and a ``(b,)`` boolean vector ``dead`` is
-    given: then the row is flagged there and keeps zero powers.
+    so a vector goes to it as it is, and raises :class:`NoUsablePairError`
+    when all its gains are zero. A table goes to it row by row into a power
+    table, with a ``(b,)`` boolean vector ``dead``: a row of zero gains is
+    flagged there and keeps zero powers.
     """
     if gam.ndim == 1:
         return waterfill(gam, cfg.p_max)
@@ -396,8 +405,6 @@ def _water_filled(gam: np.ndarray, cfg: SystemConfig, dead: np.ndarray | None = 
         try:
             powers[row] = waterfill(row_gam, cfg.p_max)
         except NoUsablePairError:
-            if dead is None:
-                raise
             dead[row] = True
     return powers
 

@@ -48,6 +48,18 @@ class PolicyId(enum.Enum):
         raise ValueError(f"unknown policy '{name}'; valid policies: {valid}")
 
 
+def _check_policies(policies) -> tuple[PolicyId, ...]:
+    """``policies`` as a tuple. Raises ``ValueError`` unless it is a
+    nonempty iterable of ``PolicyId`` values."""
+    policies = tuple(policies)
+    for policy in policies:
+        if not isinstance(policy, PolicyId):
+            raise ValueError(f"unhandled policy: {policy!r}")
+    if not policies:
+        raise ValueError("policies must be nonempty")
+    return policies
+
+
 def solve_opa_no_pairing(channel: ChannelRealization, cfg: SystemConfig) -> AllocationResult:
     """Water-filled power over identity pairing (subcarrier i forwards on i),
     with the equal-rate split still applied per pair."""
@@ -149,8 +161,7 @@ def solve_policy(policy: PolicyId, channel: ChannelRealization, cfg: SystemConfi
     """Run the named policy's row on one realization. Raises ``ValueError``
     when the channel's width is not the config's or a pair's effective gain
     passes the float range (the channel is too strong for the noise)."""
-    if not isinstance(policy, PolicyId):
-        raise ValueError(f"unhandled policy: {policy!r}")
+    _check_policies((policy,))
     return _run_row(_RULES[policy], channel, cfg)
 
 

@@ -92,9 +92,9 @@ def _check_seed(seed) -> int:
 def _hop_states(seed: int) -> np.ndarray:
     """The ``(2, 4)`` uint64 PCG64 seeds of hops 1 and 2: row k is
     ``SeedSequence(seed, spawn_key=(k,)).generate_state(4, np.uint64)``."""
+    # the pool hashes the words a seed lacks below 4 as zeros
+    pool = np.random.SeedSequence(seed).pool
     n_words = max(-(-seed.bit_length() // 32), _POOL_SIZE)
-    words = [(seed >> (32 * i)) & _MASK32 for i in range(n_words)]
-    pool = np.random.SeedSequence(np.array(words, np.uint32)).pool
     # mix(pool[d], hashmix(k, .)) for both hops, then the output hash
     state = pool * _MIX_MULT_L - _spawn_terms(n_words)
     state ^= state >> _XSHIFT

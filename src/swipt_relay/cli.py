@@ -38,14 +38,27 @@ class _CommandError(Exception):
         self.message = message
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, as invalid flags do."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _invalid(what: str, exc: ConfigError) -> _CommandError:
+    """Exit 1 with ``what`` over the faults of ``exc``, one a line."""
+    lines = "\n".join(f"  - {error}" for error in exc.errors)
+    return _CommandError(1, f"{what}:\n{lines}")
+
+
 def _load_config(path: str):
     try:
         return load_config(path)
     except OSError as exc:
         raise _CommandError(2, f"cannot read config '{path}': {exc}") from exc
     except ConfigError as exc:
-        lines = "\n".join(f"  - {error}" for error in exc.errors)
-        raise _CommandError(1, f"invalid config '{path}':\n{lines}") from exc
+        raise _invalid(f"invalid config '{path}'", exc) from exc
     except ValueError as exc:
         # malformed JSON or bytes that are not UTF-8
         raise _CommandError(1, f"invalid config '{path}': {exc}") from exc
@@ -80,8 +93,10 @@ def _parse_values(text: str) -> list[float]:
         span = (stop - start) / step
         if not all(map(math.isfinite, (start, stop, step, span))):
             raise _CommandError(1, f"cannot parse range '{text}': bounds, step and span must be finite")
+        if stop < start:
+            raise _CommandError(1, f"range '{text}' ends below its start")
         count = round(span)
-        if count < 0 or abs(start + count * step - stop) > 1e-9 * max(1.0, abs(stop)):
+        if abs(start + count * step - stop) > 1e-9 * max(1.0, abs(stop)):
             raise _CommandError(1, f"range '{text}' does not divide evenly into steps")
         if count >= _MAX_RANGE_POINTS:
             raise _CommandError(
@@ -113,7 +128,7 @@ def _cmd_solve(args) -> int:
             channel = load_channel_file(args.channel_file)
         except OSError as exc:
             raise _CommandError(2, f"cannot read channel file '{args.channel_file}': {exc}") from exc
-        except (ValueError, json.JSONDecodeError) as exc:
+        except ValueError as exc:
             raise _CommandError(1, f"invalid channel file '{args.channel_file}': {exc}") from exc
     else:
         try:
@@ -144,8 +159,7 @@ def _cmd_sweep(args) -> int:
         )
         result = sweep(cfg, spec)
     except ConfigError as exc:
-        lines = "\n".join(f"  - {error}" for error in exc.errors)
-        raise _CommandError(1, f"sweep produced an invalid config:\n{lines}") from exc
+        raise _invalid("sweep produced an invalid config", exc) from exc
     except ValueError as exc:
         raise _CommandError(1, str(exc)) from exc
     banner = None if args.no_banner else _BANNER
@@ -180,7 +194,7 @@ def _cmd_verify(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="swipt-relay",
         description=(
             "Simulator for a two-hop OFDM decode-and-forward link whose relay "

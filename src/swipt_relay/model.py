@@ -360,10 +360,6 @@ class SubcarrierPairing:
         p.setflags(write=False)
         object.__setattr__(self, "perm", p)
 
-    @property
-    def n_subcarriers(self) -> int:
-        return self.perm.size
-
 
 @dataclass(frozen=True)
 class AllocationResult:

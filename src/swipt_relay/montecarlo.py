@@ -20,7 +20,7 @@ from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
-from .baselines import PolicyId, _trial_rates
+from .baselines import PolicyId, _check_policies, _trial_rates
 from .channel import _check_seed, generate_channel
 from .model import SystemConfig, _is_int, _real, dbm_to_mw
 # not called here, but perfbench/spans.py BINDINGS looks them up by these names
@@ -40,21 +40,12 @@ __all__ = [
 POINT_SEED_STRIDE = 1_000_000  # collision-free for < 10^6 trials per point
 
 # subcarrier pairs per block of trials, a trial counting as at least 64
-# pairs: 64 trials up to N=64, 16 at N=256. At N=256 4-trial blocks run
-# ~20% slower, and 64-trial blocks hold ~3 MB more.
+# pairs: 64 trials up to N=64, 16 at N=256. At N=256, process time per
+# trial shows no consistent order between 4-, 16- and 64-trial blocks, and
+# 64-trial blocks hold ~2 MB more.
 _BLOCK_PAIRS = 4096
 
 SWEEP_VARIABLES = ("p_max_dbm", "relay_position")
-
-
-def _check_policies(policies) -> tuple[PolicyId, ...]:
-    policies = tuple(policies)
-    for policy in policies:
-        if not isinstance(policy, PolicyId):
-            raise ValueError(f"unhandled policy: {policy!r}")
-    if not policies:
-        raise ValueError("policies must be nonempty")
-    return policies
 
 
 def _check_trials(trials) -> None:

@@ -19,8 +19,7 @@ import numpy as np
 
 from .allocator import (
     _GAMMA_MIN_INVERTIBLE,
-    NoUsablePairError,
-    _check_budget,
+    _check_waterfill_args,
     _check_width,
     _fits,
     _gain_array,
@@ -52,28 +51,24 @@ _EXHAUSTIVE_CAP = 8  # 8! = 40320 pairings
 _RIVALS = (PolicyId.OPA_NO_PAIRING, PolicyId.UNIFORM_WITH_PAIRING, PolicyId.UNIFORM_NO_PAIRING)
 
 
-def rho_by_bisection(g_sq: float, cfg: SystemConfig, tol: float = 1e-12, p_mw: float = 1.0) -> float:
+def rho_by_bisection(g_sq: float, cfg: SystemConfig, tol: float = 1e-12) -> float:
     """Locate the equal-rate split by bisection on rho over [0, 1].
 
     The decode term vanishes at rho = 0 and the forward term at rho = 1, so
-    their difference brackets a sign change; the root does not depend on the
-    probe power ``p_mw`` (nor on the incoming gain, fixed at 1 here).
+    their difference brackets a sign change; the root depends on neither the
+    power, probed at 1 mW, nor the incoming gain, fixed at 1 here.
 
     Raises ``ValueError`` unless ``tol`` is a real number in (0, 1) ("tol
-    must lie in (0, 1)") and ``p_mw`` a positive one ("p_mw must be
-    positive"); on a ``g_sq`` or an infinite ``p_mw`` that
-    :func:`rate_terms` rejects, with its message; and
-    when the pair is degenerate, so that no sign change is bracketed. A
-    bool, a string or ``None`` is not a number.
+    must lie in (0, 1)"); on a ``g_sq`` that :func:`rate_terms` rejects,
+    with its message; and when the pair is degenerate, so that no sign
+    change is bracketed. A bool, a string or ``None`` is not a number.
     """
-    tol, p_mw = _real(tol), _real(p_mw)
+    tol = _real(tol)
     if not 0.0 < tol < 1.0:
         raise ValueError("tol must lie in (0, 1)")
-    if not p_mw > 0.0:
-        raise ValueError("p_mw must be positive")
 
     def gap(rho: float) -> float:
-        term_decode, term_forward = rate_terms(1.0, g_sq, rho, p_mw, cfg)
+        term_decode, term_forward = rate_terms(1.0, g_sq, rho, 1.0, cfg)
         return term_decode - term_forward
 
     lo, hi = 0.0, 1.0
@@ -141,11 +136,7 @@ def power_by_grid(gammas, p_max: float, resolution: int = 10**6) -> np.ndarray:
     gam = _gain_array(gammas)
     if gam.shape != (2,):
         raise ValueError("power_by_grid expects exactly two gains")
-    if not ((gam >= 0.0) & (gam < math.inf)).all():
-        raise ValueError("gammas must be finite and nonnegative")
-    p_max = _check_budget(p_max)
-    if not (gam > 0.0).any():
-        raise NoUsablePairError("no usable pair: every effective gain is zero")
+    p_max = _check_waterfill_args(gam, p_max)
     if not (_is_int(resolution) and resolution >= 1):
         raise ValueError("resolution must be an int >= 1")
     p1 = np.linspace(0.0, p_max, resolution + 1)
@@ -180,8 +171,8 @@ class VerificationReport:
     def all_pass(self) -> bool:
         return all(check.passed for check in self.checks)
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps([check.to_dict() for check in self.checks], indent=indent)
+    def to_json(self) -> str:
+        return json.dumps([check.to_dict() for check in self.checks], indent=2)
 
     @classmethod
     def merge(cls, reports) -> "VerificationReport":

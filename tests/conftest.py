@@ -34,14 +34,20 @@ def config_faults(**overrides) -> list[str]:
     return []
 
 
+def benchmark_module(name: str):
+    """The module ``perfbench/<name>.py``, loaded by path, as ``perfbench``
+    is not a package."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def benchmark_bindings():
     """``BINDINGS`` of ``perfbench/spans.py``: the (owner, attribute, span
     name) of every layer function the benchmark's tracer replaces."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    return spans.BINDINGS
+    return benchmark_module("spans").BINDINGS
 
 
 # gains at the edges of the float range: zero, the smallest subnormal, a

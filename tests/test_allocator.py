@@ -787,10 +787,10 @@ def test_solve_pairing_invariant_under_common_scaling(default_cfg):
         )
 
 
-def test_water_filled_rule_raises_on_a_dead_row_unless_given_dead(default_cfg):
+def test_water_filled_rule_flags_a_dead_row(default_cfg):
     gam = np.array([[0.5, 0.2, 0.1, 0.3], [0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 2.0, 0.5]])
     with pytest.raises(NoUsablePairError, match="^no usable pair: every effective gain is zero$"):
-        _water_filled(gam, default_cfg)
+        _water_filled(gam[1], default_cfg)
     dead = np.zeros(len(gam), dtype=bool)
     powers = _water_filled(gam, default_cfg, dead)
     assert dead.tolist() == [False, True, False]

@@ -1,12 +1,12 @@
 """Call counts per trial, in closed form.
 
 The modules import each other's layer functions by name, so each count wraps
-every binding a caller looks the function up through. The benchmark's traced
-mode checks the same closed forms; an engine change that alters them fails
-here first.
+every binding a caller looks the function up through. The closed forms of a
+whole sweep and of ``verify`` are the ones the benchmark's traced mode
+checks, taken from ``perfbench/workloads.py``; an engine change that alters
+them fails here first.
 """
 
-import math
 from collections import Counter
 
 import pytest
@@ -15,7 +15,7 @@ from swipt_relay import channel, oracle
 from swipt_relay.baselines import PolicyId
 from swipt_relay.montecarlo import SweepSpec, sweep
 
-from conftest import benchmark_bindings, make_cfg
+from conftest import benchmark_bindings, benchmark_module, make_cfg
 
 # (owner, attribute) of every binding through which a counted layer function
 # is looked up at call time, by the name its calls are counted under: the
@@ -25,6 +25,12 @@ BINDINGS = {
     span.split(".")[1]: [(owner, attr) for owner, attr, name in _BENCHMARK if name == span]
     for span in ("channel.generate_channel", "allocator.waterfill", "allocator.split_and_gain")
 }
+_WORKLOADS = benchmark_module("workloads")
+
+
+def _counts(workload, n_ops: int) -> dict[str, int]:
+    """``workload.expected_calls(n_ops)``, keyed by the names of ``BINDINGS``."""
+    return {span.split(".")[1]: count for span, count in workload.expected_calls(n_ops).items()}
 
 
 @pytest.fixture
@@ -51,14 +57,9 @@ def test_sweep_call_counts(calls, n, trials):
     cfg = make_cfg(n_subcarriers=n, taps=2)
     values = (10.0, 30.0)
     sweep(cfg, SweepSpec("p_max_dbm", values, trials, seed=7, policies=tuple(PolicyId)))
-    n_trials = len(values) * trials
-    assert calls == {
-        "generate_channel": n_trials,
-        # proposed, opa-nopair and conventional water-fill; the uniform ones do not
-        "waterfill": 3 * n_trials,
-        # every policy but conventional splits each of the N pairs
-        "split_and_gain": 4 * cfg.n_subcarriers * n_trials,
-    }
+    # one benchmark operation per sweep point
+    workload = _WORKLOADS.SweepWorkload("test", n, 2, values, trials, pool_size=len(values), oracle_samples=0)
+    assert calls == _counts(workload, len(values))
 
 
 # per trial and policy: waterfill calls, and split_and_gain calls per subcarrier
@@ -97,13 +98,7 @@ def test_verify_call_counts(calls):
     cfg = make_cfg(n_subcarriers=4, taps=4)
     report = oracle.verify(channel.generate_channel(cfg, 11), cfg)
     assert report.all_pass
-    assert calls == {
-        "generate_channel": 1,
-        # N! candidate pairings, plus the proposed and opa-nopair solves
-        "waterfill": math.factorial(cfg.n_subcarriers) + 2,
-        # proposed, opa-nopair and both uniform rivals split N pairs each
-        "split_and_gain": 4 * cfg.n_subcarriers,
-    }
+    assert calls == _counts(_WORKLOADS.VerifyWorkload("test", 4, 4, pool_size=1), 1)
 
 
 def test_benchmark_bindings_exist():

@@ -425,6 +425,9 @@ def test_sweep_rejects_bad_range(cfg_path, capsys):
         ("10..40 step 0", "range step must be positive"),
         ("10..40 step -5", "range step must be positive"),
         ("10,abc", "cannot parse values '10,abc': could not convert string to float: 'abc'"),
+        ("3..1:1", "range '3..1:1' ends below its start"),
+        ("40..10 step 5", "range '40..10 step 5' ends below its start"),
+        ("3..1:5", "range '3..1:5' ends below its start"),
     ],
 )
 def test_sweep_rejects_values_it_cannot_parse(values, message, cfg_path, capsys):
@@ -583,3 +586,26 @@ def test_version_flag(capsys):
         main(["--version"])
     assert excinfo.value.code == 0
     assert "swipt-relay" in capsys.readouterr().out
+
+
+# argparse's own exit code for a usage error is 2, which means an I/O failure here
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["sweep", "CFG", "--variable", "p_max_dbm", "--values", "10", "--trials", "abc"], id="bad-int"),
+        pytest.param(["sweep", "CFG", "--values", "10"], id="missing-flag"),
+        pytest.param(["sweep", "CFG", "--variable", "eta", "--values", "10"], id="bad-choice"),
+        pytest.param(["verify", "CFG", "--tol", "x"], id="bad-float"),
+        pytest.param(["solve", "CFG", "--bogus"], id="unknown-flag"),
+        pytest.param(["plot", "CFG"], id="unknown-command"),
+        pytest.param([], id="no-command"),
+    ],
+)
+def test_a_usage_error_exits_1(argv, cfg_path, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([cfg_path if arg == "CFG" else arg for arg in argv])
+    assert excinfo.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: swipt-relay")
+    assert "error: " in captured.err

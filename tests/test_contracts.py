@@ -174,16 +174,6 @@ ARGS = {
         _scalars(0.5),
         {"tol must lie in (0, 1)": HOSTILE + (-1.0, 0.0, 1.0)},
     ),
-    "rho_by_bisection(p_mw)": Arg(
-        lambda v: rho_by_bisection(0.9, SINGLE, p_mw=v),
-        10.0,
-        _scalars(10.0),
-        {
-            "p_mw must be positive": (math.nan, -math.inf, -BIG, -1.0, 0.0, *NOT_NUMBERS),
-            # past the float range, the probe power fails in rate_terms
-            "power must be nonnegative": (math.inf, BIG),
-        },
-    ),
     "sorted_pairing(h_sq)": _gains("h_sq", H_MESSAGE, lambda v: sorted_pairing(v, [1.0, 2.0])),
     "sorted_pairing(g_sq)": _gains("g_sq", G_MESSAGE, lambda v: sorted_pairing([1.0, 2.0], v)),
     "ChannelRealization(h_sq)": _gains("h_sq", H_MESSAGE, lambda v: ChannelRealization(v, [1.0, 2.0])),

@@ -41,12 +41,6 @@ def test_bisection_agrees_with_closed_form_on_random_draws():
         assert abs(split_and_gain(1.0, g, cfg)[0] - rho_by_bisection(g, cfg)) <= 1e-10
 
 
-def test_bisection_root_is_power_invariant(single_pair_cfg):
-    at_1mw = rho_by_bisection(REF_GAIN, single_pair_cfg, p_mw=1.0)
-    at_100mw = rho_by_bisection(REF_GAIN, single_pair_cfg, p_mw=100.0)
-    assert abs(at_1mw - at_100mw) <= 1e-12
-
-
 def test_bisection_rejects_degenerate_inputs(single_pair_cfg):
     with pytest.raises(ValueError):
         rho_by_bisection(0.0, single_pair_cfg)
