@@ -20,6 +20,7 @@ from swipt_relay.baselines import (
 )
 from swipt_relay.channel import generate_channel
 from swipt_relay.model import ChannelRealization, NoiseProfile, default_config
+from swipt_relay.montecarlo import run_trials
 from swipt_relay.oracle import best_pairing_exhaustive, verify
 
 from conftest import EDGE_GAINS, NOISE_1DBM, assert_read_only, make_cfg, mixed_gains
@@ -88,6 +89,16 @@ def test_dispatch_rejects_a_policy_name(default_cfg):
     chan = generate_channel(default_cfg, 3)
     with pytest.raises(ValueError, match="unhandled policy"):
         solve_policy("proposed", chan, default_cfg)
+
+
+@pytest.mark.parametrize("policy", ["proposed", None, 0])
+def test_dispatch_and_trials_refuse_a_non_member_alike(policy, default_cfg):
+    chan = generate_channel(default_cfg, 3)
+    with pytest.raises(ValueError) as from_dispatch:
+        solve_policy(policy, chan, default_cfg)
+    with pytest.raises(ValueError) as from_trials:
+        run_trials(default_cfg, (policy,), trials=1, seed=1)
+    assert str(from_dispatch.value) == str(from_trials.value) == f"unhandled policy: {policy!r}"
 
 
 # --------------------------------------------------------- opa, no pairing

@@ -157,6 +157,39 @@ def test_grid_rejects_a_dead_channel():
         waterfill([0.0, 0.0], 10.0)
 
 
+def _refusal(solver, gammas, p_max):
+    """The type and message of what ``solver`` raised, or None."""
+    try:
+        solver(gammas, p_max)
+    except ValueError as err:
+        return type(err), str(err)
+    return None
+
+
+# the grid takes water-filling's input rule: the same faults, checked in the
+# same order, with the same messages
+@pytest.mark.parametrize(
+    "gammas, p_max, error",
+    [
+        ([math.nan, 1.0], 10.0, ValueError),
+        ([1.0, -1.0], 10.0, ValueError),
+        ([math.inf, 1.0], 10.0, ValueError),
+        ([1.0, 2.0], 0.0, ValueError),
+        ([1.0, 2.0], math.nan, ValueError),
+        ([1.0, 0.5], math.inf, ValueError),
+        ([math.nan, 0.0], math.nan, ValueError),  # the gains are checked first
+        ([0.0, 0.0], 10.0, NoUsablePairError),
+        ([0.0, 0.0], -1.0, ValueError),  # the budget before the dead pair
+        ([1.0, 2.0], "1.0", ValueError),
+        ([1.0, 2.0], None, ValueError),
+    ],
+)
+def test_grid_refuses_what_waterfill_refuses(gammas, p_max, error):
+    refusal = _refusal(lambda g, p: power_by_grid(g, p, 100), gammas, p_max)
+    assert refusal is not None and refusal[0] is error
+    assert refusal == _refusal(waterfill, gammas, p_max)
+
+
 # -------------------------------------------- two-subcarrier sorted identity
 
 def _sorted_vs_swapped_margin(h, g, p_max, cfg):
