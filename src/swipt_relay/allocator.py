@@ -233,23 +233,19 @@ def waterfill(gammas, p_max: float) -> np.ndarray:
     ``p_max`` is positive and finite, and :class:`NoUsablePairError` when
     every gain is zero. A bool or a string is neither a gain nor a budget.
     """
-    gam = _gain_array(gammas)
-    if gam.ndim != 1 or gam.size == 0:
+    # a float64 array holds only real numbers, so the engine's gain rows
+    # skip the scan that rejects a bool the cast would read as 0 or 1 or a
+    # numeric string it would parse
+    if type(gammas) is np.ndarray and gammas.dtype == np.float64:
+        gam = gammas
+    else:
+        gam = _real_array("gammas", gammas)
+    n = gam.size
+    if gam.ndim != 1 or n == 0:
         raise ValueError("gammas must be a nonempty vector")
-    if gam.size < _FLOAT_BODY_LIMIT:
+    if n < _FLOAT_BODY_LIMIT:
         return _waterfill_floats(gam, p_max)
     return _waterfill_array(gam, p_max)
-
-
-def _gain_array(gammas) -> np.ndarray:
-    """``gammas`` as a float array, rejecting an entry that is not a real
-    number, such as a bool the cast would read as 0 or 1 or a numeric
-    string it would parse."""
-    # a float64 array holds only real numbers, so the engine's gain rows
-    # skip the scan
-    if type(gammas) is np.ndarray and gammas.dtype == np.float64:
-        return gammas
-    return _real_array("gammas", gammas)
 
 
 def _check_budget(p_max) -> float:
@@ -282,17 +278,21 @@ def _waterfill_floats(gam: np.ndarray, p_max: float) -> np.ndarray:
     not finite and nonnegative, positive gains none of which is invertible,
     prefix sums that could overflow, an overshoot of the level and a budget
     pin below zero. The array body decides each of those with the same
-    float operations, so the bits and the errors are the same."""
+    float operations, so the bits and the errors are the same. One pass
+    over the gains both rejects a gain and takes each 1/gamma, so a
+    rejected gain is handed over, wherever it lies, before the budget is
+    checked."""
     values = gam.tolist()
+    # a channel whose 1/gamma overflows keeps its place at 1/gamma = inf,
+    # which no level reaches, so it sorts last and is never powered
+    inv = []
     for g in values:
         if not 0.0 <= g < _INF:
             return _waterfill_array(gam, p_max)
+        inv.append(1.0 / g if g > _GAMMA_MIN_INVERTIBLE else _INF)
     # the engine's budget, a positive finite float, needs no further check
     if type(p_max) is not float or not 0.0 < p_max < _INF:
         p_max = _check_budget(p_max)
-    # a channel whose 1/gamma overflows keeps its place at 1/gamma = inf,
-    # which no level reaches, so it sorts last and is never powered
-    inv = [1.0 / g if g > _GAMMA_MIN_INVERTIBLE else _INF for g in values]
     steps = sorted(inv)
     n_usable = len(steps) - steps.count(_INF)
     # raised here, so that the dead rows of an eta = 0 sweep stay on floats
@@ -394,19 +394,22 @@ def _water_filled(gam: np.ndarray, cfg: SystemConfig, dead: np.ndarray | None = 
 
     Like every rule, it takes either shape; ``waterfill`` takes one vector,
     so a vector goes to it as it is, and raises :class:`NoUsablePairError`
-    when all its gains are zero. A table goes to it row by row into a power
-    table, with a ``(b,)`` boolean vector ``dead``: a row of zero gains is
-    flagged there and keeps zero powers.
+    when all its gains are zero. A table goes to it row by row, with a
+    ``(b,)`` boolean vector ``dead``: a row of zero gains is flagged there
+    and gets zero powers. The row vectors are stacked into the ``(b, N)``
+    power table once, at the end.
     """
+    p_max = cfg.p_max
     if gam.ndim == 1:
-        return waterfill(gam, cfg.p_max)
-    powers = np.zeros(gam.shape)
+        return waterfill(gam, p_max)
+    rows = []
     for row, row_gam in enumerate(gam):
         try:
-            powers[row] = waterfill(row_gam, cfg.p_max)
+            rows.append(waterfill(row_gam, p_max))
         except NoUsablePairError:
             dead[row] = True
-    return powers
+            rows.append(np.zeros(gam.shape[1]))
+    return np.array(rows)
 
 
 def _split_gains(h: np.ndarray, g_paired: np.ndarray, cfg: SystemConfig):

@@ -22,7 +22,6 @@ from .allocator import (
     _check_waterfill_args,
     _check_width,
     _fits,
-    _gain_array,
     _pair_rates,
     _table_rates,
     _water_filled,
@@ -35,6 +34,7 @@ from .allocator import (
 from .allocator import waterfill  # noqa: F401
 from .baselines import PolicyId, _trial_rates
 from .model import AllocationResult, ChannelRealization, SubcarrierPairing, SystemConfig, _is_int, _real
+from .model import _real_array
 
 __all__ = [
     "CheckResult",
@@ -46,6 +46,9 @@ __all__ = [
 ]
 
 _EXHAUSTIVE_CAP = 8  # 8! = 40320 pairings
+
+# the forward-quality scalars b at which verify checks that rho_I rises
+_MONOTONE_B_GRID = tuple(np.geomspace(1e-4, 1e4, 64).tolist())
 
 # the reduced policies the proposed one must dominate on every realization
 _RIVALS = (PolicyId.OPA_NO_PAIRING, PolicyId.UNIFORM_WITH_PAIRING, PolicyId.UNIFORM_NO_PAIRING)
@@ -133,7 +136,7 @@ def power_by_grid(gammas, p_max: float, resolution: int = 10**6) -> np.ndarray:
     budget that ``waterfill`` rejects, with the same messages, raises
     :class:`NoUsablePairError` where both gains are zero, and takes only an
     int resolution."""
-    gam = _gain_array(gammas)
+    gam = _real_array("gammas", gammas)
     if gam.shape != (2,):
         raise ValueError("power_by_grid expects exactly two gains")
     p_max = _check_waterfill_args(gam, p_max)
@@ -290,7 +293,7 @@ def verify(
         # whatever eta and sigma_d_sq are, with no g that overflows or
         # collapses to subnormals
         unit = replace(cfg, eta=1.0, noise=replace(cfg.noise, sigma_da_sq=0.5, sigma_db_sq=0.5))
-        rhos = [split_and_gain(1.0, b, unit)[0] for b in np.geomspace(1e-4, 1e4, 64).tolist()]
+        rhos = [split_and_gain(1.0, b, unit)[0] for b in _MONOTONE_B_GRID]
         for lo_rho, hi_rho in zip(rhos, rhos[1:]):
             residual = max(residual, lo_rho - hi_rho)
             monotone = monotone and hi_rho > lo_rho

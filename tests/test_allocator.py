@@ -600,6 +600,7 @@ def test_waterfill_bodies_bit_identical(problem):
         ([1.0], math.nan, ValueError),
         ([1.0, 0.5, 0.25], math.inf, ValueError),
         ([math.nan], math.nan, ValueError),  # the gains are checked first
+        ([1.0, -1.0], math.nan, ValueError),  # also after a gain is inverted
         ([0.0, 0.0, 0.0], 10.0, NoUsablePairError),
         ([1.0, 2.0], "1.0", ValueError),
         ([1.0, 2.0], None, ValueError),
@@ -630,6 +631,7 @@ def handoffs(monkeypatch):
     "gammas, p_max",
     [
         ([math.nan, 1.0], 10.0),  # a rejected gain
+        ([2.0, 1e-310, math.inf], 10.0),  # rejected after an invertible and an uninvertible gain
         ([1.0, 2.0**-1030], 1e308),  # prefix sums near overflow: scaled
         ([3.0, 3.0, 3.0], 5e-324),  # the threshold meets the level
         ([5.0, 5.0, 5.0], 5e-324),  # the pin drives the largest below zero
@@ -799,10 +801,12 @@ def test_water_filled_rule_flags_a_dead_row(default_cfg):
         assert powers[row].tobytes() == waterfill(gam[row], default_cfg.p_max).tobytes()
 
 
-@pytest.mark.parametrize("n", [1, 4, 9])
+@pytest.mark.parametrize("n", [1, 4, 7, 8, 9])
 def test_water_filled_rule_on_a_vector_is_its_row_of_a_table(n, default_cfg):
     """One channel's vector gets the powers of its row in a table, which
-    holds it among others or alone; a dead vector raises."""
+    holds it among others or alone; a dead vector raises. The widths fall
+    on both sides of the float body's limit, and a table of dead rows alone
+    is a float table of zeros."""
     gam = np.array([mixed_gains(seed, n) for seed in range(40)])
     gam[3] = 0.0
     dead = np.zeros(len(gam), dtype=bool)
@@ -816,6 +820,10 @@ def test_water_filled_rule_on_a_vector_is_its_row_of_a_table(n, default_cfg):
         assert powers.shape == (n,)
         assert powers.tobytes() == table[row].tobytes() == _water_filled(vec[None], default_cfg)[0].tobytes()
     assert dead[3]
+    dead = np.zeros(3, dtype=bool)
+    table = _water_filled(np.zeros((3, n)), default_cfg, dead)
+    assert (table.shape, table.dtype, dead.tolist()) == ((3, n), np.float64, [True] * 3)
+    assert not table.any()
 
 
 def test_solve_dead_channel_raises(default_cfg):
