@@ -600,10 +600,10 @@ def test_waterfill_bodies_bit_identical(problem):
         ([1.0], math.nan, ValueError),
         ([1.0, 0.5, 0.25], math.inf, ValueError),
         ([math.nan], math.nan, ValueError),  # the gains are checked first
-        ([1.0, -1.0], math.nan, ValueError),  # also after a gain is inverted
         ([0.0, 0.0, 0.0], 10.0, NoUsablePairError),
         ([1.0, 2.0], "1.0", ValueError),
         ([1.0, 2.0], None, ValueError),
+        ([1.0, -1.0], math.nan, ValueError),  # the gains first, also after one is inverted
     ],
 )
 def test_waterfill_bodies_raise_alike(gammas, p_max, error):
@@ -631,13 +631,13 @@ def handoffs(monkeypatch):
     "gammas, p_max",
     [
         ([math.nan, 1.0], 10.0),  # a rejected gain
-        ([2.0, 1e-310, math.inf], 10.0),  # rejected after an invertible and an uninvertible gain
         ([1.0, 2.0**-1030], 1e308),  # prefix sums near overflow: scaled
         ([3.0, 3.0, 3.0], 5e-324),  # the threshold meets the level
         ([5.0, 5.0, 5.0], 5e-324),  # the pin drives the largest below zero
         ([1e-310, 5e-324], 10.0),  # positive gains, none invertible
         # the prefix count admits a channel that overshoots the level
         ([4.411923543412696] * 3 + [4.411923543412685, 4.411923543412694], 9.23057087659867e-19),
+        ([2.0, 1e-310, math.inf], 10.0),  # rejected after an invertible and an uninvertible gain
     ],
 )
 def test_float_body_hands_each_edge_input_to_the_array_body(handoffs, gammas, p_max):
