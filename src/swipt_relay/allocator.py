@@ -387,27 +387,26 @@ def _waterfill_array(gam: np.ndarray, p_max: float) -> np.ndarray:
     return alloc
 
 
-def _water_filled(gam: np.ndarray, cfg: SystemConfig, dead: np.ndarray | None = None) -> np.ndarray:
+def _water_filled(gam: np.ndarray, cfg: SystemConfig) -> np.ndarray:
     """The water-filled powers of one channel's gain vector ``gam``, or of
     each row of a ``(b, N)`` gain table ``gam``: one ``waterfill`` call per
     channel, through this module's binding looked up at call time.
 
-    Like every rule, it takes either shape; ``waterfill`` takes one vector,
-    so a vector goes to it as it is, and raises :class:`NoUsablePairError`
-    when all its gains are zero. A table goes to it row by row, with a
-    ``(b,)`` boolean vector ``dead``: a row of zero gains is flagged there
-    and gets zero powers. The row vectors are stacked into the ``(b, N)``
-    power table once, at the end.
+    Like every rule, it takes either shape and maps gains to powers of that
+    shape. ``waterfill`` takes one vector, so a vector goes to it as it is,
+    and raises :class:`NoUsablePairError` when all its gains are zero. A
+    table goes to it row by row, and a row of zero gains gets zero powers;
+    every other row powers some pair. The row vectors are stacked into the
+    ``(b, N)`` power table once, at the end.
     """
     p_max = cfg.p_max
     if gam.ndim == 1:
         return waterfill(gam, p_max)
     rows = []
-    for row, row_gam in enumerate(gam):
+    for row_gam in gam:
         try:
             rows.append(waterfill(row_gam, p_max))
         except NoUsablePairError:
-            dead[row] = True
             rows.append(np.zeros(gam.shape[1]))
     return np.array(rows)
 
@@ -471,9 +470,9 @@ def _pair_rates(gam: np.ndarray, powers: np.ndarray, fits: bool) -> np.ndarray:
 
 def _table_rates(gam: np.ndarray, power_rule, cfg: SystemConfig):
     """Total rate of each row of the ``(b, N)`` gain table ``gam``, whose
-    ``(b, N)`` power table ``power_rule`` gives: a ``(b,)`` rate vector, and
-    a ``(b,)`` boolean vector that the rule sets where a row has no usable
-    pair, which scores 0.
+    ``(b, N)`` power table ``power_rule(gam, cfg)`` gives: a ``(b,)`` rate
+    vector, and a ``(b,)`` boolean vector, true where the rule powered no
+    pair of a row, which is dead and scores 0.
 
     A row sum adds its N terms as a 1-D ``ndarray.sum`` does whatever the
     table's height, left to right below 8 terms and pairwise from 8 up, so a
@@ -481,11 +480,10 @@ def _table_rates(gam: np.ndarray, power_rule, cfg: SystemConfig):
     Raises ``ValueError`` when a gain of the table is inf (see
     :func:`_fits`), before any power is taken.
     """
-    dead = np.zeros(len(gam), dtype=bool)
     fits = _fits(gam, cfg.p_max)
-    powers = power_rule(gam, cfg, dead)
-    # a dead row's gains and powers are all zero, so it sums to exactly 0.0
-    return _pair_rates(gam, powers, fits).sum(axis=1), dead
+    powers = power_rule(gam, cfg)
+    # a dead row's powers are all zero, so it sums to exactly 0.0
+    return _pair_rates(gam, powers, fits).sum(axis=1), ~powers.any(axis=1)
 
 
 def _check_width(n: int, cfg: SystemConfig, what: str = "channel") -> None:

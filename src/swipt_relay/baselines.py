@@ -140,10 +140,10 @@ def _conventional_gains(h: np.ndarray, g_paired: np.ndarray, cfg: SystemConfig):
     return np.ones(h.shape), gam
 
 
-def _uniform_powers(gam: np.ndarray, cfg: SystemConfig, dead: np.ndarray | None = None) -> np.ndarray:
+def _uniform_powers(gam: np.ndarray, cfg: SystemConfig) -> np.ndarray:
     """p_max/N on every pair of one channel's gain vector ``gam``, or of
-    each row of a ``(b, N)`` gain table; no row is ever dead, so ``dead`` is
-    left as it is."""
+    each row of a ``(b, N)`` gain table. A row is dead only where p_max/N
+    underflows to 0."""
     return np.full(gam.shape, cfg.p_max / gam.shape[-1])
 
 
@@ -170,7 +170,9 @@ def _trial_rates(policies, channels, cfg: SystemConfig):
     each of ``channels``, a block of ``cfg.n_subcarriers``-wide
     realizations, with the bits of ``solve_policy(...).total_rate``: a
     ``(P, b)`` rate table, and a ``(P, b)`` boolean table that is set where
-    a policy raised :class:`NoUsablePairError` on a channel, which scores 0.
+    a policy powered no pair of a channel, which scores 0: where its
+    ``solve_policy`` raises :class:`NoUsablePairError`, or returns zero
+    powers.
     A channel on which a policy's effective gain passes the float range
     raises that policy's ``ValueError``, as ``solve_policy`` does.
 

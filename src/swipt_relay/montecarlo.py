@@ -92,7 +92,8 @@ class SweepSpec:
 @dataclass(frozen=True)
 class TrialResult:
     """Per-policy rate vectors over one batch of trials. ``dead_trials``
-    counts trials a policy had to score as zero because no pair was usable."""
+    counts the trials in which a policy powered no pair, each scored as
+    zero: no pair was usable, or the policy's powers underflowed to 0."""
 
     rates: dict[PolicyId, np.ndarray]
     dead_trials: dict[PolicyId, int]

@@ -172,7 +172,7 @@ class VerificationReport:
 
     @property
     def all_pass(self) -> bool:
-        return all(check.passed for check in self.checks)
+        return bool(self.checks) and all(check.passed for check in self.checks)
 
     def to_json(self) -> str:
         return json.dumps([check.to_dict() for check in self.checks], indent=2)

@@ -13,6 +13,7 @@ from swipt_relay.allocator import (
     NoUsablePairError,
     _sorted_perm,
     _split_gains,
+    _table_rates,
     _water_filled,
     _waterfill_array,
     _waterfill_floats,
@@ -790,15 +791,18 @@ def test_solve_pairing_invariant_under_common_scaling(default_cfg):
 
 
 def test_water_filled_rule_flags_a_dead_row(default_cfg):
+    """The table path fills a dead row with zero powers, and the scorer
+    flags the row it powers nowhere."""
     gam = np.array([[0.5, 0.2, 0.1, 0.3], [0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 2.0, 0.5]])
     with pytest.raises(NoUsablePairError, match="^no usable pair: every effective gain is zero$"):
         _water_filled(gam[1], default_cfg)
-    dead = np.zeros(len(gam), dtype=bool)
-    powers = _water_filled(gam, default_cfg, dead)
-    assert dead.tolist() == [False, True, False]
+    powers = _water_filled(gam, default_cfg)
     assert powers[1].tolist() == [0.0] * 4
     for row in (0, 2):
         assert powers[row].tobytes() == waterfill(gam[row], default_cfg.p_max).tobytes()
+    rates, dead = _table_rates(gam, _water_filled, default_cfg)
+    assert dead.tolist() == [False, True, False]
+    assert rates[1] == 0.0 and (rates[[0, 2]] > 0.0).all()
 
 
 @pytest.mark.parametrize("n", [1, 4, 7, 8, 9])
@@ -809,19 +813,20 @@ def test_water_filled_rule_on_a_vector_is_its_row_of_a_table(n, default_cfg):
     is a float table of zeros."""
     gam = np.array([mixed_gains(seed, n) for seed in range(40)])
     gam[3] = 0.0
-    dead = np.zeros(len(gam), dtype=bool)
-    table = _water_filled(gam, default_cfg, dead)
+    table = _water_filled(gam, default_cfg)
+    _, dead = _table_rates(gam, _water_filled, default_cfg)
     for row, vec in enumerate(gam):
         if dead[row]:
             with pytest.raises(NoUsablePairError):
                 _water_filled(vec, default_cfg)
+            assert not table[row].any()
             continue
         powers = _water_filled(vec, default_cfg)
         assert powers.shape == (n,)
         assert powers.tobytes() == table[row].tobytes() == _water_filled(vec[None], default_cfg)[0].tobytes()
     assert dead[3]
-    dead = np.zeros(3, dtype=bool)
-    table = _water_filled(np.zeros((3, n)), default_cfg, dead)
+    table = _water_filled(np.zeros((3, n)), default_cfg)
+    _, dead = _table_rates(np.zeros((3, n)), _water_filled, default_cfg)
     assert (table.shape, table.dtype, dead.tolist()) == ((3, n), np.float64, [True] * 3)
     assert not table.any()
 

@@ -72,12 +72,26 @@ def test_dead_trials_counted_when_harvesting_disabled():
     assert np.all(batch.rates[PolicyId.CONVENTIONAL_NON_EH] > 0.0)
 
 
+def test_dead_trials_counted_when_uniform_powers_underflow():
+    """At the smallest budget p_max/N underflows to 0: a uniform policy
+    powers no pair and its trial is dead, while water-filling gives the
+    whole budget to the strongest pair."""
+    cfg = make_cfg(n_subcarriers=2, taps=2, p_max=5e-324)
+    batch = run_trials(cfg, ALL_POLICIES, trials=20, seed=1)
+    uniform = (PolicyId.UNIFORM_WITH_PAIRING, PolicyId.UNIFORM_NO_PAIRING)
+    for policy in ALL_POLICIES:
+        assert batch.dead_trials[policy] == (20 if policy in uniform else 0)
+    for policy in uniform:
+        result = solve_policy(policy, generate_channel(cfg, 2), cfg)
+        assert result.powers.tolist() == [0.0, 0.0] and result.total_rate == 0.0
+
+
 @pytest.mark.parametrize("n", [4, 9])
 @pytest.mark.parametrize("trials", [1, 63, 64, 65, 130])
 def test_run_trials_match_solve_policy_across_blocks(monkeypatch, trials, n):
     """Whole and partial blocks of trials give each policy the bits of a
     per-trial solve_policy. Every 7th channel is dead, and each policy
-    counts the trials it had to score as zero."""
+    counts the trials in which it powered no pair."""
     cfg = make_cfg(n_subcarriers=n, taps=2)
 
     def channel_of(cfg, seed):
@@ -90,10 +104,13 @@ def test_run_trials_match_solve_policy_across_blocks(monkeypatch, trials, n):
         want, dead = [], 0
         for seed in range(12, 12 + trials):
             try:
-                want.append(solve_policy(policy, channel_of(cfg, seed), cfg).total_rate)
+                result = solve_policy(policy, channel_of(cfg, seed), cfg)
             except NoUsablePairError:
                 want.append(0.0)
                 dead += 1
+            else:
+                want.append(result.total_rate)
+                dead += not result.powers.any()
         assert batch.rates[policy].tobytes() == np.array(want).tobytes()
         assert batch.dead_trials[policy] == dead
     assert batch.dead_trials[PolicyId.PROPOSED] == (trials + 4) // 7

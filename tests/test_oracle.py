@@ -501,6 +501,13 @@ def test_merged_report_keeps_a_nan_residual():
         assert not merged.all_pass
 
 
+def test_a_report_of_no_checks_does_not_pass():
+    """A report in which no check ran certifies nothing, and neither does a
+    merge of no reports."""
+    assert not VerificationReport(()).all_pass
+    assert not VerificationReport.merge([]).all_pass
+
+
 def test_verify_rejects_an_infinite_claimed_rate(default_cfg):
     chan = generate_channel(default_cfg, 2)
     result = solve(chan, default_cfg)
