@@ -300,13 +300,25 @@ def _holds_non_real(values) -> bool:
 
 
 def _real_array(name: str, values) -> np.ndarray:
-    """``values`` as a new float array, each entry read by :func:`_real`, so
-    that an int past the float range reads as inf where a float cast would
-    raise. Raises ``ValueError`` naming ``name`` on an entry that is not a
-    real number (see :func:`_holds_non_real`)."""
+    """``values`` as a new read-only float array, each entry read by
+    :func:`_real`, so that an int past the float range reads as inf where a
+    float cast would raise. Raises ``ValueError`` naming ``name`` on an
+    entry that is not a real number (see :func:`_holds_non_real`)."""
     if _holds_non_real(values):
         raise ValueError(f"{name} entries must be numbers, not bools or strings")
-    return np.array(np.frompyfunc(_real, 1, 1)(values), dtype=float)
+    vec = np.array(np.frompyfunc(_real, 1, 1)(values), dtype=float)
+    vec.setflags(write=False)
+    return vec
+
+
+def _read_vectors(obj, names) -> list[np.ndarray]:
+    """Read each field ``names`` of the frozen dataclass ``obj`` by
+    :func:`_real_array`, in order, and store the arrays in place of the
+    values given; return them. Every public type that holds float vectors
+    reads them through it."""
+    vectors = [_real_array(name, getattr(obj, name)) for name in names]
+    obj.__dict__.update(zip(names, vectors))
+    return vectors
 
 
 @dataclass(frozen=True)
@@ -317,8 +329,7 @@ class ChannelRealization:
     g_sq: np.ndarray
 
     def __post_init__(self):
-        h = _real_array("h_sq", self.h_sq)
-        g = _real_array("g_sq", self.g_sq)
+        h, g = _read_vectors(self, ("h_sq", "g_sq"))
         if h.ndim != 1 or g.ndim != 1 or h.shape != g.shape:
             raise ValueError("h_sq and g_sq must be equal-length vectors")
         if h.size == 0:
@@ -326,10 +337,6 @@ class ChannelRealization:
         for name, vec in (("h_sq", h), ("g_sq", g)):
             if not np.all(np.isfinite(vec)) or np.any(vec < 0):
                 raise ValueError(f"{name} entries must be finite and nonnegative")
-        h.setflags(write=False)
-        g.setflags(write=False)
-        object.__setattr__(self, "h_sq", h)
-        object.__setattr__(self, "g_sq", g)
 
     @property
     def n_subcarriers(self) -> int:
@@ -370,6 +377,15 @@ class AllocationResult:
     power spent on pair i in mW, ``pair_rates[i]`` its end-to-end rate. For
     the conventional (non-harvesting) baseline ``powers`` carries the pooled
     source-plus-relay power of the pair and ``rho_i`` is fixed at 1.
+
+    The values are read by the package's number rule (see :func:`_real`):
+    each vector becomes a new read-only float array, and ``total_rate`` a
+    Python float. A bool or a string in a vector raises ``ValueError``
+    "<field> entries must be numbers, not bools or strings", and a bool, a
+    string or ``None`` as ``total_rate`` raises "total_rate must be a
+    number". Their ranges stay open, so that ``verify(result=...)`` can
+    audit a corrupted allocation: NaN, ±inf, a negative power or a split
+    outside [0, 1] is kept as given.
     """
 
     pairing: SubcarrierPairing
@@ -379,10 +395,10 @@ class AllocationResult:
     total_rate: float
 
     def __post_init__(self):
-        for name in ("rho_i", "powers", "pair_rates"):
-            vec = np.array(getattr(self, name), dtype=float)
-            vec.setflags(write=False)
-            object.__setattr__(self, name, vec)
+        _read_vectors(self, ("rho_i", "powers", "pair_rates"))
+        if not _is_real(self.total_rate):
+            raise ValueError("total_rate must be a number")
+        object.__setattr__(self, "total_rate", _real(self.total_rate))
 
 
 def allocation_to_dict(result: AllocationResult) -> dict:

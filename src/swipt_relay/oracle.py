@@ -257,7 +257,8 @@ def verify(
     # root_bounds fails a split outside [0, 1]; the other checks take it clamped
     rho_i = np.clip(result.rho_i, 0.0, 1.0).tolist()
     powers = result.powers.tolist()
-    total_rate = float(result.total_rate)
+    # a negative power has no rate and leaves no water level to check
+    negative = np.any(result.powers < 0.0)
     # the pairs that can carry rate, by split_and_gain's rule: the forward
     # quality b = eta*g_sq/sigma_d_sq must be positive, so a b that
     # underflows to zero makes a dead pair, as does g_sq == 0 or eta == 0; on
@@ -305,7 +306,9 @@ def verify(
     # a pair whose 1/gamma overflows is idle beside a usable one
     usable = gam > _GAMMA_MIN_INVERTIBLE
     budget = abs(math.fsum(powers) - cfg.p_max)
-    if np.any(active & (gam <= 0.0)):
+    # no water level exists where a power is negative, no pair is powered
+    # or a powered pair carries nothing
+    if negative or not active.any() or np.any(active & (gam <= 0.0)):
         residual = math.inf
     elif not usable.any():
         # every live 1/gamma overflows, so no level is finite: the whole
@@ -313,11 +316,10 @@ def verify(
         strongest = np.count_nonzero(active) == 1 and gam[active].item() == gam.max()
         residual = budget if strongest else math.inf
     else:
-        inv = np.full_like(gam, math.inf)
-        inv[usable] = 1.0 / gam[usable]
+        inv = np.divide(1.0, gam, out=np.full_like(gam, math.inf), where=usable)
         levels = result.powers[active] + inv[active]
-        level = float(np.mean(levels)) if levels.size else 0.0
-        spread = float(np.max(np.abs(levels - level)) / level) if levels.size else 0.0
+        level = float(np.mean(levels))
+        spread = float(np.max(np.abs(levels - level)) / level)
         idle = (~active) & (gam > 0.0)
         slack = float(np.max((level - inv[idle]) / level)) if np.any(idle) else 0.0
         residual = _worst((budget, spread, slack))
@@ -327,15 +329,15 @@ def verify(
     # the splits and powers deliver; an infinite claimed rate has no defined
     # gap to the search's finite one
     _, best_rate = best_pairing_exhaustive(channel, cfg)
-    gap = best_rate - total_rate if math.isfinite(total_rate) else math.nan
-    delivered = float(_pair_rates(gam, result.powers, _fits(gam, cfg.p_max)).sum())
-    residual = _worst((gap, (total_rate - delivered) / max(delivered, 1e-12)))
+    gap = best_rate - result.total_rate if math.isfinite(result.total_rate) else math.nan
+    delivered = math.nan if negative else float(_pair_rates(gam, result.powers, _fits(gam, cfg.p_max)).sum())
+    residual = _worst((gap, (result.total_rate - delivered) / max(delivered, 1e-12)))
     checks.append(CheckResult("pairing_optimality", residual <= tol, residual, tol))
 
     # every reduced policy is dominated on this very realization; a rival
     # with no usable pair scores 0
     rival_rates, _ = _trial_rates(_RIVALS, [channel], cfg)
-    residual = _worst([rate - total_rate for rate in rival_rates[:, 0].tolist()])
+    residual = _worst([rate - result.total_rate for rate in rival_rates[:, 0].tolist()])
     checks.append(CheckResult("per_trial_dominance", residual <= tol, residual, tol))
 
     return VerificationReport(tuple(checks))

@@ -45,6 +45,7 @@ from conftest import make_cfg
 CFG = default_config()
 SINGLE = make_cfg(n_subcarriers=1, taps=1, p_max=10.0)
 CHANNEL = generate_channel(CFG, 1)
+RESULT = solve(CHANNEL, CFG)
 PROPOSED = (PolicyId.PROPOSED,)
 
 BIG = 10**400  # an int past the float range
@@ -87,15 +88,19 @@ def _entries(first, values):
 
 def _gains(name, range_message, call, refused=None):
     """The row of the gain vector ``name``: an out-of-range entry is refused
-    with ``range_message``, an entry that is not a number (a complex one
-    included) with the message that names the vector, and the values of
-    ``refused`` with their messages."""
+    with ``range_message``, and the rest as :func:`_vector` refuses it."""
+    return _vector(name, call, {range_message: _entries(1.0, NOT_FINITE + (-1.0,)), **(refused or {})})
+
+
+def _vector(name, call, refused=None):
+    """The row of the float vector ``name``: an entry that is not a number (a
+    complex one included) is refused with the message that names the
+    vector, and the values of ``refused`` with their messages."""
     return Arg(
         call,
         [1.0, 2.0],
         ([1, 2], np.array([1, 2]), np.array([1.0, 2.0], np.float32), [np.int64(1), np.float32(2.0)]),
         {
-            range_message: _entries(1.0, NOT_FINITE + (-1.0,)),
             f"{name} entries must be numbers, not bools or strings": (
                 *_entries(1.0, NOT_NUMBERS),
                 [True, False],
@@ -178,6 +183,17 @@ ARGS = {
     "sorted_pairing(g_sq)": _gains("g_sq", G_MESSAGE, lambda v: sorted_pairing([1.0, 2.0], v)),
     "ChannelRealization(h_sq)": _gains("h_sq", H_MESSAGE, lambda v: ChannelRealization(v, [1.0, 2.0])),
     "ChannelRealization(g_sq)": _gains("g_sq", G_MESSAGE, lambda v: ChannelRealization([1.0, 2.0], v)),
+    # a result's ranges stay open, for verify(result=...) to audit
+    **{
+        f"AllocationResult({field})": _vector(field, lambda v, field=field: replace(RESULT, **{field: v}))
+        for field in ("rho_i", "powers", "pair_rates")
+    },
+    "AllocationResult(total_rate)": Arg(
+        lambda v: replace(RESULT, total_rate=v),
+        4.0,
+        _scalars(4.0),
+        {"total_rate must be a number": NOT_NUMBERS},
+    ),
     # below 8 gains waterfill runs on Python floats, from 8 up on arrays
     "waterfill(gammas)": _gains("gammas", GAMMAS_MESSAGE, lambda v: waterfill(v, 10.0)),
     "waterfill(gammas), N=9": _gains("gammas", GAMMAS_MESSAGE, lambda v: waterfill([0.5] * 7 + list(v), 10.0)),
@@ -397,7 +413,6 @@ def test_an_int_or_numpy_scalar_gives_the_float_result(name, value):
 
 # public names whose numeric fields are not checked, and why
 UNCHECKED = {
-    "AllocationResult": "verify(result=...) audits corrupted results on purpose",
     "TrialResult": "an output record, built only by run_trials",
 }
 

@@ -29,7 +29,7 @@ from swipt_relay.model import (
 )
 from swipt_relay.montecarlo import run_trials
 
-from conftest import config_faults, make_cfg
+from conftest import assert_read_only, config_faults, make_cfg
 
 
 def test_dbm_to_mw_reference_points():
@@ -388,6 +388,28 @@ def test_channel_realization_invariants():
         ChannelRealization([1.0, 2.0], [0.5])
     with pytest.raises(ValueError, match="^channel needs at least one subcarrier$"):
         ChannelRealization([], [])
+
+
+def test_a_result_keeps_values_out_of_range_for_verify_to_audit():
+    """A result reads its values by the number rule but leaves their ranges
+    open: NaN, ±inf, an int past the float range, a negative power and a
+    split outside [0, 1] are kept, as new read-only float arrays and a
+    Python float, for verify(result=...) to audit."""
+    result = solve(generate_channel(default_config(), 1), default_config())
+    powers = np.array([-1.0, math.inf, -math.inf, 0.0])
+    given = {
+        "rho_i": ([1.5, -0.5, math.nan, 10**400], [1.5, -0.5, math.nan, math.inf]),
+        "powers": (powers, powers),
+        "pair_rates": ([math.nan, -1.0, 0, np.float32(2.5)], [math.nan, -1.0, 0.0, 2.5]),
+    }
+    odd = replace(result, total_rate=-(10**400), **{name: values for name, (values, _) in given.items()})
+    for name, (values, kept) in given.items():
+        vec = getattr(odd, name)
+        assert vec.dtype == np.float64 and vec is not values
+        np.testing.assert_array_equal(vec, kept)
+        assert_read_only(vec)
+    assert odd.total_rate == -math.inf and type(odd.total_rate) is float
+    assert math.isnan(replace(result, total_rate=math.nan).total_rate)
 
 
 def test_config_is_frozen():

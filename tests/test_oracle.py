@@ -355,6 +355,29 @@ def test_verify_reports_power_on_a_zero_gain_pair():
     assert kkt.residual == math.inf
 
 
+@pytest.mark.parametrize(
+    "powers",
+    [[0.0, 0.0, 0.0, 0.0], [1e3, -1e3, 0.0, 0.0], [-5.0, 0.0, 0.0, 0.0]],
+    ids=["no-pair-powered", "a-negative-power", "only-a-negative-power"],
+)
+def test_verify_audits_unpowered_and_negative_powers_without_a_warning(default_cfg, powers):
+    """No powered pair, or a negative power, leaves no water level: the KKT
+    check fails with residual inf, as for a powered pair that carries
+    nothing. A negative power delivers no rate, so pairing_optimality fails
+    with residual NaN. Neither divides by a level of 0 nor takes the log of
+    a negative SNR, so no NumPy warning is raised."""
+    chan = generate_channel(default_cfg, 1)
+    corrupted = replace(solve(chan, default_cfg), powers=np.array(powers))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = verify(chan, default_cfg, result=corrupted)
+    by_name = {check.check_name: check for check in report.checks}
+    assert by_name["waterfill_kkt"].residual == math.inf and not by_name["waterfill_kkt"].passed
+    assert not by_name["pairing_optimality"].passed
+    assert math.isnan(by_name["pairing_optimality"].residual) == (min(powers) < 0.0)
+    assert not report.all_pass
+
+
 def test_verify_fails_a_claimed_rate_above_the_delivered_one(default_cfg):
     """The claimed total rate must be the one the result's splits and powers
     deliver: a rate raised by 5 bits/s/Hz fails pairing_optimality with the
