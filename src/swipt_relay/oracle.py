@@ -3,8 +3,22 @@
 Nothing here reuses a closed-form answer to check itself: the split ratio is
 re-derived by bisecting the equal-rate condition, pairing optimality by
 enumerating every permutation, and two-channel power allocation by a dense
-grid search. ``verify`` bundles those plus the allocator invariants into a
-machine-readable report.
+grid search. ``verify`` audits one result on the Python floats it reads
+once from the channel and the result, and reports six checks:
+
+- ``equal_rate``: the two rate terms meet on every pair given a finite,
+  positive power;
+- ``root_bounds``: the split of every pair that can carry rate lies
+  strictly inside (0, 1);
+- ``monotone_rho_in_b``: the split rises with the forward quality b;
+- ``waterfill_kkt``: the powers spend the budget at one water level;
+- ``pairing_optimality``: the exhaustive search finds no better pairing, and
+  the claimed rate is the one the splits and powers deliver;
+- ``per_trial_dominance``: no reduced policy beats the result on this
+  realization.
+
+Of the three searches it runs the exhaustive pairing one; the bisection and
+grid searches are for callers and tests.
 """
 
 from __future__ import annotations
@@ -18,10 +32,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .allocator import (
-    _GAMMA_MIN_INVERTIBLE,
     _check_waterfill_args,
     _check_width,
-    _fits,
     _pair_rates,
     _table_rates,
     _water_filled,
@@ -244,6 +256,11 @@ def verify(
     ``None`` is not one, and an int past the float range is not finite),
     which each check then carries as a Python float; and when the channel
     or the result is not as wide as ``cfg``.
+
+    A result's powers are audited only when each is finite and nonnegative
+    and their sum is finite. Other powers leave no water level and deliver
+    no rate: ``waterfill_kkt`` fails with residual inf and
+    ``pairing_optimality`` with residual NaN, and nothing is raised.
     """
     tol = _check_verify_args(cfg, tol)
     _check_width(channel.n_subcarriers, cfg)
@@ -257,8 +274,15 @@ def verify(
     # root_bounds fails a split outside [0, 1]; the other checks take it clamped
     rho_i = np.clip(result.rho_i, 0.0, 1.0).tolist()
     powers = result.powers.tolist()
-    # a negative power has no rate and leaves no water level to check
-    negative = np.any(result.powers < 0.0)
+    # the powers are audited only when each is finite and nonnegative and
+    # their sum is finite: others leave no water level and deliver no rate.
+    # fsum raises OverflowError where finite powers sum past the float range
+    audited = all(0.0 <= p < math.inf for p in powers)
+    try:
+        budget = abs(math.fsum(powers) - cfg.p_max) if audited else math.inf
+    except OverflowError:
+        budget = math.inf
+    audited = budget < math.inf
     # the pairs that can carry rate, by split_and_gain's rule: the forward
     # quality b = eta*g_sq/sigma_d_sq must be positive, so a b that
     # underflows to zero makes a dead pair, as does g_sq == 0 or eta == 0; on
@@ -266,10 +290,10 @@ def verify(
     live = [cfg.eta * g / cfg.noise.sigma_d_sq > 0.0 for g in g_sq]
     checks: list[CheckResult] = []
 
-    # equal-rate condition on every powered pair
+    # equal-rate condition on every pair powered with a finite power
     gaps = []
     for h, g, rho, p in zip(h_sq, g_sq, rho_i, powers):
-        if p > 0.0:
+        if 0.0 < p < math.inf:
             t_decode, t_forward = rate_terms(h, g, rho, p, cfg)
             gaps.append(abs(t_decode - t_forward) / max(t_decode, 1e-12))
     residual = _worst(gaps)
@@ -300,37 +324,37 @@ def verify(
             monotone = monotone and hi_rho > lo_rho
     checks.append(CheckResult("monotone_rho_in_b", monotone and residual <= tol, max(residual, 0.0), tol))
 
-    # stationarity of the power allocation, on the gains the splits imply
-    gam = np.array([effective_gain(h, rho, cfg) if ok else 0.0 for h, rho, ok in zip(h_sq, rho_i, live)])
-    active = result.powers > 0.0
-    # a pair whose 1/gamma overflows is idle beside a usable one
-    usable = gam > _GAMMA_MIN_INVERTIBLE
-    budget = abs(math.fsum(powers) - cfg.p_max)
-    # no water level exists where a power is negative, no pair is powered
-    # or a powered pair carries nothing
-    if negative or not active.any() or np.any(active & (gam <= 0.0)):
+    # stationarity of the power allocation, on the gains the splits imply; a
+    # 1/gamma past the float range is inf, which no level reaches
+    gam = [effective_gain(h, rho, cfg) if ok else 0.0 for h, rho, ok in zip(h_sq, rho_i, live)]
+    inv = [1.0 / g if g > 0.0 else math.inf for g in gam]
+    active = [p > 0.0 for p in powers]
+    # no water level exists where the powers are not audited, no pair is
+    # powered or a powered pair carries nothing
+    if not audited or not any(active) or any(on and g <= 0.0 for on, g in zip(active, gam)):
         residual = math.inf
-    elif not usable.any():
+    elif min(inv) == math.inf:
         # every live 1/gamma overflows, so no level is finite: the whole
         # budget must sit on one pair, and that pair must be the strongest
-        strongest = np.count_nonzero(active) == 1 and gam[active].item() == gam.max()
+        strongest = active.count(True) == 1 and gam[active.index(True)] == max(gam)
         residual = budget if strongest else math.inf
     else:
-        inv = np.divide(1.0, gam, out=np.full_like(gam, math.inf), where=usable)
-        levels = result.powers[active] + inv[active]
+        # a powered pair whose 1/gamma overflows makes the level inf, and
+        # inf - inf is NaN on Python floats, with no warning
+        levels = [p + x for p, x, on in zip(powers, inv, active) if on]
         level = float(np.mean(levels))
-        spread = float(np.max(np.abs(levels - level)) / level)
-        idle = (~active) & (gam > 0.0)
-        slack = float(np.max((level - inv[idle]) / level)) if np.any(idle) else 0.0
-        residual = _worst((budget, spread, slack))
+        spread = _worst([abs(x - level) for x in levels]) / level
+        slack = [(level - x) / level for x, on, g in zip(inv, active, gam) if not on and g > 0.0]
+        residual = _worst([budget, spread, *slack])
     checks.append(CheckResult("waterfill_kkt", residual <= tol, residual, tol))
 
     # no other pairing beats the sorted one, and the claimed rate is the one
-    # the splits and powers deliver; an infinite claimed rate has no defined
-    # gap to the search's finite one
+    # the splits and powers deliver, in the rate form that holds for any
+    # powers; an infinite claimed rate has no defined gap to the search's
+    # finite one
     _, best_rate = best_pairing_exhaustive(channel, cfg)
     gap = best_rate - result.total_rate if math.isfinite(result.total_rate) else math.nan
-    delivered = math.nan if negative else float(_pair_rates(gam, result.powers, _fits(gam, cfg.p_max)).sum())
+    delivered = float(_pair_rates(np.array(gam), result.powers, False).sum()) if audited else math.nan
     residual = _worst((gap, (result.total_rate - delivered) / max(delivered, 1e-12)))
     checks.append(CheckResult("pairing_optimality", residual <= tol, residual, tol))
 

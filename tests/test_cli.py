@@ -8,8 +8,10 @@ from pathlib import Path
 import pytest
 
 import swipt_relay
+from swipt_relay.baselines import PolicyId
 from swipt_relay.cli import main
 from swipt_relay.model import config_to_dict, default_config
+from swipt_relay.montecarlo import SweepSpec, sweep
 
 from conftest import REF_RATE_10MW
 
@@ -609,3 +611,28 @@ def test_a_usage_error_exits_1(argv, cfg_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("usage: swipt-relay")
     assert "error: " in captured.err
+
+
+# ------------------------------------------------------ scripts/run_figures.py
+
+def test_run_figures_writes_both_sweeps_of_the_default_config(tmp_path):
+    """The script's two CSVs are the sweeps of the default config over the
+    power budget (10..40 dBm in 5 dB steps) and the relay position (0.1..0.9),
+    for all five policies, byte for byte."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_figures.py"
+    src = str(Path(swipt_relay.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, str(script), "--trials", "3", "--out-dir", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    specs = {
+        "rate_vs_power.csv": SweepSpec("p_max_dbm", (10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0), 3, 1, tuple(PolicyId)),
+        "rate_vs_position.csv": SweepSpec(
+            "relay_position", (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9), 3, 1, tuple(PolicyId)
+        ),
+    }
+    for name, spec in specs.items():
+        assert (tmp_path / name).read_text() == sweep(default_config(), spec).to_csv(), name
+    assert [len((tmp_path / name).read_text().splitlines()) - 1 for name in specs] == [35, 45]

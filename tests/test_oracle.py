@@ -355,27 +355,58 @@ def test_verify_reports_power_on_a_zero_gain_pair():
     assert kkt.residual == math.inf
 
 
+# a channel given as an int is that seed's draw at the row's config
 @pytest.mark.parametrize(
-    "powers",
-    [[0.0, 0.0, 0.0, 0.0], [1e3, -1e3, 0.0, 0.0], [-5.0, 0.0, 0.0, 0.0]],
-    ids=["no-pair-powered", "a-negative-power", "only-a-negative-power"],
+    "overrides, chan, powers, kkt, rate",
+    [
+        ({}, 1, [0.0, 0.0, 0.0, 0.0], math.inf, "fails"),
+        ({}, 1, [1e3, -1e3, 0.0, 0.0], math.inf, "undefined"),
+        ({}, 1, [-5.0, 0.0, 0.0, 0.0], math.inf, "undefined"),
+        ({}, 1, [math.inf, 0.0, 0.0, 0.0], math.inf, "undefined"),
+        ({}, 1, [1e308, 1e308, 0.0, 0.0], math.inf, "undefined"),
+        ({}, 1, [math.nan, 1e3, 0.0, 0.0], math.inf, "undefined"),
+        ({"n_subcarriers": 2, "taps": 2}, ChannelRealization([1.0, 1e-310], [1.0, 1.0]), [500.0, 500.0], math.nan, "fails"),
+        ({}, ChannelRealization([100.0, 1.0, 1.0, 1.0], [100.0, 1.0, 1.0, 1.0]), [1e308, 0.0, 0.0, 0.0], 1e308, "passes"),
+    ],
+    ids=[
+        "no-pair-powered",
+        "a-negative-power",
+        "only-a-negative-power",
+        "an-infinite-power",
+        "powers-summing-past-the-float-range",
+        "a-nan-power-beside-a-powered-pair",
+        "a-powered-pair-whose-inverse-gain-overflows",
+        "a-power-whose-product-with-its-gain-overflows",
+    ],
 )
-def test_verify_audits_unpowered_and_negative_powers_without_a_warning(default_cfg, powers):
-    """No powered pair, or a negative power, leaves no water level: the KKT
-    check fails with residual inf, as for a powered pair that carries
-    nothing. A negative power delivers no rate, so pairing_optimality fails
-    with residual NaN. Neither divides by a level of 0 nor takes the log of
-    a negative SNR, so no NumPy warning is raised."""
-    chan = generate_channel(default_cfg, 1)
-    corrupted = replace(solve(chan, default_cfg), powers=np.array(powers))
+def test_verify_audits_unpowered_and_negative_powers_without_a_warning(overrides, chan, powers, kkt, rate):
+    """Malformed powers fail checks; they raise nothing and warn nothing.
+
+    Powers are audited only when each is finite and nonnegative and their
+    sum is finite. Others, a NaN among them, leave no water level, so the
+    KKT check fails with residual inf, and deliver no rate, so
+    pairing_optimality fails with residual NaN. No pair powered leaves no level either. A powered pair
+    whose 1/gamma overflows beside a usable one makes the level inf, and
+    its spread inf - inf is NaN. A power of 1e308 on a gain of ~100 is
+    audited: its budget residual is 1e308, and the rate it delivers, whose
+    SNR passes the float range, is taken in log form, above the claimed
+    one, so pairing_optimality passes. The other checks are untouched."""
+    cfg = make_cfg(**overrides)
+    if isinstance(chan, int):
+        chan = generate_channel(cfg, chan)
+    corrupted = replace(solve(chan, cfg), powers=np.array(powers))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        report = verify(chan, default_cfg, result=corrupted)
+        report = verify(chan, cfg, result=corrupted)
     by_name = {check.check_name: check for check in report.checks}
-    assert by_name["waterfill_kkt"].residual == math.inf and not by_name["waterfill_kkt"].passed
-    assert not by_name["pairing_optimality"].passed
-    assert math.isnan(by_name["pairing_optimality"].residual) == (min(powers) < 0.0)
-    assert not report.all_pass
+    residual = by_name["waterfill_kkt"].residual
+    assert (math.isnan(residual) if math.isnan(kkt) else residual == kkt) and not by_name["waterfill_kkt"].passed
+    optimality = by_name["pairing_optimality"]
+    assert math.isnan(optimality.residual) == (rate == "undefined")
+    assert optimality.passed == (rate == "passes")
+    assert [check.check_name for check in report.checks if not check.passed] == [
+        name for name in ("waterfill_kkt", "pairing_optimality") if name == "waterfill_kkt" or rate != "passes"
+    ]
 
 
 def test_verify_fails_a_claimed_rate_above_the_delivered_one(default_cfg):
