@@ -47,8 +47,8 @@ _PREFIX_SUM_LIMIT = 2.0**1023
 # powers up to ~1e76 mW; past it the root is taken from the quadratic
 # divided by b
 _B_DIRECT_MAX = 2.0**256
-# no product gamma*P overflows while max(gamma) * p_max stays below this
-# bound: a power exceeds p_max by at most the ulp the budget pin adds
+# no product gamma*P of the gains and powers scored overflows while
+# max(gamma) * max(P) stays below this bound
 _PRODUCT_LIMIT = 2.0**1023
 # below this many elements ``ndarray.sum`` adds float64 strictly left to
 # right; from it up it sums pairwise over eight accumulators. Water-filling
@@ -426,35 +426,33 @@ def _split_gains(h: np.ndarray, g_paired: np.ndarray, cfg: SystemConfig):
     return table.reshape(-1, 2).T.reshape(2, *h.shape)
 
 
-def _fits(gam: np.ndarray, p_max: float) -> bool:
-    """Whether no product gamma*P of the gain table ``gam`` can overflow at
-    powers of at most ``p_max`` each: max(gamma) * p_max lies below
-    ``_PRODUCT_LIMIT``, which one reduction decides. Every rule's gains go
-    through it before their powers are taken.
-
-    Raises ``ValueError`` "an effective gain passes the float range: the
-    channel is too strong for the noise" when a gain is inf: a pair whose
-    effective gain overflows, as it can on a strong channel at low noise
-    powers, has no rate to report.
-    """
+def _largest(values: np.ndarray) -> float:
+    """The largest element of the nonempty float array ``values``."""
     # below 8 elements, max of a list costs a third of ndarray.max()'s call
-    top = max(gam.ravel().tolist()) if gam.size < _FLOAT_BODY_LIMIT else float(gam.max())
-    if top * p_max < _PRODUCT_LIMIT:
-        return True
-    if top == _INF:
+    return max(values.ravel().tolist()) if values.size < _FLOAT_BODY_LIMIT else float(values.max())
+
+
+def _check_gains(gam: np.ndarray) -> None:
+    """Raise ``ValueError`` "an effective gain passes the float range: the
+    channel is too strong for the noise" when a gain of the table ``gam``
+    is inf: a pair whose effective gain overflows, as it can on a strong
+    channel at low noise powers, has no rate to report. Every rule's gains
+    go through it before their powers are taken."""
+    if _largest(gam) == _INF:
         raise ValueError("an effective gain passes the float range: the channel is too strong for the noise")
-    return False
 
 
-def _pair_rates(gam: np.ndarray, powers: np.ndarray, fits: bool) -> np.ndarray:
-    """0.5*log2(1 + gamma*P) elementwise, for gains and powers of any equal
-    shape, where ``fits`` is :func:`_fits` of the gains and a bound on the
-    powers; ``False`` takes the form that holds for any gains.
+def _pair_rates(gam: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """0.5*log2(1 + gamma*P) elementwise, for nonempty gains and powers of
+    any equal shape.
 
     Where gamma*P overflows, log1p(gamma*P) equals log(gamma) + log(P) to
     float precision, so those terms are taken in that form instead of inf.
+    That form is taken only when max(gamma) * max(P) reaches
+    ``_PRODUCT_LIMIT``; below it no product overflows, and the two forms
+    give the same bits wherever both hold.
     """
-    if fits:
+    if _largest(gam) * _largest(powers) < _PRODUCT_LIMIT:
         # the bits of 0.5 * log1p(gamma * P) / ln 2, with two arrays fewer
         rates = np.log1p(gam * powers)
         rates *= 0.5
@@ -478,12 +476,14 @@ def _table_rates(gam: np.ndarray, power_rule, cfg: SystemConfig):
     table's height, left to right below 8 terms and pairwise from 8 up, so a
     row's rate has the bits of the ``total_rate`` of its one-row result.
     Raises ``ValueError`` when a gain of the table is inf (see
-    :func:`_fits`), before any power is taken.
+    :func:`_check_gains`), before any power is taken. Each row is scored by
+    :func:`_pair_rates` in the form the whole table's largest gain and
+    power allow, which gives a row the same bits as its own result.
     """
-    fits = _fits(gam, cfg.p_max)
+    _check_gains(gam)
     powers = power_rule(gam, cfg)
     # a dead row's powers are all zero, so it sums to exactly 0.0
-    return _pair_rates(gam, powers, fits).sum(axis=1), ~powers.any(axis=1)
+    return _pair_rates(gam, powers).sum(axis=1), ~powers.any(axis=1)
 
 
 def _check_width(n: int, cfg: SystemConfig, what: str = "channel") -> None:
@@ -501,7 +501,7 @@ def _run_row(row, channel: ChannelRealization, cfg: SystemConfig) -> AllocationR
     channels, one per row; here they run on this channel's vectors.
 
     Raises ``ValueError`` when the channel's width is not the config's or
-    an effective gain passes the float range (see :func:`_fits`), and
+    an effective gain passes the float range (see :func:`_check_gains`), and
     :class:`NoUsablePairError` where the row water-fills a dead channel.
     """
     use_sorted, gains, power_rule = row
@@ -512,9 +512,9 @@ def _run_row(row, channel: ChannelRealization, cfg: SystemConfig) -> AllocationR
     # costs more than both
     tables = gains(h, g[perm], cfg)
     rho, gam = tables[0], tables[1]
-    fits = _fits(gam, cfg.p_max)
+    _check_gains(gam)
     powers = power_rule(gam, cfg)
-    pair_rates = _pair_rates(gam, powers, fits)
+    pair_rates = _pair_rates(gam, powers)
     return _frozen(
         AllocationResult,
         pairing=_frozen(SubcarrierPairing, perm=perm),

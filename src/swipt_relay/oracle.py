@@ -13,7 +13,8 @@ once from the channel and the result, and reports six checks:
 - ``monotone_rho_in_b``: the split rises with the forward quality b;
 - ``waterfill_kkt``: the powers spend the budget at one water level;
 - ``pairing_optimality``: the exhaustive search finds no better pairing, and
-  the claimed rate is the one the splits and powers deliver;
+  the claimed rates, in total and per pair, are the ones the splits and
+  powers deliver;
 - ``per_trial_dominance``: no reduced policy beats the result on this
   realization.
 
@@ -260,19 +261,22 @@ def verify(
     A result's powers are audited only when each is finite and nonnegative
     and their sum is finite. Other powers leave no water level and deliver
     no rate: ``waterfill_kkt`` fails with residual inf and
-    ``pairing_optimality`` with residual NaN, and nothing is raised.
+    ``pairing_optimality`` with residual NaN, and nothing is raised. A NaN
+    split fails ``root_bounds`` with residual NaN and is read as 0 by the
+    other checks, and nothing is raised either.
     """
     tol = _check_verify_args(cfg, tol)
     _check_width(channel.n_subcarriers, cfg)
     if result is None:
         result = solve(channel, cfg)
-    for vec in (result.pairing.perm, result.rho_i, result.powers):
+    for vec in (result.pairing.perm, result.rho_i, result.powers, result.pair_rates):
         _check_width(vec.size, cfg, "result")
     h_sq = channel.h_sq.tolist()
     g_sq = channel.g_sq[result.pairing.perm].tolist()
     raw_rho = result.rho_i.tolist()
-    # root_bounds fails a split outside [0, 1]; the other checks take it clamped
-    rho_i = np.clip(result.rho_i, 0.0, 1.0).tolist()
+    # root_bounds fails a split outside [0, 1] and a NaN one; the other checks
+    # take it clamped, and a NaN split as 0
+    rho_i = np.clip(np.nan_to_num(result.rho_i, nan=0.0), 0.0, 1.0).tolist()
     powers = result.powers.tolist()
     # the powers are audited only when each is finite and nonnegative and
     # their sum is finite: others leave no water level and deliver no rate.
@@ -348,14 +352,15 @@ def verify(
         residual = _worst([budget, spread, *slack])
     checks.append(CheckResult("waterfill_kkt", residual <= tol, residual, tol))
 
-    # no other pairing beats the sorted one, and the claimed rate is the one
-    # the splits and powers deliver, in the rate form that holds for any
-    # powers; an infinite claimed rate has no defined gap to the search's
-    # finite one
+    # no other pairing beats the sorted one, and the claimed rates, in total
+    # and per pair, are the ones the splits and powers deliver; an infinite
+    # claimed rate has no defined gap to the search's finite one
     _, best_rate = best_pairing_exhaustive(channel, cfg)
     gap = best_rate - result.total_rate if math.isfinite(result.total_rate) else math.nan
-    delivered = float(_pair_rates(np.array(gam), result.powers, False).sum()) if audited else math.nan
-    residual = _worst((gap, (result.total_rate - delivered) / max(delivered, 1e-12)))
+    pair_rates = _pair_rates(np.array(gam), result.powers) if audited else np.full(len(gam), math.nan)
+    delivered = float(pair_rates.sum())
+    excess = [(claim - rate) / max(rate, 1e-12) for claim, rate in zip(result.pair_rates.tolist(), pair_rates.tolist())]
+    residual = _worst((gap, (result.total_rate - delivered) / max(delivered, 1e-12), *excess))
     checks.append(CheckResult("pairing_optimality", residual <= tol, residual, tol))
 
     # every reduced policy is dominated on this very realization; a rival

@@ -868,6 +868,16 @@ def test_solve_rejects_size_mismatch(default_cfg):
         solve(ChannelRealization([1.0], [1.0]), default_cfg)
 
 
+def test_pair_rates_take_the_log_form_where_the_powers_scored_overflow():
+    """The rate form is chosen from the gains and powers scored, not from a
+    budget: a power of 1e308 on a gain of 100 overflows their product, so
+    the rate is 0.5*log2(gamma) + 0.5*log2(P), with no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rates = allocator._pair_rates(np.array([100.0]), np.array([1e308]))
+    assert rates.tolist() == pytest.approx([0.5 * math.log2(100.0) + 0.5 * math.log2(1e308)], rel=1e-15)
+
+
 def test_solve_huge_outgoing_gain_is_a_live_pair(single_pair_cfg):
     # b = eta * g_sq / sigma_d_sq is past the point where b*b overflows
     result = solve(ChannelRealization([1.0], [1e160]), single_pair_cfg)

@@ -10,7 +10,7 @@ import pytest
 from swipt_relay import oracle
 from swipt_relay.allocator import NoUsablePairError, effective_gain, solve, split_and_gain, waterfill
 from swipt_relay.channel import generate_channel
-from swipt_relay.model import ChannelRealization, NoiseProfile, default_config
+from swipt_relay.model import ChannelRealization, NoiseProfile, dbm_to_mw, default_config
 from swipt_relay.oracle import (
     CheckResult,
     VerificationReport,
@@ -366,7 +366,7 @@ def test_verify_reports_power_on_a_zero_gain_pair():
         ({}, 1, [1e308, 1e308, 0.0, 0.0], math.inf, "undefined"),
         ({}, 1, [math.nan, 1e3, 0.0, 0.0], math.inf, "undefined"),
         ({"n_subcarriers": 2, "taps": 2}, ChannelRealization([1.0, 1e-310], [1.0, 1.0]), [500.0, 500.0], math.nan, "fails"),
-        ({}, ChannelRealization([100.0, 1.0, 1.0, 1.0], [100.0, 1.0, 1.0, 1.0]), [1e308, 0.0, 0.0, 0.0], 1e308, "passes"),
+        ({}, ChannelRealization([100.0, 1.0, 1.0, 1.0], [100.0, 1.0, 1.0, 1.0]), [1e308, 0.0, 0.0, 0.0], 1e308, "fails"),
     ],
     ids=[
         "no-pair-powered",
@@ -389,8 +389,10 @@ def test_verify_audits_unpowered_and_negative_powers_without_a_warning(overrides
     whose 1/gamma overflows beside a usable one makes the level inf, and
     its spread inf - inf is NaN. A power of 1e308 on a gain of ~100 is
     audited: its budget residual is 1e308, and the rate it delivers, whose
-    SNR passes the float range, is taken in log form, above the claimed
-    one, so pairing_optimality passes. The other checks are untouched."""
+    SNR passes the float range, is taken in log form; the three pairs it
+    leaves unpowered deliver none of the rates they claim, so
+    pairing_optimality fails with a finite residual. The other checks are
+    untouched."""
     cfg = make_cfg(**overrides)
     if isinstance(chan, int):
         chan = generate_channel(cfg, chan)
@@ -403,10 +405,8 @@ def test_verify_audits_unpowered_and_negative_powers_without_a_warning(overrides
     assert (math.isnan(residual) if math.isnan(kkt) else residual == kkt) and not by_name["waterfill_kkt"].passed
     optimality = by_name["pairing_optimality"]
     assert math.isnan(optimality.residual) == (rate == "undefined")
-    assert optimality.passed == (rate == "passes")
-    assert [check.check_name for check in report.checks if not check.passed] == [
-        name for name in ("waterfill_kkt", "pairing_optimality") if name == "waterfill_kkt" or rate != "passes"
-    ]
+    assert not optimality.passed
+    assert [check.check_name for check in report.checks if not check.passed] == ["waterfill_kkt", "pairing_optimality"]
 
 
 def test_verify_fails_a_claimed_rate_above_the_delivered_one(default_cfg):
@@ -434,6 +434,52 @@ def test_verify_reports_a_split_above_one(default_cfg):
     by_name = {check.check_name: check for check in report.checks}
     assert not by_name["root_bounds"].passed
     assert by_name["root_bounds"].residual == pytest.approx(0.25)
+
+
+@pytest.mark.parametrize(
+    "p_max_dbm, pair, powered, failing",
+    [
+        (30.0, 0, True, ["equal_rate", "root_bounds", "waterfill_kkt", "pairing_optimality"]),
+        (0.0, 1, False, ["root_bounds"]),
+    ],
+    ids=["a-powered-pair", "a-pair-water-filling-leaves-unpowered"],
+)
+def test_verify_fails_a_nan_split_without_raising(p_max_dbm, pair, powered, failing):
+    """A NaN split fails root_bounds with residual NaN, and the other checks
+    read it as 0, a pair that decodes nothing and carries no rate. On a
+    powered pair that breaks the equal-rate condition, the water level and
+    the delivered rate; on a pair water-filling leaves unpowered it changes
+    nothing else. Nothing raises and nothing warns."""
+    cfg = make_cfg(p_max=dbm_to_mw(p_max_dbm))
+    chan = generate_channel(cfg, 1)
+    result = solve(chan, cfg)
+    assert (result.powers[pair] > 0.0) == powered
+    rho = result.rho_i.copy()
+    rho[pair] = math.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = verify(chan, cfg, result=replace(result, rho_i=rho))
+    by_name = {check.check_name: check for check in report.checks}
+    assert math.isnan(by_name["root_bounds"].residual)
+    assert [check.check_name for check in report.checks if not check.passed] == failing
+
+
+def test_verify_audits_each_claimed_pair_rate(default_cfg):
+    """Each claimed pair rate must be the one its split and power deliver:
+    NaN pair rates fail pairing_optimality with residual NaN, and half a
+    bit moved from one pair to another, which keeps the total, fails it
+    with that pair's relative excess. Every other check still passes."""
+    chan = generate_channel(default_cfg, 2)
+    result = solve(chan, default_cfg)
+    moved = result.pair_rates.copy()
+    moved[0] += 0.5
+    moved[1] -= 0.5
+    for pair_rates, residual in ((np.full(4, math.nan), math.nan), (moved, 0.5 / result.pair_rates[0])):
+        report = verify(chan, default_cfg, result=replace(result, pair_rates=pair_rates))
+        optimality = report.checks[4]
+        assert optimality.check_name == "pairing_optimality" and not optimality.passed
+        assert optimality.residual == pytest.approx(residual, nan_ok=True)
+        assert [check.check_name for check in report.checks if not check.passed] == ["pairing_optimality"]
 
 
 # ------------------------------------------- the search's table, bit for bit
