@@ -52,8 +52,8 @@ _B_DIRECT_MAX = 2.0**256
 _PRODUCT_LIMIT = 2.0**1023
 # below this many elements ``ndarray.sum`` adds float64 strictly left to
 # right; from it up it sums pairwise over eight accumulators. Water-filling
-# and the largest gain of a rate sum are taken on Python floats below it and
-# on NumPy arrays from it up.
+# and the largest gain and power of a rate sum are taken on Python floats
+# below it and on NumPy arrays from it up.
 _FLOAT_BODY_LIMIT = 8
 # module aliases: one global lookup each on the float water-filling path
 _INF = math.inf
