@@ -1,77 +1,57 @@
 """Resource-allocation simulator for a two-hop OFDM decode-and-forward link
 whose relay powers itself by splitting the received signal between decoding
-and energy harvesting."""
+and energy harvesting.
+
+``import swipt_relay`` loads ``model`` alone, with its public names: the
+config, channel and result types and the config functions, so loading a
+config runs no engine code. Each engine module (``allocator``,
+``baselines``, ``channel``, ``montecarlo``, ``oracle``) loads on first use
+of one of its names here, or of its own name, through a module
+``__getattr__`` (PEP 562); the object is then stored in this namespace, so
+later lookups are plain attribute reads.
+"""
+
+import importlib
+
+from . import model
 
 __version__ = "0.1.0"
 
-from .allocator import (
-    NoUsablePairError,
-    effective_gain,
-    rate_terms,
-    solve,
-    sorted_pairing,
-    waterfill,
-)
-from .baselines import (
-    PolicyId,
-    solve_conventional,
-    solve_opa_no_pairing,
-    solve_policy,
-    solve_uniform,
-)
-from .channel import generate_channel
-from .model import (
-    AllocationResult,
-    ChannelRealization,
-    ConfigError,
-    NoiseProfile,
-    SubcarrierPairing,
-    SystemConfig,
-    dbm_to_mw,
-    default_config,
-    load_config,
-    validate_config,
-)
-from .montecarlo import SweepResult, SweepSpec, TrialResult, run_trials, sweep
-from .oracle import (
-    VerificationReport,
-    best_pairing_exhaustive,
-    power_by_grid,
-    rho_by_bisection,
-    verify,
-)
+# every public name, listed once under the module that defines it
+_EXPORTS = {
+    "allocator": ("NoUsablePairError", "effective_gain", "rate_terms", "solve", "sorted_pairing", "waterfill"),
+    "baselines": ("PolicyId", "solve_conventional", "solve_opa_no_pairing", "solve_policy", "solve_uniform"),
+    "channel": ("generate_channel",),
+    "model": (
+        "AllocationResult",
+        "ChannelRealization",
+        "ConfigError",
+        "NoiseProfile",
+        "SubcarrierPairing",
+        "SystemConfig",
+        "dbm_to_mw",
+        "default_config",
+        "load_config",
+        "validate_config",
+    ),
+    "montecarlo": ("SweepResult", "SweepSpec", "TrialResult", "run_trials", "sweep"),
+    "oracle": ("VerificationReport", "best_pairing_exhaustive", "power_by_grid", "rho_by_bisection", "verify"),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_SOURCE)
+globals().update((name, getattr(model, name)) for name in _EXPORTS["model"])
 
-__all__ = [
-    "AllocationResult",
-    "ChannelRealization",
-    "ConfigError",
-    "NoUsablePairError",
-    "NoiseProfile",
-    "PolicyId",
-    "SubcarrierPairing",
-    "SweepResult",
-    "SweepSpec",
-    "SystemConfig",
-    "TrialResult",
-    "VerificationReport",
-    "best_pairing_exhaustive",
-    "dbm_to_mw",
-    "default_config",
-    "effective_gain",
-    "generate_channel",
-    "load_config",
-    "power_by_grid",
-    "rate_terms",
-    "rho_by_bisection",
-    "run_trials",
-    "solve",
-    "solve_conventional",
-    "solve_opa_no_pairing",
-    "solve_policy",
-    "solve_uniform",
-    "sorted_pairing",
-    "sweep",
-    "validate_config",
-    "verify",
-    "waterfill",
-]
+
+def __getattr__(name: str):
+    """Load the engine module ``name``, or the one that defines the public
+    name ``name``, and store what it resolves to here."""
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f"{__name__}.{_SOURCE[name]}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__) | set(_EXPORTS))

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from swipt_relay.baselines import PolicyId, solve_policy
 import swipt_relay
 from swipt_relay.channel import _fixed_state, _hop_states, generate_channel
+from swipt_relay.model import config_to_dict
 
 from conftest import assert_read_only, make_cfg
 
@@ -172,14 +174,66 @@ def test_fixed_state_hands_out_only_a_pcg64_seed(n_words, dtype):
         fixed.generate_state(n_words, dtype)
 
 
+def _fresh_python(code: str) -> str:
+    """What ``code`` prints in a fresh interpreter that imports this tree's
+    package; a failure there fails the test with its traceback."""
+    src = str(Path(swipt_relay.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
 def test_importing_the_package_leaves_numpy_random_unimported():
     # numpy.random costs several MB and milliseconds at import; a
     # generate_channel call loads it when it first needs it
-    src = str(Path(swipt_relay.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = "import sys, swipt_relay; print(sorted(m for m in sys.modules if m.startswith('numpy.random')))"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+    assert _fresh_python(code) == "[]"
+
+
+ENGINE_MODULES = ("allocator", "baselines", "channel", "montecarlo", "oracle")
+
+
+def test_loading_a_config_leaves_the_engine_modules_unimported(tmp_path):
+    # a fresh process that only loads a config compiles and runs none of the
+    # engine; each module loads on first use of one of its names
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config_to_dict(make_cfg(n_subcarriers=6))))
+    code = (
+        "import sys, swipt_relay\n"
+        f"swipt_relay.validate_config(swipt_relay.load_config({str(path)!r}))\n"
+        f"print(sorted(m for m in {ENGINE_MODULES!r} if 'swipt_relay.' + m in sys.modules))"
+    )
+    assert _fresh_python(code) == "[]"
+
+
+_RESOLUTION_CHECKS = """
+import sys
+import swipt_relay as sr
+
+# the submodule names resolve before any public name has loaded them
+for module in ENGINE + ("model",):
+    assert getattr(sr, module) is sys.modules["swipt_relay." + module], module
+for name in sr.__all__:
+    obj = getattr(sr, name)
+    home = obj.__module__.removeprefix("swipt_relay.")
+    assert home in ENGINE + ("model",) and getattr(getattr(sr, home), name) is obj, name
+try:
+    sr.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc), exc
+else:
+    raise AssertionError("sr.no_such_name resolved")
+star = {}
+exec("from swipt_relay import *", star)
+assert set(star) - {"__builtins__"} == set(sr.__all__), set(star) ^ set(sr.__all__)
+assert set(sr.__all__) <= set(dir(sr))
+print(sr.model.config_to_dict(sr.default_config())["n_subcarriers"])
+"""
+
+
+def test_every_package_name_resolves_on_first_use_to_its_modules_object():
+    assert _fresh_python(f"ENGINE = {ENGINE_MODULES!r}\n" + _RESOLUTION_CHECKS) == "4"
 
 
 def test_generated_channel_and_results_are_read_only(default_cfg):
