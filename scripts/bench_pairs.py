@@ -20,9 +20,10 @@ whether the base runs spread too widely for that bound to tell (both
 printed as well), plus the failed operations of every run, and each side's
 count of code lines under ``src/`` (``code_lines``). Its ``host`` block
 records the machine, the CPU count, the Python version and whether bytecode
-writing is off (``PYTHONDONTWRITEBYTECODE`` or ``-B``, which the runs
-inherit): with it off, every set-up probe compiles each module it imports,
-so ``setup_s`` reads higher than with a warm bytecode cache. The exit status
+writing is off in the runs: they inherit ``PYTHONDONTWRITEBYTECODE`` from
+this process's environment, but not its ``-B`` flag. With it off, every
+set-up probe compiles each module it imports, so ``setup_s`` reads higher
+than with a warm bytecode cache. The exit status
 is 1 when a workload's head runs all printed no result or a metric's head
 median is worse past its bound, and 0 otherwise; the summary file is written
 either way, and a metric that is only unresolved does not fail the run.
@@ -220,7 +221,7 @@ def main(argv: list[str] | None = None) -> int:
         "seconds": seconds,
         "seeds": [SEED_BASE + i for i in range(args.pairs)],
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(), "python": platform.python_version(),
-                 "dont_write_bytecode": bool(sys.flags.dont_write_bytecode)},
+                 "dont_write_bytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE"))},
         "workloads": {},
     }
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:

@@ -6,14 +6,14 @@ and energy harvesting.
 config, channel and result types and the config functions, so loading a
 config runs no engine code. Each engine module (``allocator``,
 ``baselines``, ``channel``, ``montecarlo``, ``oracle``) loads on first use
-of one of its names here, or of its own name, through a module
-``__getattr__`` (PEP 562); the object is then stored in this namespace, so
-later lookups are plain attribute reads.
+of its own name or of one of its names here, through a module
+``__getattr__`` (PEP 562), and its public names are then bound here as an
+eager import would bind them. A process that solves one channel so loads
+``allocator`` and ``channel`` alone. The CLI imports the whole engine to
+build its parser.
 """
 
 import importlib
-
-from . import model
 
 __version__ = "0.1.0"
 
@@ -39,18 +39,27 @@ _EXPORTS = {
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_SOURCE)
-globals().update((name, getattr(model, name)) for name in _EXPORTS["model"])
+
+
+def _load(module: str):
+    """Import the submodule ``module`` and bind its public names here, as
+    ``from .module import ...`` would."""
+    loaded = importlib.import_module(f"{__name__}.{module}")
+    globals().update((name, getattr(loaded, name)) for name in _EXPORTS[module])
+    return loaded
+
+
+_load("model")
 
 
 def __getattr__(name: str):
     """Load the engine module ``name``, or the one that defines the public
-    name ``name``, and store what it resolves to here."""
-    if name in _EXPORTS:
-        return importlib.import_module(f"{__name__}.{name}")
-    if name not in _SOURCE:
+    name ``name``, with all of its public names."""
+    module = name if name in _EXPORTS else _SOURCE.get(name)
+    if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(importlib.import_module(f"{__name__}.{_SOURCE[name]}"), name)
-    return value
+    loaded = _load(module)
+    return loaded if name == module else globals()[name]
 
 
 def __dir__() -> list[str]:

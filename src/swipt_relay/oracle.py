@@ -46,8 +46,8 @@ from .allocator import (
 # not called here, but perfbench/spans.py BINDINGS looks it up by this name
 from .allocator import waterfill  # noqa: F401
 from .baselines import PolicyId, _trial_rates
-from .model import AllocationResult, ChannelRealization, NoiseProfile, SubcarrierPairing, SystemConfig, _is_int
-from .model import _real, _real_array, default_config
+from .model import AllocationResult, ChannelRealization, SubcarrierPairing, SystemConfig, _is_int, _real
+from .model import _real_array
 
 __all__ = [
     "CheckResult",
@@ -99,15 +99,6 @@ def rho_by_bisection(g_sq: float, cfg: SystemConfig, tol: float = 1e-12) -> floa
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-@functools.lru_cache(maxsize=16)
-def _unit_config(sigma_ra_sq: float, sigma_rb_sq: float) -> SystemConfig:
-    """The config of the ``monotone_rho_in_b`` grid: rho_I depends on b and
-    the relay noise alone, and at eta = 1 and sigma_d_sq = 1 the outgoing
-    gain is b, so ``split_and_gain(1.0, b, ...)`` splits at b itself.
-    ``split_and_gain`` reads no other field."""
-    return replace(default_config(), eta=1.0, noise=NoiseProfile(sigma_ra_sq, sigma_rb_sq, 0.5, 0.5))
 
 
 @functools.lru_cache(maxsize=_EXHAUSTIVE_CAP)
@@ -326,10 +317,11 @@ def verify(
     residual = 0.0
     monotone = True
     if cfg.eta > 0.0:
-        # the grid spans b itself, whatever eta and sigma_d_sq are, with no g
-        # that overflows or collapses to subnormals; the splits run on every
-        # call, so the check exercises the live split_and_gain
-        unit = _unit_config(cfg.noise.sigma_ra_sq, cfg.noise.sigma_rb_sq)
+        # rho_I depends on b, s_ra and s_rb alone, and at eta = 1 and
+        # sigma_d_sq = 1 the outgoing gain is b: so the grid spans b itself,
+        # whatever eta and sigma_d_sq are, with no g that overflows or
+        # collapses to subnormals
+        unit = replace(cfg, eta=1.0, noise=replace(cfg.noise, sigma_da_sq=0.5, sigma_db_sq=0.5))
         rhos = [split_and_gain(1.0, b, unit)[0] for b in _MONOTONE_B_GRID]
         for lo_rho, hi_rho in zip(rhos, rhos[1:]):
             residual = max(residual, lo_rho - hi_rho)

@@ -2,7 +2,6 @@
 
 import importlib.util
 import json
-import sys
 from pathlib import Path
 
 import pytest
@@ -211,16 +210,23 @@ def test_main_records_the_code_lines_under_src_of_each_side(tmp_path, monkeypatc
     assert report["src_code_lines"] == {"base": 4, "head": 2}
 
 
-def test_main_records_whether_bytecode_writing_is_off(tmp_path, monkeypatch):
+@pytest.mark.parametrize("env_value, expected", [("1", True), ("", False), (None, False)])
+def test_main_records_whether_bytecode_writing_is_off_in_the_runs(tmp_path, monkeypatch, env_value, expected):
     # setup_s depends on it: with bytecode writing off every probe compiles
-    # each module it imports
+    # each module it imports. The runs inherit the environment variable, not
+    # this process's -B flag, so the field follows the variable alone: one of
+    # the cases disagrees with sys.flags.dont_write_bytecode, whatever it is
     spec = {"run_seconds": 1, "workloads": [{"name": "w"}],
             "end_to_end": [{"name": "trials_per_s", "better": "higher", "bound": 0.2}]}
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    if env_value is None:
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", env_value)
     monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
     monkeypatch.setattr(bench_pairs, "git", lambda *args: "a" * 40 if args[-1] == "HEAD~1" else "b" * 40)
     monkeypatch.setattr(bench_pairs, "extract", lambda rev, dest: None)
     monkeypatch.setattr(bench_pairs, "run_once", lambda tree, workload, seed, seconds: _run(100.0, 10.0))
     assert bench_pairs.main(["--pairs", "1"]) == 0
     host = json.loads((tmp_path / "BENCH_bbbbbbb.json").read_text())["host"]
-    assert host["dont_write_bytecode"] is bool(sys.flags.dont_write_bytecode)
+    assert host["dont_write_bytecode"] is expected

@@ -657,25 +657,3 @@ def test_monotone_grid_spans_b_at_the_float_edges(overrides):
     assert len(json.loads(report.to_json())) == 6
     if "eta" in overrides:
         assert report.all_pass, report.to_json()
-
-
-def test_monotone_check_builds_its_unit_config_once_and_splits_on_every_call(monkeypatch):
-    """The grid's unit config depends only on the relay noise, so it is built
-    once; its 64 splits still run on every call, through the live
-    ``split_and_gain``."""
-    cfg = make_cfg(noise=NoiseProfile(0.3, 0.7, 0.1, 0.2))
-    unit_configs = []
-
-    def recorded(h_sq, g_sq, split_cfg):
-        if split_cfg is not cfg:
-            unit_configs.append(split_cfg)
-        return split_and_gain(h_sq, g_sq, split_cfg)
-
-    monkeypatch.setattr(oracle, "split_and_gain", recorded)
-    for seed in (1, 2):
-        assert verify(generate_channel(cfg, seed), cfg).all_pass
-    unit = unit_configs[0]
-    assert len(unit_configs) == 2 * 64
-    assert all(split_cfg is unit for split_cfg in unit_configs)
-    assert (unit.eta, unit.noise.sigma_d_sq) == (1.0, 1.0)
-    assert (unit.noise.sigma_ra_sq, unit.noise.sigma_rb_sq) == (0.3, 0.7)
