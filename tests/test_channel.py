@@ -194,17 +194,21 @@ def test_importing_the_package_leaves_numpy_random_unimported():
 ENGINE_MODULES = ("allocator", "baselines", "channel", "montecarlo", "oracle")
 
 
-def test_loading_a_config_leaves_the_engine_modules_unimported(tmp_path):
+@pytest.mark.parametrize("run, loaded", [
+    ("sr.validate_config(sr.load_config(PATH))", []),
+    ("cfg = sr.load_config(PATH); sr.solve(sr.generate_channel(cfg, 1), cfg)", ["allocator", "channel"]),
+], ids=["load-config", "solve"])
+def test_a_short_run_loads_only_the_engine_modules_it_uses(tmp_path, run, loaded):
     # a fresh process that only loads a config compiles and runs none of the
-    # engine; each module loads on first use of one of its names
+    # engine, and one that solves a channel skips baselines, montecarlo and
+    # oracle; each module loads on first use of one of its names
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config_to_dict(make_cfg(n_subcarriers=6))))
     code = (
-        "import sys, swipt_relay\n"
-        f"swipt_relay.validate_config(swipt_relay.load_config({str(path)!r}))\n"
+        f"import sys, swipt_relay as sr\nPATH = {str(path)!r}\n{run}\n"
         f"print(sorted(m for m in {ENGINE_MODULES!r} if 'swipt_relay.' + m in sys.modules))"
     )
-    assert _fresh_python(code) == "[]"
+    assert _fresh_python(code) == str(loaded)
 
 
 _RESOLUTION_CHECKS = """
