@@ -46,8 +46,11 @@ DEFAULT_CONFIG = {
 WIDE_CONFIG = {**DEFAULT_CONFIG, "n_subcarriers": 256, "taps": 16}
 NO_HARVEST_CONFIG = {**DEFAULT_CONFIG, "eta": 0.0}
 VERIFY_CONFIG = {**DEFAULT_CONFIG, "n_subcarriers": 6}
+# refused with two faults, so the listing's order and layout are compared
+INVALID_CONFIG = {**DEFAULT_CONFIG, "eta": 2.0, "dr": 1.5}
 # (name, config, CLI arguments after the config path); a command writes its
-# files into its working directory
+# files into its working directory. The last four fail, or print help, before
+# any engine module loads.
 COMMANDS = [
     ("sweep-p-max", DEFAULT_CONFIG,
      ["sweep", "--variable", "p_max_dbm", "--values", "10..40:5", "--trials", "300", "-o", "out.csv"]),
@@ -60,6 +63,11 @@ COMMANDS = [
     ("verify-n6", VERIFY_CONFIG, ["verify", "--seeds", "30", "-o", "report.json"]),
     *((f"solve-seed-{seed}", DEFAULT_CONFIG, ["solve", "--seed", str(seed)])
       for seed in (1, 2, 3, 2**40, 2**70)),
+    ("solve-help", DEFAULT_CONFIG, ["solve", "--help"]),
+    ("solve-invalid-config", INVALID_CONFIG, ["solve"]),
+    ("sweep-unknown-policy", DEFAULT_CONFIG,
+     ["sweep", "--variable", "p_max_dbm", "--values", "10", "--policies", "nope"]),
+    ("solve-malformed-seed", DEFAULT_CONFIG, ["solve", "--seed", "x"]),
 ]
 
 

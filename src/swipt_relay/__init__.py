@@ -3,14 +3,13 @@ whose relay powers itself by splitting the received signal between decoding
 and energy harvesting.
 
 ``import swipt_relay`` loads ``model`` alone, with its public names: the
-config, channel and result types and the config functions, so loading a
-config runs no engine code. Each engine module (``allocator``,
-``baselines``, ``channel``, ``montecarlo``, ``oracle``) loads on first use
-of its own name or of one of its names here, through a module
-``__getattr__`` (PEP 562), and its public names are then bound here as an
-eager import would bind them. A process that solves one channel so loads
-``allocator`` and ``channel`` alone. The CLI imports the whole engine to
-build its parser.
+config type, the config functions and the policy names. ``model`` imports
+the standard library alone, so loading a config runs neither NumPy nor
+engine code. Each engine module (``allocator``, ``baselines``, ``channel``,
+``montecarlo``, ``oracle``) loads on first use of its own name or of one of
+its names here, through a module ``__getattr__`` (PEP 562), and its public
+names are then bound here as an eager import would bind them. A process that solves one
+channel so loads ``allocator`` and ``channel`` alone.
 """
 
 import importlib
@@ -19,21 +18,12 @@ __version__ = "0.1.0"
 
 # every public name, listed once under the module that defines it
 _EXPORTS = {
-    "allocator": ("NoUsablePairError", "effective_gain", "rate_terms", "solve", "sorted_pairing", "waterfill"),
-    "baselines": ("PolicyId", "solve_conventional", "solve_opa_no_pairing", "solve_policy", "solve_uniform"),
-    "channel": ("generate_channel",),
-    "model": (
-        "AllocationResult",
-        "ChannelRealization",
-        "ConfigError",
-        "NoiseProfile",
-        "SubcarrierPairing",
-        "SystemConfig",
-        "dbm_to_mw",
-        "default_config",
-        "load_config",
-        "validate_config",
-    ),
+    "allocator": ("AllocationResult", "NoUsablePairError", "SubcarrierPairing", "effective_gain", "rate_terms",
+                  "solve", "sorted_pairing", "waterfill"),
+    "baselines": ("solve_conventional", "solve_opa_no_pairing", "solve_policy", "solve_uniform"),
+    "channel": ("ChannelRealization", "generate_channel"),
+    "model": ("ConfigError", "NoiseProfile", "PolicyId", "SystemConfig", "dbm_to_mw", "default_config",
+              "load_config", "validate_config"),
     "montecarlo": ("SweepResult", "SweepSpec", "TrialResult", "run_trials", "sweep"),
     "oracle": ("VerificationReport", "best_pairing_exhaustive", "power_by_grid", "rho_by_bisection", "verify"),
 }

@@ -21,14 +21,18 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import AllocationResult, ChannelRealization, SubcarrierPairing, SystemConfig, _frozen
-from .model import _real, _real_array
+from .channel import ChannelRealization, _frozen, _holds_non_real, _read_vectors, _real_array
+from .model import SystemConfig, _is_real, _real
 
 __all__ = [
+    "AllocationResult",
     "NoUsablePairError",
+    "SubcarrierPairing",
+    "allocation_to_dict",
     "effective_gain",
     "rate_terms",
     "solve",
@@ -62,6 +66,75 @@ _fsum = math.fsum
 
 class NoUsablePairError(ValueError):
     """Every pair of the channel has zero effective gain; no rate can flow."""
+
+
+@dataclass(frozen=True)
+class SubcarrierPairing:
+    """Matching of incoming to outgoing subcarriers: ``perm[i] = j`` means the
+    stream decoded from subcarrier i is forwarded on subcarrier j. Being a
+    permutation, it uses every incoming and outgoing subcarrier exactly once.
+    """
+
+    perm: np.ndarray
+
+    def __post_init__(self):
+        p = np.array(self.perm)
+        # a float or bool index would be truncated to another permutation
+        if p.dtype.kind not in "iu":
+            raise ValueError(f"perm must hold integers, got dtype {p.dtype}")
+        # np.array casts a bool among ints to an int, so the entries are
+        # scanned as well
+        if _holds_non_real(self.perm):
+            raise ValueError("perm must hold integers, not bools")
+        p = p.astype(np.int64, copy=False)
+        if p.ndim != 1 or not np.array_equal(np.sort(p), np.arange(p.size)):
+            raise ValueError("perm must be a permutation of 0..N-1")
+        p.setflags(write=False)
+        object.__setattr__(self, "perm", p)
+
+
+@dataclass(frozen=True)
+class AllocationResult:
+    """One policy's full decision for one channel realization.
+
+    ``rho_i[i]`` is the decode-side power-splitting fraction of incoming
+    subcarrier i (the harvest fraction is its complement), ``powers[i]`` the
+    power spent on pair i in mW, ``pair_rates[i]`` its end-to-end rate. For
+    the conventional (non-harvesting) baseline ``powers`` carries the pooled
+    source-plus-relay power of the pair and ``rho_i`` is fixed at 1.
+
+    The values are read by the package's number rule (see ``model._real``):
+    each vector becomes a new read-only float array, and ``total_rate`` a
+    Python float. A bool or a string in a vector raises ``ValueError``
+    "<field> entries must be numbers, not bools or strings", and a bool, a
+    string or ``None`` as ``total_rate`` raises "total_rate must be a
+    number". Their ranges stay open, so that ``verify(result=...)`` can
+    audit a corrupted allocation: NaN, ±inf, a negative power or a split
+    outside [0, 1] is kept as given.
+    """
+
+    pairing: SubcarrierPairing
+    rho_i: np.ndarray
+    powers: np.ndarray
+    pair_rates: np.ndarray
+    total_rate: float
+
+    def __post_init__(self):
+        _read_vectors(self, ("rho_i", "powers", "pair_rates"))
+        if not _is_real(self.total_rate):
+            raise ValueError("total_rate must be a number")
+        object.__setattr__(self, "total_rate", _real(self.total_rate))
+
+
+def allocation_to_dict(result: AllocationResult) -> dict:
+    """JSON-friendly view of an :class:`AllocationResult`."""
+    return {
+        "pairing": result.pairing.perm.tolist(),
+        "rho_i": result.rho_i.tolist(),
+        "powers": result.powers.tolist(),
+        "pair_rates": result.pair_rates.tolist(),
+        "total_rate": result.total_rate,
+    }
 
 
 def _check_split(h_sq: float, g_sq: float, rho_i: float) -> tuple[float, float, float]:

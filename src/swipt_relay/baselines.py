@@ -3,11 +3,10 @@ and a conventional relay with its own power supply."""
 
 from __future__ import annotations
 
-import enum
-
 import numpy as np
 
 from .allocator import (
+    AllocationResult,
     _PROPOSED_ROW,
     _check_width,
     _run_row,
@@ -18,34 +17,16 @@ from .allocator import (
 )
 # not called here, but perfbench/spans.py BINDINGS looks them up by these names
 from .allocator import solve, sorted_pairing, split_and_gain, waterfill  # noqa: F401
-from .model import AllocationResult, ChannelRealization, SystemConfig
+from .channel import ChannelRealization
+from .model import PolicyId, SystemConfig
 
 __all__ = [
-    "PolicyId",
     "conventional_hop_powers",
     "solve_conventional",
     "solve_opa_no_pairing",
     "solve_policy",
     "solve_uniform",
 ]
-
-
-class PolicyId(enum.Enum):
-    """Allocation policies known to the sweep engine and the CLI."""
-
-    PROPOSED = "proposed"
-    OPA_NO_PAIRING = "opa-nopair"
-    UNIFORM_WITH_PAIRING = "uniform-pair"
-    UNIFORM_NO_PAIRING = "uniform-nopair"
-    CONVENTIONAL_NON_EH = "conventional"
-
-    @classmethod
-    def from_name(cls, name: str) -> "PolicyId":
-        for policy in cls:
-            if policy.value == name:
-                return policy
-        valid = ", ".join(policy.value for policy in cls)
-        raise ValueError(f"unknown policy '{name}'; valid policies: {valid}")
 
 
 def _check_policies(policies) -> tuple[PolicyId, ...]:

@@ -1,4 +1,5 @@
-"""Seeded generation of frequency-selective Rayleigh channels.
+"""The channel realization type, and seeded generation of frequency-selective
+Rayleigh channels.
 
 Each hop is modelled as an L-tap impulse response of i.i.d. circularly
 symmetric complex Gaussian taps with per-tap variance 1/(L*(1+d)^alpha),
@@ -27,13 +28,86 @@ from __future__ import annotations
 import functools
 import json
 import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .model import ChannelRealization, SystemConfig, _frozen, _is_int
+from .model import SystemConfig, _is_int, _is_real, _real
 
-__all__ = ["generate_channel", "load_channel_file"]
+__all__ = ["ChannelRealization", "generate_channel", "load_channel_file"]
+
+
+def _frozen(cls, **fields):
+    """Build the frozen dataclass ``cls`` around values the engine has just
+    computed, skipping the copy and checks of its constructor.
+
+    Each array field is made read-only in place. A view is as read-only as
+    a constructed field only if the array it views is too: the engine marks
+    such a base once, before it takes the views, which inherit the flag.
+    Only for arrays no caller holds: input from outside goes through
+    ``cls(...)``.
+    """
+    obj = object.__new__(cls)
+    for value in fields.values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    obj.__dict__.update(fields)
+    return obj
+
+
+def _holds_non_real(values) -> bool:
+    """Whether ``values`` holds an entry that is not a real number, which
+    ``np.array(values, dtype=float)`` would still convert: it takes a bool
+    as 0 or 1 and parses a numeric string."""
+    if isinstance(values, np.ndarray) and values.dtype != object:
+        return values.dtype.kind not in "iuf"
+    return not all(_is_real(x) for x in np.array(values, dtype=object).ravel())
+
+
+def _real_array(name: str, values) -> np.ndarray:
+    """``values`` as a new read-only float array, each entry read by
+    :func:`_real`, so that an int past the float range reads as inf where a
+    float cast would raise. Raises ``ValueError`` naming ``name`` on an
+    entry that is not a real number (see :func:`_holds_non_real`)."""
+    if _holds_non_real(values):
+        raise ValueError(f"{name} entries must be numbers, not bools or strings")
+    vec = np.array(np.frompyfunc(_real, 1, 1)(values), dtype=float)
+    vec.setflags(write=False)
+    return vec
+
+
+def _read_vectors(obj, names) -> list[np.ndarray]:
+    """Read each field ``names`` of the frozen dataclass ``obj`` by
+    :func:`_real_array`, in order, and store the arrays in place of the
+    values given; return them. Every public type that holds float vectors
+    reads them through it."""
+    vectors = [_real_array(name, getattr(obj, name)) for name in names]
+    obj.__dict__.update(zip(names, vectors))
+    return vectors
+
+
+@dataclass(frozen=True)
+class ChannelRealization:
+    """Squared channel-gain magnitudes per subcarrier for both hops."""
+
+    h_sq: np.ndarray
+    g_sq: np.ndarray
+
+    def __post_init__(self):
+        h, g = _read_vectors(self, ("h_sq", "g_sq"))
+        if h.ndim != 1 or g.ndim != 1 or h.shape != g.shape:
+            raise ValueError("h_sq and g_sq must be equal-length vectors")
+        if h.size == 0:
+            raise ValueError("channel needs at least one subcarrier")
+        for name, vec in (("h_sq", h), ("g_sq", g)):
+            if not np.all(np.isfinite(vec)) or np.any(vec < 0):
+                raise ValueError(f"{name} entries must be finite and nonnegative")
+
+    @property
+    def n_subcarriers(self) -> int:
+        return self.h_sq.size
+
 
 # SeedSequence's pool holds 4 uint32 words, and PCG64 asks it for 4 uint64
 _POOL_SIZE = 4

@@ -2,6 +2,10 @@
 
 Exit codes: 0 success, 1 invalid config or flags, 2 I/O failure,
 3 verification found a failing check.
+
+Only ``model`` loads with this module, so a usage error, ``--help`` or an
+invalid config is answered without NumPy. Each command loads its config and
+checks its own flags before it imports the engine modules it runs.
 """
 
 from __future__ import annotations
@@ -14,12 +18,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .allocator import NoUsablePairError, solve
-from .baselines import PolicyId
-from .channel import generate_channel, load_channel_file
-from .model import ConfigError, allocation_to_dict, load_config
-from .montecarlo import SWEEP_VARIABLES, SweepSpec, sweep
-from .oracle import VerificationReport, _check_verify_args, verify
+from .model import SWEEP_VARIABLES, ConfigError, PolicyId, load_config
 
 __all__ = ["entrypoint", "main"]
 
@@ -123,6 +122,9 @@ def _parse_policies(text: str) -> list[PolicyId]:
 
 def _cmd_solve(args) -> int:
     cfg = _load_config(args.config)
+    from .allocator import allocation_to_dict, solve
+    from .channel import generate_channel, load_channel_file
+
     if args.channel_file is not None:
         try:
             channel = load_channel_file(args.channel_file)
@@ -149,6 +151,8 @@ def _cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
     values = _parse_values(args.values)
     policies = _parse_policies(args.policies)
+    from .montecarlo import SweepSpec, sweep
+
     try:
         spec = SweepSpec(
             variable=args.variable,
@@ -171,6 +175,10 @@ def _cmd_verify(args) -> int:
     cfg = _load_config(args.config)
     if args.seeds < 1:
         raise _CommandError(1, "seeds must be >= 1")
+    from .allocator import NoUsablePairError
+    from .channel import generate_channel
+    from .oracle import VerificationReport, _check_verify_args, verify
+
     try:
         # before the first channel is generated, whose size is the config's
         _check_verify_args(cfg, args.tol)

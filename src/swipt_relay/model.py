@@ -1,4 +1,5 @@
-"""Domain types and configuration handling for the relay simulator.
+"""Configuration, the number rule, and the policy and sweep names, on the
+standard library alone.
 
 A :class:`SystemConfig` is checked once, when it is built: its constructor,
 and so ``dataclasses.replace``, :func:`config_from_dict`,
@@ -9,8 +10,15 @@ given as valid.
 Every power in this package is a linear milliwatt quantity; dBm appears only
 at I/O boundaries and is converted once on the way in. Rates are bits/s/Hz
 per subcarrier pair and include the 1/2 pre-log factor of two-slot
-half-duplex relaying. All types are frozen dataclasses whose arrays are
-read-only: a write through an array raises, so values are safe to share
+half-duplex relaying.
+
+This module imports no NumPy, so loading a config runs none of it. The
+number rule still reads a NumPy scalar as the number it is: it looks NumPy up
+in ``sys.modules`` when it runs, and no NumPy scalar can exist before NumPy
+is loaded. The types that hold arrays live with the layer that builds them: ``ChannelRealization`` in
+``channel``, ``SubcarrierPairing`` and ``AllocationResult`` in
+``allocator``. Every type of the package is a frozen dataclass whose arrays
+are read-only: a write through an array raises, so values are safe to share
 across threads. The flag is not a lock, though: code that deliberately calls
 ``setflags(write=True)`` on an array (or on the array it views) is not
 stopped.
@@ -18,21 +26,19 @@ stopped.
 
 from __future__ import annotations
 
+import enum
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 __all__ = [
-    "AllocationResult",
-    "ChannelRealization",
     "ConfigError",
     "NoiseProfile",
-    "SubcarrierPairing",
+    "PolicyId",
+    "SWEEP_VARIABLES",
     "SystemConfig",
-    "allocation_to_dict",
     "config_errors",
     "config_from_dict",
     "config_to_dict",
@@ -41,6 +47,27 @@ __all__ = [
     "load_config",
     "validate_config",
 ]
+
+# the knobs a sweep can vary; the CLI's parser offers them as choices
+SWEEP_VARIABLES = ("p_max_dbm", "relay_position")
+
+
+class PolicyId(enum.Enum):
+    """Allocation policies known to the sweep engine and the CLI."""
+
+    PROPOSED = "proposed"
+    OPA_NO_PAIRING = "opa-nopair"
+    UNIFORM_WITH_PAIRING = "uniform-pair"
+    UNIFORM_NO_PAIRING = "uniform-nopair"
+    CONVENTIONAL_NON_EH = "conventional"
+
+    @classmethod
+    def from_name(cls, name: str) -> "PolicyId":
+        for policy in cls:
+            if policy.value == name:
+                return policy
+        valid = ", ".join(policy.value for policy in cls)
+        raise ValueError(f"unknown policy '{name}'; valid policies: {valid}")
 
 
 def dbm_to_mw(x_dbm: float) -> float:
@@ -131,14 +158,21 @@ class SystemConfig:
 
 
 def _is_int(value) -> bool:
-    """Whether ``value`` is an integer; a bool is not."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    """Whether ``value`` is an integer, Python or NumPy; a bool is not."""
+    if type(value) is int:  # first: a seed is read once per channel
+        return True
+    np = sys.modules.get("numpy")
+    return isinstance(value, (int, np.integer) if np else int) and not isinstance(value, bool)
 
 
 def _is_real(value) -> bool:
     """Whether ``value`` is a real number: an int or a float, Python or
     NumPy; a bool, a string or a complex number is not."""
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    if type(value) is float or type(value) is int:
+        return True
+    np = sys.modules.get("numpy")
+    kinds = (int, float, np.integer, np.floating) if np else (int, float)
+    return isinstance(value, kinds) and not isinstance(value, bool)
 
 
 def _real(value) -> float:
@@ -165,6 +199,9 @@ def _floats_for_numpy_reals(obj, names) -> None:
     :func:`_real`), so that a ``float32`` field cannot carry float32
     arithmetic into the engine. Python ints and non-numbers stay as given,
     for :func:`config_errors` to report."""
+    np = sys.modules.get("numpy")
+    if np is None:
+        return
     for name in names:
         if isinstance(value := getattr(obj, name), np.generic) and _is_real(value):
             object.__setattr__(obj, name, _real(value))
@@ -270,146 +307,6 @@ def default_config() -> SystemConfig:
             sigma_db_sq=sigma / 2.0,
         ),
     )
-
-
-def _frozen(cls, **fields):
-    """Build the frozen dataclass ``cls`` around values the engine has just
-    computed, skipping the copy and checks of its constructor.
-
-    Each array field is made read-only in place. A view is as read-only as
-    a constructed field only if the array it views is too: the engine marks
-    such a base once, before it takes the views, which inherit the flag.
-    Only for arrays no caller holds: input from outside goes through
-    ``cls(...)``.
-    """
-    obj = object.__new__(cls)
-    for value in fields.values():
-        if isinstance(value, np.ndarray):
-            value.setflags(write=False)
-    obj.__dict__.update(fields)
-    return obj
-
-
-def _holds_non_real(values) -> bool:
-    """Whether ``values`` holds an entry that is not a real number, which
-    ``np.array(values, dtype=float)`` would still convert: it takes a bool
-    as 0 or 1 and parses a numeric string."""
-    if isinstance(values, np.ndarray) and values.dtype != object:
-        return values.dtype.kind not in "iuf"
-    return not all(_is_real(x) for x in np.array(values, dtype=object).ravel())
-
-
-def _real_array(name: str, values) -> np.ndarray:
-    """``values`` as a new read-only float array, each entry read by
-    :func:`_real`, so that an int past the float range reads as inf where a
-    float cast would raise. Raises ``ValueError`` naming ``name`` on an
-    entry that is not a real number (see :func:`_holds_non_real`)."""
-    if _holds_non_real(values):
-        raise ValueError(f"{name} entries must be numbers, not bools or strings")
-    vec = np.array(np.frompyfunc(_real, 1, 1)(values), dtype=float)
-    vec.setflags(write=False)
-    return vec
-
-
-def _read_vectors(obj, names) -> list[np.ndarray]:
-    """Read each field ``names`` of the frozen dataclass ``obj`` by
-    :func:`_real_array`, in order, and store the arrays in place of the
-    values given; return them. Every public type that holds float vectors
-    reads them through it."""
-    vectors = [_real_array(name, getattr(obj, name)) for name in names]
-    obj.__dict__.update(zip(names, vectors))
-    return vectors
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """Squared channel-gain magnitudes per subcarrier for both hops."""
-
-    h_sq: np.ndarray
-    g_sq: np.ndarray
-
-    def __post_init__(self):
-        h, g = _read_vectors(self, ("h_sq", "g_sq"))
-        if h.ndim != 1 or g.ndim != 1 or h.shape != g.shape:
-            raise ValueError("h_sq and g_sq must be equal-length vectors")
-        if h.size == 0:
-            raise ValueError("channel needs at least one subcarrier")
-        for name, vec in (("h_sq", h), ("g_sq", g)):
-            if not np.all(np.isfinite(vec)) or np.any(vec < 0):
-                raise ValueError(f"{name} entries must be finite and nonnegative")
-
-    @property
-    def n_subcarriers(self) -> int:
-        return self.h_sq.size
-
-
-@dataclass(frozen=True)
-class SubcarrierPairing:
-    """Matching of incoming to outgoing subcarriers: ``perm[i] = j`` means the
-    stream decoded from subcarrier i is forwarded on subcarrier j. Being a
-    permutation, it uses every incoming and outgoing subcarrier exactly once.
-    """
-
-    perm: np.ndarray
-
-    def __post_init__(self):
-        p = np.array(self.perm)
-        # a float or bool index would be truncated to another permutation
-        if p.dtype.kind not in "iu":
-            raise ValueError(f"perm must hold integers, got dtype {p.dtype}")
-        # np.array casts a bool among ints to an int, so the entries are
-        # scanned as well
-        if _holds_non_real(self.perm):
-            raise ValueError("perm must hold integers, not bools")
-        p = p.astype(np.int64, copy=False)
-        if p.ndim != 1 or not np.array_equal(np.sort(p), np.arange(p.size)):
-            raise ValueError("perm must be a permutation of 0..N-1")
-        p.setflags(write=False)
-        object.__setattr__(self, "perm", p)
-
-
-@dataclass(frozen=True)
-class AllocationResult:
-    """One policy's full decision for one channel realization.
-
-    ``rho_i[i]`` is the decode-side power-splitting fraction of incoming
-    subcarrier i (the harvest fraction is its complement), ``powers[i]`` the
-    power spent on pair i in mW, ``pair_rates[i]`` its end-to-end rate. For
-    the conventional (non-harvesting) baseline ``powers`` carries the pooled
-    source-plus-relay power of the pair and ``rho_i`` is fixed at 1.
-
-    The values are read by the package's number rule (see :func:`_real`):
-    each vector becomes a new read-only float array, and ``total_rate`` a
-    Python float. A bool or a string in a vector raises ``ValueError``
-    "<field> entries must be numbers, not bools or strings", and a bool, a
-    string or ``None`` as ``total_rate`` raises "total_rate must be a
-    number". Their ranges stay open, so that ``verify(result=...)`` can
-    audit a corrupted allocation: NaN, ±inf, a negative power or a split
-    outside [0, 1] is kept as given.
-    """
-
-    pairing: SubcarrierPairing
-    rho_i: np.ndarray
-    powers: np.ndarray
-    pair_rates: np.ndarray
-    total_rate: float
-
-    def __post_init__(self):
-        _read_vectors(self, ("rho_i", "powers", "pair_rates"))
-        if not _is_real(self.total_rate):
-            raise ValueError("total_rate must be a number")
-        object.__setattr__(self, "total_rate", _real(self.total_rate))
-
-
-def allocation_to_dict(result: AllocationResult) -> dict:
-    """JSON-friendly view of an :class:`AllocationResult`."""
-    return {
-        "pairing": result.pairing.perm.tolist(),
-        "rho_i": result.rho_i.tolist(),
-        "powers": result.powers.tolist(),
-        "pair_rates": result.pair_rates.tolist(),
-        "total_rate": result.total_rate,
-    }
 
 
 _NOISE_KEYS = ("sigma_ra_sq", "sigma_rb_sq", "sigma_da_sq", "sigma_db_sq")

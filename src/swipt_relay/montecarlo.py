@@ -20,9 +20,9 @@ from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
-from .baselines import PolicyId, _check_policies, _trial_rates
+from .baselines import _check_policies, _trial_rates
 from .channel import _check_seed, generate_channel
-from .model import SystemConfig, _is_int, _real, dbm_to_mw
+from .model import SWEEP_VARIABLES, PolicyId, SystemConfig, _is_int, _real, dbm_to_mw
 # not called here, but perfbench/spans.py BINDINGS looks them up by these names
 from .baselines import solve_policy  # noqa: F401
 from .model import validate_config  # noqa: F401
@@ -44,8 +44,6 @@ POINT_SEED_STRIDE = 1_000_000  # collision-free for < 10^6 trials per point
 # trial shows no consistent order between 4-, 16- and 64-trial blocks, and
 # 64-trial blocks hold ~2 MB more.
 _BLOCK_PAIRS = 4096
-
-SWEEP_VARIABLES = ("p_max_dbm", "relay_position")
 
 
 def _check_trials(trials) -> None:

@@ -33,6 +33,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .allocator import (
+    AllocationResult,
+    SubcarrierPairing,
     _check_waterfill_args,
     _check_width,
     _pair_rates,
@@ -45,9 +47,9 @@ from .allocator import (
 )
 # not called here, but perfbench/spans.py BINDINGS looks it up by this name
 from .allocator import waterfill  # noqa: F401
-from .baselines import PolicyId, _trial_rates
-from .model import AllocationResult, ChannelRealization, SubcarrierPairing, SystemConfig, _is_int, _real
-from .model import _real_array
+from .baselines import _trial_rates
+from .channel import ChannelRealization, _real_array
+from .model import PolicyId, SystemConfig, _is_int, _real
 
 __all__ = [
     "CheckResult",

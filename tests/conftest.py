@@ -1,10 +1,14 @@
 import importlib.util
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import swipt_relay
 from swipt_relay.model import ConfigError, dbm_to_mw, default_config
 
 # 1 dBm in linear milliwatts; the default receiver noise level
@@ -32,6 +36,16 @@ def config_faults(**overrides) -> list[str]:
     except ConfigError as exc:
         return exc.errors
     return []
+
+
+def fresh_python(code: str) -> str:
+    """What ``code`` prints in a fresh interpreter that imports this tree's
+    package; a failure there fails the test with its traceback."""
+    src = str(Path(swipt_relay.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
 
 
 def benchmark_module(name: str):

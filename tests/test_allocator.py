@@ -25,8 +25,8 @@ from swipt_relay.allocator import (
     waterfill,
 )
 from swipt_relay.baselines import PolicyId
-from swipt_relay.channel import generate_channel
-from swipt_relay.model import ChannelRealization, NoiseProfile
+from swipt_relay.channel import ChannelRealization, generate_channel
+from swipt_relay.model import NoiseProfile
 from swipt_relay.montecarlo import SweepSpec, sweep
 from swipt_relay.oracle import best_pairing_exhaustive, power_by_grid, rho_by_bisection, verify
 

@@ -18,8 +18,8 @@ from swipt_relay.baselines import (
     solve_policy,
     solve_uniform,
 )
-from swipt_relay.channel import generate_channel
-from swipt_relay.model import ChannelRealization, NoiseProfile, default_config
+from swipt_relay.channel import ChannelRealization, generate_channel
+from swipt_relay.model import NoiseProfile, default_config
 from swipt_relay.montecarlo import run_trials
 from swipt_relay.oracle import best_pairing_exhaustive, verify
 

@@ -1,9 +1,5 @@
 import json
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,11 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swipt_relay.baselines import PolicyId, solve_policy
-import swipt_relay
 from swipt_relay.channel import _fixed_state, _hop_states, generate_channel
 from swipt_relay.model import config_to_dict
 
-from conftest import assert_read_only, make_cfg
+from conftest import assert_read_only, fresh_python, make_cfg
 
 
 def reference_taps(cfg, seed):
@@ -174,21 +169,12 @@ def test_fixed_state_hands_out_only_a_pcg64_seed(n_words, dtype):
         fixed.generate_state(n_words, dtype)
 
 
-def _fresh_python(code: str) -> str:
-    """What ``code`` prints in a fresh interpreter that imports this tree's
-    package; a failure there fails the test with its traceback."""
-    src = str(Path(swipt_relay.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout.strip()
-
-
-def test_importing_the_package_leaves_numpy_random_unimported():
-    # numpy.random costs several MB and milliseconds at import; a
-    # generate_channel call loads it when it first needs it
-    code = "import sys, swipt_relay; print(sorted(m for m in sys.modules if m.startswith('numpy.random')))"
-    assert _fresh_python(code) == "[]"
+def test_importing_the_package_leaves_numpy_unimported():
+    # NumPy is most of a fresh process's set-up, and numpy.random costs
+    # several MB more; an engine module loads NumPy, and a generate_channel
+    # call numpy.random, when it first needs it
+    code = "import sys, swipt_relay; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    assert fresh_python(code) == "[]"
 
 
 ENGINE_MODULES = ("allocator", "baselines", "channel", "montecarlo", "oracle")
@@ -208,7 +194,7 @@ def test_a_short_run_loads_only_the_engine_modules_it_uses(tmp_path, run, loaded
         f"import sys, swipt_relay as sr\nPATH = {str(path)!r}\n{run}\n"
         f"print(sorted(m for m in {ENGINE_MODULES!r} if 'swipt_relay.' + m in sys.modules))"
     )
-    assert _fresh_python(code) == str(loaded)
+    assert fresh_python(code) == str(loaded)
 
 
 _RESOLUTION_CHECKS = """
@@ -237,7 +223,7 @@ print(sr.model.config_to_dict(sr.default_config())["n_subcarriers"])
 
 
 def test_every_package_name_resolves_on_first_use_to_its_modules_object():
-    assert _fresh_python(f"ENGINE = {ENGINE_MODULES!r}\n" + _RESOLUTION_CHECKS) == "4"
+    assert fresh_python(f"ENGINE = {ENGINE_MODULES!r}\n" + _RESOLUTION_CHECKS) == "4"
 
 
 def test_generated_channel_and_results_are_read_only(default_cfg):

@@ -13,7 +13,7 @@ from swipt_relay.cli import main
 from swipt_relay.model import config_to_dict, default_config
 from swipt_relay.montecarlo import SweepSpec, sweep
 
-from conftest import REF_RATE_10MW
+from conftest import REF_RATE_10MW, fresh_python
 
 
 @pytest.fixture
@@ -581,6 +581,35 @@ def test_module_run_prints_the_usage():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("usage: swipt-relay")
+
+
+@pytest.mark.parametrize("argv, code, engine", [
+    (["--help"], 0, []),
+    (["--version"], 0, []),
+    (["solve", "BAD"], 1, []),
+    (["solve", "CFG", "--no-such-flag"], 1, []),
+    (["sweep", "CFG", "--variable", "p_max_dbm", "--values", "10", "--policies", "nope"], 1, []),
+    (["solve", "CFG", "-o", "OUT"], 0, ["allocator", "channel"]),
+    (["sweep", "CFG", "--variable", "p_max_dbm", "--values", "30", "--trials", "1", "-o", "OUT"], 0,
+     ["allocator", "baselines", "channel", "montecarlo"]),
+    (["verify", "CFG", "--seeds", "1", "-o", "OUT"], 0, ["allocator", "baselines", "channel", "oracle"]),
+], ids=["help", "version", "invalid-config", "unknown-flag", "unknown-policy", "solve", "sweep", "verify"])
+def test_a_command_loads_only_the_engine_it_runs(cfg_path, tmp_path, argv, code, engine):
+    # the parser and the config load use ``model`` alone, so a usage error
+    # or a refused config is answered without NumPy; each command then
+    # imports only the engine modules it runs
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**config_to_dict(default_config()), "eta": 2.0}))
+    paths = {"CFG": cfg_path, "BAD": str(bad), "OUT": str(tmp_path / "out")}
+    argv = [paths.get(arg, arg) for arg in argv]
+    run = (
+        "import sys\nfrom swipt_relay.cli import main\n"
+        f"try:\n    code = main({argv!r})\nexcept SystemExit as exc:\n    code = exc.code\n"
+        "print(code, sorted(m.removeprefix('swipt_relay.') for m in sys.modules if m.startswith('swipt_relay.')),"
+        " 'numpy' in sys.modules)"
+    )
+    loaded = sorted(["cli", "model", *engine])
+    assert fresh_python(run).splitlines()[-1] == f"{code} {loaded} {bool(engine)}"
 
 
 def test_version_flag(capsys):

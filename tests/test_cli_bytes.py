@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from swipt_relay.model import config_from_dict, default_config
+from swipt_relay.model import ConfigError, config_from_dict, default_config
 
 _SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -78,3 +78,25 @@ def test_config_literals_are_the_configs_they_name(cli_bytes):
     assert config_from_dict(cli_bytes.WIDE_CONFIG) == replace(cfg, n_subcarriers=256, taps=16)
     assert config_from_dict(cli_bytes.NO_HARVEST_CONFIG) == replace(cfg, eta=0.0)
     assert config_from_dict(cli_bytes.VERIFY_CONFIG) == replace(cfg, n_subcarriers=6)
+    with pytest.raises(ConfigError) as refused:
+        config_from_dict(cli_bytes.INVALID_CONFIG)
+    assert len(refused.value.errors) == 2
+
+
+# what each command answered before any engine module loads prints: its exit
+# code, and a piece of its stdout and of its stderr
+_EARLY_ANSWERS = {
+    "solve-help": (0, b"usage: swipt-relay solve [-h]", b""),
+    "solve-invalid-config": (1, b"", b"invalid config 'config.json':\n  - eta out of [0,1]\n  - dr: relay"),
+    "sweep-unknown-policy": (1, b"", b"unknown policy 'nope'; valid policies: proposed,"),
+    "solve-malformed-seed": (1, b"", b"error: argument --seed: invalid int value: 'x'"),
+}
+
+
+def test_the_early_answers_are_the_paths_they_name(cli_bytes, tmp_path):
+    tree = Path(__file__).resolve().parents[1]
+    commands = {name: (config, args) for name, config, args in cli_bytes.COMMANDS}
+    assert len(commands) == len(cli_bytes.COMMANDS)
+    for name, (code, out, err) in _EARLY_ANSWERS.items():
+        run = cli_bytes.run_command(tree, tmp_path / name, *commands[name])
+        assert (run["exit"], out in run["stdout"], err in run["stderr"]) == (code, True, True), (name, run)

@@ -10,14 +10,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from swipt_relay.allocator import solve
-from swipt_relay.baselines import PolicyId
-from swipt_relay.channel import generate_channel
+from swipt_relay.allocator import SubcarrierPairing, solve
+from swipt_relay.channel import ChannelRealization, generate_channel
 from swipt_relay.model import (
-    ChannelRealization,
+    SWEEP_VARIABLES,
     ConfigError,
     NoiseProfile,
-    SubcarrierPairing,
+    PolicyId,
     SystemConfig,
     config_errors,
     config_from_dict,
@@ -29,7 +28,7 @@ from swipt_relay.model import (
 )
 from swipt_relay.montecarlo import run_trials
 
-from conftest import assert_read_only, config_faults, make_cfg
+from conftest import assert_read_only, config_faults, fresh_python, make_cfg
 
 
 def test_dbm_to_mw_reference_points():
@@ -131,6 +130,62 @@ def test_a_numpy_scalar_noise_field_is_stored_as_a_float():
     kept = NoiseProfile(1, np.True_, "1", None)
     assert (kept.sigma_ra_sq, kept.sigma_rb_sq, kept.sigma_da_sq) == (1, np.True_, "1")
     assert type(kept.sigma_ra_sq) is int and type(kept.sigma_rb_sq) is np.bool_
+
+
+def test_the_config_layer_runs_without_numpy(tmp_path):
+    """The package and its config layer use the standard library alone: with
+    NumPy's import blocked, a config loads, checks, converts and is refused
+    with its listing, and the policy and sweep names read."""
+    data = config_to_dict(make_cfg(n_subcarriers=6))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    bad = {**data, "eta": 2.0, "taps": 0}
+    code = f"""
+import sys
+sys.modules["numpy"] = None
+import swipt_relay as sr
+from swipt_relay.model import SWEEP_VARIABLES, config_from_dict, config_to_dict
+cfg = sr.validate_config(sr.load_config({str(path)!r}))
+assert config_from_dict(config_to_dict(cfg)) == cfg and config_to_dict(cfg) == {data!r}
+assert config_to_dict(sr.default_config()) == {config_to_dict(default_config())!r}
+try:
+    config_from_dict({bad!r})
+except sr.ConfigError as exc:
+    print(exc.errors)
+print([policy.value for policy in sr.PolicyId], SWEEP_VARIABLES)
+"""
+    with pytest.raises(ConfigError) as refused:
+        config_from_dict(bad)
+    assert fresh_python(code).splitlines() == [
+        str(refused.value.errors), f"{[policy.value for policy in PolicyId]} {SWEEP_VARIABLES}"]
+
+
+def test_numpy_scalars_count_as_numbers_when_numpy_loads_after_the_package():
+    # the number rule looks NumPy up when it runs, not when the package
+    # loads, so its scalars get the verdicts of a process that loaded it first
+    code = """
+import sys
+from dataclasses import replace
+import swipt_relay as sr
+print("numpy" in sys.modules)
+import numpy as np
+cfg = replace(sr.default_config(), p_max=np.float32(100.5), taps=np.uint8(4), n_subcarriers=np.int64(4))
+print(type(cfg.p_max).__name__, cfg.p_max, type(cfg.taps).__name__, type(cfg.n_subcarriers).__name__)
+for field in ("eta", "taps"):
+    try:
+        replace(cfg, **{field: np.bool_(True)})
+    except sr.ConfigError as exc:
+        print(exc.errors)
+got, want = sr.generate_channel(cfg, np.int64(5)), sr.generate_channel(cfg, 5)
+print(got.h_sq.tobytes() == want.h_sq.tobytes() and got.g_sq.tobytes() == want.g_sq.tobytes())
+"""
+    assert fresh_python(code).splitlines() == [
+        "False",
+        "float 100.5 uint8 int64",
+        "['eta out of [0,1]']",
+        "['taps must be an integer >= 1']",
+        "True",
+    ]
 
 
 # configs that solve, verify and generate_channel took when they were

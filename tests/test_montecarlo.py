@@ -3,9 +3,8 @@ import pytest
 
 from swipt_relay import allocator, model, montecarlo
 from swipt_relay.baselines import PolicyId, solve_policy
-from swipt_relay.channel import generate_channel
+from swipt_relay.channel import ChannelRealization, generate_channel
 from swipt_relay.allocator import NoUsablePairError, solve
-from swipt_relay.model import ChannelRealization
 from swipt_relay.montecarlo import (
     CSV_COLUMNS,
     POINT_SEED_STRIDE,

@@ -9,8 +9,8 @@ import pytest
 
 from swipt_relay import oracle
 from swipt_relay.allocator import NoUsablePairError, effective_gain, solve, split_and_gain, waterfill
-from swipt_relay.channel import generate_channel
-from swipt_relay.model import ChannelRealization, NoiseProfile, dbm_to_mw, default_config
+from swipt_relay.channel import ChannelRealization, generate_channel
+from swipt_relay.model import NoiseProfile, dbm_to_mw, default_config
 from swipt_relay.oracle import (
     CheckResult,
     VerificationReport,
