@@ -56,6 +56,7 @@ def _frozen(cls, **fields):
     return obj
 
 
+# the number rule for arrays; model holds the one for scalars
 def _holds_non_real(values) -> bool:
     """Whether ``values`` holds an entry that is not a real number, which
     ``np.array(values, dtype=float)`` would still convert: it takes a bool

@@ -15,8 +15,13 @@ half-duplex relaying.
 This module imports no NumPy, so loading a config runs none of it. The
 number rule still reads a NumPy scalar as the number it is: it looks NumPy up
 in ``sys.modules`` when it runs, and no NumPy scalar can exist before NumPy
-is loaded. The types that hold arrays live with the layer that builds them: ``ChannelRealization`` in
-``channel``, ``SubcarrierPairing`` and ``AllocationResult`` in
+is loaded. This module holds the rule for scalars (``_is_int``, ``_is_real``,
+``_real``). Its array half needs NumPy, so it lives in ``channel``, the first
+engine layer: ``_real_array`` reads each entry through ``_real``, and
+``_holds_non_real`` refuses an array whose dtype is not an int or a float
+one. ``allocator`` and ``oracle`` read vectors through those two. The types
+that hold arrays live with the layer that builds them: ``ChannelRealization``
+in ``channel``, ``SubcarrierPairing`` and ``AllocationResult`` in
 ``allocator``. Every type of the package is a frozen dataclass whose arrays
 are read-only: a write through an array raises, so values are safe to share
 across threads. The flag is not a lock, though: code that deliberately calls
@@ -113,7 +118,7 @@ class NoiseProfile:
     sigma_db_sq: float
 
     def __post_init__(self):
-        _floats_for_numpy_reals(self, _NOISE_KEYS)
+        _python_scalars(self, _NOISE_KEYS, _is_real, _real)
         try:
             sigma_d_sq = self.sigma_da_sq + self.sigma_db_sq
         except (TypeError, OverflowError):
@@ -153,7 +158,8 @@ class SystemConfig:
     noise: NoiseProfile
 
     def __post_init__(self):
-        _floats_for_numpy_reals(self, ("p_max", "eta", "d0", "dr", "alpha"))
+        _python_scalars(self, ("p_max", "eta", "d0", "dr", "alpha"), _is_real, _real)
+        _python_scalars(self, ("n_subcarriers", "taps"), _is_int, int)
         validate_config(self)
 
 
@@ -193,18 +199,19 @@ def _real(value) -> float:
         return math.inf if value > 0 else -math.inf
 
 
-def _floats_for_numpy_reals(obj, names) -> None:
+def _python_scalars(obj, names, accepts, convert) -> None:
     """Store each field ``names`` of the frozen dataclass ``obj`` that holds
-    a NumPy real scalar as the Python float of its value (see
-    :func:`_real`), so that a ``float32`` field cannot carry float32
-    arithmetic into the engine. Python ints and non-numbers stay as given,
-    for :func:`config_errors` to report."""
+    a NumPy scalar ``accepts`` takes as ``convert`` of it: a real as the
+    Python float of :func:`_real`, an integer as a Python int, so that no
+    ``float32`` or ``uint8`` arithmetic reaches the engine. Python numbers
+    and values ``accepts`` refuses stay as given, for :func:`config_errors`
+    to report."""
     np = sys.modules.get("numpy")
     if np is None:
         return
     for name in names:
-        if isinstance(value := getattr(obj, name), np.generic) and _is_real(value):
-            object.__setattr__(obj, name, _real(value))
+        if isinstance(value := getattr(obj, name), np.generic) and accepts(value):
+            object.__setattr__(obj, name, convert(value))
 
 
 # the smallest relay noise power the split keeps full precision at

@@ -94,7 +94,8 @@ NUMBER_TYPES |= {"int", "float"}
 def test_only_the_model_decides_what_counts_as_a_number(path):
     """Whether an argument is a number is decided by ``model._is_int``,
     ``_is_real`` and ``_real`` alone: no other module runs an ``isinstance``
-    test against a number type."""
+    test against a number type. Arrays are read by ``channel._real_array``,
+    which reads each entry through ``_real``."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     tested = []
     for node in ast.walk(tree):

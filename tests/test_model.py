@@ -122,6 +122,20 @@ def test_a_numpy_scalar_field_gives_the_float_result(field, value):
     assert json.dumps(config_to_dict(cfg)) == json.dumps(config_to_dict(want))
 
 
+@pytest.mark.parametrize("field, value", [("taps", np.uint8(200)), ("n_subcarriers", np.int64(256))])
+def test_a_numpy_integer_field_is_stored_as_an_int(field, value):
+    """A NumPy integer field is stored as the Python int of its value, so
+    uint8 arithmetic never reaches the engine: a uint8 taps count of 200
+    draws the channel of taps=200, where the draw's 2 * taps would wrap to
+    144, and the config writes to JSON."""
+    cfg = make_cfg(**{"n_subcarriers": 256, "taps": 200, field: value})
+    want = make_cfg(n_subcarriers=256, taps=200)
+    assert type(getattr(cfg, field)) is int and cfg == want
+    got, ref = generate_channel(cfg, 1), generate_channel(want, 1)
+    assert got.h_sq.tobytes() == ref.h_sq.tobytes() and got.g_sq.tobytes() == ref.g_sq.tobytes()
+    assert json.dumps(config_to_dict(cfg)) == json.dumps(config_to_dict(want))
+
+
 def test_a_numpy_scalar_noise_field_is_stored_as_a_float():
     noise = NoiseProfile(np.float32(1.5), np.float64(1.0), np.float32(0.25), np.int64(1))
     assert [type(getattr(noise, f.name)) for f in dataclasses.fields(noise)] == [float] * 4
@@ -181,7 +195,7 @@ print(got.h_sq.tobytes() == want.h_sq.tobytes() and got.g_sq.tobytes() == want.g
 """
     assert fresh_python(code).splitlines() == [
         "False",
-        "float 100.5 uint8 int64",
+        "float 100.5 int int",
         "['eta out of [0,1]']",
         "['taps must be an integer >= 1']",
         "True",
