@@ -42,11 +42,9 @@ def _frozen(cls, **fields):
     """Build the frozen dataclass ``cls`` around values the engine has just
     computed, skipping the copy and checks of its constructor.
 
-    Each array field is made read-only in place. A view is as read-only as
-    a constructed field only if the array it views is too: the engine marks
-    such a base once, before it takes the views, which inherit the flag.
-    Only for arrays no caller holds: input from outside goes through
-    ``cls(...)``.
+    Each array field is made read-only in place; a view's base stays as it
+    was. Only for arrays no caller holds, base included: input from outside
+    goes through ``cls(...)``.
     """
     obj = object.__new__(cls)
     for value in fields.values():
@@ -218,13 +216,17 @@ def generate_channel(cfg: SystemConfig, seed: int) -> ChannelRealization:
     for k, distance in enumerate((cfg.dr, cfg.d0 - cfg.dr)):
         # real/imaginary parts each carry half of the per-tap variance
         std = math.sqrt(0.5 / (n_taps * (1.0 + distance) ** cfg.alpha))
+        row = parts[k]
         rng = np.random.Generator(np.random.PCG64(fixed_state(states[k])))
-        rng.standard_normal(out=parts[k])
-        parts[k] *= std
+        rng.standard_normal(out=row)
+        row *= std
     gains = np.abs(np.fft.fft(parts.view(complex), n=cfg.n_subcarriers, axis=-1)) ** 2
-    # marked once, before the two hop rows are taken as views of it
+    # marked once, before the two hop rows are taken as views of it, so the
+    # rows are read-only already and the object is built without _frozen
     gains.setflags(write=False)
-    return _frozen(ChannelRealization, h_sq=gains[0], g_sq=gains[1])
+    chan = object.__new__(ChannelRealization)
+    chan.__dict__.update(h_sq=gains[0], g_sq=gains[1])
+    return chan
 
 
 def load_channel_file(path: str | Path) -> ChannelRealization:

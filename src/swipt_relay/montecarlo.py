@@ -39,11 +39,20 @@ __all__ = [
 
 POINT_SEED_STRIDE = 1_000_000  # collision-free for < 10^6 trials per point
 
-# subcarrier pairs per block of trials, a trial counting as at least 64
-# pairs: 64 trials up to N=64, 16 at N=256. At N=256, process time per
-# trial shows no consistent order between 4-, 16- and 64-trial blocks, and
-# 64-trial blocks hold ~2 MB more.
+# subcarrier pairs per block of trials, a trial counting as at least
+# _MIN_TRIAL_PAIRS pairs: 256 trials up to N=16, 64 at N=64, 16 at N=256.
+# A block pays ~20 NumPy calls per policy whatever its length; at N=4,
+# 256-trial blocks took ~3% less process time per trial than 64-trial ones,
+# and 1024-trial blocks gained little more while holding ~1.6 MB more. At
+# N=256, process time per trial shows no consistent order between 4-, 16-
+# and 64-trial blocks, and 64-trial blocks hold ~2 MB more.
 _BLOCK_PAIRS = 4096
+_MIN_TRIAL_PAIRS = 16
+
+
+def _block_trials(n_subcarriers: int) -> int:
+    """The trials in one block of :func:`run_trials` at ``n_subcarriers``."""
+    return max(_BLOCK_PAIRS // max(n_subcarriers, _MIN_TRIAL_PAIRS), 1)
 
 
 def _check_trials(trials) -> None:
@@ -100,7 +109,9 @@ class TrialResult:
 def run_trials(cfg: SystemConfig, policies, trials: int, seed: int) -> TrialResult:
     """Evaluate every policy on ``trials`` common channel draws.
 
-    The trials run in blocks of ``_BLOCK_PAIRS`` subcarrier pairs. A block
+    The trials run in blocks of ``_BLOCK_PAIRS`` subcarrier pairs, a trial
+    counting as at least 16 (:func:`_block_trials`): 256 trials up to N=16,
+    64 at N=64, 16 at N=256. No bit depends on the block length. A block
     first draws its channels, one per trial in seed order, then scores all
     distinct policies on them (``baselines._trial_rates``): the block's
     sorted pairings are computed once, each policy takes its gains over the
@@ -118,7 +129,7 @@ def run_trials(cfg: SystemConfig, policies, trials: int, seed: int) -> TrialResu
     seed = _check_seed(seed)
     table = np.empty((len(distinct), trials))
     dead = np.zeros(len(distinct), dtype=np.int64)
-    block = max(_BLOCK_PAIRS // max(cfg.n_subcarriers, 64), 1)
+    block = _block_trials(cfg.n_subcarriers)
     for start in range(0, trials, block):
         stop = min(start + block, trials)
         channels = [generate_channel(cfg, seed + index + 1) for index in range(start, stop)]

@@ -20,7 +20,7 @@ from swipt_relay.baselines import (
 )
 from swipt_relay.channel import ChannelRealization, generate_channel
 from swipt_relay.model import NoiseProfile, default_config
-from swipt_relay.montecarlo import run_trials
+from swipt_relay.montecarlo import _block_trials, run_trials
 from swipt_relay.oracle import best_pairing_exhaustive, verify
 
 from conftest import EDGE_GAINS, NOISE_1DBM, assert_read_only, make_cfg, mixed_gains
@@ -624,15 +624,16 @@ def test_solve_policy_results_are_read_only_down_to_their_bases(name, p_max):
 
 @pytest.mark.parametrize("eta", [0.0, 1.0])
 @pytest.mark.parametrize("n", [1, 4, 9])
-def test_trial_rates_of_one_channel_are_its_column_of_a_64_channel_block(n, eta):
-    """A block of one gives its channel's column of a 64-channel block (the
-    block run_trials makes up to N=64) bit for bit. The block holds a dead
-    channel, and with eta=0 every water-filling policy is dead on all."""
+def test_trial_rates_of_one_channel_are_its_column_of_a_whole_block(n, eta):
+    """A block of one gives its channel's column of a whole block (the one
+    run_trials makes at N) bit for bit. The block holds a dead channel, and
+    with eta=0 every water-filling policy is dead on all."""
     cfg = make_cfg(n_subcarriers=n, taps=1, eta=eta)
-    channels = [generate_channel(cfg, seed) for seed in range(63)]
+    block = _block_trials(n)
+    channels = [generate_channel(cfg, seed) for seed in range(block - 1)]
     channels.insert(17, ChannelRealization(mixed_gains(5, n), [0.0] * n))
     rates, dead = _trial_rates(tuple(PolicyId), channels, cfg)
-    assert rates.shape == (len(PolicyId), 64)
+    assert rates.shape == (len(PolicyId), block)
     for column, chan in enumerate(channels):
         one_rates, one_dead = _trial_rates(tuple(PolicyId), [chan], cfg)
         assert one_rates[:, 0].tobytes() == rates[:, column].tobytes()

@@ -13,7 +13,7 @@ import pytest
 
 from swipt_relay import channel, oracle
 from swipt_relay.baselines import PolicyId
-from swipt_relay.montecarlo import SweepSpec, sweep
+from swipt_relay.montecarlo import SweepSpec, _block_trials, sweep
 
 from conftest import benchmark_bindings, benchmark_module, make_cfg
 
@@ -48,10 +48,14 @@ def calls(monkeypatch):
     return counts
 
 
-# 65 trials per point cross a block boundary of run_trials; the 3-trial
-# cases keep the ids they had before it was added
+# (N, trials per point): 3 trials fit in one block of run_trials, and a
+# whole block and one more cross its boundary; the 3-trial cases keep the
+# ids they had before the crossing ones were added
+SWEEP_CASES = [(n, 3) for n in (4, 9)] + [(n, _block_trials(n) + 1) for n in (4, 9)]
+
+
 @pytest.mark.parametrize(
-    "n, trials", [pytest.param(n, t, id=str(n) if t == 3 else f"{n}-{t}-trials") for t in (3, 65) for n in (4, 9)]
+    "n, trials", [pytest.param(n, t, id=str(n) if t == 3 else f"{n}-block+1-trials") for n, t in SWEEP_CASES]
 )
 def test_sweep_call_counts(calls, n, trials):
     cfg = make_cfg(n_subcarriers=n, taps=2)
@@ -75,10 +79,10 @@ PER_TRIAL = {
 @pytest.mark.parametrize(
     "policy, n, trials",
     # the N=4, 3-trial cases keep the bare policy ids they had before N=9
-    # and 65 trials were added
+    # and the crossing cases were added
     [
-        pytest.param(p, n, t, id=p.value + ("" if n == 4 else f"-{n}") + ("" if t == 3 else f"-{t}-trials"))
-        for t in (3, 65) for n in (4, 9) for p in PolicyId
+        pytest.param(p, n, t, id=p.value + ("" if n == 4 else f"-{n}") + ("" if t == 3 else "-block+1-trials"))
+        for n, t in SWEEP_CASES for p in PolicyId
     ],
 )
 def test_sweep_call_counts_per_policy(calls, policy, n, trials):

@@ -86,12 +86,19 @@ def test_dead_trials_counted_when_uniform_powers_underflow():
 
 
 @pytest.mark.parametrize("n", [4, 9])
-@pytest.mark.parametrize("trials", [1, 63, 64, 65, 130])
-def test_run_trials_match_solve_policy_across_blocks(monkeypatch, trials, n):
+# trials as (whole blocks of run_trials at N, trials more): one trial, a
+# partial block, a whole one, one past it, and two and a partial third
+@pytest.mark.parametrize(
+    "blocks, extra",
+    [(0, 1), (1, -1), (1, 0), (1, 1), (2, 2)],
+    ids=["1", "block-1", "block", "block+1", "2blocks+2"],
+)
+def test_run_trials_match_solve_policy_across_blocks(monkeypatch, blocks, extra, n):
     """Whole and partial blocks of trials give each policy the bits of a
     per-trial solve_policy. Every 7th channel is dead, and each policy
     counts the trials in which it powered no pair."""
     cfg = make_cfg(n_subcarriers=n, taps=2)
+    trials = blocks * montecarlo._block_trials(n) + extra
 
     def channel_of(cfg, seed):
         chan = generate_channel(cfg, seed)
