@@ -221,8 +221,8 @@ def generate_channel(cfg: SystemConfig, seed: int) -> ChannelRealization:
         rng.standard_normal(out=row)
         row *= std
     gains = np.abs(np.fft.fft(parts.view(complex), n=cfg.n_subcarriers, axis=-1)) ** 2
-    # marked once, before the two hop rows are taken as views of it, so the
-    # rows are read-only already and the object is built without _frozen
+    # marked once, before the two hop rows are taken as views of it: the
+    # views inherit the flag, so the object needs no per-field pass
     gains.setflags(write=False)
     chan = object.__new__(ChannelRealization)
     chan.__dict__.update(h_sq=gains[0], g_sq=gains[1])

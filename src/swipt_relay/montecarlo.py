@@ -42,8 +42,8 @@ POINT_SEED_STRIDE = 1_000_000  # collision-free for < 10^6 trials per point
 # subcarrier pairs per block of trials, a trial counting as at least
 # _MIN_TRIAL_PAIRS pairs: 256 trials up to N=16, 64 at N=64, 16 at N=256.
 # A block pays ~20 NumPy calls per policy whatever its length; at N=4,
-# 256-trial blocks took ~3% less process time per trial than 64-trial ones,
-# and 1024-trial blocks gained little more while holding ~1.6 MB more. At
+# 256-trial blocks took 3-5% less process time per trial than 64-trial
+# ones, and 1024-trial blocks ~2.5% less again while holding ~1 MB more. At
 # N=256, process time per trial shows no consistent order between 4-, 16-
 # and 64-trial blocks, and 64-trial blocks hold ~2 MB more.
 _BLOCK_PAIRS = 4096
@@ -109,16 +109,16 @@ class TrialResult:
 def run_trials(cfg: SystemConfig, policies, trials: int, seed: int) -> TrialResult:
     """Evaluate every policy on ``trials`` common channel draws.
 
-    The trials run in blocks of ``_BLOCK_PAIRS`` subcarrier pairs, a trial
-    counting as at least 16 (:func:`_block_trials`): 256 trials up to N=16,
-    64 at N=64, 16 at N=256. No bit depends on the block length. A block
-    first draws its channels, one per trial in seed order, then scores all
-    distinct policies on them (``baselines._trial_rates``): the block's
-    sorted pairings are computed once, each policy takes its gains over the
-    whole block, and only the total rates are kept, with the bits each
-    policy's ``solve_policy(...).total_rate`` has. Running one layer over a
-    block at a time, not alternating them per trial, keeps each layer's code
-    and data cache-resident. A policy named twice is evaluated once. The
+    The trials run in blocks of :func:`_block_trials` trials, 256 up to
+    N=16 and fewer past it (see ``_BLOCK_PAIRS``); no bit depends on the
+    block length. A block first draws its channels, one per trial in seed
+    order, then scores all distinct policies on them
+    (``baselines._trial_rates``): the block's sorted pairings are computed
+    once, each policy takes its gains over the whole block, and only the
+    total rates are kept, with the bits each policy's
+    ``solve_policy(...).total_rate`` has. Running one layer over a block at
+    a time, not alternating them per trial, keeps each layer's code and data
+    cache-resident. A policy named twice is evaluated once. The
     policies, an integer ``trials`` of at least 1 and the seed are checked
     before the first trial; ``cfg`` was checked when it was built.
 
