@@ -27,6 +27,13 @@ than with a warm bytecode cache. The exit status
 is 1 when a workload's head runs all printed no result or a metric's head
 median is worse past its bound, and 0 otherwise; the summary file is written
 either way, and a metric that is only unresolved does not fail the run.
+After each pair's runs, one fresh process per tree (in the same order)
+imports that tree's ``perfbench/workloads.py``, warms up, and times
+operations ``j = 0..K-1`` of the workload with ``time.process_time``, K
+fixed per workload (``PROBE_OPS``). The summary's ``process_time`` block
+gives each side's median and quartiles of the CPU µs per operation, the
+head/base ratio of the medians and the pairs the head wins: a raw figure
+that no reference kernel scales, to set beside ``trials_per_s``.
 ``--workload NAME``, repeatable, runs only the named workloads; when the summary file already holds a comparison of the
 same revisions with the same pairs and run length, its other workloads are
 kept, so one workload can be rerun without losing the rest. Only the
@@ -50,6 +57,23 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 RUN_TIMEOUT_S = 600
 SEED_BASE = 71
+# operations of each process-time probe, about a second of CPU each on a
+# shared 2-core VM; fixed, so that every BENCH file times the same operations
+PROBE_OPS = {"figure-sweep": 12, "wide-ofdm": 2, "verify-oracle": 300, "single-solve": 20000}
+# run in a tree: import its engine and workloads, warm up, time K operations
+_PROBE = """
+import sys, time
+sys.path[:0] = ["src", "perfbench"]
+import workloads
+workload = workloads.WORKLOADS[sys.argv[1]]
+ops = int(sys.argv[2])
+cfg = workload.config()
+workload.warm_up(cfg)
+start = time.process_time()
+for j in range(ops):
+    workload.run(cfg, j)
+print((time.process_time() - start) / ops * 1e6)
+"""
 # tokens that put no code on a line
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
 
@@ -103,6 +127,37 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
                 return json.loads(line)
         error = f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}"
     return {"correct": False, "attempted": 0, "failed": None, "metrics": {}, "error": error}
+
+
+def probe_process_time(tree: Path, workload: str) -> float | None:
+    """CPU µs per operation of ``workload`` in a fresh process run in
+    ``tree``, over operations ``0..PROBE_OPS[workload]-1`` after a warm-up;
+    None when the probe fails or outlives ``RUN_TIMEOUT_S``."""
+    command = [sys.executable, "-c", _PROBE, workload, str(PROBE_OPS[workload])]
+    try:
+        proc = subprocess.run(command, cwd=tree, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+        return float(proc.stdout.split()[-1]) if proc.returncode == 0 else None
+    except (subprocess.TimeoutExpired, IndexError, ValueError):
+        return None
+
+
+def summarize_process_time(pairs: list[tuple[float | None, float | None]]) -> dict:
+    """The ``process_time`` block of one workload from its (base, head) µs
+    per operation, over the pairs where both probes gave one; the head wins
+    a pair when it took strictly less."""
+    both = [(b, h) for b, h in pairs if b is not None and h is not None]
+    if not both:
+        return {"unit": "us", "pairs": 0, "failed": len(pairs)}
+    base_q, head_q = quartiles([b for b, _ in both]), quartiles([h for _, h in both])
+    return {
+        "unit": "us",
+        "base": base_q,
+        "head": head_q,
+        "ratio": head_q["median"] / base_q["median"],
+        "wins": sum(h < b for b, h in both),
+        "pairs": len(both),
+        "failed": len(pairs) - len(both),
+    }
 
 
 def quartiles(values: list[float]) -> dict:
@@ -232,14 +287,18 @@ def main(argv: list[str] | None = None) -> int:
         print(f"src code lines: base {report['src_code_lines']['base']} head {report['src_code_lines']['head']}",
               flush=True)
         for workload in args.workloads:
-            pairs = []
+            pairs, cpu_pairs = [], []
             for i, seed in enumerate(report["seeds"]):
                 order = ("base", "head") if i % 2 == 0 else ("head", "base")
                 runs = {side: run_once(trees[side], workload, seed, seconds) for side in order}
+                cpu = {side: probe_process_time(trees[side], workload) for side in order}
                 pairs.append((runs["base"], runs["head"]))
+                cpu_pairs.append((cpu["base"], cpu["head"]))
                 tps = [runs[side]["metrics"].get("trials_per_s", {}).get("value") for side in ("base", "head")]
-                print(f"{workload} seed {seed}: trials_per_s base {tps[0]} head {tps[1]}", flush=True)
+                print(f"{workload} seed {seed}: trials_per_s base {tps[0]} head {tps[1]}; "
+                      f"process us/op base {cpu['base']} head {cpu['head']}", flush=True)
             summary = report["workloads"][workload] = summarize(pairs, better, bounds)
+            summary["process_time"] = summarize_process_time(cpu_pairs)
             for name, metric in summary["metrics"].items():
                 if metric["worse_past_bound"]:
                     print(f"{workload}: {name} worse past its bound {bounds[name]}: median "

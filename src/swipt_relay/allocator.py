@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization, _frozen, _holds_non_real, _read_vectors, _real_array
+from .channel import ChannelRealization, _holds_non_real, _read_vectors, _real_array
 from .model import SystemConfig, _is_real, _real
 
 __all__ = [
@@ -191,8 +191,17 @@ def sorted_pairing(h_sq, g_sq) -> SubcarrierPairing:
     sort), which never changes the achievable rate. Raises ``ValueError``
     on gains a :class:`ChannelRealization` rejects."""
     channel = ChannelRealization(h_sq, g_sq)
-    # a permutation by construction: skip the constructor's copy and check
-    return _frozen(SubcarrierPairing, perm=_sorted_perm(channel.h_sq, channel.g_sq))
+    return _pairing(_sorted_perm(channel.h_sq, channel.g_sq))
+
+
+def _pairing(perm: np.ndarray) -> SubcarrierPairing:
+    """A :class:`SubcarrierPairing` around ``perm``, a permutation the engine
+    has just computed and no caller holds: it is made read-only in place,
+    and the constructor's copy and check are skipped."""
+    perm.setflags(write=False)
+    pairing = object.__new__(SubcarrierPairing)
+    pairing.__dict__["perm"] = perm
+    return pairing
 
 
 def _sorted_perm(h: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -588,14 +597,14 @@ def _run_row(row, channel: ChannelRealization, cfg: SystemConfig) -> AllocationR
     _check_gains(gam)
     powers = power_rule(gam, cfg)
     pair_rates = _pair_rates(gam, powers)
-    return _frozen(
-        AllocationResult,
-        pairing=_frozen(SubcarrierPairing, perm=perm),
-        rho_i=rho,
-        powers=powers,
-        pair_rates=pair_rates,
-        total_rate=float(pair_rates.sum()),
-    )
+    # every array is the row's own, so the result is built around them as
+    # they are, each made read-only in place
+    for vec in (rho, powers, pair_rates):
+        vec.setflags(write=False)
+    result = object.__new__(AllocationResult)
+    result.__dict__.update(pairing=_pairing(perm), rho_i=rho, powers=powers, pair_rates=pair_rates,
+                           total_rate=float(pair_rates.sum()))
+    return result
 
 
 # the three-step policy of this module as a row

@@ -21,6 +21,12 @@ once per channel; the spawn-word mix and ``generate_state(4, np.uint64)``'s
 output hash then run for both hops in one array expression, so the streams
 are those of the spawned children bit for bit. Each tap consumes exactly two
 standard normal variates (real part first, then imaginary).
+
+Both hops' DFTs are one call of pocketfft's forward-FFT ufunc,
+``numpy.fft._pocketfft_umath.fft``, the kernel that ``np.fft.fft`` ends in,
+without that function's Python wrapper. The name is private NumPy API: it is
+looked up on the first channel, and ``np.fft.fft``, with the same bits,
+serves a NumPy before 2.0, which lacks it.
 """
 
 from __future__ import annotations
@@ -36,22 +42,6 @@ import numpy as np
 from .model import SystemConfig, _is_int, _is_real, _real
 
 __all__ = ["ChannelRealization", "generate_channel", "load_channel_file"]
-
-
-def _frozen(cls, **fields):
-    """Build the frozen dataclass ``cls`` around values the engine has just
-    computed, skipping the copy and checks of its constructor.
-
-    Each array field is made read-only in place; a view's base stays as it
-    was. Only for arrays no caller holds, base included: input from outside
-    goes through ``cls(...)``.
-    """
-    obj = object.__new__(cls)
-    for value in fields.values():
-        if isinstance(value, np.ndarray):
-            value.setflags(write=False)
-    obj.__dict__.update(fields)
-    return obj
 
 
 # the number rule for arrays; model holds the one for scalars
@@ -196,12 +186,37 @@ def _fixed_state():
     return FixedState
 
 
+@functools.cache
+def _pocketfft():
+    """pocketfft's forward-FFT ufunc, the kernel that ``np.fft.fft`` ends
+    in, or None where NumPy lacks it (before 2.0). The name is private
+    NumPy API. It is looked up on first use, not when this module loads,
+    which would load ``numpy.fft``."""
+    try:
+        from numpy.fft._pocketfft_umath import fft
+    except ImportError:
+        return None
+    return fft
+
+
+@functools.lru_cache(maxsize=64)
+def _tap_stds(n_taps: int, dr: float, d0: float, alpha: float) -> np.ndarray:
+    """The ``(2, 1)`` column of both hops' tap std devs, at distances ``dr``
+    and ``d0 - dr``; real and imaginary parts each carry half of the
+    per-tap variance."""
+    stds = np.array([[math.sqrt(0.5 / (n_taps * (1.0 + d) ** alpha))] for d in (dr, d0 - dr)])
+    stds.setflags(write=False)  # one cached array serves every caller
+    return stds
+
+
 def generate_channel(cfg: SystemConfig, seed: int) -> ChannelRealization:
     """Deterministically realize both hops for one trial.
 
     Hop 1 taps are drawn at distance ``cfg.dr``, hop 2 at ``cfg.d0 - cfg.dr``,
-    from child streams 0 and 1 of ``seed``. Both hops go through one FFT into
-    the gains ``|sum_l taps[l] * exp(-2j*pi*n*l/N)|**2``. The config needs no
+    from child streams 0 and 1 of ``seed``, and scaled to their std devs in
+    one multiply. Both hops go through one call of pocketfft's FFT ufunc
+    (``np.fft.fft`` on a NumPy without it, with the same bits) into the
+    gains ``|sum_l taps[l] * exp(-2j*pi*n*l/N)|**2``. The config needs no
     check here, as a built one is valid: it has 1 <= taps <= N, so no tap is
     truncated, both hop distances are positive, and each hop's tap-variance
     divisor is finite and at least 1, so every tap's std is at most
@@ -209,20 +224,21 @@ def generate_channel(cfg: SystemConfig, seed: int) -> ChannelRealization:
     ``seed`` is a nonnegative integer.
     """
     seed = _check_seed(seed)
-    n_taps = cfg.taps
+    n_taps, n_sub = cfg.taps, cfg.n_subcarriers
     parts = np.empty((2, 2 * n_taps))
-    states = _hop_states(seed)
     fixed_state = _fixed_state()
-    for k, distance in enumerate((cfg.dr, cfg.d0 - cfg.dr)):
-        # real/imaginary parts each carry half of the per-tap variance
-        std = math.sqrt(0.5 / (n_taps * (1.0 + distance) ** cfg.alpha))
-        row = parts[k]
-        rng = np.random.Generator(np.random.PCG64(fixed_state(states[k])))
-        rng.standard_normal(out=row)
-        row *= std
-    gains = np.abs(np.fft.fft(parts.view(complex), n=cfg.n_subcarriers, axis=-1)) ** 2
-    # marked once, before the two hop rows are taken as views of it: the
-    # views inherit the flag, so the object needs no per-field pass
+    for state, row in zip(_hop_states(seed), parts):
+        np.random.Generator(np.random.PCG64(fixed_state(state))).standard_normal(out=row)
+    parts *= _tap_stds(n_taps, cfg.dr, cfg.d0, cfg.alpha)
+    fft = _pocketfft()
+    if fft is None:
+        spectrum = np.fft.fft(parts.view(complex), n=n_sub, axis=-1)
+    else:
+        # taps along axis 1 in, the scale 1 (no normalization), N subcarriers out
+        spectrum = fft(parts.view(complex), 1, axes=[(1,), (), (1,)], out=np.empty((2, n_sub), complex))
+    gains = np.abs(spectrum) ** 2
+    # read-only before the two hop rows are taken as views, which inherit
+    # the flag
     gains.setflags(write=False)
     chan = object.__new__(ChannelRealization)
     chan.__dict__.update(h_sq=gains[0], g_sq=gains[1])

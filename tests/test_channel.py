@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swipt_relay.baselines import PolicyId, solve_policy
-from swipt_relay.channel import _fixed_state, _hop_states, generate_channel
+from swipt_relay.channel import _fixed_state, _hop_states, _pocketfft, generate_channel
 from swipt_relay.model import config_to_dict
 
 from conftest import assert_read_only, fresh_python, make_cfg
@@ -140,6 +140,43 @@ def test_hop_streams_match_the_spawned_children_at_every_word_count(seed):
     ref_h, ref_g = reference_gains(cfg, seed)
     assert chan.h_sq.tobytes() == ref_h.tobytes()
     assert chan.g_sq.tobytes() == ref_g.tobytes()
+
+
+@pytest.mark.parametrize("n_sub, n_taps", [(1, 1), (4, 4), (4, 2), (6, 6), (6, 4), (256, 256), (256, 16)])
+def test_the_np_fft_fallback_gives_the_bytes_of_the_pocketfft_ufunc(monkeypatch, n_sub, n_taps):
+    # a NumPy before 2.0 has no ufunc and takes np.fft.fft, which CI's
+    # NumPy never reaches unless the getter is made to report it missing
+    cfg = make_cfg(n_subcarriers=n_sub, taps=n_taps)
+    default = [generate_channel(cfg, seed) for seed in BOUNDARY_SEEDS]
+    calls = []
+    wrapper = np.fft.fft
+    monkeypatch.setattr("swipt_relay.channel._pocketfft", lambda: None)
+    monkeypatch.setattr(np.fft, "fft", lambda *args, **kwargs: calls.append(1) or wrapper(*args, **kwargs))
+    for seed, chan in zip(BOUNDARY_SEEDS, default):
+        fallback = generate_channel(cfg, seed)
+        assert fallback.h_sq.tobytes() == chan.h_sq.tobytes()
+        assert fallback.g_sq.tobytes() == chan.g_sq.tobytes()
+    assert len(calls) == len(BOUNDARY_SEEDS)
+
+
+def test_numpy_2_takes_the_pocketfft_ufunc():
+    # a silent fall back to the np.fft.fft wrapper would keep every byte
+    # and lose its speed
+    if np.lib.NumpyVersion(np.__version__) < "2.0.0":
+        assert _pocketfft() is None
+    else:
+        from numpy.fft._pocketfft_umath import fft
+
+        assert _pocketfft() is fft and isinstance(fft, np.ufunc)
+
+
+def test_loading_channel_loads_numpy_fft_no_sooner_than_numpy_does():
+    # NumPy 2 loads numpy.fft on first use; the getter waits for a channel
+    code = (
+        "import sys, numpy\nbare = 'numpy.fft' in sys.modules\nimport swipt_relay.channel\n"
+        "print(bare == ('numpy.fft' in sys.modules))"
+    )
+    assert fresh_python(code) == "True"
 
 
 @settings(max_examples=300, deadline=None)
