@@ -30,10 +30,10 @@ either way, and a metric that is only unresolved does not fail the run.
 After each pair's runs, one fresh process per tree (in the same order)
 imports that tree's ``perfbench/workloads.py``, warms up, and times
 operations ``j = 0..K-1`` of the workload with ``time.process_time``, K
-fixed per workload (``PROBE_OPS``). The summary's ``process_time`` block
-gives each side's median and quartiles of the CPU µs per operation, the
-head/base ratio of the medians and the pairs the head wins: a raw figure
-that no reference kernel scales, to set beside ``trials_per_s``.
+fixed per workload (``PROBE_OPS``). Each workload's ``process_time`` block
+summarises the probes' CPU µs per operation (``us_per_op``) as the runs'
+metrics are summarised: a raw figure that no reference kernel scales, to
+set beside ``trials_per_s``.
 ``--workload NAME``, repeatable, runs only the named workloads; when the summary file already holds a comparison of the
 same revisions with the same pairs and run length, its other workloads are
 kept, so one workload can be rerun without losing the rest. Only the
@@ -129,35 +129,21 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return {"correct": False, "attempted": 0, "failed": None, "metrics": {}, "error": error}
 
 
-def probe_process_time(tree: Path, workload: str) -> float | None:
+def probe_process_time(tree: Path, workload: str) -> dict:
     """CPU µs per operation of ``workload`` in a fresh process run in
-    ``tree``, over operations ``0..PROBE_OPS[workload]-1`` after a warm-up;
-    None when the probe fails or outlives ``RUN_TIMEOUT_S``."""
+    ``tree``, over operations ``0..PROBE_OPS[workload]-1`` after a warm-up,
+    as a run record of one metric, ``us_per_op``; a probe that fails or
+    outlives ``RUN_TIMEOUT_S`` gives a crash record, as in :func:`run_once`."""
     command = [sys.executable, "-c", _PROBE, workload, str(PROBE_OPS[workload])]
     try:
         proc = subprocess.run(command, cwd=tree, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
-        return float(proc.stdout.split()[-1]) if proc.returncode == 0 else None
-    except (subprocess.TimeoutExpired, IndexError, ValueError):
-        return None
-
-
-def summarize_process_time(pairs: list[tuple[float | None, float | None]]) -> dict:
-    """The ``process_time`` block of one workload from its (base, head) µs
-    per operation, over the pairs where both probes gave one; the head wins
-    a pair when it took strictly less."""
-    both = [(b, h) for b, h in pairs if b is not None and h is not None]
-    if not both:
-        return {"unit": "us", "pairs": 0, "failed": len(pairs)}
-    base_q, head_q = quartiles([b for b, _ in both]), quartiles([h for _, h in both])
-    return {
-        "unit": "us",
-        "base": base_q,
-        "head": head_q,
-        "ratio": head_q["median"] / base_q["median"],
-        "wins": sum(h < b for b, h in both),
-        "pairs": len(both),
-        "failed": len(pairs) - len(both),
-    }
+    except subprocess.TimeoutExpired:
+        error = f"timed out after {RUN_TIMEOUT_S} s"
+    else:
+        if proc.returncode == 0:
+            return {"failed": 0, "metrics": {"us_per_op": {"value": float(proc.stdout.split()[-1]), "unit": "us"}}}
+        error = f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}"
+    return {"failed": None, "metrics": {}, "error": error}
 
 
 def quartiles(values: list[float]) -> dict:
@@ -287,18 +273,19 @@ def main(argv: list[str] | None = None) -> int:
         print(f"src code lines: base {report['src_code_lines']['base']} head {report['src_code_lines']['head']}",
               flush=True)
         for workload in args.workloads:
-            pairs, cpu_pairs = [], []
+            pairs, probes = [], []
             for i, seed in enumerate(report["seeds"]):
                 order = ("base", "head") if i % 2 == 0 else ("head", "base")
                 runs = {side: run_once(trees[side], workload, seed, seconds) for side in order}
                 cpu = {side: probe_process_time(trees[side], workload) for side in order}
                 pairs.append((runs["base"], runs["head"]))
-                cpu_pairs.append((cpu["base"], cpu["head"]))
+                probes.append((cpu["base"], cpu["head"]))
                 tps = [runs[side]["metrics"].get("trials_per_s", {}).get("value") for side in ("base", "head")]
+                us = [cpu[side]["metrics"].get("us_per_op", {}).get("value") for side in ("base", "head")]
                 print(f"{workload} seed {seed}: trials_per_s base {tps[0]} head {tps[1]}; "
-                      f"process us/op base {cpu['base']} head {cpu['head']}", flush=True)
+                      f"us_per_op base {us[0]} head {us[1]}", flush=True)
             summary = report["workloads"][workload] = summarize(pairs, better, bounds)
-            summary["process_time"] = summarize_process_time(cpu_pairs)
+            summary["process_time"] = summarize(probes, {"us_per_op": "lower"})
             for name, metric in summary["metrics"].items():
                 if metric["worse_past_bound"]:
                     print(f"{workload}: {name} worse past its bound {bounds[name]}: median "

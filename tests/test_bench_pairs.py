@@ -14,6 +14,10 @@ _SPEC.loader.exec_module(bench_pairs)
 BETTER = {"trials_per_s": "higher", "latency_p50_ms": "lower"}
 
 
+def _probe(us_per_op):
+    return {"failed": 0, "metrics": {"us_per_op": {"value": us_per_op, "unit": "us"}}}
+
+
 def _run(tps, p50, failed=0):
     return {
         "correct": failed == 0,
@@ -173,7 +177,7 @@ def test_main_exits_1_on_a_failing_verdict_and_still_writes_the_summary(tmp_path
     monkeypatch.setattr(bench_pairs, "git", lambda *args: "a" * 40 if args[-1] == "HEAD~1" else "b" * 40)
     monkeypatch.setattr(bench_pairs, "extract", lambda rev, dest: None)
     monkeypatch.setattr(bench_pairs, "run_once", lambda tree, workload, seed, seconds: runs[tree.name])
-    monkeypatch.setattr(bench_pairs, "probe_process_time", lambda tree, workload: 1.0)
+    monkeypatch.setattr(bench_pairs, "probe_process_time", lambda tree, workload: _probe(1.0))
     assert bench_pairs.main(["--pairs", "2"]) == 1
     report = json.loads((tmp_path / "BENCH_bbbbbbb.json").read_text())
     assert report["workloads"]["w"]["metrics"]["trials_per_s"]["worse_past_bound"] is True
@@ -206,7 +210,7 @@ def test_main_records_the_code_lines_under_src_of_each_side(tmp_path, monkeypatc
     monkeypatch.setattr(bench_pairs, "git", lambda *args: "a" * 40 if args[-1] == "HEAD~1" else "b" * 40)
     monkeypatch.setattr(bench_pairs, "extract", extract)
     monkeypatch.setattr(bench_pairs, "run_once", lambda tree, workload, seed, seconds: _run(100.0, 10.0))
-    monkeypatch.setattr(bench_pairs, "probe_process_time", lambda tree, workload: 1.0)
+    monkeypatch.setattr(bench_pairs, "probe_process_time", lambda tree, workload: _probe(1.0))
     assert bench_pairs.main(["--pairs", "1"]) == 0
     report = json.loads((tmp_path / "BENCH_bbbbbbb.json").read_text())
     assert report["src_code_lines"] == {"base": 4, "head": 2}
@@ -229,7 +233,7 @@ def test_main_records_whether_bytecode_writing_is_off_in_the_runs(tmp_path, monk
     monkeypatch.setattr(bench_pairs, "git", lambda *args: "a" * 40 if args[-1] == "HEAD~1" else "b" * 40)
     monkeypatch.setattr(bench_pairs, "extract", lambda rev, dest: None)
     monkeypatch.setattr(bench_pairs, "run_once", lambda tree, workload, seed, seconds: _run(100.0, 10.0))
-    monkeypatch.setattr(bench_pairs, "probe_process_time", lambda tree, workload: 1.0)
+    monkeypatch.setattr(bench_pairs, "probe_process_time", lambda tree, workload: _probe(1.0))
     assert bench_pairs.main(["--pairs", "1"]) == 0
     host = json.loads((tmp_path / "BENCH_bbbbbbb.json").read_text())["host"]
     assert host["dont_write_bytecode"] is expected
@@ -264,21 +268,13 @@ def test_the_probe_times_operations_0_to_k_after_a_warm_up_in_the_tree(tmp_path,
     (tmp_path / "perfbench").mkdir()
     (tmp_path / "perfbench" / "workloads.py").write_text(_STUB_WORKLOADS.format(fail=fail))
     monkeypatch.setattr(bench_pairs, "PROBE_OPS", {"w": 3})
-    us_per_op = bench_pairs.probe_process_time(tmp_path, "w")
+    record = bench_pairs.probe_process_time(tmp_path, "w")
     if fail:
-        assert us_per_op is None
+        assert record["failed"] is None and record["metrics"] == {}
+        assert "stub failure" in record["error"]
     else:
-        assert us_per_op > 0.0
+        assert record["failed"] == 0 and record["metrics"]["us_per_op"]["value"] > 0.0
         assert (tmp_path / "log.txt").read_text().split("\n") == ["warm cfg", "0", "1", "2", ""]
-
-
-def test_the_process_time_block_compares_the_pairs_both_probes_timed():
-    block = bench_pairs.summarize_process_time([(10.0, 8.0), (12.0, 9.0), (11.0, 12.0), (None, 5.0)])
-    assert block["base"] == {"q1": 10.5, "median": 11.0, "q3": 11.5}
-    assert block["head"] == {"q1": 8.5, "median": 9.0, "q3": 10.5}
-    assert block["ratio"] == pytest.approx(9.0 / 11.0)
-    assert (block["wins"], block["pairs"], block["failed"], block["unit"]) == (2, 3, 1, "us")
-    assert bench_pairs.summarize_process_time([(None, 1.0)]) == {"unit": "us", "pairs": 0, "failed": 1}
 
 
 def test_main_records_a_process_time_block_per_workload(tmp_path, monkeypatch):
@@ -290,7 +286,7 @@ def test_main_records_a_process_time_block_per_workload(tmp_path, monkeypatch):
 
     def probe(tree, workload):
         probes.append((tree.name, workload))
-        return cpu[tree.name, workload]
+        return _probe(cpu[tree.name, workload])
 
     monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
     monkeypatch.setattr(bench_pairs, "git", lambda *args: "a" * 40 if args[-1] == "HEAD~1" else "b" * 40)
@@ -302,6 +298,9 @@ def test_main_records_a_process_time_block_per_workload(tmp_path, monkeypatch):
     assert probes == [("base", "w"), ("head", "w"), ("head", "w"), ("base", "w"),
                       ("base", "v"), ("head", "v"), ("head", "v"), ("base", "v")]
     workloads = json.loads((tmp_path / "BENCH_bbbbbbb.json").read_text())["workloads"]
-    assert workloads["w"]["process_time"]["ratio"] == pytest.approx(0.8)
-    assert (workloads["w"]["process_time"]["wins"], workloads["w"]["process_time"]["pairs"]) == (2, 2)
-    assert workloads["v"]["process_time"]["wins"] == 0
+    faster = workloads["w"]["process_time"]["metrics"]["us_per_op"]
+    assert faster["better"] == "lower" and faster["unit"] == "us"
+    assert (faster["ratio"], faster["wins"], faster["pairs"]) == (0.8, 2, 2)
+    assert workloads["v"]["process_time"]["metrics"]["us_per_op"]["wins"] == 0
+    # the probes are no benchmark metric: no bound judges them
+    assert "worse_past_bound" not in faster
