@@ -29,8 +29,9 @@ median is worse past its bound, and 0 otherwise; the summary file is written
 either way, and a metric that is only unresolved does not fail the run.
 After each pair's runs, one fresh process per tree (in the same order)
 imports that tree's ``perfbench/workloads.py``, warms up, and times
-operations ``j = 0..K-1`` of the workload with ``time.process_time``, K
-fixed per workload (``PROBE_OPS``). Each workload's ``process_time`` block
+operations ``j = 0..K-1`` of the workload with ``time.process_time`` in
+``PROBE_PASSES`` passes, K fixed per workload (``PROBE_OPS``); the fastest
+pass counts, as the one least slowed by other load on the machine. Each workload's ``process_time`` block
 summarises the probes' CPU µs per operation (``us_per_op``) as the runs'
 metrics are summarised: a raw figure that no reference kernel scales, to
 set beside ``trials_per_s``.
@@ -57,22 +58,29 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 RUN_TIMEOUT_S = 600
 SEED_BASE = 71
-# operations of each process-time probe, about a second of CPU each on a
-# shared 2-core VM; fixed, so that every BENCH file times the same operations
-PROBE_OPS = {"figure-sweep": 12, "wide-ofdm": 2, "verify-oracle": 300, "single-solve": 20000}
-# run in a tree: import its engine and workloads, warm up, time K operations
+# operations of one pass of a process-time probe, 0.3-1.6 s of CPU on a
+# shared 2-core VM (figure-sweep: each sweep point once); fixed, so that
+# every BENCH file times the same operations
+PROBE_OPS = {"figure-sweep": 7, "wide-ofdm": 1, "verify-oracle": 100, "single-solve": 5000}
+# a single pass over the operations read up to 1.7x its process's fastest
+# when other load bursts; the fastest of 5 spread ~5% across processes
+PROBE_PASSES = 5
+# run in a tree: import its engine and workloads, warm up, time the passes
 _PROBE = """
 import sys, time
 sys.path[:0] = ["src", "perfbench"]
 import workloads
 workload = workloads.WORKLOADS[sys.argv[1]]
-ops = int(sys.argv[2])
+ops, passes = int(sys.argv[2]), int(sys.argv[3])
 cfg = workload.config()
 workload.warm_up(cfg)
-start = time.process_time()
-for j in range(ops):
-    workload.run(cfg, j)
-print((time.process_time() - start) / ops * 1e6)
+fastest = float("inf")
+for _ in range(passes):
+    start = time.process_time()
+    for j in range(ops):
+        workload.run(cfg, j)
+    fastest = min(fastest, time.process_time() - start)
+print(fastest / ops * 1e6)
 """
 # tokens that put no code on a line
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
@@ -131,10 +139,11 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 
 def probe_process_time(tree: Path, workload: str) -> dict:
     """CPU µs per operation of ``workload`` in a fresh process run in
-    ``tree``, over operations ``0..PROBE_OPS[workload]-1`` after a warm-up,
-    as a run record of one metric, ``us_per_op``; a probe that fails or
-    outlives ``RUN_TIMEOUT_S`` gives a crash record, as in :func:`run_once`."""
-    command = [sys.executable, "-c", _PROBE, workload, str(PROBE_OPS[workload])]
+    ``tree``: the fastest of ``PROBE_PASSES`` passes over operations
+    ``0..PROBE_OPS[workload]-1`` after a warm-up, as a run record of one
+    metric, ``us_per_op``; a probe that fails or outlives ``RUN_TIMEOUT_S``
+    gives a crash record, as in :func:`run_once`."""
+    command = [sys.executable, "-c", _PROBE, workload, str(PROBE_OPS[workload]), str(PROBE_PASSES)]
     try:
         proc = subprocess.run(command, cwd=tree, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
     except subprocess.TimeoutExpired:

@@ -268,13 +268,15 @@ def test_the_probe_times_operations_0_to_k_after_a_warm_up_in_the_tree(tmp_path,
     (tmp_path / "perfbench").mkdir()
     (tmp_path / "perfbench" / "workloads.py").write_text(_STUB_WORKLOADS.format(fail=fail))
     monkeypatch.setattr(bench_pairs, "PROBE_OPS", {"w": 3})
+    monkeypatch.setattr(bench_pairs, "PROBE_PASSES", 2)
     record = bench_pairs.probe_process_time(tmp_path, "w")
     if fail:
         assert record["failed"] is None and record["metrics"] == {}
         assert "stub failure" in record["error"]
     else:
         assert record["failed"] == 0 and record["metrics"]["us_per_op"]["value"] > 0.0
-        assert (tmp_path / "log.txt").read_text().split("\n") == ["warm cfg", "0", "1", "2", ""]
+        log = (tmp_path / "log.txt").read_text().split("\n")
+        assert log == ["warm cfg", "0", "1", "2", "0", "1", "2", ""]
 
 
 def test_main_records_a_process_time_block_per_workload(tmp_path, monkeypatch):
