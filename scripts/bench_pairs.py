@@ -31,10 +31,10 @@ After each pair's runs, one fresh process per tree (in the same order)
 imports that tree's ``perfbench/workloads.py``, warms up, and times
 operations ``j = 0..K-1`` of the workload with ``time.process_time`` in
 ``PROBE_PASSES`` passes, K fixed per workload (``PROBE_OPS``); the fastest
-pass counts, as the one least slowed by other load on the machine. Each workload's ``process_time`` block
-summarises the probes' CPU µs per operation (``us_per_op``) as the runs'
-metrics are summarised: a raw figure that no reference kernel scales, to
-set beside ``trials_per_s``.
+pass counts, as the one least slowed by other load on the machine. Each
+workload's ``process_time`` block summarises the probes' CPU µs per
+operation (``us_per_op``) as the runs' metrics are summarised: a raw figure
+that no reference kernel scales, to set beside ``trials_per_s``.
 ``--workload NAME``, repeatable, runs only the named workloads; when the summary file already holds a comparison of the
 same revisions with the same pairs and run length, its other workloads are
 kept, so one workload can be rerun without losing the rest. Only the
@@ -63,7 +63,8 @@ SEED_BASE = 71
 # every BENCH file times the same operations
 PROBE_OPS = {"figure-sweep": 7, "wide-ofdm": 1, "verify-oracle": 100, "single-solve": 5000}
 # a single pass over the operations read up to 1.7x its process's fastest
-# when other load bursts; the fastest of 5 spread ~5% across processes
+# when other load burst; the fastest of 5 spread ~5% across processes run
+# back to back
 PROBE_PASSES = 5
 # run in a tree: import its engine and workloads, warm up, time the passes
 _PROBE = """
