@@ -27,11 +27,13 @@ than with a warm bytecode cache. The exit status
 is 1 when a workload's head runs all printed no result or a metric's head
 median is worse past its bound, and 0 otherwise; the summary file is written
 either way, and a metric that is only unresolved does not fail the run.
-After each pair's runs, one fresh process per tree (in the same order)
-imports that tree's ``perfbench/workloads.py``, warms up, and times
-operations ``j = 0..K-1`` of the workload with ``time.process_time`` in
-``PROBE_PASSES`` passes, K fixed per workload (``PROBE_OPS``); the fastest
-pass counts, as the one least slowed by other load on the machine. Each
+After each pair's runs, one fresh process per tree imports that tree's
+``perfbench/workloads.py`` and warms up. The two then time operations
+``j = 0..K-1`` of the workload with ``time.process_time`` in lockstep, K
+fixed per workload (``PROBE_OPS``): each runs one pass when told to, and
+the sides take turns in the pair's order for ``PROBE_PASSES`` passes, so
+that pass k of base and head run back to back under the same load. The
+fastest pass per side counts, as the one least slowed by other load. Each
 workload's ``process_time`` block summarises the probes' CPU µs per
 operation (``us_per_op``) as the runs' metrics are summarised: a raw figure
 that no reference kernel scales, to set beside ``trials_per_s``.
@@ -44,14 +46,18 @@ standard library is used.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
+import math
 import os
 import platform
+import select
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 import tokenize
 from pathlib import Path
 
@@ -66,22 +72,22 @@ PROBE_OPS = {"figure-sweep": 7, "wide-ofdm": 1, "verify-oracle": 100, "single-so
 # when other load burst; the fastest of 5 spread ~5% across processes run
 # back to back
 PROBE_PASSES = 5
-# run in a tree: import its engine and workloads, warm up, time the passes
+# run in a tree: import its engine and workloads, warm up, say so, then time
+# one pass over the operations for each line read
 _PROBE = """
 import sys, time
 sys.path[:0] = ["src", "perfbench"]
 import workloads
 workload = workloads.WORKLOADS[sys.argv[1]]
-ops, passes = int(sys.argv[2]), int(sys.argv[3])
+ops = int(sys.argv[2])
 cfg = workload.config()
 workload.warm_up(cfg)
-fastest = float("inf")
-for _ in range(passes):
+print("ready", flush=True)
+for _ in sys.stdin:
     start = time.process_time()
     for j in range(ops):
         workload.run(cfg, j)
-    fastest = min(fastest, time.process_time() - start)
-print(fastest / ops * 1e6)
+    print((time.process_time() - start) / ops * 1e6, flush=True)
 """
 # tokens that put no code on a line
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
@@ -138,22 +144,66 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return {"correct": False, "attempted": 0, "failed": None, "metrics": {}, "error": error}
 
 
-def probe_process_time(tree: Path, workload: str) -> dict:
-    """CPU µs per operation of ``workload`` in a fresh process run in
-    ``tree``: the fastest of ``PROBE_PASSES`` passes over operations
-    ``0..PROBE_OPS[workload]-1`` after a warm-up, as a run record of one
-    metric, ``us_per_op``; a probe that fails or outlives ``RUN_TIMEOUT_S``
-    gives a crash record, as in :func:`run_once`."""
-    command = [sys.executable, "-c", _PROBE, workload, str(PROBE_OPS[workload]), str(PROBE_PASSES)]
+def _reply(proc: subprocess.Popen, deadline: float, request: bool = True) -> str | None:
+    """The next line ``proc`` prints, after one is sent to it if
+    ``request``; None when it exits first or prints none by ``deadline``
+    (a ``time.monotonic`` reading)."""
     try:
-        proc = subprocess.run(command, cwd=tree, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
-    except subprocess.TimeoutExpired:
-        error = f"timed out after {RUN_TIMEOUT_S} s"
-    else:
-        if proc.returncode == 0:
-            return {"failed": 0, "metrics": {"us_per_op": {"value": float(proc.stdout.split()[-1]), "unit": "us"}}}
-        error = f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}"
-    return {"failed": None, "metrics": {}, "error": error}
+        if request:
+            proc.stdin.write("\n")
+            proc.stdin.flush()
+        ready, _, _ = select.select([proc.stdout], [], [], max(deadline - time.monotonic(), 0.0))
+    except BrokenPipeError:
+        return None
+    return (proc.stdout.readline() or None) if ready else None
+
+
+def probe_process_time(trees: dict[str, Path], order: tuple[str, ...], workload: str) -> dict[str, dict]:
+    """CPU µs per operation of ``workload`` on each side, as a run record of
+    one metric, ``us_per_op``: one fresh process per tree warms up, then
+    the sides take turns in ``order``, one pass over operations
+    ``0..PROBE_OPS[workload]-1`` each, so that pass k of both sides runs
+    back to back under the same load; the fastest of ``PROBE_PASSES``
+    counts. A side whose process fails, or that outlives ``RUN_TIMEOUT_S``
+    with the other, gives a crash record, as in :func:`run_once`."""
+    command = [sys.executable, "-c", _PROBE, workload, str(PROBE_OPS[workload])]
+    deadline = time.monotonic() + RUN_TIMEOUT_S
+    records, fastest = {}, {side: math.inf for side in order}
+    with contextlib.ExitStack() as stack:
+        procs, logs = {}, {}
+        for side in order:
+            logs[side] = stack.enter_context(tempfile.TemporaryFile())
+            procs[side] = stack.enter_context(subprocess.Popen(
+                command, cwd=trees[side], stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=logs[side],
+                text=True))
+            stack.callback(procs[side].kill)
+
+        def crash(side: str) -> dict:
+            try:
+                procs[side].wait(timeout=max(deadline - time.monotonic(), 0.0))
+            except subprocess.TimeoutExpired:
+                return {"failed": None, "metrics": {}, "error": f"timed out after {RUN_TIMEOUT_S} s"}
+            logs[side].seek(0)
+            stderr = logs[side].read().decode(errors="replace").strip()
+            return {"failed": None, "metrics": {}, "error": f"exit {procs[side].returncode}: {stderr[-500:]}"}
+
+        # every warm-up ends before the first pass, so that no pass shares
+        # the machine with one
+        for side in order:
+            if _reply(procs[side], deadline, request=False) is None:
+                records[side] = crash(side)
+        for _ in range(PROBE_PASSES):
+            for side in order:
+                if side in records:
+                    continue
+                line = _reply(procs[side], deadline)
+                if line is None:
+                    records[side] = crash(side)
+                else:
+                    fastest[side] = min(fastest[side], float(line))
+    for side in order:
+        records.setdefault(side, {"failed": 0, "metrics": {"us_per_op": {"value": fastest[side], "unit": "us"}}})
+    return records
 
 
 def quartiles(values: list[float]) -> dict:
@@ -287,7 +337,7 @@ def main(argv: list[str] | None = None) -> int:
             for i, seed in enumerate(report["seeds"]):
                 order = ("base", "head") if i % 2 == 0 else ("head", "base")
                 runs = {side: run_once(trees[side], workload, seed, seconds) for side in order}
-                cpu = {side: probe_process_time(trees[side], workload) for side in order}
+                cpu = probe_process_time(trees, order, workload)
                 pairs.append((runs["base"], runs["head"]))
                 probes.append((cpu["base"], cpu["head"]))
                 tps = [runs[side]["metrics"].get("trials_per_s", {}).get("value") for side in ("base", "head")]

@@ -48,8 +48,11 @@ NO_HARVEST_CONFIG = {**DEFAULT_CONFIG, "eta": 0.0}
 VERIFY_CONFIG = {**DEFAULT_CONFIG, "n_subcarriers": 6}
 # refused with two faults, so the listing's order and layout are compared
 INVALID_CONFIG = {**DEFAULT_CONFIG, "eta": 2.0, "dr": 1.5}
+# an integral float count is taken, and a bool or a string is no number: the
+# listing goes through the number rule
+MISTYPED_CONFIG = {**DEFAULT_CONFIG, "taps": 4.0, "eta": True, "d0": "1"}
 # (name, config, CLI arguments after the config path); a command writes its
-# files into its working directory. The last four fail, or print help, before
+# files into its working directory. The last five fail, or print help, before
 # any engine module loads.
 COMMANDS = [
     ("sweep-p-max", DEFAULT_CONFIG,
@@ -65,6 +68,7 @@ COMMANDS = [
       for seed in (1, 2, 3, 2**40, 2**70)),
     ("solve-help", DEFAULT_CONFIG, ["solve", "--help"]),
     ("solve-invalid-config", INVALID_CONFIG, ["solve"]),
+    ("solve-mistyped-config", MISTYPED_CONFIG, ["solve"]),
     ("sweep-unknown-policy", DEFAULT_CONFIG,
      ["sweep", "--variable", "p_max_dbm", "--values", "10", "--policies", "nope"]),
     ("solve-malformed-seed", DEFAULT_CONFIG, ["solve", "--seed", "x"]),

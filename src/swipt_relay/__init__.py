@@ -25,7 +25,7 @@ _EXPORTS = {
     "model": ("ConfigError", "NoiseProfile", "PolicyId", "SystemConfig", "dbm_to_mw", "default_config",
               "load_config", "validate_config"),
     "montecarlo": ("SweepResult", "SweepSpec", "TrialResult", "run_trials", "sweep"),
-    "oracle": ("VerificationReport", "best_pairing_exhaustive", "power_by_grid", "rho_by_bisection", "verify"),
+    "oracle": ("VerificationReport", "best_pairing_exhaustive", "verify"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_SOURCE)

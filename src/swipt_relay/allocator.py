@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization, _holds_non_real, _read_vectors, _real_array
-from .model import SystemConfig, _is_real, _real
+from .model import _INT_KINDS, SystemConfig, _is_real, _real
 
 __all__ = [
     "AllocationResult",
@@ -80,7 +80,7 @@ class SubcarrierPairing:
     def __post_init__(self):
         p = np.array(self.perm)
         # a float or bool index would be truncated to another permutation
-        if p.dtype.kind not in "iu":
+        if p.dtype.kind not in _INT_KINDS:
             raise ValueError(f"perm must hold integers, got dtype {p.dtype}")
         # np.array casts a bool among ints to an int, so the entries are
         # scanned as well
@@ -339,19 +339,6 @@ def _check_budget(p_max) -> float:
     raise ValueError("p_max must be positive and finite")
 
 
-def _check_waterfill_args(gam: np.ndarray, p_max) -> float:
-    """``p_max`` as a Python float, once the float array ``gam`` and
-    ``p_max`` pass water-filling's input rule: every gain finite and
-    nonnegative, a positive finite budget, and some gain positive, else
-    :class:`NoUsablePairError`."""
-    if not ((gam >= 0.0) & (gam < math.inf)).all():
-        raise ValueError("gammas must be finite and nonnegative")
-    p_max = _check_budget(p_max)
-    if not (gam > 0.0).any():
-        raise NoUsablePairError("no usable pair: every effective gain is zero")
-    return p_max
-
-
 def _waterfill_floats(gam: np.ndarray, p_max: float) -> np.ndarray:
     """``waterfill`` on Python floats, step for step as
     :func:`_waterfill_array`, for a vector of fewer than
@@ -417,7 +404,11 @@ def _waterfill_floats(gam: np.ndarray, p_max: float) -> np.ndarray:
 
 def _waterfill_array(gam: np.ndarray, p_max: float) -> np.ndarray:
     """``waterfill`` on NumPy arrays, for a vector of any length."""
-    p_max = _check_waterfill_args(gam, p_max)
+    if not ((gam >= 0.0) & (gam < math.inf)).all():
+        raise ValueError("gammas must be finite and nonnegative")
+    p_max = _check_budget(p_max)
+    if not (gam > 0.0).any():
+        raise NoUsablePairError("no usable pair: every effective gain is zero")
     # a channel whose 1/gamma overflows keeps its place at 1/gamma = inf,
     # which no level reaches; the finite steps sort first
     usable = gam > _GAMMA_MIN_INVERTIBLE

@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import SystemConfig, _is_int, _is_real, _real
+from .model import _REAL_KINDS, SystemConfig, _is_int, _is_real, _real
 
 __all__ = ["ChannelRealization", "generate_channel", "load_channel_file"]
 
@@ -50,7 +50,7 @@ def _holds_non_real(values) -> bool:
     ``np.array(values, dtype=float)`` would still convert: it takes a bool
     as 0 or 1 and parses a numeric string."""
     if isinstance(values, np.ndarray) and values.dtype != object:
-        return values.dtype.kind not in "iuf"
+        return values.dtype.kind not in _REAL_KINDS
     return not all(_is_real(x) for x in np.array(values, dtype=object).ravel())
 
 

@@ -13,20 +13,20 @@ per subcarrier pair and include the 1/2 pre-log factor of two-slot
 half-duplex relaying.
 
 This module imports no NumPy, so loading a config runs none of it. The
-number rule still reads a NumPy scalar as the number it is: it looks NumPy up
-in ``sys.modules`` when it runs, and no NumPy scalar can exist before NumPy
-is loaded. This module holds the rule for scalars (``_is_int``, ``_is_real``,
-``_real``). Its array half needs NumPy, so it lives in ``channel``, the first
-engine layer: ``_real_array`` reads each entry through ``_real``, and
-``_holds_non_real`` refuses an array whose dtype is not an int or a float
-one. ``allocator`` and ``oracle`` read vectors through those two. The types
-that hold arrays live with the layer that builds them: ``ChannelRealization``
-in ``channel``, ``SubcarrierPairing`` and ``AllocationResult`` in
-``allocator``. Every type of the package is a frozen dataclass whose arrays
-are read-only: a write through an array raises, so values are safe to share
-across threads. The flag is not a lock, though: code that deliberately calls
-``setflags(write=True)`` on an array (or on the array it views) is not
-stopped.
+number rule still reads a NumPy scalar as the number it is: a value with
+``ndim == 0`` is a number when its ``dtype.kind`` is an int or a float kind,
+read off the value itself. This module holds the rule for scalars
+(``_is_int``, ``_is_real``, ``_real``) and the kinds. Its array half needs
+NumPy, so it lives in ``channel``, the first engine layer: ``_real_array``
+reads each entry through ``_real``, and ``_holds_non_real`` refuses an array
+whose dtype kind is not one of ``_REAL_KINDS``. ``allocator`` reads vectors
+through those two. The types that hold arrays live with the layer that
+builds them: ``ChannelRealization`` in ``channel``, ``SubcarrierPairing``
+and ``AllocationResult`` in ``allocator``. Every type of the package is a
+frozen dataclass whose arrays are read-only: a write through an array
+raises, so values are safe to share across threads. The flag is not a lock,
+though: code that deliberately calls ``setflags(write=True)`` on an array
+(or on the array it views) is not stopped.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from __future__ import annotations
 import enum
 import json
 import math
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -163,22 +162,36 @@ class SystemConfig:
         validate_config(self)
 
 
+# the dtype kinds of a NumPy integer and of a NumPy real number; tuples, not
+# strings, since "" in "iuf" is true
+_INT_KINDS = ("i", "u")
+_REAL_KINDS = ("i", "u", "f")
+
+
+def _kind(value):
+    """The dtype kind of a value with ``ndim == 0``, as a NumPy scalar or a
+    0-d array has, read off the value itself; None for any other value, and
+    for a ``dtype`` without a kind."""
+    if getattr(value, "ndim", None) == 0:
+        return getattr(getattr(value, "dtype", None), "kind", None)
+    return None
+
+
 def _is_int(value) -> bool:
-    """Whether ``value`` is an integer, Python or NumPy; a bool is not."""
-    if type(value) is int:  # first: a seed is read once per channel
-        return True
-    np = sys.modules.get("numpy")
-    return isinstance(value, (int, np.integer) if np else int) and not isinstance(value, bool)
+    """Whether ``value`` is an integer: a Python int that is not a bool, or
+    a NumPy scalar or 0-d array of an int dtype."""
+    if isinstance(value, int):  # first: a seed is read once per channel
+        return type(value) is not bool
+    return _kind(value) in _INT_KINDS
 
 
 def _is_real(value) -> bool:
-    """Whether ``value`` is a real number: an int or a float, Python or
-    NumPy; a bool, a string or a complex number is not."""
-    if type(value) is float or type(value) is int:
-        return True
-    np = sys.modules.get("numpy")
-    kinds = (int, float, np.integer, np.floating) if np else (int, float)
-    return isinstance(value, kinds) and not isinstance(value, bool)
+    """Whether ``value`` is a real number: a Python int that is not a bool, a
+    Python float, or a NumPy scalar or 0-d array of an int or a float
+    dtype; a string or a complex number is not one."""
+    if isinstance(value, (int, float)):
+        return type(value) is not bool
+    return _kind(value) in _REAL_KINDS
 
 
 def _real(value) -> float:
@@ -200,17 +213,14 @@ def _real(value) -> float:
 
 
 def _python_scalars(obj, names, accepts, convert) -> None:
-    """Store each field ``names`` of the frozen dataclass ``obj`` that holds
-    a NumPy scalar ``accepts`` takes as ``convert`` of it: a real as the
-    Python float of :func:`_real`, an integer as a Python int, so that no
-    ``float32`` or ``uint8`` arithmetic reaches the engine. Python numbers
-    and values ``accepts`` refuses stay as given, for :func:`config_errors`
-    to report."""
-    np = sys.modules.get("numpy")
-    if np is None:
-        return
+    """Store each field ``names`` of the frozen dataclass ``obj`` that
+    ``accepts`` takes and that is not exactly a Python int or float as
+    ``convert`` of it: a real as the Python float of :func:`_real`, an
+    integer as a Python int, so that no ``float32`` or ``uint8`` arithmetic
+    reaches the engine. Python numbers and values ``accepts`` refuses stay
+    as given, for :func:`config_errors` to report."""
     for name in names:
-        if isinstance(value := getattr(obj, name), np.generic) and accepts(value):
+        if type(value := getattr(obj, name)) not in (int, float) and accepts(value):
             object.__setattr__(obj, name, convert(value))
 
 

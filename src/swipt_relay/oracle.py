@@ -1,10 +1,9 @@
-"""Independent brute-force solvers that certify the closed forms.
+"""An independent brute-force search that certifies the closed forms.
 
-Nothing here reuses a closed-form answer to check itself: the split ratio is
-re-derived by bisecting the equal-rate condition, pairing optimality by
-enumerating every permutation, and two-channel power allocation by a dense
-grid search. ``verify`` audits one result on the Python floats it reads
-once from the channel and the result, and reports six checks:
+Nothing here reuses a closed-form answer to check itself: pairing optimality
+is re-derived by enumerating every permutation. ``verify`` audits one result
+on the Python floats it reads once from the channel and the result, and
+reports six checks:
 
 - ``equal_rate``: the two rate terms meet on every pair given a finite,
   positive power;
@@ -17,9 +16,6 @@ once from the channel and the result, and reports six checks:
   powers deliver;
 - ``per_trial_dominance``: no reduced policy beats the result on this
   realization.
-
-Of the three searches it runs the exhaustive pairing one; the bisection and
-grid searches are for callers and tests.
 """
 
 from __future__ import annotations
@@ -35,7 +31,6 @@ import numpy as np
 from .allocator import (
     AllocationResult,
     SubcarrierPairing,
-    _check_waterfill_args,
     _check_width,
     _pair_rates,
     _table_rates,
@@ -48,15 +43,13 @@ from .allocator import (
 # not called here, but perfbench/spans.py BINDINGS looks it up by this name
 from .allocator import waterfill  # noqa: F401
 from .baselines import _trial_rates
-from .channel import ChannelRealization, _real_array
-from .model import PolicyId, SystemConfig, _is_int, _real
+from .channel import ChannelRealization
+from .model import PolicyId, SystemConfig, _real
 
 __all__ = [
     "CheckResult",
     "VerificationReport",
     "best_pairing_exhaustive",
-    "power_by_grid",
-    "rho_by_bisection",
     "verify",
 ]
 
@@ -67,40 +60,6 @@ _MONOTONE_B_GRID = tuple(np.geomspace(1e-4, 1e4, 64).tolist())
 
 # the reduced policies the proposed one must dominate on every realization
 _RIVALS = (PolicyId.OPA_NO_PAIRING, PolicyId.UNIFORM_WITH_PAIRING, PolicyId.UNIFORM_NO_PAIRING)
-
-
-def rho_by_bisection(g_sq: float, cfg: SystemConfig, tol: float = 1e-12) -> float:
-    """Locate the equal-rate split by bisection on rho over [0, 1].
-
-    The decode term vanishes at rho = 0 and the forward term at rho = 1, so
-    their difference brackets a sign change; the root depends on neither the
-    power, probed at 1 mW, nor the incoming gain, fixed at 1 here.
-
-    Raises ``ValueError`` unless ``tol`` is a real number in (0, 1) ("tol
-    must lie in (0, 1)"); on a ``g_sq`` that :func:`rate_terms` rejects,
-    with its message; and when the pair is degenerate, so that no sign
-    change is bracketed. A bool, a string or ``None`` is not a number.
-    """
-    tol = _real(tol)
-    if not 0.0 < tol < 1.0:
-        raise ValueError("tol must lie in (0, 1)")
-
-    def gap(rho: float) -> float:
-        term_decode, term_forward = rate_terms(1.0, g_sq, rho, 1.0, cfg)
-        return term_decode - term_forward
-
-    lo, hi = 0.0, 1.0
-    if not (gap(lo) < 0.0 < gap(hi)):
-        raise ValueError("equal-rate condition not bracketed; the pair is degenerate")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:  # lo and hi are adjacent floats: no finer root
-            break
-        if gap(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 @functools.lru_cache(maxsize=_EXHAUSTIVE_CAP)
@@ -142,25 +101,6 @@ def best_pairing_exhaustive(channel: ChannelRealization, cfg: SystemConfig) -> t
     # the first largest rate: ties go to the earliest row
     best = int(np.argmax(rates))
     return SubcarrierPairing(perms[best]), float(rates[best])
-
-
-def power_by_grid(gammas, p_max: float, resolution: int = 10**6) -> np.ndarray:
-    """Two-channel power allocation by dense grid search: P1 sweeps
-    {0, p_max/resolution, ..., p_max}, P2 takes the remainder, and the summed
-    rate is maximized. Accurate to one grid step. Rejects gains and a
-    budget that ``waterfill`` rejects, with the same messages, raises
-    :class:`NoUsablePairError` where both gains are zero, and takes only an
-    int resolution."""
-    gam = _real_array("gammas", gammas)
-    if gam.shape != (2,):
-        raise ValueError("power_by_grid expects exactly two gains")
-    p_max = _check_waterfill_args(gam, p_max)
-    if not (_is_int(resolution) and resolution >= 1):
-        raise ValueError("resolution must be an int >= 1")
-    p1 = np.linspace(0.0, p_max, resolution + 1)
-    objective = np.log1p(gam[0] * p1) + np.log1p(gam[1] * (p_max - p1))
-    best = int(np.argmax(objective))
-    return np.array([p1[best], p_max - p1[best]])
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,10 @@ from swipt_relay.baselines import PolicyId
 from swipt_relay.channel import generate_channel
 from swipt_relay.model import NoiseProfile, dbm_to_mw, default_config
 from swipt_relay.montecarlo import POINT_SEED_STRIDE, SweepSpec, run_trials, sweep
-from swipt_relay.oracle import best_pairing_exhaustive, power_by_grid, rho_by_bisection
+from swipt_relay.oracle import best_pairing_exhaustive
 
 from conftest import REF_GAIN, make_cfg
+from oracles import power_by_grid, rho_by_bisection
 
 ALL_POLICIES = tuple(PolicyId)
 EH_BASELINES = (

@@ -28,9 +28,10 @@ from swipt_relay.baselines import PolicyId
 from swipt_relay.channel import ChannelRealization, generate_channel
 from swipt_relay.model import NoiseProfile
 from swipt_relay.montecarlo import SweepSpec, sweep
-from swipt_relay.oracle import best_pairing_exhaustive, power_by_grid, rho_by_bisection, verify
+from swipt_relay.oracle import best_pairing_exhaustive, verify
 
 from conftest import NOISE_1DBM, REF_GAIN, REF_GAMMA, REF_RATE_10MW, REF_RHO, make_cfg, mixed_gains
+from oracles import power_by_grid, rho_by_bisection
 
 
 # --------------------------------------------------------------- rate_terms
@@ -605,6 +606,7 @@ def test_waterfill_bodies_bit_identical(problem):
         ([1.0, 2.0], "1.0", ValueError),
         ([1.0, 2.0], None, ValueError),
         ([1.0, -1.0], math.nan, ValueError),  # the gains first, also after one is inverted
+        ([0.0, 0.0], -1.0, ValueError),  # the budget before the dead pair
     ],
 )
 def test_waterfill_bodies_raise_alike(gammas, p_max, error):

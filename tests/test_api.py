@@ -12,6 +12,11 @@ import swipt_relay
 from conftest import benchmark_bindings
 
 MODULES = ("allocator", "baselines", "channel", "cli", "model", "montecarlo", "oracle")
+SOURCES = sorted(Path(swipt_relay.__file__).parent.glob("*.py"))
+# the code that may use a public name: the package, its scripts and the
+# benchmark
+ROOT = Path(__file__).resolve().parents[1]
+USERS = sorted(path for folder in ("src", "scripts", "perfbench") for path in (ROOT / folder).rglob("*.py"))
 
 PACKAGE_API = {
     "AllocationResult",
@@ -32,9 +37,7 @@ PACKAGE_API = {
     "effective_gain",
     "generate_channel",
     "load_config",
-    "power_by_grid",
     "rate_terms",
-    "rho_by_bisection",
     "run_trials",
     "solve",
     "solve_conventional",
@@ -64,7 +67,33 @@ def test_module_exports_resolve(module_name):
         assert hasattr(module, name), f"{module_name}.{name}"
 
 
-@pytest.mark.parametrize("path", sorted(Path(swipt_relay.__file__).parent.glob("*.py")), ids=lambda p: p.stem)
+def test_every_public_name_is_used_outside_its_definition():
+    """Each name the package exports is read, as a name or an attribute, by
+    some file of the package, its scripts or the benchmark, or is looked up
+    by the benchmark's tracer. Its ``def``, its ``__all__`` entry and its
+    ``_EXPORTS`` string are no use: a name only tests read belongs in
+    ``tests/``."""
+    used = {attr for _, attr, _ in benchmark_bindings()}
+    for path in USERS:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert set(swipt_relay.__all__) - used == set()
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_no_module_reads_sys_modules(path):
+    """The number rule reads a value's dtype kind off the value itself: no
+    module decides anything by what ``sys.modules`` holds when it runs."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    reads = [f"line {node.lineno}" for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "modules" and ast.unparse(node.value) == "sys"]
+    assert reads == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
 def test_every_import_is_used_exported_or_bound(path):
     """A name a module imports is used there, exported in its ``__all__``, or
     looked up on it by the benchmark's tracer; any other import is a
@@ -88,7 +117,7 @@ NUMBER_TYPES |= {"int", "float"}
 
 @pytest.mark.parametrize(
     "path",
-    sorted(p for p in Path(swipt_relay.__file__).parent.glob("*.py") if p.stem != "model"),
+    [p for p in SOURCES if p.stem != "model"],
     ids=lambda p: p.stem,
 )
 def test_only_the_model_decides_what_counts_as_a_number(path):
@@ -113,7 +142,7 @@ CONFIG_CHECKS = {"config_errors", "validate_config", "ConfigError"}
 
 @pytest.mark.parametrize(
     "path",
-    sorted(p for p in Path(swipt_relay.__file__).parent.glob("*.py") if p.stem != "model"),
+    [p for p in SOURCES if p.stem != "model"],
     ids=lambda p: p.stem,
 )
 def test_only_the_model_checks_a_config(path):

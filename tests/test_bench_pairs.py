@@ -18,6 +18,12 @@ def _probe(us_per_op):
     return {"failed": 0, "metrics": {"us_per_op": {"value": us_per_op, "unit": "us"}}}
 
 
+def _probes(us_per_op):
+    """A stand-in ``probe_process_time`` that reads ``us_per_op`` on every
+    side."""
+    return lambda trees, order, workload: {side: _probe(us_per_op) for side in order}
+
+
 def _run(tps, p50, failed=0):
     return {
         "correct": failed == 0,
@@ -177,7 +183,7 @@ def test_main_exits_1_on_a_failing_verdict_and_still_writes_the_summary(tmp_path
     monkeypatch.setattr(bench_pairs, "git", lambda *args: "a" * 40 if args[-1] == "HEAD~1" else "b" * 40)
     monkeypatch.setattr(bench_pairs, "extract", lambda rev, dest: None)
     monkeypatch.setattr(bench_pairs, "run_once", lambda tree, workload, seed, seconds: runs[tree.name])
-    monkeypatch.setattr(bench_pairs, "probe_process_time", lambda tree, workload: _probe(1.0))
+    monkeypatch.setattr(bench_pairs, "probe_process_time", _probes(1.0))
     assert bench_pairs.main(["--pairs", "2"]) == 1
     report = json.loads((tmp_path / "BENCH_bbbbbbb.json").read_text())
     assert report["workloads"]["w"]["metrics"]["trials_per_s"]["worse_past_bound"] is True
@@ -210,7 +216,7 @@ def test_main_records_the_code_lines_under_src_of_each_side(tmp_path, monkeypatc
     monkeypatch.setattr(bench_pairs, "git", lambda *args: "a" * 40 if args[-1] == "HEAD~1" else "b" * 40)
     monkeypatch.setattr(bench_pairs, "extract", extract)
     monkeypatch.setattr(bench_pairs, "run_once", lambda tree, workload, seed, seconds: _run(100.0, 10.0))
-    monkeypatch.setattr(bench_pairs, "probe_process_time", lambda tree, workload: _probe(1.0))
+    monkeypatch.setattr(bench_pairs, "probe_process_time", _probes(1.0))
     assert bench_pairs.main(["--pairs", "1"]) == 0
     report = json.loads((tmp_path / "BENCH_bbbbbbb.json").read_text())
     assert report["src_code_lines"] == {"base": 4, "head": 2}
@@ -233,7 +239,7 @@ def test_main_records_whether_bytecode_writing_is_off_in_the_runs(tmp_path, monk
     monkeypatch.setattr(bench_pairs, "git", lambda *args: "a" * 40 if args[-1] == "HEAD~1" else "b" * 40)
     monkeypatch.setattr(bench_pairs, "extract", lambda rev, dest: None)
     monkeypatch.setattr(bench_pairs, "run_once", lambda tree, workload, seed, seconds: _run(100.0, 10.0))
-    monkeypatch.setattr(bench_pairs, "probe_process_time", lambda tree, workload: _probe(1.0))
+    monkeypatch.setattr(bench_pairs, "probe_process_time", _probes(1.0))
     assert bench_pairs.main(["--pairs", "1"]) == 0
     host = json.loads((tmp_path / "BENCH_bbbbbbb.json").read_text())["host"]
     assert host["dont_write_bytecode"] is expected
@@ -254,29 +260,40 @@ class Stub:
         self.log(str(j))
 
     def log(self, line):
-        with open("log.txt", "a") as fh:
-            fh.write(line + "\\n")
+        with open({log!r}, "a") as fh:
+            fh.write(TREE + " " + line + "\\n")
 
 
+TREE = {tree!r}
 FAIL = {fail}
 WORKLOADS = {{"w": Stub()}}
 """
 
 
-@pytest.mark.parametrize("fail", [False, True])
-def test_the_probe_times_operations_0_to_k_after_a_warm_up_in_the_tree(tmp_path, monkeypatch, fail):
-    (tmp_path / "perfbench").mkdir()
-    (tmp_path / "perfbench" / "workloads.py").write_text(_STUB_WORKLOADS.format(fail=fail))
-    monkeypatch.setattr(bench_pairs, "PROBE_OPS", {"w": 3})
+@pytest.mark.parametrize("failing", [(), ("base",)], ids=["both-pass", "base-fails"])
+def test_the_probes_of_both_trees_take_turns_after_both_warm_ups(tmp_path, monkeypatch, failing):
+    log = tmp_path / "log.txt"
+    trees = {side: tmp_path / side for side in ("base", "head")}
+    for side, tree in trees.items():
+        (tree / "perfbench").mkdir(parents=True)
+        (tree / "perfbench" / "workloads.py").write_text(
+            _STUB_WORKLOADS.format(log=str(log), tree=side, fail=side in failing))
+    monkeypatch.setattr(bench_pairs, "PROBE_OPS", {"w": 2})
     monkeypatch.setattr(bench_pairs, "PROBE_PASSES", 2)
-    record = bench_pairs.probe_process_time(tmp_path, "w")
-    if fail:
-        assert record["failed"] is None and record["metrics"] == {}
-        assert "stub failure" in record["error"]
+    records = bench_pairs.probe_process_time(trees, ("head", "base"), "w")
+    lines = log.read_text().splitlines()
+    # the warm-ups run at once, in either order, and both end before a pass
+    assert sorted(lines[:2]) == ["base warm cfg", "head warm cfg"]
+    if failing:
+        assert records["base"]["failed"] is None and records["base"]["metrics"] == {}
+        assert "stub failure" in records["base"]["error"]
+        # the other tree still runs all of its passes
+        assert lines[2:] == ["head 0", "head 1"] * 2
     else:
-        assert record["failed"] == 0 and record["metrics"]["us_per_op"]["value"] > 0.0
-        log = (tmp_path / "log.txt").read_text().split("\n")
-        assert log == ["warm cfg", "0", "1", "2", "0", "1", "2", ""]
+        # pass k of the second side runs right after pass k of the first
+        assert lines[2:] == ["head 0", "head 1", "base 0", "base 1"] * 2
+    for side in set(trees) - set(failing):
+        assert records[side]["failed"] == 0 and records[side]["metrics"]["us_per_op"]["value"] > 0.0
 
 
 def test_main_records_a_process_time_block_per_workload(tmp_path, monkeypatch):
@@ -286,9 +303,9 @@ def test_main_records_a_process_time_block_per_workload(tmp_path, monkeypatch):
     cpu = {("base", "w"): 50.0, ("head", "w"): 40.0, ("base", "v"): 7.0, ("head", "v"): 7.0}
     probes = []
 
-    def probe(tree, workload):
-        probes.append((tree.name, workload))
-        return _probe(cpu[tree.name, workload])
+    def probe(trees, order, workload):
+        probes.append((order, workload))
+        return {side: _probe(cpu[side, workload]) for side in order}
 
     monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
     monkeypatch.setattr(bench_pairs, "git", lambda *args: "a" * 40 if args[-1] == "HEAD~1" else "b" * 40)
@@ -296,9 +313,9 @@ def test_main_records_a_process_time_block_per_workload(tmp_path, monkeypatch):
     monkeypatch.setattr(bench_pairs, "run_once", lambda tree, workload, seed, seconds: _run(100.0, 10.0))
     monkeypatch.setattr(bench_pairs, "probe_process_time", probe)
     assert bench_pairs.main(["--pairs", "2"]) == 0
-    # one probe per tree and pair, in the pair's order of runs
-    assert probes == [("base", "w"), ("head", "w"), ("head", "w"), ("base", "w"),
-                      ("base", "v"), ("head", "v"), ("head", "v"), ("base", "v")]
+    # one probe of both trees per pair, in the pair's order of runs
+    assert probes == [(("base", "head"), "w"), (("head", "base"), "w"),
+                      (("base", "head"), "v"), (("head", "base"), "v")]
     workloads = json.loads((tmp_path / "BENCH_bbbbbbb.json").read_text())["workloads"]
     faster = workloads["w"]["process_time"]["metrics"]["us_per_op"]
     assert faster["better"] == "lower" and faster["unit"] == "us"

@@ -88,6 +88,8 @@ def test_config_literals_are_the_configs_they_name(cli_bytes):
 _EARLY_ANSWERS = {
     "solve-help": (0, b"usage: swipt-relay solve [-h]", b""),
     "solve-invalid-config": (1, b"", b"invalid config 'config.json':\n  - eta out of [0,1]\n  - dr: relay"),
+    "solve-mistyped-config": (
+        1, b"", b"invalid config 'config.json':\n  - eta must be a number\n  - d0 must be a number\n"),
     "sweep-unknown-policy": (1, b"", b"unknown policy 'nope'; valid policies: proposed,"),
     "solve-malformed-seed": (1, b"", b"error: argument --seed: invalid int value: 'x'"),
 }

@@ -28,9 +28,7 @@ from swipt_relay import (
     default_config,
     effective_gain,
     generate_channel,
-    power_by_grid,
     rate_terms,
-    rho_by_bisection,
     run_trials,
     solve,
     solve_uniform,
@@ -74,10 +72,10 @@ class Arg(NamedTuple):
 
 
 def _scalars(value: float) -> tuple:
-    """``value`` as a NumPy float of every width and, if it is integral, as
-    an int and a NumPy int: each must give the float's result, so none can
-    carry its own arithmetic into the engine."""
-    floats = (np.float16(value), np.float32(value), np.float64(value), np.longdouble(value))
+    """``value`` as a NumPy float of every width, as a 0-d array and, if it
+    is integral, as an int and a NumPy int: each must give the float's
+    result, so none can carry its own arithmetic into the engine."""
+    floats = (np.float16(value), np.float32(value), np.float64(value), np.longdouble(value), np.array(value))
     return (int(value), np.int64(value), *floats) if value.is_integer() else floats
 
 
@@ -86,10 +84,10 @@ def _entries(first, values):
     return tuple([first, value] for value in values)
 
 
-def _gains(name, range_message, call, refused=None):
+def _gains(name, range_message, call):
     """The row of the gain vector ``name``: an out-of-range entry is refused
     with ``range_message``, and the rest as :func:`_vector` refuses it."""
-    return _vector(name, call, {range_message: _entries(1.0, NOT_FINITE + (-1.0,)), **(refused or {})})
+    return _vector(name, call, {range_message: _entries(1.0, NOT_FINITE + (-1.0,))})
 
 
 def _vector(name, call, refused=None):
@@ -167,18 +165,6 @@ ARGS = {
         _scalars(1.0),
         {RHO_MESSAGE: HOSTILE + (-1.0, 2.0)},
     ),
-    "rho_by_bisection(g_sq)": Arg(
-        lambda v: rho_by_bisection(v, SINGLE),
-        2.0,
-        _scalars(2.0),
-        {GAIN_MESSAGE: HOSTILE + (-1.0,)},
-    ),
-    "rho_by_bisection(tol)": Arg(
-        lambda v: rho_by_bisection(0.9, SINGLE, tol=v),
-        0.5,
-        _scalars(0.5),
-        {"tol must lie in (0, 1)": HOSTILE + (-1.0, 0.0, 1.0)},
-    ),
     "sorted_pairing(h_sq)": _gains("h_sq", H_MESSAGE, lambda v: sorted_pairing(v, [1.0, 2.0])),
     "sorted_pairing(g_sq)": _gains("g_sq", G_MESSAGE, lambda v: sorted_pairing([1.0, 2.0], v)),
     "ChannelRealization(h_sq)": _gains("h_sq", H_MESSAGE, lambda v: ChannelRealization(v, [1.0, 2.0])),
@@ -209,24 +195,6 @@ ARGS = {
         _scalars(10.0),
         {"p_max must be positive and finite": HOSTILE + (-1.0, 0.0)},
     ),
-    "power_by_grid(gammas)": _gains(
-        "gammas",
-        GAMMAS_MESSAGE,
-        lambda v: power_by_grid(v, 10.0, 100),
-        {"power_by_grid expects exactly two gains": ([1.0],)},
-    ),
-    "power_by_grid(p_max)": Arg(
-        lambda v: power_by_grid([1.0, 2.0], v, 100),
-        10.0,
-        _scalars(10.0),
-        {"p_max must be positive and finite": HOSTILE + (-1.0, 0.0)},
-    ),
-    "power_by_grid(resolution)": Arg(
-        lambda v: power_by_grid([1.0, 2.0], 10.0, v),
-        100,
-        (np.int64(100), np.uint16(100)),
-        {"resolution must be an int >= 1": (*NOT_COUNTS, -1, 0, 100.0, np.float64(100.0))},
-    ),
     "SubcarrierPairing(perm)": Arg(
         SubcarrierPairing,
         [1, 0],
@@ -249,8 +217,8 @@ ARGS = {
     "generate_channel(seed)": Arg(
         lambda v: generate_channel(CFG, v),
         5,
-        (np.int64(5), np.uint32(5), np.uint8(5)),
-        {SEED_MESSAGE: (*NOT_COUNTS, -1, 2.7, np.float64(1.0))},
+        (np.int64(5), np.uint32(5), np.uint8(5), np.array(5)),
+        {SEED_MESSAGE: (*NOT_COUNTS, -1, 2.7, np.float64(1.0), np.timedelta64(5), np.datetime64(5, "D"))},
     ),
     "run_trials(trials)": Arg(
         lambda v: run_trials(CFG, PROPOSED, v, 1),

@@ -103,14 +103,42 @@ def test_mistyped_field_is_reported_not_raised(field, value):
     assert any(field in err for err in errors), errors
 
 
+class _KindlessDtype:
+    """A value with ``ndim == 0`` whose ``dtype`` has no ``kind``."""
+
+    ndim = 0
+    dtype = object()
+
+
+@pytest.mark.parametrize(
+    "field, value, error",
+    [
+        # NumPy derives timedelta64 from signedinteger, yet it is no count
+        ("taps", np.timedelta64(4), "taps must be an integer >= 1"),
+        ("taps", np.datetime64(4, "D"), "taps must be an integer >= 1"),
+        ("p_max", np.array([10.0]), "p_max must be a positive, finite number"),
+        ("p_max", _KindlessDtype(), "p_max must be a positive, finite number"),
+    ],
+)
+def test_a_value_whose_dtype_kind_is_no_number_gets_the_range_message(field, value, error):
+    assert config_faults(**{field: value}) == [error]
+
+
 @pytest.mark.parametrize(
     "field, value",
-    [("eta", np.float32(1.0)), ("d0", np.float32(1.3)), ("alpha", np.float32(2.7)), ("p_max", np.int64(10))],
+    [
+        ("eta", np.float32(1.0)),
+        ("d0", np.float32(1.3)),
+        ("alpha", np.float32(2.7)),
+        ("p_max", np.int64(10)),
+        ("p_max", np.array(10.0)),
+    ],
 )
 def test_a_numpy_scalar_field_gives_the_float_result(field, value):
-    """A NumPy real field is stored as the Python float of its value, so
-    float32 arithmetic never reaches the engine: solve and run_trials give
-    the float's bits without a warning, and the config writes to JSON."""
+    """A NumPy real field, a 0-d array included, is stored as the Python
+    float of its value, so float32 arithmetic never reaches the engine:
+    solve and run_trials give the float's bits without a warning, and the
+    config writes to JSON."""
     cfg = make_cfg(**{field: value})
     want = make_cfg(**{field: float(value)})
     assert type(getattr(cfg, field)) is float and cfg == want
@@ -175,8 +203,9 @@ print([policy.value for policy in sr.PolicyId], SWEEP_VARIABLES)
 
 
 def test_numpy_scalars_count_as_numbers_when_numpy_loads_after_the_package():
-    # the number rule looks NumPy up when it runs, not when the package
-    # loads, so its scalars get the verdicts of a process that loaded it first
+    # the number rule reads a value's dtype kind off the value and imports no
+    # NumPy, so scalars made after the package loads get the verdicts of a
+    # process that loaded NumPy first
     code = """
 import sys
 from dataclasses import replace

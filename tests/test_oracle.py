@@ -7,7 +7,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from swipt_relay import oracle
 from swipt_relay.allocator import NoUsablePairError, effective_gain, solve, split_and_gain, waterfill
 from swipt_relay.channel import ChannelRealization, generate_channel
 from swipt_relay.model import NoiseProfile, dbm_to_mw, default_config
@@ -16,12 +15,12 @@ from swipt_relay.oracle import (
     VerificationReport,
     _permutations,
     best_pairing_exhaustive,
-    power_by_grid,
-    rho_by_bisection,
     verify,
 )
 
+import oracles
 from conftest import REF_GAIN, REF_RHO, make_cfg
+from oracles import power_by_grid, rho_by_bisection
 
 
 # ------------------------------------------------------------- bisection
@@ -52,14 +51,14 @@ def test_bisection_below_the_float_spacing_ends_at_adjacent_floats(monkeypatch):
     # once lo and hi are adjacent floats the midpoint is one of them, so a
     # tol below their spacing never stopped the loop
     calls = itertools.count()
-    original = oracle.rate_terms
+    original = oracles.rate_terms
 
     def counted(*args):
         if next(calls) > 5000:
             raise AssertionError("the bisection does not end")
         return original(*args)
 
-    monkeypatch.setattr(oracle, "rate_terms", counted)
+    monkeypatch.setattr(oracles, "rate_terms", counted)
     cfg = default_config()
     root = rho_by_bisection(0.9, cfg, tol=1e-300)
     assert 0.0 < root < 1.0
@@ -148,46 +147,6 @@ def test_grid_agrees_with_waterfill_on_random_draws():
         from_grid = power_by_grid(gammas, p_max, resolution=resolution)
         from_waterfill = waterfill(gammas, p_max)
         np.testing.assert_allclose(from_waterfill, from_grid, atol=step * 1.0000001)
-
-
-def test_grid_rejects_a_dead_channel():
-    with pytest.raises(NoUsablePairError):
-        power_by_grid([0.0, 0.0], 10.0, 100)
-    with pytest.raises(NoUsablePairError):
-        waterfill([0.0, 0.0], 10.0)
-
-
-def _refusal(solver, gammas, p_max):
-    """The type and message of what ``solver`` raised, or None."""
-    try:
-        solver(gammas, p_max)
-    except ValueError as err:
-        return type(err), str(err)
-    return None
-
-
-# the grid takes water-filling's input rule: the same faults, checked in the
-# same order, with the same messages
-@pytest.mark.parametrize(
-    "gammas, p_max, error",
-    [
-        ([math.nan, 1.0], 10.0, ValueError),
-        ([1.0, -1.0], 10.0, ValueError),
-        ([math.inf, 1.0], 10.0, ValueError),
-        ([1.0, 2.0], 0.0, ValueError),
-        ([1.0, 2.0], math.nan, ValueError),
-        ([1.0, 0.5], math.inf, ValueError),
-        ([math.nan, 0.0], math.nan, ValueError),  # the gains are checked first
-        ([0.0, 0.0], 10.0, NoUsablePairError),
-        ([0.0, 0.0], -1.0, ValueError),  # the budget before the dead pair
-        ([1.0, 2.0], "1.0", ValueError),
-        ([1.0, 2.0], None, ValueError),
-    ],
-)
-def test_grid_refuses_what_waterfill_refuses(gammas, p_max, error):
-    refusal = _refusal(lambda g, p: power_by_grid(g, p, 100), gammas, p_max)
-    assert refusal is not None and refusal[0] is error
-    assert refusal == _refusal(waterfill, gammas, p_max)
 
 
 # -------------------------------------------- two-subcarrier sorted identity
