@@ -46,14 +46,17 @@ DEFAULT_CONFIG = {
 WIDE_CONFIG = {**DEFAULT_CONFIG, "n_subcarriers": 256, "taps": 16}
 NO_HARVEST_CONFIG = {**DEFAULT_CONFIG, "eta": 0.0}
 VERIFY_CONFIG = {**DEFAULT_CONFIG, "n_subcarriers": 6}
+# one subcarrier past the exhaustive pairing search's cap
+UNVERIFIABLE_CONFIG = {**DEFAULT_CONFIG, "n_subcarriers": 9}
 # refused with two faults, so the listing's order and layout are compared
 INVALID_CONFIG = {**DEFAULT_CONFIG, "eta": 2.0, "dr": 1.5}
 # an integral float count is taken, and a bool or a string is no number: the
 # listing goes through the number rule
 MISTYPED_CONFIG = {**DEFAULT_CONFIG, "taps": 4.0, "eta": True, "d0": "1"}
 # (name, config, CLI arguments after the config path); a command writes its
-# files into its working directory. The last five fail, or print help, before
-# any engine module loads.
+# files into its working directory. Of the last nine, the first five fail, or
+# print help, before any engine module loads, and the last four are refused by
+# the engine, before or instead of any expensive work.
 COMMANDS = [
     ("sweep-p-max", DEFAULT_CONFIG,
      ["sweep", "--variable", "p_max_dbm", "--values", "10..40:5", "--trials", "300", "-o", "out.csv"]),
@@ -72,6 +75,11 @@ COMMANDS = [
     ("sweep-unknown-policy", DEFAULT_CONFIG,
      ["sweep", "--variable", "p_max_dbm", "--values", "10", "--policies", "nope"]),
     ("solve-malformed-seed", DEFAULT_CONFIG, ["solve", "--seed", "x"]),
+    ("solve-negative-seed", DEFAULT_CONFIG, ["solve", "--seed", "-1"]),
+    ("sweep-zero-trials", DEFAULT_CONFIG,
+     ["sweep", "--variable", "p_max_dbm", "--values", "10", "--trials", "0"]),
+    ("verify-n9", UNVERIFIABLE_CONFIG, ["verify"]),
+    ("verify-eta-0", NO_HARVEST_CONFIG, ["verify"]),
 ]
 
 

@@ -78,14 +78,14 @@ class SubcarrierPairing:
     perm: np.ndarray
 
     def __post_init__(self):
+        # np.array casts a bool among ints to an int and raises on a ragged
+        # entry, so the entries are scanned first
+        if _holds_non_real(self.perm):
+            raise ValueError("perm must hold integers, not bools, strings or sequences")
         p = np.array(self.perm)
-        # a float or bool index would be truncated to another permutation
+        # a float index would be truncated to another permutation
         if p.dtype.kind not in _INT_KINDS:
             raise ValueError(f"perm must hold integers, got dtype {p.dtype}")
-        # np.array casts a bool among ints to an int, so the entries are
-        # scanned as well
-        if _holds_non_real(self.perm):
-            raise ValueError("perm must hold integers, not bools")
         p = p.astype(np.int64, copy=False)
         if p.ndim != 1 or not np.array_equal(np.sort(p), np.arange(p.size)):
             raise ValueError("perm must be a permutation of 0..N-1")

@@ -4,8 +4,11 @@ Exit codes: 0 success, 1 invalid config or flags, 2 I/O failure,
 3 verification found a failing check.
 
 Only ``model`` loads with this module, so a usage error, ``--help`` or an
-invalid config is answered without NumPy. Each command loads its config and
-checks its own flags before it imports the engine modules it runs.
+invalid config is answered without NumPy. ``main`` loads the config and hands
+it to the command, which checks its own flags before it imports the engine
+modules it runs. ``main`` also maps a ``ValueError`` the library raises to
+exit 1 with its message; a command catches one itself only to prefix it or
+to give it another exit code.
 """
 
 from __future__ import annotations
@@ -111,17 +114,10 @@ def _parse_values(text: str) -> list[float]:
 
 
 def _parse_policies(text: str) -> list[PolicyId]:
-    policies = []
-    for name in text.split(","):
-        try:
-            policies.append(PolicyId.from_name(name.strip()))
-        except ValueError as exc:
-            raise _CommandError(1, str(exc)) from exc
-    return policies
+    return [PolicyId.from_name(name.strip()) for name in text.split(",")]
 
 
-def _cmd_solve(args) -> int:
-    cfg = _load_config(args.config)
+def _cmd_solve(args, cfg) -> int:
     from .allocator import allocation_to_dict, solve
     from .channel import generate_channel, load_channel_file
 
@@ -133,22 +129,15 @@ def _cmd_solve(args) -> int:
         except ValueError as exc:
             raise _CommandError(1, f"invalid channel file '{args.channel_file}': {exc}") from exc
     else:
-        try:
-            channel = generate_channel(cfg, args.seed)
-        except ValueError as exc:
-            raise _CommandError(1, str(exc)) from exc
-    try:
-        result = solve(channel, cfg)
-    except ValueError as exc:
-        # a channel file of another width, a dead channel, or one whose
-        # effective gain passes the float range
-        raise _CommandError(1, str(exc)) from exc
+        channel = generate_channel(cfg, args.seed)
+    # refuses a channel file of another width, a dead channel, and one whose
+    # effective gain passes the float range
+    result = solve(channel, cfg)
     _write_text(args.output, json.dumps(allocation_to_dict(result), indent=2) + "\n")
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    cfg = _load_config(args.config)
+def _cmd_sweep(args, cfg) -> int:
     values = _parse_values(args.values)
     policies = _parse_policies(args.policies)
     from .montecarlo import SweepSpec, sweep
@@ -164,33 +153,28 @@ def _cmd_sweep(args) -> int:
         result = sweep(cfg, spec)
     except ConfigError as exc:
         raise _invalid("sweep produced an invalid config", exc) from exc
-    except ValueError as exc:
-        raise _CommandError(1, str(exc)) from exc
     banner = None if args.no_banner else _BANNER
     _write_text(args.output, result.to_csv(banner=banner))
     return 0
 
 
-def _cmd_verify(args) -> int:
-    cfg = _load_config(args.config)
+def _cmd_verify(args, cfg) -> int:
     if args.seeds < 1:
         raise _CommandError(1, "seeds must be >= 1")
     from .allocator import NoUsablePairError
     from .channel import generate_channel
     from .oracle import VerificationReport, _check_verify_args, verify
 
-    try:
-        # before the first channel is generated, whose size is the config's
-        _check_verify_args(cfg, args.tol)
-    except ValueError as exc:
-        raise _CommandError(1, str(exc)) from exc
-    reports = []
+    # before the first channel is generated, whose size is the config's
+    _check_verify_args(cfg, args.tol)
+    # one merged report, folded a seed at a time, whatever --seeds is
+    merged = VerificationReport(())
     for seed in range(1, args.seeds + 1):
         try:
-            reports.append(verify(generate_channel(cfg, seed), cfg, tol=args.tol))
+            report = verify(generate_channel(cfg, seed), cfg, tol=args.tol)
         except NoUsablePairError as exc:
             raise _CommandError(3, f"seed {seed}: {exc}") from exc
-    merged = VerificationReport.merge(reports)
+        merged = VerificationReport.merge((merged, report))
     print(f"{'check':<22}{'status':<8}{'max residual':<16}tolerance")
     for check in merged.checks:
         status = "PASS" if check.passed else "FAIL"
@@ -282,10 +266,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _load_config(args.config))
     except _CommandError as exc:
         print(exc.message, file=sys.stderr)
         return exc.code
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 1
 
 
 def entrypoint() -> None:

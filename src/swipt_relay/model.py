@@ -43,7 +43,6 @@ __all__ = [
     "PolicyId",
     "SWEEP_VARIABLES",
     "SystemConfig",
-    "config_errors",
     "config_from_dict",
     "config_to_dict",
     "dbm_to_mw",
@@ -122,7 +121,7 @@ class NoiseProfile:
             sigma_d_sq = self.sigma_da_sq + self.sigma_db_sq
         except (TypeError, OverflowError):
             # a mistyped field, or an int past the float range beside a
-            # float: config_errors reports it by name, and any arithmetic on
+            # float: validate_config reports it by name, and any arithmetic on
             # None raises TypeError, as the sum did
             sigma_d_sq = None
         object.__setattr__(self, "sigma_d_sq", sigma_d_sq)
@@ -142,8 +141,8 @@ class SystemConfig:
     noise: receiver noise powers.
 
     Construction (``dataclasses.replace`` included) raises
-    :class:`ConfigError` with the list :func:`config_errors` reports, so
-    every config in existence is valid. A :class:`NoiseProfile` is not
+    :class:`ConfigError` through :func:`validate_config`, so every config in
+    existence is valid. A :class:`NoiseProfile` is not
     checked on its own: its faults are listed with the config's.
     """
 
@@ -218,7 +217,7 @@ def _python_scalars(obj, names, accepts, convert) -> None:
     ``convert`` of it: a real as the Python float of :func:`_real`, an
     integer as a Python int, so that no ``float32`` or ``uint8`` arithmetic
     reaches the engine. Python numbers and values ``accepts`` refuses stay
-    as given, for :func:`config_errors` to report."""
+    as given, for :func:`validate_config` to report."""
     for name in names:
         if type(value := getattr(obj, name)) not in (int, float) and accepts(value):
             object.__setattr__(obj, name, convert(value))
@@ -233,9 +232,11 @@ def _positive_finite(name: str, value, errors: list[str]) -> None:
         errors.append(f"{name} must be a positive, finite number")
 
 
-def config_errors(cfg: SystemConfig) -> list[str]:
-    """Collect every invariant violation of ``cfg`` (empty list if valid),
-    one message per field, the list a config is refused with when built."""
+def validate_config(cfg: SystemConfig) -> SystemConfig:
+    """Return ``cfg`` unchanged if every invariant holds, else raise
+    :class:`ConfigError` listing every violation, one message per field.
+    The constructor of :class:`SystemConfig` runs it, so a built config
+    always passes."""
     errors: list[str] = []
     if not _is_int(cfg.n_subcarriers) or cfg.n_subcarriers < 1:
         errors.append("n_subcarriers must be an integer >= 1")
@@ -289,15 +290,6 @@ def config_errors(cfg: SystemConfig) -> list[str]:
                 f"noise.{field_name} ({value}): below 2**-511 mW the split's term "
                 "4 * sigma_ra_sq * sigma_rb_sq underflows a float"
             )
-    return errors
-
-
-def validate_config(cfg: SystemConfig) -> SystemConfig:
-    """Return ``cfg`` unchanged if every invariant holds, else raise
-    :class:`ConfigError` carrying the complete violation list. The
-    constructor of :class:`SystemConfig` runs it, so a built config always
-    passes."""
-    errors = config_errors(cfg)
     if errors:
         raise ConfigError(errors)
     return cfg

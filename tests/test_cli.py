@@ -515,6 +515,30 @@ def test_verify_hundred_seeds_all_pass(cfg_path, capsys):
     assert "overall: PASS" in out
 
 
+def test_verify_folds_each_seed_into_one_merged_report(cfg_path, tmp_path, monkeypatch, capsys):
+    """``verify`` holds one merged report whatever ``--seeds`` is: every
+    merge takes at most two reports, and the JSON is the merge of all seeds'
+    reports at once."""
+    from swipt_relay.channel import generate_channel
+    from swipt_relay.oracle import VerificationReport, verify
+
+    cfg = default_config()
+    merge = VerificationReport.merge
+    expected = merge([verify(generate_channel(cfg, seed), cfg) for seed in range(1, 6)]).to_json() + "\n"
+    sizes = []
+
+    def counting_merge(cls, reports):
+        reports = list(reports)
+        sizes.append(len(reports))
+        return merge(reports)
+
+    monkeypatch.setattr(VerificationReport, "merge", classmethod(counting_merge))
+    out = tmp_path / "report.json"
+    assert main(["verify", cfg_path, "--seeds", "5", "-o", str(out)]) == 0
+    assert sizes and max(sizes) <= 2
+    assert out.read_text() == expected
+
+
 @pytest.mark.parametrize("n_subcarriers", [9, 10**12])
 def test_verify_caps_subcarrier_count(n_subcarriers, tmp_path, capsys):
     # checked before the first channel, which would not fit in memory at 10**12

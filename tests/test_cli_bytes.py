@@ -78,13 +78,14 @@ def test_config_literals_are_the_configs_they_name(cli_bytes):
     assert config_from_dict(cli_bytes.WIDE_CONFIG) == replace(cfg, n_subcarriers=256, taps=16)
     assert config_from_dict(cli_bytes.NO_HARVEST_CONFIG) == replace(cfg, eta=0.0)
     assert config_from_dict(cli_bytes.VERIFY_CONFIG) == replace(cfg, n_subcarriers=6)
+    assert config_from_dict(cli_bytes.UNVERIFIABLE_CONFIG) == replace(cfg, n_subcarriers=9)
     with pytest.raises(ConfigError) as refused:
         config_from_dict(cli_bytes.INVALID_CONFIG)
     assert len(refused.value.errors) == 2
 
 
-# what each command answered before any engine module loads prints: its exit
-# code, and a piece of its stdout and of its stderr
+# what each command that fails, or prints help, before any expensive work
+# answers: its exit code, and a piece of its stdout and of its stderr
 _EARLY_ANSWERS = {
     "solve-help": (0, b"usage: swipt-relay solve [-h]", b""),
     "solve-invalid-config": (1, b"", b"invalid config 'config.json':\n  - eta out of [0,1]\n  - dr: relay"),
@@ -92,6 +93,10 @@ _EARLY_ANSWERS = {
         1, b"", b"invalid config 'config.json':\n  - eta must be a number\n  - d0 must be a number\n"),
     "sweep-unknown-policy": (1, b"", b"unknown policy 'nope'; valid policies: proposed,"),
     "solve-malformed-seed": (1, b"", b"error: argument --seed: invalid int value: 'x'"),
+    "solve-negative-seed": (1, b"", b"seed must be a nonnegative integer, got -1\n"),
+    "sweep-zero-trials": (1, b"", b"trials must be an integer >= 1\n"),
+    "verify-n9": (1, b"", b"n_subcarriers must be at most 8 for verification"),
+    "verify-eta-0": (3, b"", b"seed 1: no usable pair: every effective gain is zero\n"),
 }
 
 
@@ -99,6 +104,8 @@ def test_the_early_answers_are_the_paths_they_name(cli_bytes, tmp_path):
     tree = Path(__file__).resolve().parents[1]
     commands = {name: (config, args) for name, config, args in cli_bytes.COMMANDS}
     assert len(commands) == len(cli_bytes.COMMANDS)
+    # the answers named here are the last commands of the list
+    assert list(commands)[-len(_EARLY_ANSWERS):] == list(_EARLY_ANSWERS)
     for name, (code, out, err) in _EARLY_ANSWERS.items():
         run = cli_bytes.run_command(tree, tmp_path / name, *commands[name])
         assert (run["exit"], out in run["stdout"], err in run["stderr"]) == (code, True, True), (name, run)

@@ -236,6 +236,8 @@ ARGS = {
                 ["1", "0"],
                 [None, 0],
                 [BIG, 0],
+                [1, np.array([1.0, 2.0])],
+                [1, [0]],
             ),
         },
     ),

@@ -18,7 +18,6 @@ from swipt_relay.model import (
     NoiseProfile,
     PolicyId,
     SystemConfig,
-    config_errors,
     config_from_dict,
     config_to_dict,
     dbm_to_mw,
@@ -65,7 +64,8 @@ def test_fewer_subcarriers_than_taps_reported():
     assert errors == [
         "n_subcarriers (2) must be >= taps (4): the N-point DFT needs at least one point per tap"
     ]
-    assert config_errors(make_cfg(n_subcarriers=4, taps=4)) == []
+    cfg = make_cfg(n_subcarriers=4, taps=4)
+    assert validate_config(cfg) is cfg
     with pytest.raises(ConfigError):
         make_cfg(n_subcarriers=1, taps=2)
 
@@ -303,7 +303,8 @@ def test_path_loss_overflow_reported():
     assert errors == [
         "alpha (1800.0): the relay-destination path loss (1 + 0.99)**alpha overflows a float"
     ]
-    assert config_errors(make_cfg(alpha=1000.0)) == []
+    cfg = make_cfg(alpha=1000.0)
+    assert validate_config(cfg) is cfg
 
 
 def test_path_loss_times_taps_overflow_reported():
@@ -318,7 +319,7 @@ def test_path_loss_times_taps_overflow_reported():
     ]
     # with one tap the same exponent draws a usable channel
     cfg = make_cfg(alpha=1750.09, taps=1)
-    assert config_errors(cfg) == []
+    assert validate_config(cfg) is cfg
     chan = generate_channel(cfg, 1)
     assert (chan.h_sq > 0.0).all() and (chan.g_sq > 0.0).all()
 
