@@ -33,10 +33,7 @@ After each pair's runs, one fresh process per tree imports that tree's
 fixed per workload (``PROBE_OPS``): each runs one pass when told to, and
 the sides take turns in the pair's order for ``PROBE_PASSES`` passes, so
 that pass k of base and head run back to back under the same load. The
-fastest pass per side counts, as the one least slowed by other load. Where
-``os.sched_setaffinity`` exists, both probe processes are pinned to one CPU
-of this process's set, so that neither side's passes run alone on a core
-that other load keeps busy. Each
+fastest pass per side counts, as the one least slowed by other load. Each
 workload's ``process_time`` block summarises the probes' CPU µs per
 operation (``us_per_op``) as the runs' metrics are summarised: a raw figure
 that no reference kernel scales, to set beside ``trials_per_s``.
@@ -161,17 +158,6 @@ def _reply(proc: subprocess.Popen, deadline: float, request: bool = True) -> str
     return (proc.stdout.readline() or None) if ready else None
 
 
-def _pin(pids) -> None:
-    """Pin each process ``pids`` to the same one CPU of this process's
-    affinity set; nothing where the platform has no affinity calls. A child
-    that has exited stays a zombie until it is waited for, and takes the
-    call."""
-    if hasattr(os, "sched_setaffinity"):
-        cpu = max(os.sched_getaffinity(0))
-        for pid in pids:
-            os.sched_setaffinity(pid, {cpu})
-
-
 def probe_process_time(trees: dict[str, Path], order: tuple[str, ...], workload: str) -> dict[str, dict]:
     """CPU µs per operation of ``workload`` on each side, as a run record of
     one metric, ``us_per_op``: one fresh process per tree warms up, then
@@ -191,7 +177,6 @@ def probe_process_time(trees: dict[str, Path], order: tuple[str, ...], workload:
                 command, cwd=trees[side], stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=logs[side],
                 text=True))
             stack.callback(procs[side].kill)
-        _pin(procs[side].pid for side in order)
 
         def crash(side: str) -> dict:
             try:

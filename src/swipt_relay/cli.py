@@ -130,8 +130,8 @@ def _cmd_solve(args, cfg) -> int:
             raise _CommandError(1, f"invalid channel file '{args.channel_file}': {exc}") from exc
     else:
         channel = generate_channel(cfg, args.seed)
-    # refuses a channel file of another width, a dead channel, and one whose
-    # effective gain passes the float range
+    # solve refuses a channel file of another width, a dead channel, and one
+    # whose effective gain passes the float range
     result = solve(channel, cfg)
     _write_text(args.output, json.dumps(allocation_to_dict(result), indent=2) + "\n")
     return 0

@@ -142,8 +142,8 @@ class SystemConfig:
 
     Construction (``dataclasses.replace`` included) raises
     :class:`ConfigError` through :func:`validate_config`, so every config in
-    existence is valid. A :class:`NoiseProfile` is not
-    checked on its own: its faults are listed with the config's.
+    existence is valid. A :class:`NoiseProfile` is not checked on its own:
+    its faults are listed with the config's.
     """
 
     n_subcarriers: int

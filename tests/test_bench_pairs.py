@@ -296,19 +296,6 @@ def test_the_probes_of_both_trees_take_turns_after_both_warm_ups(tmp_path, monke
         assert records[side]["failed"] == 0 and records[side]["metrics"]["us_per_op"]["value"] > 0.0
 
 
-def test_pin_puts_every_probe_process_on_one_cpu_of_this_process(monkeypatch):
-    calls = []
-    monkeypatch.setattr(bench_pairs.os, "sched_getaffinity", lambda pid: {0, 2, 3}, raising=False)
-    monkeypatch.setattr(bench_pairs.os, "sched_setaffinity", lambda pid, cpus: calls.append((pid, cpus)),
-                        raising=False)
-    bench_pairs._pin([11, 12])
-    assert calls == [(11, {3}), (12, {3})]
-    # a platform without the affinity calls runs the probes unpinned
-    monkeypatch.delattr(bench_pairs.os, "sched_setaffinity")
-    bench_pairs._pin([13])
-    assert calls == [(11, {3}), (12, {3})]
-
-
 def test_main_records_a_process_time_block_per_workload(tmp_path, monkeypatch):
     spec = {"run_seconds": 1, "workloads": [{"name": "w"}, {"name": "v"}],
             "end_to_end": [{"name": "trials_per_s", "better": "higher", "bound": 0.2}]}
