@@ -46,6 +46,10 @@ DEFAULT_CONFIG = {
 WIDE_CONFIG = {**DEFAULT_CONFIG, "n_subcarriers": 256, "taps": 16}
 NO_HARVEST_CONFIG = {**DEFAULT_CONFIG, "eta": 0.0}
 VERIFY_CONFIG = {**DEFAULT_CONFIG, "n_subcarriers": 6}
+# the widest channel the one-channel solve runs on Python floats, and the
+# narrowest it runs on NumPy arrays
+FLOAT_BODY_CONFIG = {**DEFAULT_CONFIG, "n_subcarriers": 7}
+ARRAY_BODY_CONFIG = {**DEFAULT_CONFIG, "n_subcarriers": 8}
 # one subcarrier past the exhaustive pairing search's cap
 UNVERIFIABLE_CONFIG = {**DEFAULT_CONFIG, "n_subcarriers": 9}
 # refused with two faults, so the listing's order and layout are compared
@@ -69,6 +73,8 @@ COMMANDS = [
     ("verify-n6", VERIFY_CONFIG, ["verify", "--seeds", "30", "-o", "report.json"]),
     *((f"solve-seed-{seed}", DEFAULT_CONFIG, ["solve", "--seed", str(seed)])
       for seed in (1, 2, 3, 2**40, 2**70)),
+    ("solve-n7", FLOAT_BODY_CONFIG, ["solve", "--seed", "5"]),
+    ("solve-n8", ARRAY_BODY_CONFIG, ["solve", "--seed", "5"]),
     ("solve-help", DEFAULT_CONFIG, ["solve", "--help"]),
     ("solve-invalid-config", INVALID_CONFIG, ["solve"]),
     ("solve-mistyped-config", MISTYPED_CONFIG, ["solve"]),

@@ -55,9 +55,12 @@ _B_DIRECT_MAX = 2.0**256
 # max(gamma) * max(P) stays below this bound
 _PRODUCT_LIMIT = 2.0**1023
 # below this many elements ``ndarray.sum`` adds float64 strictly left to
-# right; from it up it sums pairwise over eight accumulators. Water-filling
-# and the largest gain and power of a rate sum are taken on Python floats
-# below it and on NumPy arrays from it up.
+# right; from it up it sums pairwise over eight accumulators. Below it these
+# helpers run on Python floats, and from it up on NumPy arrays, with the
+# same bits: ``waterfill`` (``_waterfill_floats``), ``_largest`` (the
+# largest gain and power of a rate sum), ``_total`` (a result's total
+# rate), and, on one channel's vectors, ``_sorted_perm`` and
+# ``_split_gains``.
 _FLOAT_BODY_LIMIT = 8
 # module aliases: one global lookup each on the float water-filling path
 _INF = math.inf
@@ -208,6 +211,14 @@ def _sorted_perm(h: np.ndarray, g: np.ndarray) -> np.ndarray:
     """The permutations of :func:`sorted_pairing` for two equal-shape float
     vectors, or tables of one channel per row: incoming subcarrier i of a
     row forwards over outgoing ``perm[..., i]``."""
+    if h.ndim == 1 and h.size < _FLOAT_BODY_LIMIT:
+        # a stable sort in reverse keeps equal gains in index order, as the
+        # stable argsort of -x does
+        values_h, values_g, perm = h.tolist(), g.tolist(), [0] * h.size
+        for i, j in zip(sorted(range(h.size), key=values_h.__getitem__, reverse=True),
+                        sorted(range(h.size), key=values_g.__getitem__, reverse=True)):
+            perm[i] = j
+        return np.array(perm)
     # the method skips the np.argsort wrapper, about half the call
     order_h = (-h).argsort(axis=-1, kind="stable")
     order_g = (-g).argsort(axis=-1, kind="stable")
@@ -492,6 +503,12 @@ def _split_gains(h: np.ndarray, g_paired: np.ndarray, cfg: SystemConfig):
     # the split loop runs on Python floats: NumPy-scalar arithmetic is about
     # 3x slower and gives the same bits
     pairs = map(split_and_gain, h.ravel().tolist(), g_paired.ravel().tolist(), itertools.repeat(cfg))
+    if h.ndim == 1 and h.size < _FLOAT_BODY_LIMIT:
+        # a short vector's two columns cost less as one np.array call than
+        # as the flat buffer and its three reshapes
+        table = np.array(tuple(zip(*pairs)))
+        table.setflags(write=False)
+        return table
     # one flat buffer: about 2.5x faster than np.array on the list of tuples
     table = np.fromiter(itertools.chain.from_iterable(pairs), float, 2 * h.size)
     # read-only before the views are taken, so that both inherit the flag
@@ -505,19 +522,33 @@ def _largest(values: np.ndarray) -> float:
     return max(values.ravel().tolist()) if values.size < _FLOAT_BODY_LIMIT else float(values.max())
 
 
-def _check_gains(gam: np.ndarray) -> None:
-    """Raise ``ValueError`` "an effective gain passes the float range: the
-    channel is too strong for the noise" when a gain of the table ``gam``
-    is inf: a pair whose effective gain overflows, as it can on a strong
-    channel at low noise powers, has no rate to report. Every rule's gains
-    go through it before their powers are taken."""
-    if _largest(gam) == _INF:
+def _total(values: np.ndarray) -> float:
+    """``float(values.sum())`` of the float vector ``values``: below
+    ``_FLOAT_BODY_LIMIT`` elements, as a left-to-right sum of Python floats,
+    which costs a third of the NumPy call."""
+    if values.size >= _FLOAT_BODY_LIMIT:
+        return float(values.sum())
+    total = 0.0
+    for value in values.tolist():
+        total += value
+    return total
+
+
+def _check_gains(gam: np.ndarray) -> float:
+    """The largest gain of the table ``gam``. Raise ``ValueError`` "an
+    effective gain passes the float range: the channel is too strong for the
+    noise" when it is inf: a pair whose effective gain overflows, as it can
+    on a strong channel at low noise powers, has no rate to report. Every
+    rule's gains go through it before their powers are taken."""
+    top = _largest(gam)
+    if top == _INF:
         raise ValueError("an effective gain passes the float range: the channel is too strong for the noise")
+    return top
 
 
-def _pair_rates(gam: np.ndarray, powers: np.ndarray) -> np.ndarray:
+def _pair_rates(gam: np.ndarray, powers: np.ndarray, top_gain: float) -> np.ndarray:
     """0.5*log2(1 + gamma*P) elementwise, for nonempty gains and powers of
-    any equal shape.
+    any equal shape, ``top_gain`` being the largest gain.
 
     Where gamma*P overflows, log1p(gamma*P) equals log(gamma) + log(P) to
     float precision, so those terms are taken in that form instead of inf.
@@ -525,7 +556,7 @@ def _pair_rates(gam: np.ndarray, powers: np.ndarray) -> np.ndarray:
     ``_PRODUCT_LIMIT``; below it no product overflows, and the two forms
     give the same bits wherever both hold.
     """
-    if _largest(gam) * _largest(powers) < _PRODUCT_LIMIT:
+    if top_gain * _largest(powers) < _PRODUCT_LIMIT:
         # the bits of 0.5 * log1p(gamma * P) / ln 2, with two arrays fewer
         rates = np.log1p(gam * powers)
         rates *= 0.5
@@ -553,10 +584,10 @@ def _table_rates(gam: np.ndarray, power_rule, cfg: SystemConfig):
     :func:`_pair_rates` in the form the whole table's largest gain and
     power allow, which gives a row the same bits as its own result.
     """
-    _check_gains(gam)
+    top_gain = _check_gains(gam)
     powers = power_rule(gam, cfg)
     # a dead row's powers are all zero, so it sums to exactly 0.0
-    return _pair_rates(gam, powers).sum(axis=1), ~powers.any(axis=1)
+    return _pair_rates(gam, powers, top_gain).sum(axis=1), ~powers.any(axis=1)
 
 
 def _check_width(n: int, cfg: SystemConfig, what: str = "channel") -> None:
@@ -585,16 +616,16 @@ def _run_row(row, channel: ChannelRealization, cfg: SystemConfig) -> AllocationR
     # costs more than both
     tables = gains(h, g[perm], cfg)
     rho, gam = tables[0], tables[1]
-    _check_gains(gam)
+    top_gain = _check_gains(gam)
     powers = power_rule(gam, cfg)
-    pair_rates = _pair_rates(gam, powers)
+    pair_rates = _pair_rates(gam, powers, top_gain)
     # every array is the row's own, so the result is built around them as
     # they are, each made read-only in place
     for vec in (rho, powers, pair_rates):
         vec.setflags(write=False)
     result = object.__new__(AllocationResult)
     result.__dict__.update(pairing=_pairing(perm), rho_i=rho, powers=powers, pair_rates=pair_rates,
-                           total_rate=float(pair_rates.sum()))
+                           total_rate=_total(pair_rates))
     return result
 
 

@@ -178,7 +178,8 @@ def _fixed_state():
             self.state = state
 
         def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != _POOL_SIZE or np.dtype(dtype) != np.uint64:
+            # PCG64 asks with the type itself, which skips the dtype build
+            if n_words != _POOL_SIZE or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
                 asked = f"{n_words} {np.dtype(dtype)}"
                 raise ValueError(f"holds exactly {_POOL_SIZE} uint64 words, asked for {asked}")
             return self.state
@@ -227,8 +228,10 @@ def generate_channel(cfg: SystemConfig, seed: int) -> ChannelRealization:
     n_taps, n_sub = cfg.taps, cfg.n_subcarriers
     parts = np.empty((2, 2 * n_taps))
     fixed_state = _fixed_state()
-    for state, row in zip(_hop_states(seed), parts):
-        np.random.Generator(np.random.PCG64(fixed_state(state))).standard_normal(out=row)
+    states = _hop_states(seed)
+    # indexing the two rows costs less than zipping over both 2-D arrays
+    for hop in (0, 1):
+        np.random.Generator(np.random.PCG64(fixed_state(states[hop]))).standard_normal(out=parts[hop])
     parts *= _tap_stds(n_taps, cfg.dr, cfg.d0, cfg.alpha)
     fft = _pocketfft()
     if fft is None:
@@ -236,7 +239,9 @@ def generate_channel(cfg: SystemConfig, seed: int) -> ChannelRealization:
     else:
         # taps along axis 1 in, the scale 1 (no normalization), N subcarriers out
         spectrum = fft(parts.view(complex), 1, axes=[(1,), (), (1,)], out=np.empty((2, n_sub), complex))
-    gains = np.abs(spectrum) ** 2
+    # squared in place: the bits of ** 2, without a second array
+    gains = np.abs(spectrum)
+    gains *= gains
     # read-only before the two hop rows are taken as views, which inherit
     # the flag
     gains.setflags(write=False)

@@ -44,7 +44,7 @@ from .allocator import (
 from .allocator import waterfill  # noqa: F401
 from .baselines import _trial_rates
 from .channel import ChannelRealization
-from .model import PolicyId, SystemConfig, _real
+from .model import NoiseProfile, PolicyId, SystemConfig, _real, default_config
 
 __all__ = [
     "CheckResult",
@@ -167,6 +167,24 @@ def _worst(residuals) -> float:
     return worst
 
 
+@functools.lru_cache(maxsize=64)
+def _monotone_gap(sigma_ra_sq: float, sigma_rb_sq: float) -> tuple[bool, float]:
+    """Whether rho_I rises strictly along ``_MONOTONE_B_GRID`` at these relay
+    noise powers, and the largest fall between neighbours (0.0 if none).
+
+    rho_I depends on b, s_ra and s_rb alone, and at eta = 1 and
+    sigma_d_sq = 1 the outgoing gain is b: so the grid spans b itself,
+    whatever eta and sigma_d_sq are, with no g that overflows or collapses
+    to subnormals. The 64 splits depend on the relay noise alone, so they
+    run once per pair of its powers, not once per seed.
+    """
+    unit = replace(default_config(), eta=1.0, noise=NoiseProfile(sigma_ra_sq, sigma_rb_sq, 0.5, 0.5))
+    rhos = [split_and_gain(1.0, b, unit)[0] for b in _MONOTONE_B_GRID]
+    steps = list(zip(rhos, rhos[1:]))
+    monotone = all(hi_rho > lo_rho for lo_rho, hi_rho in steps)
+    return monotone, max(0.0, *(lo_rho - hi_rho for lo_rho, hi_rho in steps))
+
+
 def _check_verify_args(cfg: SystemConfig, tol) -> float:
     """``tol`` as a Python float, once ``cfg`` and ``tol`` pass
     :func:`verify`'s first two checks, which need no channel: at most 8
@@ -256,19 +274,9 @@ def verify(
     checks.append(CheckResult("root_bounds", strict and residual <= tol, residual, tol))
 
     # split ratio monotone in the forward-quality scalar b
-    residual = 0.0
-    monotone = True
-    if cfg.eta > 0.0:
-        # rho_I depends on b, s_ra and s_rb alone, and at eta = 1 and
-        # sigma_d_sq = 1 the outgoing gain is b: so the grid spans b itself,
-        # whatever eta and sigma_d_sq are, with no g that overflows or
-        # collapses to subnormals
-        unit = replace(cfg, eta=1.0, noise=replace(cfg.noise, sigma_da_sq=0.5, sigma_db_sq=0.5))
-        rhos = [split_and_gain(1.0, b, unit)[0] for b in _MONOTONE_B_GRID]
-        for lo_rho, hi_rho in zip(rhos, rhos[1:]):
-            residual = max(residual, lo_rho - hi_rho)
-            monotone = monotone and hi_rho > lo_rho
-    checks.append(CheckResult("monotone_rho_in_b", monotone and residual <= tol, max(residual, 0.0), tol))
+    noise = cfg.noise
+    monotone, residual = _monotone_gap(noise.sigma_ra_sq, noise.sigma_rb_sq) if cfg.eta > 0.0 else (True, 0.0)
+    checks.append(CheckResult("monotone_rho_in_b", monotone and residual <= tol, residual, tol))
 
     # stationarity of the power allocation, on the gains the splits imply; a
     # 1/gamma past the float range is inf, which no level reaches
@@ -299,7 +307,7 @@ def verify(
     # claimed rate has no defined gap to the search's finite one
     _, best_rate = best_pairing_exhaustive(channel, cfg)
     gap = best_rate - result.total_rate if math.isfinite(result.total_rate) else math.nan
-    pair_rates = _pair_rates(np.array(gam), result.powers) if audited else np.full(len(gam), math.nan)
+    pair_rates = _pair_rates(np.array(gam), result.powers, max(gam)) if audited else np.full(len(gam), math.nan)
     delivered = float(pair_rates.sum())
     excess = [(claim - rate) / max(rate, 1e-12) for claim, rate in zip(result.pair_rates.tolist(), pair_rates.tolist())]
     residual = _worst((gap, (result.total_rate - delivered) / max(delivered, 1e-12), *excess))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import sys
 import warnings
 
@@ -24,7 +25,7 @@ from swipt_relay.allocator import (
     split_and_gain,
     waterfill,
 )
-from swipt_relay.baselines import PolicyId
+from swipt_relay.baselines import PolicyId, _trial_rates, solve_policy
 from swipt_relay.channel import ChannelRealization, generate_channel
 from swipt_relay.model import NoiseProfile
 from swipt_relay.montecarlo import SweepSpec, sweep
@@ -329,6 +330,69 @@ def test_split_table_matches_per_pair_calls(seed, n, eta):
             got = _split_gains(h_in, g_in, cfg)
             assert got.dtype == want.dtype and got.shape == want.shape == (2, *h_in.shape)
             assert got.tobytes() == want.tobytes()
+
+
+# ------------------------------------------------------- short-vector forms
+
+# ties, both zeros, subnormals, 1e300 and ordinary gains
+_short_gain = st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 0.5, 1.0, 2.0, 1e300]) | st.floats(1e-12, 1e6)
+_bits = np.float64
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(1, 8),
+    p_max=st.sampled_from([1e-6, 1000.0, 1e9]),
+    eta=st.sampled_from([0.0, 5e-324, 1.0]),
+)
+def test_short_vector_forms_have_the_bits_of_the_table_forms(data, n, p_max, eta):
+    """Below 8 subcarriers one channel's pairing and split table run on
+    Python lists; a one-row table, and every vector from 8 up, runs on NumPy.
+    Each pair of forms agrees bit for bit, and so does every policy's
+    one-channel result with the block scorer's rate of the same channel."""
+    h = np.array(data.draw(st.lists(_short_gain, min_size=n, max_size=n)))
+    g = np.array(data.draw(st.lists(_short_gain, min_size=n, max_size=n)))
+    cfg = make_cfg(n_subcarriers=n, taps=1, p_max=p_max, eta=eta)
+    perm = _sorted_perm(h, g)
+    want = _sorted_perm(h[None], g[None])[0]
+    assert perm.dtype == want.dtype and perm.tobytes() == want.tobytes()
+    tables = _split_gains(h, g[perm], cfg)
+    want = _split_gains(h[None], g[perm][None], cfg)[:, 0]
+    assert tables.dtype == want.dtype and tables.shape == want.shape == (2, n)
+    assert tables.tobytes() == want.tobytes()
+    assert not tables.flags.writeable
+    chan = ChannelRealization(h, g)
+    for policy in PolicyId:
+        try:
+            result = solve_policy(policy, chan, cfg)
+        except NoUsablePairError:
+            rates, dead = _trial_rates((policy,), [chan], cfg)
+            assert dead[0, 0] and rates[0, 0] == 0.0
+            continue
+        except ValueError as exc:
+            # a channel the row refuses, the block scorer refuses alike
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                _trial_rates((policy,), [chan], cfg)
+            continue
+        rates, _ = _trial_rates((policy,), [chan], cfg)
+        assert _bits(result.total_rate).tobytes() == rates[0].tobytes()
+        assert _bits(result.total_rate).tobytes() == _bits(result.pair_rates.sum()).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1.0, 1e300, -1e300]) | st.floats(-1e6, 1e6),
+    min_size=1, max_size=8,
+))
+@example(values=[-0.0])
+@example(values=[-0.0] * 7)
+@example(values=[1e16, 1.0, -1e16, 1.0])
+def test_float_row_total_has_the_bits_of_ndarray_sum(values):
+    """Below 8 elements a row total is a left-to-right sum of Python floats;
+    from 8 up it is ``ndarray.sum``; both give its bits."""
+    vec = np.array(values)
+    assert _bits(allocator._total(vec)).tobytes() == _bits(vec.sum()).tobytes()
 
 
 # ---------------------------------------------------------------- waterfill
@@ -876,7 +940,7 @@ def test_pair_rates_take_the_log_form_where_the_powers_scored_overflow():
     the rate is 0.5*log2(gamma) + 0.5*log2(P), with no warning."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rates = allocator._pair_rates(np.array([100.0]), np.array([1e308]))
+        rates = allocator._pair_rates(np.array([100.0]), np.array([1e308]), 100.0)
     assert rates.tolist() == pytest.approx([0.5 * math.log2(100.0) + 0.5 * math.log2(1e308)], rel=1e-15)
 
 

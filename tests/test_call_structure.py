@@ -11,7 +11,7 @@ from collections import Counter
 
 import pytest
 
-from swipt_relay import channel, oracle
+from swipt_relay import allocator, baselines, channel, oracle
 from swipt_relay.baselines import PolicyId
 from swipt_relay.montecarlo import SweepSpec, _block_trials, sweep
 
@@ -96,6 +96,39 @@ def test_sweep_call_counts_per_policy(calls, policy, n, trials):
         "waterfill": waterfills * n_trials,
         "split_and_gain": splits * cfg.n_subcarriers * n_trials,
     }
+
+
+# one channel's solve and solve_policy on either side of the width where
+# their steps turn from Python floats to NumPy arrays
+ONE_CHANNEL_WIDTHS = (1, 4, 7, 8)
+
+
+@pytest.mark.parametrize("n", ONE_CHANNEL_WIDTHS)
+@pytest.mark.parametrize("policy", [None, *PolicyId], ids=["solve", *(p.value for p in PolicyId)])
+def test_one_channel_call_counts(calls, policy, n):
+    cfg = make_cfg(n_subcarriers=n, taps=min(n, 4))
+    chan = channel.generate_channel(cfg, 3)
+    if policy is None:
+        allocator.solve(chan, cfg)
+    else:
+        baselines.solve_policy(policy, chan, cfg)
+    waterfills, splits = PER_TRIAL[policy or PolicyId.PROPOSED]
+    assert {name: calls[name] for name in BINDINGS} == {
+        "generate_channel": 1,
+        "waterfill": waterfills,
+        "split_and_gain": splits * n,
+    }
+
+
+def test_solve_call_counts_match_the_benchmark(calls):
+    """The single-solve workload's own operations, on the default config,
+    make the calls its closed form pins."""
+    workload = _WORKLOADS.SolveWorkload("test", pool_size=3)
+    cfg = workload.config()
+    assert cfg.n_subcarriers in ONE_CHANNEL_WIDTHS
+    for j in range(3):
+        workload.run(cfg, j)
+    assert calls == _counts(workload, 3)
 
 
 def test_verify_call_counts(calls):

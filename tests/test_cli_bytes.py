@@ -78,6 +78,8 @@ def test_config_literals_are_the_configs_they_name(cli_bytes):
     assert config_from_dict(cli_bytes.WIDE_CONFIG) == replace(cfg, n_subcarriers=256, taps=16)
     assert config_from_dict(cli_bytes.NO_HARVEST_CONFIG) == replace(cfg, eta=0.0)
     assert config_from_dict(cli_bytes.VERIFY_CONFIG) == replace(cfg, n_subcarriers=6)
+    assert config_from_dict(cli_bytes.FLOAT_BODY_CONFIG) == replace(cfg, n_subcarriers=7)
+    assert config_from_dict(cli_bytes.ARRAY_BODY_CONFIG) == replace(cfg, n_subcarriers=8)
     assert config_from_dict(cli_bytes.UNVERIFIABLE_CONFIG) == replace(cfg, n_subcarriers=9)
     with pytest.raises(ConfigError) as refused:
         config_from_dict(cli_bytes.INVALID_CONFIG)

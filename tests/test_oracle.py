@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from swipt_relay import oracle
 from swipt_relay.allocator import NoUsablePairError, effective_gain, solve, split_and_gain, waterfill
 from swipt_relay.channel import ChannelRealization, generate_channel
 from swipt_relay.model import NoiseProfile, dbm_to_mw, default_config
@@ -616,3 +617,29 @@ def test_monotone_grid_spans_b_at_the_float_edges(overrides):
     assert len(json.loads(report.to_json())) == 6
     if "eta" in overrides:
         assert report.all_pass, report.to_json()
+
+
+def test_monotone_splits_run_once_per_relay_noise_pair(monkeypatch):
+    """The monotone check's 64 splits depend on the relay noise alone: seeds,
+    other configs with the same relay noise and other tolerances reuse
+    them, and each new relay-noise pair runs them once. The cached outcome
+    is that of the splits of a unit config built from the config itself."""
+    oracle._monotone_gap.cache_clear()
+    splits = []
+    monkeypatch.setattr(oracle, "split_and_gain", lambda *args: splits.append(args) or split_and_gain(*args))
+    cfg = make_cfg(n_subcarriers=3, taps=2)
+    for seed in range(1, 4):
+        verify(generate_channel(cfg, seed), cfg)
+    verify(generate_channel(make_cfg(eta=0.5, p_max=10.0), 1), make_cfg(eta=0.5, p_max=10.0), tol=1e-6)
+    # the exhaustive search takes one split per outgoing subcarrier
+    assert len(splits) == 64 + 3 * 3 + 4
+    low = make_cfg(noise=replace(default_config().noise, sigma_rb_sq=1e-3))
+    verify(generate_channel(low, 1), low)
+    assert len(splits) == 2 * 64 + 3 * 3 + 2 * 4
+    for each in (cfg, low):
+        unit = replace(each, eta=1.0, noise=replace(each.noise, sigma_da_sq=0.5, sigma_db_sq=0.5))
+        rhos = [split_and_gain(1.0, b, unit)[0] for b in oracle._MONOTONE_B_GRID]
+        falls = [lo - hi for lo, hi in zip(rhos, rhos[1:])]
+        want = (all(fall < 0.0 for fall in falls), max([0.0, *falls]))
+        noise = each.noise
+        assert oracle._monotone_gap(noise.sigma_ra_sq, noise.sigma_rb_sq) == want == (True, 0.0)
